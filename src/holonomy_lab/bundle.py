@@ -328,11 +328,8 @@ def _transport_frames(spath: SpectralPath, frames0: Array, singular_tol: float =
             if np.any(s[:, -1] <= singular_tol):
                 raise Singular("consecutive eigenframe overlap is singular")
             uf = u @ vh
-            cur = linalg.polar_unitary(s0)
-            out[0, :, lo:hi] = raw[0] @ cur
-            for k in range(nsamp - 1):
-                cur = uf[k].conj().T @ cur
-                out[k + 1, :, lo:hi] = raw[k + 1] @ cur
+            cur = linalg.ordered_products(np.conj(np.swapaxes(uf, -1, -2)), linalg.polar_unitary(s0))
+            out[:, :, lo:hi] = raw @ cur
     return out
 
 

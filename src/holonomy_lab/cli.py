@@ -66,8 +66,10 @@ def _check_one(path: str, amplitude_path: str | None, alpha, gap_tol: float, pha
 
 def cmd_check(args) -> int:
     alpha = _parse_alpha(args.alpha)
-    if args.jobs > 1 and len(args.curves) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts every worker up front, so ask for no more than can run
+    jobs = min(args.jobs, len(args.curves), os.cpu_count() or 1)
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(
                 _check_one, args.curves,
                 [args.amplitude] * len(args.curves),

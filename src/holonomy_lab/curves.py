@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     EndpointMismatch,
     GridMismatch,
+    NonFinite,
     NonPositiveEigenvalue,
     NotDescending,
     NotNormalized,
@@ -50,7 +51,7 @@ class TimeGrid:
 @dataclass(frozen=True, eq=False)
 class OperatorCurve:
     """Matrix-valued samples on a uniform time grid; samples has shape
-    (n, rows, cols)."""
+    (n, rows, cols) and finite entries (NonFinite names the first bad sample)."""
 
     grid: TimeGrid
     samples: Array
@@ -59,6 +60,9 @@ class OperatorCurve:
         s = np.asarray(self.samples, dtype=np.complex128)
         if s.ndim != 3 or s.shape[0] != self.grid.n:
             raise ValueError(f"samples shape {s.shape} does not match grid n={self.grid.n}")
+        if not np.isfinite(s).all():
+            finite = np.isfinite(s).all(axis=(1, 2))
+            raise NonFinite(f"sample {int(np.argmin(finite))} has non-finite entries")
         object.__setattr__(self, "samples", s)
 
     @classmethod

@@ -65,10 +65,7 @@ def evolve(rho0: DensityOperator, sched: HamiltonianSchedule) -> tuple[OperatorC
     else:
         mids = 0.5 * (sched.samples[:-1] + sched.samples[1:])
         steps = linalg.propagator_step_stack(mids, dt)
-    props = np.empty((nsamp, n, n), dtype=np.complex128)
-    props[0] = np.eye(n)
-    for k in range(nsamp - 1):
-        props[k + 1] = steps[k] @ props[k]
+    props = linalg.ordered_products(steps)
     states = props @ rho0.matrix @ np.conj(np.swapaxes(props, -1, -2))
     return (
         OperatorCurve(grid=sched.grid, samples=props),
@@ -228,11 +225,7 @@ def horizontal_lift_unitary(rho_curve: OperatorCurve, sched: HamiltonianSchedule
     h_co = sched.samples - incoherent_part_path(sched.samples, spath)
     mids = 0.5 * (h_co[:-1] + h_co[1:])
     steps = linalg.propagator_step_stack(mids, sched.grid.dt, tol=1e-8)
-    out = np.empty((sched.grid.n, *w0.w.shape), dtype=np.complex128)
-    out[0] = w0.w
-    for k in range(sched.grid.n - 1):
-        out[k + 1] = steps[k] @ out[k]
-    return OperatorCurve(grid=sched.grid, samples=out)
+    return OperatorCurve(grid=sched.grid, samples=linalg.ordered_products(steps, w0.w))
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,6 +68,10 @@ class NonPositiveEigenvalue(HolonomyLabError):
     pass
 
 
+class NonFinite(HolonomyLabError):
+    pass
+
+
 # bundle / transport
 
 class DegeneracyMismatch(HolonomyLabError):

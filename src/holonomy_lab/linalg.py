@@ -1,12 +1,14 @@
 """Dense complex-matrix kernels.
 
 Hermitian eigendecomposition with descending eigenvalues and degeneracy
-clustering, polar decomposition, short-time unitary propagator steps, and
-the Moore-Penrose pseudoinverse. All matrices are plain complex ndarrays.
+clustering, polar decomposition, short-time unitary propagator steps,
+running products of step stacks, and the Moore-Penrose pseudoinverse. All
+matrices are plain complex ndarrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,3 +139,37 @@ def propagator_step_stack(hs: Array, dt: float, tol: float = HERM_TOL) -> Array:
     vals, frames = hermitian_eig_stack(hs, tol=tol)
     phases = np.exp(-1j * vals * dt)
     return (frames * phases[:, None, :]) @ np.conj(np.swapaxes(frames, -1, -2))
+
+
+def ordered_products(steps: Array, init: Array | None = None) -> Array:
+    """Running left products of a stack (N, n, n) of step matrices.
+
+    Returns the (N + 1, n, c) stack P_0 = init (the identity by default),
+    P_{k+1} = steps[k] @ P_k. Computed as a two-level blocked scan
+    (Blelloch, CMU-CS-90-190): the steps are cut into chunks of floor(sqrt N),
+    the running products inside every chunk advance together, the chunk
+    totals are chained from init, and one batched matmul applies them. That
+    is about 2 sqrt(N) Python-level matmuls instead of N.
+    """
+    steps = np.asarray(steps, dtype=np.complex128)
+    nstep, n, _ = steps.shape
+    init = np.eye(n, dtype=np.complex128) if init is None else np.asarray(init, dtype=np.complex128)
+    out = np.empty((nstep + 1, n, init.shape[1]), dtype=np.complex128)
+    out[0] = init
+    if nstep == 0:
+        return out
+    width = math.isqrt(nstep)
+    nchunk = -(-nstep // width)
+    # the last chunk is padded with identities; row j of a chunk ends up
+    # holding steps[j] @ ... @ steps[0] of that chunk
+    run = np.broadcast_to(np.eye(n, dtype=np.complex128), (nchunk * width, n, n)).copy()
+    run[:nstep] = steps
+    run = run.reshape(nchunk, width, n, n)
+    for j in range(1, width):
+        run[:, j] = run[:, j] @ run[:, j - 1]
+    heads = np.empty((nchunk, n, init.shape[1]), dtype=np.complex128)
+    heads[0] = init
+    for i in range(nchunk - 1):
+        heads[i + 1] = run[i, -1] @ heads[i]
+    out[1:] = (run @ heads[:, None]).reshape(nchunk * width, n, init.shape[1])[:nstep]
+    return out

@@ -123,6 +123,7 @@ def saturation_report_to_json(report: synthesis.SaturationReport) -> dict:
         "dH_deviation": report.dh_deviation,
         "energy_gap": report.energy_gap,
         "bound_gap": report.bound_gap,
+        "integration_defect": report.integration_defect,
     }
 
 

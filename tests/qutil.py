@@ -130,3 +130,36 @@ def wobble_loop(rng, p, m, dim: int, nsamp: int, tau: float = 1.0,
     curve = OperatorCurve(grid=TimeGrid(tau=tau, n=nsamp), samples=samples)
     rho0 = spectra.spectral_decompose(samples[0])
     return curve, rho0
+
+
+def sequential_products(steps, init=None) -> np.ndarray:
+    """Reference for linalg.ordered_products: P_0 = init (identity by
+    default), P_{k+1} = steps[k] @ P_k, one step at a time."""
+    n = steps.shape[-1]
+    init = np.eye(n, dtype=complex) if init is None else np.asarray(init, dtype=complex)
+    out = np.empty((steps.shape[0] + 1, n, init.shape[1]), dtype=complex)
+    out[0] = init
+    for k in range(steps.shape[0]):
+        out[k + 1] = steps[k] @ out[k]
+    return out
+
+
+def polar_transport_reference(samples, blocks, frames0) -> np.ndarray:
+    """Step-by-step discrete parallel transport of eigenframes.
+
+    Each sample is diagonalized on its own (descending eigenvalues); for
+    every block the next frame is E_{k+1} polar(E_{k+1}^dag F_k), where E is
+    any orthonormal basis of that block's eigenspace. The result does not
+    depend on the choice of E, and each consecutive overlap F_k^dag F_{k+1}
+    comes out Hermitian positive.
+    """
+    nsamp = samples.shape[0]
+    out = np.empty((nsamp, samples.shape[1], frames0.shape[1]), dtype=complex)
+    for k in range(nsamp):
+        _, v = np.linalg.eigh(samples[k])
+        v = v[:, ::-1]
+        for lo, hi in blocks:
+            prev = frames0[:, lo:hi] if k == 0 else out[k - 1, :, lo:hi]
+            u, _, vh = np.linalg.svd(v[:, lo:hi].conj().T @ prev)
+            out[k, :, lo:hi] = v[:, lo:hi] @ (u @ vh)
+    return out

@@ -13,12 +13,14 @@ from holonomy_lab.errors import (
 from qutil import (
     aa_holonomy_phase,
     great_circle_section,
+    polar_transport_reference,
     precessing_qubit_curve,
     pure_curve,
     rand_gauge,
     rand_hermitian,
     rand_state,
     rand_unitary,
+    wobble_loop,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -497,6 +499,14 @@ class TestTransportedFrame:
             k4 = rhs(1.0, psi + dt * k3)
             psi = psi + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         assert np.linalg.norm(frames[-1][:, :2] - psi) <= 1e-5
+
+    def test_degenerate_block_matches_step_by_step_reference(self, rng):
+        # a spectrum-varying loop with a doubly degenerate top block and a kernel
+        c, rho0 = wobble_loop(rng, (0.35, 0.3), (2, 1), 4, 401)
+        frames0 = np.concatenate([f.copy() for f in rho0.frames], axis=1)
+        frames = bundle.transported_frame(c, frames0)
+        want = polar_transport_reference(c.samples, [(0, 2), (2, 3)], frames0)
+        assert np.max(np.abs(frames - want)) <= 1e-12
 
     def test_assembly_matches_lift(self):
         # frames plus eigenvalue weights rebuild the horizontal lift, and

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 
 import numpy as np
 import pytest
@@ -69,6 +71,46 @@ class TestCheck:
         reports = serialize.read_json(out)
         assert len(reports) == 2
         assert reports[0]["input"] == p1 and reports[1]["input"] == p2
+
+    @pytest.mark.parametrize("jobs, ncurves, cpus, want", [
+        (1000, 3, 64, 3),
+        (1000, 3, 2, 2),
+        (2, 3, 64, 2),
+        (1000, 1, 64, None),
+        (1000, 3, 1, None),
+    ])
+    def test_jobs_capped(self, tmp_path, monkeypatch, jobs, ncurves, cpus, want):
+        # a recording stand-in: no real pool is ever asked for `jobs` workers
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        paths = [write_curve(tmp_path / f"c{i}.json", precessing_qubit_curve(0.6, TWO_PI, 0.7, 101))
+                 for i in range(ncurves)]
+        out = tmp_path / "reports.json"
+        assert cli.main(["check", *paths, "--jobs", str(jobs), "--out", str(out)]) == 0
+        assert asked == ([] if want is None else [want])
+
+    def test_nan_sample_exits_one(self, tmp_path, capsys):
+        data = serialize.curve_to_json(precessing_qubit_curve(0.6, TWO_PI, 0.7, 101))
+        data["samples"][50][0][1] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        serialize.write_json(path, data)
+        assert cli.main(["check", str(path)]) == 1
+        assert "sample 50" in capsys.readouterr().err
 
     def test_alpha_flag(self, tmp_path, capsys):
         path = write_curve(tmp_path / "c.json", precessing_qubit_curve(0.6, TWO_PI, 0.7, 801))
@@ -153,6 +195,7 @@ class TestSynthesize:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert abs(report["L"] - report["iHB"]) <= 1e-5
+        assert 0.0 <= report["integration_defect"] <= 1e-5
         sched = serialize.read_json(prefix + ".schedule.json")
         assert len(sched["samples"]) == 4001
         manifest = serialize.read_json(prefix + ".manifest.json")

@@ -6,10 +6,11 @@ from holonomy_lab.curves import OperatorCurve, ProbabilityPath, TimeGrid
 from holonomy_lab.errors import (
     EndpointMismatch,
     GridMismatch,
+    NonFinite,
     NonPositiveEigenvalue,
     ZeroLength,
 )
-from qutil import great_circle_section, pure_curve
+from qutil import great_circle_section, precessing_qubit_curve, pure_curve
 
 
 def constant_curve(mat, tau, nsamp):
@@ -27,6 +28,18 @@ class TestTimeGrid:
             TimeGrid(tau=-1.0, n=5)
         with pytest.raises(ValueError):
             TimeGrid(tau=1.0, n=1)
+
+
+class TestOperatorCurve:
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)], ids=["off_diagonal", "diagonal"])
+    def test_rejects_nan_sample(self, entry):
+        # past this check an off-diagonal NaN reaches check_isoholonomic as
+        # L = slack = NaN, and a diagonal one reads as a rank drop
+        samples = precessing_qubit_curve(0.6, 2 * np.pi, 0.7, 101).samples.copy()
+        samples[50][entry] = np.nan
+        samples[70][entry] = np.inf
+        with pytest.raises(NonFinite, match="sample 50"):
+            OperatorCurve.from_samples(1.0, samples)
 
 
 class TestConcatenate:

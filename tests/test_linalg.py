@@ -3,7 +3,7 @@ import pytest
 
 from holonomy_lab import linalg
 from holonomy_lab.errors import NonHermitian, RankDeficient, Singular
-from qutil import rand_unitary
+from qutil import rand_unitary, sequential_products
 
 SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -153,3 +153,21 @@ class TestPropagatorStep:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitian):
             linalg.propagator_step(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
+
+
+def unitary_steps(rng, nstep: int, n: int) -> np.ndarray:
+    z = rng.standard_normal((nstep, n, n)) + 1j * rng.standard_normal((nstep, n, n))
+    return np.linalg.qr(z)[0]
+
+
+class TestOrderedProducts:
+    @pytest.mark.parametrize("nstep", [0, 1, 2, 16, 17, 4000])
+    @pytest.mark.parametrize("n", [2, 6])
+    @pytest.mark.parametrize("rect", [False, True], ids=["identity", "rectangular"])
+    def test_matches_sequential_loop(self, rng, nstep, n, rect):
+        steps = unitary_steps(rng, nstep, n)
+        init = rand_unitary(rng, n)[:, : n // 2] if rect else None
+        got = linalg.ordered_products(steps, init)
+        want = sequential_products(steps, init)
+        assert got.shape == want.shape == (nstep + 1, n, n // 2 if rect else n)
+        assert np.max(np.abs(got - want)) <= 1e-13
