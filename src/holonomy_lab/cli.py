@@ -94,8 +94,7 @@ def cmd_evolve(args) -> int:
     report = dynamics.speed_limit(rho_curve, sched, w0, gap_tol=args.gap_tol)
     payload = serialize.speed_report_to_json(report)
     payload["curve_file"] = args.out
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _emit(payload, None)
     return 0
 
 
@@ -124,8 +123,7 @@ def cmd_synthesize(args) -> int:
     payload = serialize.saturation_report_to_json(report)
     payload["schedule_file"] = f"{prefix}.schedule.json"
     payload["manifest_file"] = f"{prefix}.manifest.json"
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _emit(payload, None)
     return 0
 
 
@@ -185,8 +183,6 @@ def _sample_count(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="holonomy-lab")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized batch modes (reserved)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

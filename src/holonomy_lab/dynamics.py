@@ -36,11 +36,7 @@ class HamiltonianSchedule(OperatorCurve):
 
     def __post_init__(self):
         super().__post_init__()
-        dev = np.linalg.norm(self.samples - np.conj(np.swapaxes(self.samples, -1, -2)), axis=(-2, -1))
-        scale = np.maximum(1.0, np.linalg.norm(self.samples, axis=(-2, -1)))
-        if np.any(dev > 1e-10 * scale):
-            k = int(np.argmax(dev / scale))
-            raise DimMismatch(f"schedule sample {k} is not Hermitian (deviation {dev[k]:.3e})")
+        linalg.check_hermitian_stack(self.samples)
 
     @classmethod
     def constant(cls, h: Array, tau: float, n: int) -> "HamiltonianSchedule":

@@ -60,8 +60,7 @@ def hermitian_eig(m: Array, tol: float = HERM_TOL) -> EigResult:
     m = as_cmat(m)
     if m.shape[0] != m.shape[1]:
         raise NonHermitian(f"matrix is not square: {m.shape}")
-    if herm_deviation(m) > tol * max(1.0, frob(m)):
-        raise NonHermitian(f"Hermiticity deviation {herm_deviation(m):.3e} exceeds {tol:.3e}")
+    check_hermitian_stack(m[None], tol)
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -69,15 +68,22 @@ def hermitian_eig(m: Array, tol: float = HERM_TOL) -> EigResult:
     return EigResult(values=w[::-1].copy(), frame=v[:, ::-1].copy())
 
 
-def hermitian_eig_stack(ms: Array, tol: float = HERM_TOL) -> tuple[Array, Array]:
-    """Batched descending eigendecomposition of a stack (N, n, n) of
-    Hermitian matrices. Returns (values (N, n), frames (N, n, n))."""
-    ms = np.asarray(ms, dtype=np.complex128)
+def check_hermitian_stack(ms: Array, tol: float = HERM_TOL) -> None:
+    """Raise NonHermitian, naming the worst sample, if any matrix of the
+    stack (N, n, n) deviates from Hermitian by more than tol (relative)."""
     dev = np.linalg.norm(ms - np.conj(np.swapaxes(ms, -1, -2)), axis=(-2, -1))
     scale = np.maximum(1.0, np.linalg.norm(ms, axis=(-2, -1)))
     if np.any(dev > tol * scale):
         k = int(np.argmax(dev / scale))
-        raise NonHermitian(f"sample {k}: Hermiticity deviation {dev[k]:.3e}")
+        where = f"sample {k}: " if len(ms) > 1 else ""
+        raise NonHermitian(f"{where}Hermiticity deviation {dev[k]:.3e} exceeds {tol:.3e}")
+
+
+def hermitian_eig_stack(ms: Array, tol: float = HERM_TOL) -> tuple[Array, Array]:
+    """Batched descending eigendecomposition of a stack (N, n, n) of
+    Hermitian matrices. Returns (values (N, n), frames (N, n, n))."""
+    ms = np.asarray(ms, dtype=np.complex128)
+    check_hermitian_stack(ms, tol)
     try:
         w, v = np.linalg.eigh(ms)
     except np.linalg.LinAlgError as exc:

@@ -1,8 +1,10 @@
 """JSON schemas for states, curves, schedules, amplitudes, and reports.
 
-Complex entries are [re, im] pairs; matrices are nested row-major lists.
-Floats go through Python's shortest round-trip repr, so write/read is
-bit-exact for finite values.
+Complex entries are [re, im] pairs; matrices are nested row-major lists,
+and a stack of them is encoded or decoded in one numpy call. Files are
+written as compact JSON; readers accept any whitespace. Floats go through
+Python's shortest round-trip repr, so write/read is bit-exact for finite
+values, signed zeros included.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bundle, dynamics, invariants, linalg, synthesis
-from .curves import OperatorCurve, TimeGrid
+from .curves import OperatorCurve
 from .spectra import EigenprojectorBasis
 
 Array = np.ndarray
@@ -21,14 +23,34 @@ Array = np.ndarray
 
 def matrix_to_json(m: Array) -> list:
     m = np.asarray(m, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_json(data) -> Array:
-    arr = np.asarray(data, dtype=float)
+    arr = np.ascontiguousarray(data, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError(f"matrix JSON must be rows of [re, im] pairs, got shape {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(np.complex128)[..., 0]  # a view keeps -0.0, which re + 1j*im turns into +0.0
+
+
+def stack_from_json(samples) -> Array:
+    """Decode a list of matrices into one (N, rows, cols) complex stack;
+    ValueError names the first sample not shaped like most samples."""
+    try:
+        arr = np.ascontiguousarray(samples, dtype=float)
+        if arr.ndim == 4 and arr.shape[-1] == 2:
+            return arr.view(np.complex128)[..., 0]
+    except (TypeError, ValueError):
+        pass
+    shapes = []
+    for sample in samples if isinstance(samples, list) else []:
+        try:
+            shapes.append(matrix_from_json(sample).shape)
+        except (TypeError, ValueError):
+            shapes.append(None)
+    common = max(dict.fromkeys(s for s in shapes if s), key=shapes.count, default=None)
+    k = next((k for k, s in enumerate(shapes) if s != common), 0)
+    raise ValueError(f"sample {k} is not a matrix of [re, im] pairs shaped like most samples")
 
 
 def state_to_json(rho: Array) -> dict:
@@ -44,17 +66,15 @@ def state_from_json(data: dict) -> Array:
 
 
 def curve_to_json(curve: OperatorCurve) -> dict:
-    return {"tau": curve.grid.tau, "samples": [matrix_to_json(s) for s in curve.samples]}
+    return {"tau": curve.grid.tau, "samples": matrix_to_json(curve.samples)}
 
 
 def curve_from_json(data: dict) -> OperatorCurve:
-    samples = np.stack([matrix_from_json(s) for s in data["samples"]])
-    return OperatorCurve(grid=TimeGrid(tau=float(data["tau"]), n=samples.shape[0]), samples=samples)
+    return OperatorCurve.from_samples(data["tau"], stack_from_json(data["samples"]))
 
 
 def schedule_from_json(data: dict) -> dynamics.HamiltonianSchedule:
-    samples = np.stack([matrix_from_json(s) for s in data["samples"]])
-    return dynamics.HamiltonianSchedule(grid=TimeGrid(tau=float(data["tau"]), n=samples.shape[0]), samples=samples)
+    return dynamics.HamiltonianSchedule.from_samples(data["tau"], stack_from_json(data["samples"]))
 
 
 def amplitude_to_json(amp: bundle.Amplitude) -> dict:
@@ -147,7 +167,7 @@ def plan_manifest_to_json(plan: synthesis.SaturatingPlan) -> dict:
 
 
 def write_json(path: str | Path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
 def read_json(path: str | Path):

@@ -112,6 +112,14 @@ class TestCheck:
         assert cli.main(["check", str(path)]) == 1
         assert "sample 50" in capsys.readouterr().err
 
+    def test_ragged_sample_exits_one(self, tmp_path, capsys):
+        data = serialize.curve_to_json(precessing_qubit_curve(0.6, TWO_PI, 0.7, 11))
+        data["samples"][3] = serialize.matrix_to_json(np.eye(3) / 3)
+        path = tmp_path / "ragged.json"
+        serialize.write_json(path, data)
+        assert cli.main(["check", str(path)]) == 1
+        assert "sample 3 " in capsys.readouterr().err
+
     def test_alpha_flag(self, tmp_path, capsys):
         path = write_curve(tmp_path / "c.json", precessing_qubit_curve(0.6, TWO_PI, 0.7, 801))
         assert cli.main(["check", path, "--alpha", "0.5,0.1"]) == 0

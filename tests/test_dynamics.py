@@ -4,7 +4,7 @@ import pytest
 from holonomy_lab import bundle, dynamics, invariants, spectra
 from holonomy_lab.curves import OperatorCurve, TimeGrid
 from holonomy_lab.dynamics import SIGMA1, SIGMA3, HamiltonianSchedule
-from holonomy_lab.errors import DimMismatch, InvalidP, NotClosed, StationaryAxis
+from holonomy_lab.errors import DimMismatch, InvalidP, NonHermitian, NotClosed, StationaryAxis
 from qutil import (
     precessing_qubit_curve,
     qubit_axis,
@@ -65,7 +65,7 @@ class TestEvolve:
             dynamics.evolve(rho0, sched)
 
     def test_schedule_requires_hermitian_samples(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(NonHermitian, match="sample 0"):
             HamiltonianSchedule.constant(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, 5)
 
 

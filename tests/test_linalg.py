@@ -26,7 +26,8 @@ class TestHermitianEig:
         assert np.allclose(eig.values, [1.0, -1.0])
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitian):
+        # one matrix: no sample index, and the tolerance is stated
+        with pytest.raises(NonHermitian, match=r"^Hermiticity deviation 1\.414e\+00 exceeds 1\.000e-10$"):
             linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_random_reconstruction(self, rng):
