@@ -47,7 +47,6 @@ from .spectra import (
     DensityOperator,
     EigenprojectorBasis,
     check_bound,
-    simplex_coords,
     spectral_decompose,
     validate,
 )

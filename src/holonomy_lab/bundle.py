@@ -175,16 +175,14 @@ def split(amp: Amplitude, wdot: Array) -> tuple[Array, Array]:
 # tangent lifts and the induced metric on the state space
 
 
-def _lift_tangents(lam: Array, frames: Array, blocks: list[tuple[int, int]], r: int,
-                   rdots: Array, tangent_tol: float) -> Array:
+def _lift_tangents(spath: "SpectralPath", rdots: Array, tangent_tol: float) -> Array:
     """Horizontal lifts of state tangents, in eigenbasis coordinates.
 
-    lam (N, n) holds per-sample eigenvalues (block means repeated, zeros on
-    the kernel), frames (N, n, n) the matching eigenvector stacks, rdots
-    (N, n, n) Hermitian tangents. Returns (N, n, r) lifted tangents; raises
-    NotTangent when reprojection misses rdot by more than tangent_tol
-    (relative).
+    rdots (N, n, n) are Hermitian tangents at the samples of spath. Returns
+    (N, n, r) lifted tangents; raises NotTangent when reprojection misses
+    rdot by more than tangent_tol (relative).
     """
+    lam, frames, blocks, r = spath.support_lam(), spath.frames, spath.blocks, spath.rank
     n = lam.shape[1]
     big = frames.conj().transpose(0, 2, 1) @ rdots @ frames
     blk_id = np.full(n, len(blocks), dtype=int)
@@ -212,19 +210,9 @@ def _lift_tangents(lam: Array, frames: Array, blocks: list[tuple[int, int]], r: 
     return wt
 
 
-def _state_eigendata(rho: DensityOperator) -> tuple[Array, Array, list[tuple[int, int]], int]:
-    lam = np.concatenate([np.repeat(rho.p, rho.m), np.zeros(rho.dim - rho.rank)])
-    blocks, start = [], 0
-    for mj in rho.m:
-        blocks.append((start, start + mj))
-        start += mj
-    return lam[None, :], rho.full_frame[None, :, :], blocks, rho.rank
-
-
 def path_speeds_sq(spath: "SpectralPath", rdots: Array, tangent_tol: float = TANGENT_TOL) -> Array:
     """Squared metric speeds g(rdot, rdot) along a decomposed state path."""
-    wt = _lift_tangents(spath.support_lam(), spath.frames, spath.blocks, spath.rank,
-                        rdots, tangent_tol)
+    wt = _lift_tangents(spath, rdots, tangent_tol)
     return np.real(np.sum(np.abs(wt) ** 2, axis=(1, 2)))
 
 
@@ -235,11 +223,11 @@ def metric_g(rho: DensityOperator, rdot1: Array, rdot2: Array, tangent_tol: floa
     NotTangent if either argument fails to be tangent to the fixed-degeneracy
     stratum at rho within tangent_tol.
     """
-    lam, frames, blocks, r = _state_eigendata(rho)
-    rd1 = linalg.as_cmat(rdot1)[None, :, :]
-    rd2 = linalg.as_cmat(rdot2)[None, :, :]
-    w1 = _lift_tangents(lam, frames, blocks, r, rd1, tangent_tol)[0]
-    w2 = _lift_tangents(lam, frames, blocks, r, rd2, tangent_tol)[0]
+    values = np.concatenate([np.repeat(rho.p, rho.m), np.zeros(rho.dim - rho.rank)])
+    spath = SpectralPath(values=values[None, :], frames=rho.full_frame[None, :, :],
+                         blocks=rho.basis.blocks, m=rho.m)
+    w1 = _lift_tangents(spath, linalg.as_cmat(rdot1)[None, :, :], tangent_tol)[0]
+    w2 = _lift_tangents(spath, linalg.as_cmat(rdot2)[None, :, :], tangent_tol)[0]
     return float(np.real(np.sum(w1.conj() * w2)))
 
 
@@ -393,12 +381,23 @@ def transported_frame(rho_curve: OperatorCurve, frames0, gap_tol: float = linalg
     return _transport_frames(spath, frames0)
 
 
-def holonomy(rho_curve: OperatorCurve, w0: Amplitude,
-             gap_tol: float = linalg.GAP_TOL, zero_tol: float = linalg.ZERO_TOL,
-             closed_tol: float = CLOSED_TOL, offblock_tol: float = OFFBLOCK_TOL) -> GaugeElement:
-    """Holonomy of a closed state curve at the amplitude w0.
+@dataclass(frozen=True, eq=False)
+class ClosedLoop:
+    """A closed state curve with its spectral path and the holonomy of its
+    horizontal lift; the one analysis the isoholonomic report, the speed
+    limit and the saturation check share."""
 
-    Computed as W0^+ W_tau from the horizontal lift, then re-unitarized
+    curve: OperatorCurve
+    path: SpectralPath
+    holonomy: GaugeElement
+
+
+def closed_loop(rho_curve: OperatorCurve, w0: Amplitude,
+                gap_tol: float = linalg.GAP_TOL, zero_tol: float = linalg.ZERO_TOL,
+                closed_tol: float = CLOSED_TOL, offblock_tol: float = OFFBLOCK_TOL) -> ClosedLoop:
+    """Decompose a closed state curve once, lift it from w0 and take its holonomy.
+
+    The holonomy is W0^+ W_tau from the horizontal lift, re-unitarized
     blockwise by polar projection (the deviation is logged). Raises
     NotClosed for open curves and GaugeViolation when the raw holonomy
     carries more than offblock_tol of block-off-diagonal mass.
@@ -407,12 +406,7 @@ def holonomy(rho_curve: OperatorCurve, w0: Amplitude,
     if defect > closed_tol:
         raise NotClosed(f"curve closure defect {defect:.3e} exceeds {closed_tol:.3e}")
     spath = decompose_path(rho_curve, gap_tol=gap_tol, zero_tol=zero_tol)
-    samples = _lift_samples(rho_curve, spath, w0, PROJECTION_TOL)
-    return _holonomy_from_endpoint(w0, samples[-1], offblock_tol)
-
-
-def _holonomy_from_endpoint(w0: Amplitude, w_final: Array, offblock_tol: float) -> GaugeElement:
-    raw = linalg.pinv(w0.w) @ w_final
+    raw = linalg.pinv(w0.w) @ _lift_samples(rho_curve, spath, w0, PROJECTION_TOL)[-1]
     off = w0.basis.offblock_norm(raw)
     if off > offblock_tol:
         raise GaugeViolation(f"block-off-diagonal holonomy mass {off:.3e} exceeds {offblock_tol:.3e}")
@@ -421,7 +415,15 @@ def _holonomy_from_endpoint(w0: Amplitude, w_final: Array, offblock_tol: float) 
         u[lo:hi, lo:hi] = linalg.polar_unitary(raw[lo:hi, lo:hi])
     deviation = linalg.frob(u - raw)
     logger.debug("holonomy re-unitarization deviation %.3e (off-block %.3e)", deviation, off)
-    return GaugeElement(u=u, basis=w0.basis)
+    return ClosedLoop(curve=rho_curve, path=spath, holonomy=GaugeElement(u=u, basis=w0.basis))
+
+
+def holonomy(rho_curve: OperatorCurve, w0: Amplitude,
+             gap_tol: float = linalg.GAP_TOL, zero_tol: float = linalg.ZERO_TOL,
+             closed_tol: float = CLOSED_TOL, offblock_tol: float = OFFBLOCK_TOL) -> GaugeElement:
+    """Holonomy of a closed state curve at the amplitude w0; see closed_loop."""
+    return closed_loop(rho_curve, w0, gap_tol=gap_tol, zero_tol=zero_tol,
+                       closed_tol=closed_tol, offblock_tol=offblock_tol).holonomy
 
 
 def lift_connection_residuals(lift: OperatorCurve, basis: EigenprojectorBasis) -> Array:

@@ -18,7 +18,6 @@ from .errors import (
     DimMismatch,
     GridMismatch,
     InvalidP,
-    NotClosed,
     StationaryAxis,
 )
 from .spectra import DensityOperator
@@ -92,19 +91,14 @@ def uncertainty(rho: DensityOperator, h: Array) -> tuple[float, float, float]:
     """(Delta H, Delta H_co, Delta H_in) for the state rho.
 
     The variance splits: Delta^2 H = Delta^2 H_co + Delta^2 H_in, and the
-    coherent part has zero mean in the state.
+    coherent part has zero mean in the state. Raises NonHermitian for a
+    non-Hermitian h.
     """
     h_in, h_co = split_hamiltonian(h, rho)
-    dh2 = _variance(rho.matrix, h)
-    dco2 = _variance(rho.matrix, h_co)
-    din2 = _variance(rho.matrix, h_in)
-    return float(np.sqrt(max(dh2, 0.0))), float(np.sqrt(max(dco2, 0.0))), float(np.sqrt(max(din2, 0.0)))
-
-
-def _variance(rho_mat: Array, h: Array) -> float:
-    mean = float(np.real(np.trace(rho_mat @ h)))
-    mean2 = float(np.real(np.trace(rho_mat @ h @ h)))
-    return mean2 - mean**2
+    h = linalg.as_cmat(h)
+    linalg.check_hermitian_stack(h[None])
+    dh, dco, din = np.sqrt(np.maximum(variance_path(rho.matrix, np.stack([h, h_co, h_in])), 0.0))
+    return float(dh), float(dco), float(din)
 
 
 def incoherent_part_path(hs: Array, spath: bundle.SpectralPath) -> Array:
@@ -120,7 +114,9 @@ def incoherent_part_path(hs: Array, spath: bundle.SpectralPath) -> Array:
     return h_in
 
 
-def _variance_path(states: Array, hs: Array) -> Array:
+def variance_path(states: Array, hs: Array) -> Array:
+    """Variances tr(rho H^2) - tr(rho H)^2 of Hermitian H over stacks
+    (N, n, n), broadcasting a single state or Hamiltonian."""
     prod = states @ hs
     means = np.real(np.trace(prod, axis1=-2, axis2=-1))
     # tr(rho H H) contracts (rho H) against H^dag = H entrywise
@@ -131,7 +127,7 @@ def _variance_path(states: Array, hs: Array) -> Array:
 def _uncertainty_path(states: Array, hs: Array, spath: bundle.SpectralPath) -> tuple[Array, Array, Array]:
     """Batched (Delta^2 H, Delta^2 H_co, Delta^2 H_in) along an evolution."""
     h_in = incoherent_part_path(hs, spath)
-    return _variance_path(states, hs), _variance_path(states, hs - h_in), _variance_path(states, h_in)
+    return variance_path(states, hs), variance_path(states, hs - h_in), variance_path(states, h_in)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,13 +160,8 @@ def speed_limit(rho_curve: OperatorCurve, sched: HamiltonianSchedule, w0: bundle
         raise DimMismatch("state curve and schedule have different shapes")
     if abs(rho_curve.grid.tau - sched.grid.tau) > 1e-12 * sched.grid.tau:
         raise GridMismatch("state curve and schedule cover different intervals")
-    defect = rho_curve.closure_defect()
-    if defect > closed_tol:
-        raise NotClosed(f"curve closure defect {defect:.3e} exceeds {closed_tol:.3e}")
-
-    spath = bundle.decompose_path(rho_curve, gap_tol=gap_tol, zero_tol=zero_tol)
-    samples = bundle._lift_samples(rho_curve, spath, w0, bundle.PROJECTION_TOL)
-    hol = bundle._holonomy_from_endpoint(w0, samples[-1], bundle.OFFBLOCK_TOL)
+    loop = bundle.closed_loop(rho_curve, w0, gap_tol=gap_tol, zero_tol=zero_tol, closed_tol=closed_tol)
+    spath, hol = loop.path, loop.holonomy
     phases = invariants.eigenphases(hol)
     ihb = invariants.ihb_isospectral(spath.block_means()[0], phases)
 

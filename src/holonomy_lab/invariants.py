@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import bundle, linalg
 from .curves import OperatorCurve, ProbabilityPath, fisher_rao, grid_derivative, trapezoid
 from .errors import (
     BoundViolated,
-    NotClosed,
     OutOfRange,
     ShapeMismatch,
     UndefinedPhase,
@@ -55,19 +55,32 @@ class PhaseSpectrum:
         return np.concatenate(self.blocks)
 
 
-def eigenphases(g: bundle.GaugeElement, phase_tol: float = PHASE_TOL) -> PhaseSpectrum:
-    """Blockwise eigenphases of a gauge unitary, mapped into [0, 2pi).
+def blockwise_eigenbasis(g: bundle.GaugeElement, phase_tol: float = PHASE_TOL) -> tuple[Array, Array]:
+    """Eigenphases and an orthonormal eigenbasis of a gauge unitary, block by block.
 
-    Phases within phase_tol of 2pi wrap to 0, which leaves every bound
-    built on theta(2pi - theta) unchanged.
+    Returns (phases, s): phases in [0, 2pi), descending within each block,
+    and s block-diagonal unitary with s^dag U s diagonal. Phases within
+    phase_tol of 2pi wrap to 0, which leaves every bound built on
+    theta(2pi - theta) unchanged.
     """
-    out = []
+    dim = g.basis.dim_k
+    s = np.zeros((dim, dim), dtype=np.complex128)
+    phases = np.zeros(dim)
     for lo, hi in g.basis.blocks:
-        vals = np.linalg.eigvals(g.u[lo:hi, lo:hi])
-        ph = np.mod(np.angle(vals), TWO_PI)
+        t, q = scipy.linalg.schur(g.u[lo:hi, lo:hi], output="complex")
+        ph = np.mod(np.angle(np.diag(t)), TWO_PI)
         ph[ph >= TWO_PI - phase_tol] = 0.0
-        out.append(np.sort(ph)[::-1])
-    return PhaseSpectrum(blocks=tuple(out))
+        order = np.argsort(ph)[::-1]
+        phases[lo:hi] = ph[order]
+        s[lo:hi, lo:hi] = q[:, order]
+    return phases, s
+
+
+def eigenphases(g: bundle.GaugeElement, phase_tol: float = PHASE_TOL) -> PhaseSpectrum:
+    """Blockwise eigenphases of a gauge unitary, mapped into [0, 2pi);
+    see blockwise_eigenbasis."""
+    phases, _ = blockwise_eigenbasis(g, phase_tol)
+    return PhaseSpectrum(blocks=tuple(phases[lo:hi] for lo, hi in g.basis.blocks))
 
 
 def pure_ihb(theta: float) -> float:
@@ -99,8 +112,8 @@ def ihb_isospectral(p, phases: PhaseSpectrum) -> float:
 def ihb_constrained(alpha, phases: PhaseSpectrum) -> float:
     """Spectrally constrained bound sqrt(sum_ja alpha_j theta_ja (2pi - theta_ja))."""
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha < 0.0):
-        raise ShapeMismatch("spectral bounds must be nonnegative")
+    if not np.all(np.isfinite(alpha)) or np.any(alpha < 0.0):
+        raise ShapeMismatch(f"spectral bounds must be finite and nonnegative, got {alpha.tolist()}")
     return _weighted_bound(alpha, phases)
 
 
@@ -133,9 +146,13 @@ def curve_length_energy(rho_curve: OperatorCurve,
     quadrature is the composite trapezoid rule.
     """
     spath = bundle.decompose_path(rho_curve, gap_tol=gap_tol, zero_tol=zero_tol)
+    return _path_length_energy(rho_curve, spath, tangent_tol)
+
+
+def _path_length_energy(rho_curve: OperatorCurve, spath: bundle.SpectralPath,
+                        tangent_tol: float) -> tuple[float, float]:
     rdots = grid_derivative(rho_curve.samples, rho_curve.grid.dt)
-    sq = bundle.path_speeds_sq(spath, rdots, tangent_tol=tangent_tol)
-    sq = np.maximum(sq, 0.0)
+    sq = np.maximum(bundle.path_speeds_sq(spath, rdots, tangent_tol=tangent_tol), 0.0)
     dt = rho_curve.grid.dt
     return trapezoid(np.sqrt(sq), dt), 0.5 * trapezoid(sq, dt)
 
@@ -163,29 +180,31 @@ def check_isoholonomic(rho_curve: OperatorCurve, w0: bundle.Amplitude, alpha=Non
                        phase_tol: float = PHASE_TOL,
                        const_spectrum_tol: float = CONST_SPECTRUM_TOL,
                        tangent_tol: float = LENGTH_TANGENT_TOL) -> IsoReport:
-    """Evaluate the isoholonomic inequalities on a closed curve.
+    """Evaluate the isoholonomic inequalities on a closed curve; see iso_report."""
+    loop = bundle.closed_loop(rho_curve, w0, gap_tol=gap_tol, zero_tol=zero_tol, closed_tol=closed_tol)
+    return iso_report(loop, alpha=alpha, slack_tol=slack_tol, phase_tol=phase_tol,
+                      const_spectrum_tol=const_spectrum_tol, tangent_tol=tangent_tol)
+
+
+def iso_report(loop: bundle.ClosedLoop, alpha=None,
+               slack_tol: float = SLACK_TOL,
+               phase_tol: float = PHASE_TOL,
+               const_spectrum_tol: float = CONST_SPECTRUM_TOL,
+               tangent_tol: float = LENGTH_TANGENT_TOL) -> IsoReport:
+    """Evaluate the isoholonomic inequalities on an analysed closed curve.
 
     For constant-spectrum curves the fixed-spectrum bound applies; when
     alpha is given the constrained and strong inequalities are evaluated as
     well. Negative slack beyond slack_tol raises BoundViolated, which
     signals a numerical-method bug rather than physics.
     """
-    defect = rho_curve.closure_defect()
-    if defect > closed_tol:
-        raise NotClosed(f"curve closure defect {defect:.3e} exceeds {closed_tol:.3e}")
-    spath = bundle.decompose_path(rho_curve, gap_tol=gap_tol, zero_tol=zero_tol)
-    samples = bundle._lift_samples(rho_curve, spath, w0, bundle.PROJECTION_TOL)
-    hol = bundle._holonomy_from_endpoint(w0, samples[-1], bundle.OFFBLOCK_TOL)
+    rho_curve, spath, hol = loop.curve, loop.path, loop.holonomy
     phases = eigenphases(hol, phase_tol=phase_tol)
 
     means = spath.block_means()
     constant = bool(np.max(np.abs(means - means[0])) <= const_spectrum_tol)
 
-    rdots = grid_derivative(rho_curve.samples, rho_curve.grid.dt)
-    sq = np.maximum(bundle.path_speeds_sq(spath, rdots, tangent_tol=tangent_tol), 0.0)
-    dt = rho_curve.grid.dt
-    length = trapezoid(np.sqrt(sq), dt)
-    energy = 0.5 * trapezoid(sq, dt)
+    length, energy = _path_length_energy(rho_curve, spath, tangent_tol)
     fr_length, _ = fisher_rao(ProbabilityPath(grid=rho_curve.grid, values=means, m=spath.m))
 
     ihb_alpha = None
@@ -193,9 +212,9 @@ def check_isoholonomic(rho_curve: OperatorCurve, w0: bundle.Amplitude, alpha=Non
         alpha = np.asarray(alpha, dtype=float)
         if alpha.shape != (means.shape[1],):
             raise ShapeMismatch(f"{alpha.size} bounds for {means.shape[1]} blocks")
+        ihb_alpha = ihb_constrained(alpha, phases)
         if np.any(means < alpha[None, :] - 1e-12):
             raise OutOfRange("curve leaves the spectrally bounded region")
-        ihb_alpha = ihb_constrained(alpha, phases)
     ihb = ihb_isospectral(means[0], phases) if constant else (ihb_alpha if ihb_alpha is not None else 0.0)
 
     slack = length - ihb

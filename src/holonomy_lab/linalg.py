@@ -51,21 +51,21 @@ class EigResult:
     frame: Array
 
 
+def _square(m) -> Array:
+    m = as_cmat(m)
+    if m.shape[0] != m.shape[1]:
+        raise NonHermitian(f"matrix is not square: {m.shape}")
+    return m
+
+
 def hermitian_eig(m: Array, tol: float = HERM_TOL) -> EigResult:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Raises NonHermitian if the symmetry check fails and NoConvergence if
     the underlying iteration stalls.
     """
-    m = as_cmat(m)
-    if m.shape[0] != m.shape[1]:
-        raise NonHermitian(f"matrix is not square: {m.shape}")
-    check_hermitian_stack(m[None], tol)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return EigResult(values=w[::-1].copy(), frame=v[:, ::-1].copy())
+    vals, frames = hermitian_eig_stack(_square(m)[None], tol=tol)
+    return EigResult(values=vals[0], frame=frames[0])
 
 
 def check_hermitian_stack(ms: Array, tol: float = HERM_TOL) -> None:
@@ -135,9 +135,7 @@ def pinv(w: Array, tol: float = SINGULAR_TOL) -> Array:
 
 def propagator_step(h: Array, dt: float, tol: float = HERM_TOL) -> Array:
     """exp(-i H dt) for Hermitian H, via the spectral decomposition."""
-    eig = hermitian_eig(h, tol=tol)
-    phases = np.exp(-1j * eig.values * dt)
-    return (eig.frame * phases) @ eig.frame.conj().T
+    return propagator_step_stack(_square(h)[None], dt, tol=tol)[0]
 
 
 def propagator_step_stack(hs: Array, dt: float, tol: float = HERM_TOL) -> Array:

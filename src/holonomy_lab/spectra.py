@@ -61,16 +61,6 @@ def check_bound(p, alpha) -> list[int]:
     return [int(j) for j in np.nonzero(p < alpha)[0]]
 
 
-def simplex_coords(p, m, norm_tol: float = NORM_TOL) -> Array:
-    """Coordinates of (p, m) in the open weighted simplex.
-
-    The coordinates are p itself; the constraint sum_j x_j m_j = 1 is
-    verified. The simplex has dimension l - 1.
-    """
-    validate(p, m, norm_tol=norm_tol)
-    return np.asarray(p, dtype=float).copy()
-
-
 @dataclass(frozen=True)
 class EigenprojectorBasis:
     """Block-adapted orthonormal basis of the auxiliary space.

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import bundle, dynamics, invariants, linalg
 from .curves import OperatorCurve, TimeGrid, trapezoid
@@ -183,25 +182,6 @@ class SaturatingPlan:
         return OperatorCurve(grid=self.schedule.grid, samples=states)
 
 
-def _blockwise_eigenvectors(g: bundle.GaugeElement, phase_tol: float = invariants.PHASE_TOL) -> tuple[Array, Array]:
-    """Orthonormal eigenbasis of a gauge unitary, block by block.
-
-    Returns (phases, s) with s block-diagonal unitary and phases descending
-    within each block, matching the eigenphase convention.
-    """
-    dim = g.basis.dim_k
-    s = np.zeros((dim, dim), dtype=np.complex128)
-    phases = np.zeros(dim)
-    for lo, hi in g.basis.blocks:
-        t, q = scipy.linalg.schur(g.u[lo:hi, lo:hi], output="complex")
-        ph = np.mod(np.angle(np.diag(t)), TWO_PI)
-        ph[ph >= TWO_PI - phase_tol] = 0.0
-        order = np.argsort(ph)[::-1]
-        phases[lo:hi] = ph[order]
-        s[lo:hi, lo:hi] = q[:, order]
-    return phases, s
-
-
 def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeElement,
                tau: float, ambient_dim: int, n_samples: int = PLAN_SAMPLES) -> SaturatingPlan:
     """Assemble a closed evolution at rho with holonomy target at w whose
@@ -221,7 +201,7 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
         raise DegeneracyMismatch(f"amplitude projects {defect:.3e} away from the state")
     if not tau > 0.0:
         raise OutOfRange(f"tau must be positive, got {tau}")
-    thetas, s = _blockwise_eigenvectors(target)
+    thetas, s = invariants.blockwise_eigenbasis(target)
     w_adapted = bundle.Amplitude(w=w.w @ s, basis=w.basis)
     planes = choose_planes(rho, w_adapted, ambient_dim)
     loops = tuple(
@@ -281,7 +261,8 @@ def verify_saturation(plan: SaturatingPlan,
     if integration_defect > integration_tol:
         raise SaturationFailed(f"schedule fails to regenerate the trajectory by {integration_defect:.3e}")
 
-    report = invariants.check_isoholonomic(rho_curve, plan.w)
+    loop = bundle.closed_loop(rho_curve, plan.w)
+    report = invariants.iso_report(loop)
     hol_err = linalg.frob(report.holonomy.u - plan.target.u)
     if hol_err > hol_tol:
         raise SaturationFailed(f"holonomy misses the target by {hol_err:.3e}")
@@ -290,14 +271,12 @@ def verify_saturation(plan: SaturatingPlan,
     if length_err > length_tol:
         raise SaturationFailed(f"length differs from the bound by {length_err:.3e}")
 
-    spath = bundle.decompose_path(rho_curve)
-    h_in = dynamics.incoherent_part_path(plan.schedule.samples, spath)
+    h_in = dynamics.incoherent_part_path(plan.schedule.samples, loop.path)
     max_h_in = float(np.max(np.linalg.norm(h_in, axis=(1, 2))))
     if max_h_in > hin_tol:
         raise SaturationFailed(f"drive has incoherent mass {max_h_in:.3e}")
 
-    dh2, _, _ = dynamics._uncertainty_path(rho_curve.samples, plan.schedule.samples, spath)
-    dh = np.sqrt(np.maximum(dh2, 0.0))
+    dh = np.sqrt(np.maximum(dynamics.variance_path(rho_curve.samples, plan.schedule.samples), 0.0))
     dh_dev = float(np.max(np.abs(dh - ihb / plan.tau)))
     if dh_dev > dh_tol:
         raise SaturationFailed(f"energy uncertainty varies by {dh_dev:.3e} from ihb/tau")

@@ -127,6 +127,13 @@ class TestCheck:
         assert report["iHB_alpha"] is not None
         assert report["strong_slack"] >= -1e-6
 
+    def test_nan_alpha_exits_one(self, tmp_path, capsys):
+        path = write_curve(tmp_path / "c.json", precessing_qubit_curve(0.6, TWO_PI, 0.7, 401))
+        assert cli.main(["check", path, "--alpha", "nan,0.2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_explicit_amplitude_file(self, tmp_path, capsys):
         from holonomy_lab import bundle, spectra
         from qutil import rand_gauge

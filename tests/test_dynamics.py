@@ -126,6 +126,10 @@ class TestUncertainty:
         rho = mixed_qubit()
         assert dynamics.uncertainty(rho, np.zeros((2, 2))) == (0.0, 0.0, 0.0)
 
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(NonHermitian):
+            dynamics.uncertainty(mixed_qubit(), [[0.0, 1.0], [0.0, 0.0]])
+
     def test_precessing_qubit_value(self):
         n3, omega, p0 = 0.6, TWO_PI, 0.7
         rho = mixed_qubit(p0)

@@ -51,6 +51,28 @@ class TestEigenphases:
         assert ph.blocks[0][0] == 0.0
 
 
+class TestBlockwiseEigenbasis:
+    def test_unitary_block_diagonal_eigenbasis(self, rng):
+        basis = spectra.EigenprojectorBasis(m=(1, 2, 3))
+        g = rand_gauge(rng, basis)
+        phases, s = invariants.blockwise_eigenbasis(g)
+        assert bundle.gauge_membership(s, basis, tol=1e-12)
+        d = s.conj().T @ g.u @ s
+        assert np.linalg.norm(d - np.diag(np.diag(d))) <= 1e-12
+        assert np.allclose(np.mod(np.angle(np.diag(d)), TWO_PI), phases, atol=1e-12)
+        for lo, hi in basis.blocks:
+            assert np.all(np.diff(phases[lo:hi]) <= 0.0)
+        assert np.array_equal(invariants.eigenphases(g).flat(), phases)
+
+    def test_phase_near_two_pi_wraps_to_zero(self, rng):
+        basis = spectra.EigenprojectorBasis(m=(2,))
+        v = rand_unitary(rng, 2)
+        u = v @ np.diag(np.exp(1j * np.array([TWO_PI - 1e-9, 1.0]))) @ v.conj().T
+        phases, s = invariants.blockwise_eigenbasis(gauge(u, (2,)))
+        assert phases[0] == pytest.approx(1.0, abs=1e-12) and phases[1] == 0.0
+        assert bundle.gauge_membership(s, basis, tol=1e-12)
+
+
 class TestPureBound:
     def test_zero(self):
         assert invariants.pure_ihb(0.0) == 0.0
@@ -115,6 +137,12 @@ class TestConstrainedBound:
         for _ in range(20):
             alpha = p * rng.uniform(0.0, 1.0, size=2)
             assert invariants.ihb_constrained(alpha, ph) <= invariants.ihb_isospectral(p, ph) + 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+    def test_rejects_non_finite_or_negative(self, bad):
+        ph = invariants.PhaseSpectrum(blocks=(np.array([2.0]), np.array([1.2, 0.3])))
+        with pytest.raises(ShapeMismatch):
+            invariants.ihb_constrained([bad, 0.2], ph)
 
 
 class TestWilsonLoop:
@@ -282,6 +310,13 @@ class TestCheckIsoholonomic:
         w0 = bundle.canonical_amplitude(rho0)
         with pytest.raises(OutOfRange):
             invariants.check_isoholonomic(c, w0, alpha=[0.8, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_alpha_rejected(self, bad):
+        c = precessing_qubit_curve(0.6, TWO_PI, 0.7, 201)
+        w0 = bundle.canonical_amplitude(spectra.spectral_decompose(c.samples[0]))
+        with pytest.raises(ShapeMismatch, match="finite"):
+            invariants.check_isoholonomic(c, w0, alpha=[bad, 0.2])
 
     def test_invariants_stable_across_amplitudes(self, rng):
         c = precessing_qubit_curve(0.6, TWO_PI, 0.7, 801)

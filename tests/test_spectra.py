@@ -115,18 +115,6 @@ class TestCheckBound:
 
 
 class TestSimplexCoords:
-    def test_pure(self):
-        assert np.allclose(spectra.simplex_coords([1.0], [1]), [1.0])
-
-    def test_weighted(self):
-        x = spectra.simplex_coords([0.5, 0.25], [1, 2])
-        assert np.allclose(x, [0.5, 0.25])
-        assert abs(x @ np.array([1, 2]) - 1.0) <= 1e-12
-
-    def test_weighted_other(self):
-        x = spectra.simplex_coords([0.4, 0.2], [2, 1])
-        assert abs(x @ np.array([2, 1]) - 1.0) <= 1e-12
-
     def test_constraint_surface_dimension(self):
         # tangent directions dx with m.dx = 0 span an (l-1)-dim space
         m = np.array([1, 2, 3], dtype=float)
