@@ -134,8 +134,9 @@ def cmd_qubit_demo(args) -> int:
     rho0 = spectra.spectral_decompose(np.diag([args.p0, 1.0 - args.p0]).astype(complex))
     _, rho_curve = dynamics.evolve(rho0, sched)
     w0 = bundle.canonical_amplitude(rho0)
-    report = dynamics.speed_limit(rho_curve, sched, w0)
-    iso = invariants.check_isoholonomic(rho_curve, w0)
+    loop = bundle.closed_loop(rho_curve, w0)
+    report = dynamics.speed_report(loop, sched)
+    iso = invariants.iso_report(loop)
     numeric_phases = iso.phases.flat()
     wilson = invariants.wilson_loop(iso.holonomy)
     rows = [
@@ -181,6 +182,13 @@ def _sample_count(text: str) -> int:
     return value
 
 
+def _dimension(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"dimension must be at least 2, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="holonomy-lab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -215,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("target")
     p.add_argument("--tau", type=_positive, required=True)
-    p.add_argument("--ambient-dim", type=_sample_count, required=True)
+    p.add_argument("--ambient-dim", type=_dimension, required=True)
     p.add_argument("--n", type=_sample_count, default=synthesis.PLAN_SAMPLES)
     common(p)
     p.set_defaults(func=cmd_synthesize)

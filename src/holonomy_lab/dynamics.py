@@ -150,18 +150,24 @@ def speed_limit(rho_curve: OperatorCurve, sched: HamiltonianSchedule, w0: bundle
                 gap_tol: float = linalg.GAP_TOL, zero_tol: float = linalg.ZERO_TOL,
                 closed_tol: float = bundle.CLOSED_TOL,
                 pythagoras_tol: float = 1e-8, speed_identity_tol: float = 1e-6) -> SpeedLimitReport:
-    """Speed-limit report for a closed unitary evolution.
+    """Speed-limit report for a closed unitary evolution; see speed_report."""
+    loop = bundle.closed_loop(rho_curve, w0, gap_tol=gap_tol, zero_tol=zero_tol, closed_tol=closed_tol)
+    return speed_report(loop, sched, pythagoras_tol=pythagoras_tol, speed_identity_tol=speed_identity_tol)
+
+
+def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule,
+                 pythagoras_tol: float = 1e-8, speed_identity_tol: float = 1e-6) -> SpeedLimitReport:
+    """Speed-limit report for an analysed closed unitary evolution.
 
     Verifies the per-sample variance decomposition and the identity between
     the squared state speed and the coherent variance, then reports the
     holonomy-based lower bound on the return time and its margin.
     """
+    rho_curve, spath, hol = loop.curve, loop.path, loop.holonomy
     if rho_curve.samples.shape != sched.samples.shape:
         raise DimMismatch("state curve and schedule have different shapes")
     if abs(rho_curve.grid.tau - sched.grid.tau) > 1e-12 * sched.grid.tau:
         raise GridMismatch("state curve and schedule cover different intervals")
-    loop = bundle.closed_loop(rho_curve, w0, gap_tol=gap_tol, zero_tol=zero_tol, closed_tol=closed_tol)
-    spath, hol = loop.path, loop.holonomy
     phases = invariants.eigenphases(hol)
     ihb = invariants.ihb_isospectral(spath.block_means()[0], phases)
 

@@ -132,6 +132,13 @@ def wobble_loop(rng, p, m, dim: int, nsamp: int, tau: float = 1.0,
     return curve, rho0
 
 
+def eigh_propagators(hs, dt: float) -> np.ndarray:
+    """Reference for linalg.propagator_step_stack: exp(-i dt H) over a
+    stack of Hermitian matrices, through the spectral decomposition."""
+    vals, frames = np.linalg.eigh(hs)
+    return (frames * np.exp(-1j * dt * vals)[:, None, :]) @ np.conj(np.swapaxes(frames, -1, -2))
+
+
 def sequential_products(steps, init=None) -> np.ndarray:
     """Reference for linalg.ordered_products: P_0 = init (identity by
     default), P_{k+1} = steps[k] @ P_k, one step at a time."""

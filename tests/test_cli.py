@@ -269,3 +269,9 @@ class TestUsageErrors:
 
     def test_missing_args_exit_one(self):
         assert cli.main(["synthesize", "a.json"]) == 1
+
+    def test_ambient_dim_below_two_names_a_dimension(self, capsys):
+        assert cli.main(["synthesize", "s.json", "u.json", "--tau", "1", "--ambient-dim", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "argument --ambient-dim: dimension must be at least 2, got 1" in err
+        assert "samples" not in err

@@ -3,9 +3,14 @@ import pytest
 
 from holonomy_lab import linalg
 from holonomy_lab.errors import NonHermitian, RankDeficient, Singular
-from qutil import rand_unitary, sequential_products
+from qutil import eigh_propagators, rand_unitary, sequential_products
 
 SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
+
+
+def hermitian_stack(rng, nstep: int, n: int) -> np.ndarray:
+    z = rng.standard_normal((nstep, n, n)) + 1j * rng.standard_normal((nstep, n, n))
+    return 0.5 * (z + np.conj(np.swapaxes(z, -1, -2)))
 
 
 class TestHermitianEig:
@@ -154,6 +159,34 @@ class TestPropagatorStep:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitian):
             linalg.propagator_step(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
+
+    @pytest.mark.parametrize("norm", np.geomspace(1e-4, 50.0, 12).tolist(), ids="{:.1e}".format)
+    @pytest.mark.parametrize("nstep", [1, 4000])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_stack_matches_eigh_oracle(self, rng, n, nstep, norm):
+        # norm is the largest 1-norm of dt H, swept across the Taylor degrees:
+        # 1e-4 takes no squaring, 50 several
+        hs = hermitian_stack(rng, nstep, n)
+        dt = norm / np.max(np.sum(np.abs(hs), axis=-2))
+        u = linalg.propagator_step_stack(hs, dt)
+        assert np.max(np.abs(u - eigh_propagators(hs, dt))) <= 1e-13
+        assert np.max(np.abs(np.conj(np.swapaxes(u, -1, -2)) @ u - np.eye(n))) <= 1e-12
+
+    def test_zero_step_is_identity(self, rng):
+        hs = hermitian_stack(rng, 5, 3)
+        assert np.array_equal(linalg.propagator_step_stack(hs, 0.0), np.broadcast_to(np.eye(3), (5, 3, 3)))
+
+    def test_rejects_non_finite_stack(self, rng):
+        hs = hermitian_stack(rng, 3, 2)
+        hs[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.propagator_step_stack(hs, 0.1)
+
+    def test_stack_names_non_hermitian_sample(self, rng):
+        hs = hermitian_stack(rng, 6, 2)
+        hs[4, 0, 1] += 0.5
+        with pytest.raises(NonHermitian, match=r"^sample 4: Hermiticity deviation"):
+            linalg.propagator_step_stack(hs, 0.1)
 
 
 def unitary_steps(rng, nstep: int, n: int) -> np.ndarray:
