@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, tolerances
 from .curves import OperatorCurve, grid_derivative
 from .errors import (
     DegeneracyMismatch,
@@ -31,13 +31,6 @@ Array = np.ndarray
 
 logger = logging.getLogger(__name__)
 
-AMPLITUDE_TOL = 1e-9
-GAUGE_TOL = 1e-9
-CLOSED_TOL = 1e-8
-OFFBLOCK_TOL = 1e-6
-TANGENT_TOL = 1e-6
-PROJECTION_TOL = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class Amplitude:
@@ -53,16 +46,16 @@ class Amplitude:
         if w.shape[1] != self.basis.dim_k:
             raise DegeneracyMismatch(f"W has {w.shape[1]} columns, basis needs {self.basis.dim_k}")
         gram = w.conj().T @ w
-        if self.basis.offblock_norm(gram) > AMPLITUDE_TOL * max(1.0, linalg.frob(gram)):
+        if self.basis.offblock_norm(gram) > tolerances.AMPLITUDE_TOL * max(1.0, linalg.frob(gram)):
             raise DegeneracyMismatch("W^dag W is not block diagonal")
         q = []
         for lo, hi in self.basis.blocks:
             block = gram[lo:hi, lo:hi]
             qj = float(np.mean(np.diag(block).real))
-            if linalg.frob(block - qj * np.eye(hi - lo)) > AMPLITUDE_TOL:
+            if linalg.frob(block - qj * np.eye(hi - lo)) > tolerances.AMPLITUDE_TOL:
                 raise DegeneracyMismatch("W^dag W block is not scalar")
             q.append(qj)
-        if any(q[j] - q[j + 1] < -AMPLITUDE_TOL for j in range(len(q) - 1)) or q[-1] <= 0.0:
+        if any(q[j] - q[j + 1] < -tolerances.AMPLITUDE_TOL for j in range(len(q) - 1)) or q[-1] <= 0.0:
             raise DegeneracyMismatch(f"block values not positive descending: {q}")
         object.__setattr__(self, "_block_values", tuple(q))
 
@@ -86,7 +79,7 @@ class GaugeElement:
     def __post_init__(self):
         u = linalg.as_cmat(self.u)
         object.__setattr__(self, "u", u)
-        if not gauge_membership(u, self.basis, tol=GAUGE_TOL):
+        if not gauge_membership(u, self.basis):
             raise GaugeViolation("matrix is not a block-diagonal unitary")
 
 
@@ -101,11 +94,11 @@ class ConnectionValue:
         a = linalg.as_cmat(self.a)
         object.__setattr__(self, "a", a)
         dev = max(linalg.frob(a + a.conj().T), self.basis.offblock_norm(a))
-        if dev > GAUGE_TOL * max(1.0, linalg.frob(a)):
+        if dev > tolerances.GAUGE_TOL * max(1.0, linalg.frob(a)):
             raise GaugeViolation(f"not a gauge algebra element (deviation {dev:.3e})")
 
 
-def gauge_membership(u: Array, basis: EigenprojectorBasis, tol: float = GAUGE_TOL) -> bool:
+def gauge_membership(u: Array, basis: EigenprojectorBasis, tol: float = tolerances.GAUGE_TOL) -> bool:
     """True iff u is unitary and commutes with every block projector."""
     u = linalg.as_cmat(u)
     if u.shape != (basis.dim_k, basis.dim_k):
@@ -114,9 +107,9 @@ def gauge_membership(u: Array, basis: EigenprojectorBasis, tol: float = GAUGE_TO
     return unit_dev <= tol * max(1.0, linalg.frob(u)) and basis.offblock_norm(u) <= tol * max(1.0, linalg.frob(u))
 
 
-def project(amp: Amplitude, gap_tol: float = linalg.GAP_TOL) -> DensityOperator:
+def project(amp: Amplitude) -> DensityOperator:
     """Bundle projection W -> W W^dag."""
-    return spectral_decompose(amp.w @ amp.w.conj().T, gap_tol=gap_tol)
+    return spectral_decompose(amp.w @ amp.w.conj().T)
 
 
 def canonical_amplitude(rho: DensityOperator, basis: EigenprojectorBasis | None = None) -> Amplitude:
@@ -145,7 +138,7 @@ def connection_form(amp: Amplitude, wdot: Array) -> ConnectionValue:
     return ConnectionValue(a=amp.basis.block_diag_part(0.5 * (p - p.conj().T)), basis=amp.basis)
 
 
-def connection_form_isospectral(amp: Amplitude, wdot: Array, tangent_tol: float = 1e-8) -> ConnectionValue:
+def connection_form_isospectral(amp: Amplitude, wdot: Array) -> ConnectionValue:
     """Connection form sum_j p_j^{-1} Lambda_j W^dag Wdot Lambda_j.
 
     Valid only on tangents to the isospectral amplitude space, i.e. when
@@ -156,7 +149,7 @@ def connection_form_isospectral(amp: Amplitude, wdot: Array, tangent_tol: float 
         raise DegeneracyMismatch(f"Wdot shape {wdot.shape} != W shape {amp.w.shape}")
     b = amp.w.conj().T @ wdot
     dev = linalg.frob(b + b.conj().T)
-    if dev > tangent_tol * max(1.0, linalg.frob(b)):
+    if dev > tolerances.ISOSPECTRAL_TANGENT_TOL * max(1.0, linalg.frob(b)):
         raise NotTangent(f"not an isospectral tangent (deviation {dev:.3e})")
     a = np.zeros_like(b)
     for (lo, hi), qj in zip(amp.basis.blocks, amp.block_values):
@@ -210,24 +203,24 @@ def _lift_tangents(spath: "SpectralPath", rdots: Array, tangent_tol: float) -> A
     return wt
 
 
-def path_speeds_sq(spath: "SpectralPath", rdots: Array, tangent_tol: float = TANGENT_TOL) -> Array:
+def path_speeds_sq(spath: "SpectralPath", rdots: Array, tangent_tol: float = tolerances.TANGENT_TOL) -> Array:
     """Squared metric speeds g(rdot, rdot) along a decomposed state path."""
     wt = _lift_tangents(spath, rdots, tangent_tol)
     return np.real(np.sum(np.abs(wt) ** 2, axis=(1, 2)))
 
 
-def metric_g(rho: DensityOperator, rdot1: Array, rdot2: Array, tangent_tol: float = TANGENT_TOL) -> float:
+def metric_g(rho: DensityOperator, rdot1: Array, rdot2: Array) -> float:
     """Induced metric on the state space, evaluated by horizontal lifting.
 
     The value is independent of the choice of amplitude over rho. Raises
     NotTangent if either argument fails to be tangent to the fixed-degeneracy
-    stratum at rho within tangent_tol.
+    stratum at rho within TANGENT_TOL.
     """
     values = np.concatenate([np.repeat(rho.p, rho.m), np.zeros(rho.dim - rho.rank)])
     spath = SpectralPath(values=values[None, :], frames=rho.full_frame[None, :, :],
                          blocks=rho.basis.blocks, m=rho.m)
-    w1 = _lift_tangents(spath, linalg.as_cmat(rdot1)[None, :, :], tangent_tol)[0]
-    w2 = _lift_tangents(spath, linalg.as_cmat(rdot2)[None, :, :], tangent_tol)[0]
+    w1 = _lift_tangents(spath, linalg.as_cmat(rdot1)[None, :, :], tolerances.TANGENT_TOL)[0]
+    w2 = _lift_tangents(spath, linalg.as_cmat(rdot2)[None, :, :], tolerances.TANGENT_TOL)[0]
     return float(np.real(np.sum(w1.conj() * w2)))
 
 
@@ -263,33 +256,32 @@ class SpectralPath:
         return out
 
 
-def decompose_path(curve: OperatorCurve, gap_tol: float = linalg.GAP_TOL,
-                   zero_tol: float = linalg.ZERO_TOL) -> SpectralPath:
+def decompose_path(curve: OperatorCurve) -> SpectralPath:
     """Eigendecompose every sample and check the block structure is constant.
 
     Aborts with MultiplicityChange whenever the rank changes, the clustering
-    changes, or an inter-block gap dips below 10x gap_tol at any sample.
+    changes, or an inter-block gap dips below 10x GAP_TOL at any sample.
     """
-    vals, frames = linalg.hermitian_eig_stack(curve.samples, tol=1e-8)
+    vals, frames = linalg.hermitian_eig_stack(curve.samples, tolerances.CURVE_HERM_TOL)
     n = vals.shape[1]
-    positive0 = vals[0] > zero_tol
+    positive0 = vals[0] > tolerances.ZERO_TOL
     r = int(np.count_nonzero(positive0))
     if r == 0:
         raise MultiplicityChange("initial sample has zero rank")
-    blocks = linalg.cluster(vals[0, :r], gap_tol)
-    if np.any(vals[:, r - 1] <= zero_tol):
+    blocks = linalg.cluster(vals[0, :r], tolerances.GAP_TOL)
+    if np.any(vals[:, r - 1] <= tolerances.ZERO_TOL):
         raise MultiplicityChange("rank drops along the curve")
-    if r < n and np.any(vals[:, r] > zero_tol):
+    if r < n and np.any(vals[:, r] > tolerances.ZERO_TOL):
         raise MultiplicityChange("rank grows along the curve")
     for lo, hi in blocks:
-        if hi - lo > 1 and np.any(vals[:, lo : hi - 1] - vals[:, lo + 1 : hi] > gap_tol):
+        if hi - lo > 1 and np.any(vals[:, lo : hi - 1] - vals[:, lo + 1 : hi] > tolerances.GAP_TOL):
             raise MultiplicityChange("eigenvalue block splits along the curve")
-        if hi < r and np.any(vals[:, hi - 1] - vals[:, hi] < 10.0 * gap_tol):
+        if hi < r and np.any(vals[:, hi - 1] - vals[:, hi] < 10.0 * tolerances.GAP_TOL):
             raise MultiplicityChange("inter-block gap closes along the curve")
     return SpectralPath(values=vals, frames=frames, blocks=blocks, m=tuple(hi - lo for lo, hi in blocks))
 
 
-def _transport_frames(spath: SpectralPath, frames0: Array, singular_tol: float = 1e-8) -> Array:
+def _transport_frames(spath: SpectralPath, frames0: Array) -> Array:
     """Discretely parallel-transport initial support frames along the path.
 
     Per block and per step the new eigenframe is right-aligned by the
@@ -306,14 +298,14 @@ def _transport_frames(spath: SpectralPath, frames0: Array, singular_tol: float =
         if mj == 1:
             z = np.einsum("kn,kn->k", raw[:-1, :, 0].conj(), raw[1:, :, 0])
             mags = np.abs(z)
-            if np.any(mags <= singular_tol):
+            if np.any(mags <= tolerances.OVERLAP_TOL):
                 raise Singular("consecutive eigenvector overlap vanishes")
             steps = np.concatenate([[complex(linalg.polar_unitary(s0)[0, 0])], (z / mags).conj()])
             out[:, :, lo:hi] = raw * np.cumprod(steps)[:, None, None]
         else:
             overlaps = np.einsum("kna,knb->kab", raw[:-1].conj(), raw[1:])
             u, s, vh = np.linalg.svd(overlaps)
-            if np.any(s[:, -1] <= singular_tol):
+            if np.any(s[:, -1] <= tolerances.OVERLAP_TOL):
                 raise Singular("consecutive eigenframe overlap is singular")
             uf = u @ vh
             cur = linalg.ordered_products(np.conj(np.swapaxes(uf, -1, -2)), linalg.polar_unitary(s0))
@@ -327,24 +319,21 @@ def _assemble_lift(spath: SpectralPath, frames_t: Array) -> Array:
     return frames_t * scale[:, None, :]
 
 
-def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude,
-                    gap_tol: float = linalg.GAP_TOL, zero_tol: float = linalg.ZERO_TOL,
-                    proj_tol: float = PROJECTION_TOL) -> OperatorCurve:
+def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
     """Discrete horizontal lift of a state curve starting at the amplitude w0.
 
     The lift projects back onto the curve and its consecutive block frame
     overlaps are Hermitian positive (the discrete horizontality condition).
     """
-    spath = decompose_path(rho_curve, gap_tol=gap_tol, zero_tol=zero_tol)
-    samples = _lift_samples(rho_curve, spath, w0, proj_tol)
+    samples = _lift_samples(rho_curve, decompose_path(rho_curve), w0)
     return OperatorCurve(grid=rho_curve.grid, samples=samples)
 
 
-def _lift_samples(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude, proj_tol: float) -> Array:
+def _lift_samples(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
     if tuple(w0.basis.m) != spath.m:
         raise DegeneracyMismatch(f"amplitude basis m={w0.basis.m}, curve has m={spath.m}")
     defect = linalg.frob(w0.w @ w0.w.conj().T - rho_curve.samples[0])
-    if defect > proj_tol:
+    if defect > tolerances.PROJECTION_TOL:
         raise EndpointMismatch(f"W0 projects {defect:.3e} away from the initial state")
     p0 = spath.block_means()[0]
     frames0 = np.concatenate(
@@ -356,8 +345,7 @@ def _lift_samples(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude, 
     return samples
 
 
-def transported_frame(rho_curve: OperatorCurve, frames0, gap_tol: float = linalg.GAP_TOL,
-                      zero_tol: float = linalg.ZERO_TOL, tol: float = PROJECTION_TOL) -> Array:
+def transported_frame(rho_curve: OperatorCurve, frames0) -> Array:
     """Parallel-transport initial eigenframes along the curve.
 
     frames0 may be an (n, r) matrix or a sequence of per-block matrices; it
@@ -366,7 +354,7 @@ def transported_frame(rho_curve: OperatorCurve, frames0, gap_tol: float = linalg
     """
     if not isinstance(frames0, np.ndarray):
         frames0 = np.concatenate([np.asarray(f, dtype=np.complex128) for f in frames0], axis=1)
-    spath = decompose_path(rho_curve, gap_tol=gap_tol, zero_tol=zero_tol)
+    spath = decompose_path(rho_curve)
     r = spath.rank
     if frames0.shape != (rho_curve.samples.shape[1], r):
         raise DegeneracyMismatch(f"frames have shape {frames0.shape}, expected {(rho_curve.samples.shape[1], r)}")
@@ -376,7 +364,7 @@ def transported_frame(rho_curve: OperatorCurve, frames0, gap_tol: float = linalg
         f = frames0[:, lo:hi]
         ortho = linalg.frob(f.conj().T @ f - np.eye(hi - lo))
         eig_defect = linalg.frob(rho0 @ f - means0[j] * f)
-        if max(ortho, eig_defect) > tol:
+        if max(ortho, eig_defect) > tolerances.PROJECTION_TOL:
             raise EndpointMismatch(f"block {j}: frames do not diagonalize the initial sample")
     return _transport_frames(spath, frames0)
 
@@ -392,24 +380,22 @@ class ClosedLoop:
     holonomy: GaugeElement
 
 
-def closed_loop(rho_curve: OperatorCurve, w0: Amplitude,
-                gap_tol: float = linalg.GAP_TOL, zero_tol: float = linalg.ZERO_TOL,
-                closed_tol: float = CLOSED_TOL, offblock_tol: float = OFFBLOCK_TOL) -> ClosedLoop:
+def closed_loop(rho_curve: OperatorCurve, w0: Amplitude) -> ClosedLoop:
     """Decompose a closed state curve once, lift it from w0 and take its holonomy.
 
     The holonomy is W0^+ W_tau from the horizontal lift, re-unitarized
     blockwise by polar projection (the deviation is logged). Raises
     NotClosed for open curves and GaugeViolation when the raw holonomy
-    carries more than offblock_tol of block-off-diagonal mass.
+    carries more than OFFBLOCK_TOL of block-off-diagonal mass.
     """
     defect = rho_curve.closure_defect()
-    if defect > closed_tol:
-        raise NotClosed(f"curve closure defect {defect:.3e} exceeds {closed_tol:.3e}")
-    spath = decompose_path(rho_curve, gap_tol=gap_tol, zero_tol=zero_tol)
-    raw = linalg.pinv(w0.w) @ _lift_samples(rho_curve, spath, w0, PROJECTION_TOL)[-1]
+    if defect > tolerances.CLOSED_TOL:
+        raise NotClosed(f"curve closure defect {defect:.3e} exceeds {tolerances.CLOSED_TOL:.3e}")
+    spath = decompose_path(rho_curve)
+    raw = linalg.pinv(w0.w) @ _lift_samples(rho_curve, spath, w0)[-1]
     off = w0.basis.offblock_norm(raw)
-    if off > offblock_tol:
-        raise GaugeViolation(f"block-off-diagonal holonomy mass {off:.3e} exceeds {offblock_tol:.3e}")
+    if off > tolerances.OFFBLOCK_TOL:
+        raise GaugeViolation(f"block-off-diagonal holonomy mass {off:.3e} exceeds {tolerances.OFFBLOCK_TOL:.3e}")
     u = np.zeros_like(raw)
     for lo, hi in w0.basis.blocks:
         u[lo:hi, lo:hi] = linalg.polar_unitary(raw[lo:hi, lo:hi])
@@ -418,12 +404,9 @@ def closed_loop(rho_curve: OperatorCurve, w0: Amplitude,
     return ClosedLoop(curve=rho_curve, path=spath, holonomy=GaugeElement(u=u, basis=w0.basis))
 
 
-def holonomy(rho_curve: OperatorCurve, w0: Amplitude,
-             gap_tol: float = linalg.GAP_TOL, zero_tol: float = linalg.ZERO_TOL,
-             closed_tol: float = CLOSED_TOL, offblock_tol: float = OFFBLOCK_TOL) -> GaugeElement:
+def holonomy(rho_curve: OperatorCurve, w0: Amplitude) -> GaugeElement:
     """Holonomy of a closed state curve at the amplitude w0; see closed_loop."""
-    return closed_loop(rho_curve, w0, gap_tol=gap_tol, zero_tol=zero_tol,
-                       closed_tol=closed_tol, offblock_tol=offblock_tol).holonomy
+    return closed_loop(rho_curve, w0).holonomy
 
 
 def lift_connection_residuals(lift: OperatorCurve, basis: EigenprojectorBasis) -> Array:

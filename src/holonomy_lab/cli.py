@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import bundle, dynamics, invariants, linalg, serialize, spectra, synthesis
+from . import bundle, dynamics, invariants, serialize, spectra, synthesis
 from .errors import ContractViolation, HolonomyLabError
 
 
@@ -47,18 +47,17 @@ def _emit(payload, out_path: str | None) -> None:
         sys.stdout.write("\n")
 
 
-def _default_amplitude(rho_curve, gap_tol: float) -> bundle.Amplitude:
-    rho0 = spectra.spectral_decompose(rho_curve.samples[0], gap_tol=gap_tol)
-    return bundle.canonical_amplitude(rho0)
+def _default_amplitude(rho_curve) -> bundle.Amplitude:
+    return bundle.canonical_amplitude(spectra.spectral_decompose(rho_curve.samples[0]))
 
 
-def _check_one(path: str, amplitude_path: str | None, alpha, gap_tol: float, phase_tol: float) -> dict:
+def _check_one(path: str, amplitude_path: str | None, alpha) -> dict:
     curve = serialize.curve_from_json(serialize.read_json(path))
     if amplitude_path:
         w0 = serialize.amplitude_from_json(serialize.read_json(amplitude_path))
     else:
-        w0 = _default_amplitude(curve, gap_tol)
-    report = invariants.check_isoholonomic(curve, w0, alpha=alpha, gap_tol=gap_tol, phase_tol=phase_tol)
+        w0 = _default_amplitude(curve)
+    report = invariants.check_isoholonomic(curve, w0, alpha=alpha)
     payload = serialize.iso_report_to_json(report)
     payload["input"] = path
     return payload
@@ -74,24 +73,20 @@ def cmd_check(args) -> int:
                 _check_one, args.curves,
                 [args.amplitude] * len(args.curves),
                 [alpha] * len(args.curves),
-                [args.gap_tol] * len(args.curves),
-                [args.phase_tol] * len(args.curves),
             ))
     else:
-        reports = [_check_one(p, args.amplitude, alpha, args.gap_tol, args.phase_tol)
-                   for p in args.curves]
+        reports = [_check_one(p, args.amplitude, alpha) for p in args.curves]
     _emit(reports[0] if len(reports) == 1 else reports, args.out)
     return 0
 
 
 def cmd_evolve(args) -> int:
-    rho0 = spectra.spectral_decompose(
-        serialize.state_from_json(serialize.read_json(args.state)), gap_tol=args.gap_tol)
+    rho0 = spectra.spectral_decompose(serialize.state_from_json(serialize.read_json(args.state)))
     sched = serialize.schedule_from_json(serialize.read_json(args.hamiltonian))
     _, rho_curve = dynamics.evolve(rho0, sched)
     serialize.write_json(args.out, serialize.curve_to_json(rho_curve))
     w0 = bundle.canonical_amplitude(rho0)
-    report = dynamics.speed_limit(rho_curve, sched, w0, gap_tol=args.gap_tol)
+    report = dynamics.speed_limit(rho_curve, sched, w0)
     payload = serialize.speed_report_to_json(report)
     payload["curve_file"] = args.out
     _emit(payload, None)
@@ -103,15 +98,15 @@ def cmd_lift(args) -> int:
     if args.amplitude:
         w0 = serialize.amplitude_from_json(serialize.read_json(args.amplitude))
     else:
-        w0 = _default_amplitude(curve, args.gap_tol)
-    lift = bundle.horizontal_lift(curve, w0, gap_tol=args.gap_tol)
+        w0 = _default_amplitude(curve)
+    lift = bundle.horizontal_lift(curve, w0)
     _emit(serialize.amplitude_curve_to_json(lift, w0.basis), args.out)
     return 0
 
 
 def cmd_synthesize(args) -> int:
     rho_mat = serialize.state_from_json(serialize.read_json(args.state))
-    rho = synthesis.embedded_state(rho_mat, args.ambient_dim, gap_tol=args.gap_tol)
+    rho = synthesis.embedded_state(rho_mat, args.ambient_dim)
     target = serialize.unitary_from_json(serialize.read_json(args.target))
     w = bundle.canonical_amplitude(rho)
     plan = synthesis.synthesize(rho, w, target, tau=args.tau, ambient_dim=args.ambient_dim,
@@ -194,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--gap-tol", type=_positive, default=linalg.GAP_TOL)
-        p.add_argument("--phase-tol", type=_positive, default=invariants.PHASE_TOL)
         p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("check", help="isoholonomic report for closed curve files")

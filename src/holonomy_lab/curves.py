@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances
 from .errors import (
     EndpointMismatch,
     GridMismatch,
@@ -22,8 +23,6 @@ from .errors import (
 )
 
 Array = np.ndarray
-
-ENDPOINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,10 +96,10 @@ class ProbabilityPath:
         if np.any(v <= 0.0):
             raise NonPositiveEigenvalue("eigenvalue path touches zero")
         # boundary points of the simplex (ties) are admitted
-        if v.shape[1] > 1 and np.any(v[:, :-1] - v[:, 1:] < -1e-9):
+        if v.shape[1] > 1 and np.any(v[:, :-1] - v[:, 1:] < -tolerances.PATH_ORDER_TOL):
             raise NotDescending("eigenvalue path is not descending")
         totals = v @ np.asarray(self.m, dtype=float)
-        if np.any(np.abs(totals - 1.0) > 1e-9):
+        if np.any(np.abs(totals - 1.0) > tolerances.PATH_NORM_TOL):
             raise NotNormalized("eigenvalue path is not normalized")
         object.__setattr__(self, "values", v)
 
@@ -126,19 +125,19 @@ def trapezoid(values: Array, dt: float) -> float:
     return float(np.trapezoid(np.asarray(values, dtype=float), dx=dt))
 
 
-def concatenate(c1: OperatorCurve, c2: OperatorCurve, tol: float = ENDPOINT_TOL) -> OperatorCurve:
+def concatenate(c1: OperatorCurve, c2: OperatorCurve) -> OperatorCurve:
     """Join two curves end to start, dropping the duplicate junction sample.
 
-    The final sample of c1 must equal the initial sample of c2 within tol,
+    The final sample of c1 must equal the initial sample of c2 within ENDPOINT_TOL,
     and both curves must share the same sample spacing so the joined grid
     stays uniform.
     """
     if c1.samples.shape[1:] != c2.samples.shape[1:]:
         raise EndpointMismatch(f"sample shapes differ: {c1.samples.shape[1:]} vs {c2.samples.shape[1:]}")
     gap = float(np.linalg.norm(c1.final - c2.initial))
-    if gap > tol:
-        raise EndpointMismatch(f"junction gap {gap:.3e} exceeds {tol:.3e}")
-    if abs(c1.grid.dt - c2.grid.dt) > 1e-9 * max(c1.grid.dt, c2.grid.dt):
+    if gap > tolerances.ENDPOINT_TOL:
+        raise EndpointMismatch(f"junction gap {gap:.3e} exceeds {tolerances.ENDPOINT_TOL:.3e}")
+    if abs(c1.grid.dt - c2.grid.dt) > tolerances.SPACING_TOL * max(c1.grid.dt, c2.grid.dt):
         raise GridMismatch(f"sample spacings differ: {c1.grid.dt!r} vs {c2.grid.dt!r}")
     samples = np.concatenate([c1.samples, c2.samples[1:]], axis=0)
     return OperatorCurve(grid=TimeGrid(tau=c1.grid.tau + c2.grid.tau, n=samples.shape[0]), samples=samples)

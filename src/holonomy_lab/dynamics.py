@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bundle, invariants, linalg
+from . import bundle, invariants, linalg, tolerances
 from .curves import OperatorCurve, TimeGrid, trapezoid
 from .errors import (
     ContractViolation,
@@ -146,17 +146,12 @@ class SpeedLimitReport:
     phases: invariants.PhaseSpectrum
 
 
-def speed_limit(rho_curve: OperatorCurve, sched: HamiltonianSchedule, w0: bundle.Amplitude,
-                gap_tol: float = linalg.GAP_TOL, zero_tol: float = linalg.ZERO_TOL,
-                closed_tol: float = bundle.CLOSED_TOL,
-                pythagoras_tol: float = 1e-8, speed_identity_tol: float = 1e-6) -> SpeedLimitReport:
+def speed_limit(rho_curve: OperatorCurve, sched: HamiltonianSchedule, w0: bundle.Amplitude) -> SpeedLimitReport:
     """Speed-limit report for a closed unitary evolution; see speed_report."""
-    loop = bundle.closed_loop(rho_curve, w0, gap_tol=gap_tol, zero_tol=zero_tol, closed_tol=closed_tol)
-    return speed_report(loop, sched, pythagoras_tol=pythagoras_tol, speed_identity_tol=speed_identity_tol)
+    return speed_report(bundle.closed_loop(rho_curve, w0), sched)
 
 
-def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule,
-                 pythagoras_tol: float = 1e-8, speed_identity_tol: float = 1e-6) -> SpeedLimitReport:
+def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule) -> SpeedLimitReport:
     """Speed-limit report for an analysed closed unitary evolution.
 
     Verifies the per-sample variance decomposition and the identity between
@@ -166,20 +161,20 @@ def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule,
     rho_curve, spath, hol = loop.curve, loop.path, loop.holonomy
     if rho_curve.samples.shape != sched.samples.shape:
         raise DimMismatch("state curve and schedule have different shapes")
-    if abs(rho_curve.grid.tau - sched.grid.tau) > 1e-12 * sched.grid.tau:
+    if abs(rho_curve.grid.tau - sched.grid.tau) > tolerances.INTERVAL_TOL * sched.grid.tau:
         raise GridMismatch("state curve and schedule cover different intervals")
     phases = invariants.eigenphases(hol)
     ihb = invariants.ihb_isospectral(spath.block_means()[0], phases)
 
     dh2, dco2, din2 = _uncertainty_path(rho_curve.samples, sched.samples, spath)
     pyth = np.abs(dh2 - dco2 - din2) / np.maximum(1.0, np.abs(dh2))
-    if np.any(pyth > pythagoras_tol):
+    if np.any(pyth > tolerances.PYTHAGORAS_TOL):
         raise ContractViolation(f"variance decomposition violated by {np.max(pyth):.3e}")
 
     rdots = -1j * (sched.samples @ rho_curve.samples - rho_curve.samples @ sched.samples)
-    speeds2 = bundle.path_speeds_sq(spath, rdots, tangent_tol=1e-6)
+    speeds2 = bundle.path_speeds_sq(spath, rdots)
     dev = np.abs(speeds2 - dco2) / np.maximum(1.0, np.abs(dco2))
-    if np.any(dev > speed_identity_tol):
+    if np.any(dev > tolerances.SPEED_IDENTITY_TOL):
         raise ContractViolation(f"speed identity violated by {np.max(dev):.3e}")
 
     dh = np.sqrt(np.maximum(dh2, 0.0))
@@ -187,12 +182,12 @@ def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule,
     delta_e = trapezoid(dh, rho_curve.grid.dt) / tau
     if delta_e > 0.0:
         bound = ihb / delta_e
-    elif ihb <= 1e-12:
+    elif ihb <= tolerances.ZERO_IHB_TOL:
         bound = 0.0
     else:
         raise ContractViolation("nonzero holonomy with zero average uncertainty")
     margin = tau - bound
-    if margin < -1e-6:
+    if margin < -tolerances.MARGIN_TOL:
         raise ContractViolation(f"speed-limit margin {margin:.3e} is negative")
     return SpeedLimitReport(
         tau=tau, delta_e=delta_e, ihb=ihb, bound=bound, margin=margin,
@@ -202,9 +197,7 @@ def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule,
 
 
 def horizontal_lift_unitary(rho_curve: OperatorCurve, sched: HamiltonianSchedule,
-                            w0: bundle.Amplitude,
-                            gap_tol: float = linalg.GAP_TOL,
-                            zero_tol: float = linalg.ZERO_TOL) -> OperatorCurve:
+                            w0: bundle.Amplitude) -> OperatorCurve:
     """Horizontal lift of a unitary run by integrating with the coherent part.
 
     Steps W with exp(-i Hco dt) using trapezoid-averaged coherent samples;
@@ -212,12 +205,12 @@ def horizontal_lift_unitary(rho_curve: OperatorCurve, sched: HamiltonianSchedule
     """
     if rho_curve.samples.shape != sched.samples.shape:
         raise DimMismatch("state curve and schedule have different shapes")
-    spath = bundle.decompose_path(rho_curve, gap_tol=gap_tol, zero_tol=zero_tol)
+    spath = bundle.decompose_path(rho_curve)
     if tuple(w0.basis.m) != spath.m:
         raise DimMismatch(f"amplitude basis m={w0.basis.m}, curve has m={spath.m}")
     h_co = sched.samples - incoherent_part_path(sched.samples, spath)
     mids = 0.5 * (h_co[:-1] + h_co[1:])
-    steps = linalg.propagator_step_stack(mids, sched.grid.dt, tol=1e-8)
+    steps = linalg.propagator_step_stack(mids, sched.grid.dt, tolerances.COHERENT_HERM_TOL)
     return OperatorCurve(grid=sched.grid, samples=linalg.ordered_products(steps, w0.w))
 
 
@@ -245,18 +238,18 @@ def qubit_hamiltonian(n, omega: float) -> Array:
 def qubit_reference(n, omega: float, p0: float) -> QubitReference:
     """Analytic record for the precessing mixed qubit over one period.
 
-    The axis must be a unit vector not parallel to (0, 0, 1), and p0 must
-    lie strictly between 1/2 and 1.
+    The axis must be a finite unit vector not parallel to (0, 0, 1), omega
+    finite and positive, and p0 must lie strictly between 1/2 and 1.
     """
     n = np.asarray(n, dtype=float)
-    if n.shape != (3,) or abs(float(np.linalg.norm(n)) - 1.0) > 1e-9:
-        raise StationaryAxis(f"axis must be a unit 3-vector, got {n.tolist()}")
-    if n[0] ** 2 + n[1] ** 2 <= 1e-18:
+    if n.shape != (3,) or not np.all(np.isfinite(n)) or abs(float(np.linalg.norm(n)) - 1.0) > tolerances.AXIS_NORM_TOL:
+        raise StationaryAxis(f"axis must be a finite unit 3-vector, got {n.tolist()}")
+    if n[0] ** 2 + n[1] ** 2 <= tolerances.AXIS_TILT_TOL:
         raise StationaryAxis("axis parallel to (0, 0, 1) leaves the state stationary")
     if not 0.5 < p0 < 1.0:
         raise InvalidP(f"p0 must lie in (1/2, 1), got {p0}")
-    if not omega > 0.0:
-        raise InvalidP(f"omega must be positive, got {omega}")
+    if not (omega > 0.0 and np.isfinite(omega)):
+        raise InvalidP(f"omega must be finite and positive, got {omega}")
     n3 = float(n[2])
     tau = 2.0 * np.pi / omega
     theta0 = np.pi * (1.0 + n3)

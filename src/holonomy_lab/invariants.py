@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import bundle, linalg
+from . import bundle, tolerances
 from .curves import OperatorCurve, ProbabilityPath, fisher_rao, grid_derivative, trapezoid
 from .errors import (
     BoundViolated,
@@ -24,11 +24,6 @@ from .errors import (
 Array = np.ndarray
 
 TWO_PI = 2.0 * np.pi
-PHASE_TOL = 1e-7
-SLACK_TOL = 1e-6
-TRACE_TOL = 1e-9
-CONST_SPECTRUM_TOL = 1e-7
-LENGTH_TANGENT_TOL = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,12 +50,12 @@ class PhaseSpectrum:
         return np.concatenate(self.blocks)
 
 
-def blockwise_eigenbasis(g: bundle.GaugeElement, phase_tol: float = PHASE_TOL) -> tuple[Array, Array]:
+def blockwise_eigenbasis(g: bundle.GaugeElement) -> tuple[Array, Array]:
     """Eigenphases and an orthonormal eigenbasis of a gauge unitary, block by block.
 
     Returns (phases, s): phases in [0, 2pi), descending within each block,
     and s block-diagonal unitary with s^dag U s diagonal. Phases within
-    phase_tol of 2pi wrap to 0, which leaves every bound built on
+    PHASE_TOL of 2pi wrap to 0, which leaves every bound built on
     theta(2pi - theta) unchanged.
     """
     dim = g.basis.dim_k
@@ -69,17 +64,17 @@ def blockwise_eigenbasis(g: bundle.GaugeElement, phase_tol: float = PHASE_TOL) -
     for lo, hi in g.basis.blocks:
         t, q = scipy.linalg.schur(g.u[lo:hi, lo:hi], output="complex")
         ph = np.mod(np.angle(np.diag(t)), TWO_PI)
-        ph[ph >= TWO_PI - phase_tol] = 0.0
+        ph[ph >= TWO_PI - tolerances.PHASE_TOL] = 0.0
         order = np.argsort(ph)[::-1]
         phases[lo:hi] = ph[order]
         s[lo:hi, lo:hi] = q[:, order]
     return phases, s
 
 
-def eigenphases(g: bundle.GaugeElement, phase_tol: float = PHASE_TOL) -> PhaseSpectrum:
+def eigenphases(g: bundle.GaugeElement) -> PhaseSpectrum:
     """Blockwise eigenphases of a gauge unitary, mapped into [0, 2pi);
     see blockwise_eigenbasis."""
-    phases, _ = blockwise_eigenbasis(g, phase_tol)
+    phases, _ = blockwise_eigenbasis(g)
     return PhaseSpectrum(blocks=tuple(phases[lo:hi] for lo, hi in g.basis.blocks))
 
 
@@ -122,37 +117,31 @@ def wilson_loop(g: bundle.GaugeElement) -> complex:
     return complex(np.trace(g.u))
 
 
-def geometric_phase(rho_curve: OperatorCurve, w0: bundle.Amplitude,
-                    gap_tol: float = linalg.GAP_TOL, zero_tol: float = linalg.ZERO_TOL,
-                    trace_tol: float = TRACE_TOL) -> float:
+def geometric_phase(rho_curve: OperatorCurve, w0: bundle.Amplitude) -> float:
     """Geometric phase arg tr(W0^dag W_tau) of the lifted curve, in (-pi, pi].
 
     Raises UndefinedPhase when the trace is too close to zero for the
     argument to be meaningful.
     """
-    lift = bundle.horizontal_lift(rho_curve, w0, gap_tol=gap_tol, zero_tol=zero_tol)
+    lift = bundle.horizontal_lift(rho_curve, w0)
     tr = complex(np.trace(w0.w.conj().T @ lift.samples[-1]))
-    if abs(tr) <= trace_tol:
-        raise UndefinedPhase(f"|tr(W0^dag W_tau)| = {abs(tr):.3e} is below {trace_tol:.3e}")
+    if abs(tr) <= tolerances.TRACE_TOL:
+        raise UndefinedPhase(f"|tr(W0^dag W_tau)| = {abs(tr):.3e} is below {tolerances.TRACE_TOL:.3e}")
     return float(np.angle(tr))
 
 
-def curve_length_energy(rho_curve: OperatorCurve,
-                        gap_tol: float = linalg.GAP_TOL, zero_tol: float = linalg.ZERO_TOL,
-                        tangent_tol: float = LENGTH_TANGENT_TOL) -> tuple[float, float]:
+def curve_length_energy(rho_curve: OperatorCurve) -> tuple[float, float]:
     """Length and kinetic energy of a state curve in the induced metric.
 
     Speeds come from finite-difference tangents lifted horizontally; the
     quadrature is the composite trapezoid rule.
     """
-    spath = bundle.decompose_path(rho_curve, gap_tol=gap_tol, zero_tol=zero_tol)
-    return _path_length_energy(rho_curve, spath, tangent_tol)
+    return _path_length_energy(rho_curve, bundle.decompose_path(rho_curve))
 
 
-def _path_length_energy(rho_curve: OperatorCurve, spath: bundle.SpectralPath,
-                        tangent_tol: float) -> tuple[float, float]:
+def _path_length_energy(rho_curve: OperatorCurve, spath: bundle.SpectralPath) -> tuple[float, float]:
     rdots = grid_derivative(rho_curve.samples, rho_curve.grid.dt)
-    sq = np.maximum(bundle.path_speeds_sq(spath, rdots, tangent_tol=tangent_tol), 0.0)
+    sq = np.maximum(bundle.path_speeds_sq(spath, rdots, tolerances.LENGTH_TANGENT_TOL), 0.0)
     dt = rho_curve.grid.dt
     return trapezoid(np.sqrt(sq), dt), 0.5 * trapezoid(sq, dt)
 
@@ -173,38 +162,26 @@ class IsoReport:
     phases: PhaseSpectrum
 
 
-def check_isoholonomic(rho_curve: OperatorCurve, w0: bundle.Amplitude, alpha=None,
-                       gap_tol: float = linalg.GAP_TOL, zero_tol: float = linalg.ZERO_TOL,
-                       closed_tol: float = bundle.CLOSED_TOL,
-                       slack_tol: float = SLACK_TOL,
-                       phase_tol: float = PHASE_TOL,
-                       const_spectrum_tol: float = CONST_SPECTRUM_TOL,
-                       tangent_tol: float = LENGTH_TANGENT_TOL) -> IsoReport:
+def check_isoholonomic(rho_curve: OperatorCurve, w0: bundle.Amplitude, alpha=None) -> IsoReport:
     """Evaluate the isoholonomic inequalities on a closed curve; see iso_report."""
-    loop = bundle.closed_loop(rho_curve, w0, gap_tol=gap_tol, zero_tol=zero_tol, closed_tol=closed_tol)
-    return iso_report(loop, alpha=alpha, slack_tol=slack_tol, phase_tol=phase_tol,
-                      const_spectrum_tol=const_spectrum_tol, tangent_tol=tangent_tol)
+    return iso_report(bundle.closed_loop(rho_curve, w0), alpha=alpha)
 
 
-def iso_report(loop: bundle.ClosedLoop, alpha=None,
-               slack_tol: float = SLACK_TOL,
-               phase_tol: float = PHASE_TOL,
-               const_spectrum_tol: float = CONST_SPECTRUM_TOL,
-               tangent_tol: float = LENGTH_TANGENT_TOL) -> IsoReport:
+def iso_report(loop: bundle.ClosedLoop, alpha=None) -> IsoReport:
     """Evaluate the isoholonomic inequalities on an analysed closed curve.
 
     For constant-spectrum curves the fixed-spectrum bound applies; when
     alpha is given the constrained and strong inequalities are evaluated as
-    well. Negative slack beyond slack_tol raises BoundViolated, which
+    well. Negative slack beyond SLACK_TOL raises BoundViolated, which
     signals a numerical-method bug rather than physics.
     """
     rho_curve, spath, hol = loop.curve, loop.path, loop.holonomy
-    phases = eigenphases(hol, phase_tol=phase_tol)
+    phases = eigenphases(hol)
 
     means = spath.block_means()
-    constant = bool(np.max(np.abs(means - means[0])) <= const_spectrum_tol)
+    constant = bool(np.max(np.abs(means - means[0])) <= tolerances.CONST_SPECTRUM_TOL)
 
-    length, energy = _path_length_energy(rho_curve, spath, tangent_tol)
+    length, energy = _path_length_energy(rho_curve, spath)
     fr_length, _ = fisher_rao(ProbabilityPath(grid=rho_curve.grid, values=means, m=spath.m))
 
     ihb_alpha = None
@@ -213,7 +190,7 @@ def iso_report(loop: bundle.ClosedLoop, alpha=None,
         if alpha.shape != (means.shape[1],):
             raise ShapeMismatch(f"{alpha.size} bounds for {means.shape[1]} blocks")
         ihb_alpha = ihb_constrained(alpha, phases)
-        if np.any(means < alpha[None, :] - 1e-12):
+        if np.any(means < alpha[None, :] - tolerances.REGION_TOL):
             raise OutOfRange("curve leaves the spectrally bounded region")
     ihb = ihb_isospectral(means[0], phases) if constant else (ihb_alpha if ihb_alpha is not None else 0.0)
 
@@ -221,9 +198,9 @@ def iso_report(loop: bundle.ClosedLoop, alpha=None,
     strong_slack = None
     if ihb_alpha is not None:
         strong_slack = length**2 - fr_length**2 - ihb_alpha**2
-    if slack < -slack_tol:
+    if slack < -tolerances.SLACK_TOL:
         raise BoundViolated(f"length undershoots the bound by {-slack:.3e}")
-    if strong_slack is not None and strong_slack < -slack_tol:
+    if strong_slack is not None and strong_slack < -tolerances.SLACK_TOL:
         raise BoundViolated(f"strong inequality violated by {-strong_slack:.3e}")
     return IsoReport(
         length=length, energy=energy, fr_length=fr_length, ihb=ihb, ihb_alpha=ihb_alpha,

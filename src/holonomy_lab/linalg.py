@@ -18,14 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances
 from .errors import NoConvergence, NonHermitian, RankDeficient, Singular
 
 Array = np.ndarray
-
-HERM_TOL = 1e-10
-GAP_TOL = 1e-9
-SINGULAR_TOL = 1e-12
-ZERO_TOL = 1e-10
 
 
 def as_cmat(m) -> Array:
@@ -63,17 +59,17 @@ def _square(m) -> Array:
     return m
 
 
-def hermitian_eig(m: Array, tol: float = HERM_TOL) -> EigResult:
+def hermitian_eig(m: Array) -> EigResult:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Raises NonHermitian if the symmetry check fails and NoConvergence if
     the underlying iteration stalls.
     """
-    vals, frames = hermitian_eig_stack(_square(m)[None], tol=tol)
+    vals, frames = hermitian_eig_stack(_square(m)[None])
     return EigResult(values=vals[0], frame=frames[0])
 
 
-def check_hermitian_stack(ms: Array, tol: float = HERM_TOL) -> None:
+def check_hermitian_stack(ms: Array, tol: float = tolerances.HERM_TOL) -> None:
     """Raise NonHermitian, naming the worst sample, if any matrix of the
     stack (N, n, n) deviates from Hermitian by more than tol (relative)."""
     dev = np.linalg.norm(ms - np.conj(np.swapaxes(ms, -1, -2)), axis=(-2, -1))
@@ -84,7 +80,7 @@ def check_hermitian_stack(ms: Array, tol: float = HERM_TOL) -> None:
         raise NonHermitian(f"{where}Hermiticity deviation {dev[k]:.3e} exceeds {tol:.3e}")
 
 
-def hermitian_eig_stack(ms: Array, tol: float = HERM_TOL) -> tuple[Array, Array]:
+def hermitian_eig_stack(ms: Array, tol: float = tolerances.HERM_TOL) -> tuple[Array, Array]:
     """Batched descending eigendecomposition of a stack (N, n, n) of
     Hermitian matrices. Returns (values (N, n), frames (N, n, n))."""
     ms = np.asarray(ms, dtype=np.complex128)
@@ -96,7 +92,7 @@ def hermitian_eig_stack(ms: Array, tol: float = HERM_TOL) -> tuple[Array, Array]
     return w[:, ::-1].copy(), v[:, :, ::-1].copy()
 
 
-def cluster(values, gap_tol: float = GAP_TOL) -> list[tuple[int, int]]:
+def cluster(values, gap_tol: float = tolerances.GAP_TOL) -> list[tuple[int, int]]:
     """Partition descending values into blocks of near-degenerate entries.
 
     Consecutive values closer than gap_tol share a block; the returned
@@ -115,26 +111,26 @@ def cluster(values, gap_tol: float = GAP_TOL) -> list[tuple[int, int]]:
     return blocks
 
 
-def polar_unitary(m: Array, tol: float = SINGULAR_TOL) -> Array:
+def polar_unitary(m: Array) -> Array:
     """Unitary factor U of the polar decomposition M = U P.
 
     P = U^dag M is then Hermitian positive-definite. Raises Singular if the
-    smallest singular value is at or below tol.
+    smallest singular value is at or below SINGULAR_TOL.
     """
     m = as_cmat(m)
     u, s, vh = np.linalg.svd(m)
-    if m.shape[0] != m.shape[1] or s[-1] <= tol:
-        raise Singular(f"smallest singular value {s[-1] if s.size else 0.0:.3e} <= {tol:.3e}")
+    if m.shape[0] != m.shape[1] or s[-1] <= tolerances.SINGULAR_TOL:
+        raise Singular(f"smallest singular value {s[-1] if s.size else 0.0:.3e} <= {tolerances.SINGULAR_TOL:.3e}")
     return u @ vh
 
 
-def pinv(w: Array, tol: float = SINGULAR_TOL) -> Array:
+def pinv(w: Array) -> Array:
     """Moore-Penrose pseudoinverse (W^dag W)^{-1} W^dag of a full-column-rank map."""
     w = as_cmat(w)
     gram = w.conj().T @ w
     eigvals = np.linalg.eigvalsh(gram)
-    if eigvals[0] <= tol:
-        raise RankDeficient(f"smallest Gram eigenvalue {eigvals[0]:.3e} <= {tol:.3e}")
+    if eigvals[0] <= tolerances.SINGULAR_TOL:
+        raise RankDeficient(f"smallest Gram eigenvalue {eigvals[0]:.3e} <= {tolerances.SINGULAR_TOL:.3e}")
     return np.linalg.solve(gram, w.conj().T)
 
 
@@ -159,12 +155,12 @@ def _taylor_plan(norm: float) -> tuple[int, int, int]:
     return degree, width, squarings
 
 
-def propagator_step(h: Array, dt: float, tol: float = HERM_TOL) -> Array:
+def propagator_step(h: Array, dt: float) -> Array:
     """exp(-i H dt) for Hermitian H; the N = 1 case of propagator_step_stack."""
-    return propagator_step_stack(_square(h)[None], dt, tol=tol)[0]
+    return propagator_step_stack(_square(h)[None], dt)[0]
 
 
-def propagator_step_stack(hs: Array, dt: float, tol: float = HERM_TOL) -> Array:
+def propagator_step_stack(hs: Array, dt: float, tol: float = tolerances.HERM_TOL) -> Array:
     """Batched exp(-i H dt) over a stack (N, n, n) of Hermitian matrices.
 
     Scaling and squaring of the truncated Taylor series (Higham, SIAM J.

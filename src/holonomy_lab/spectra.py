@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, tolerances
 from .errors import (
     LengthMismatch,
     NotAState,
@@ -21,16 +21,13 @@ from .errors import (
 
 Array = np.ndarray
 
-NORM_TOL = 1e-12
-STATE_TOL = 1e-10
 
-
-def validate(p, m, norm_tol: float = NORM_TOL, strict: bool = True) -> None:
+def validate(p, m, norm_tol: float = tolerances.NORM_TOL) -> None:
     """Check that (p, m) is a valid spectral pair.
 
-    p must be positive and (strictly, unless strict=False) descending, m
-    positive integers of the same length, and sum_j m_j p_j = 1 within
-    norm_tol. Raises NotDescending, NotNormalized, or LengthMismatch.
+    p must be finite, positive and strictly descending, m positive integers
+    of the same length, and sum_j m_j p_j = 1 within norm_tol. Raises
+    NotDescending, NotNormalized, or LengthMismatch.
     """
     p = np.asarray(p, dtype=float)
     m = np.asarray(m, dtype=int)
@@ -40,13 +37,13 @@ def validate(p, m, norm_tol: float = NORM_TOL, strict: bool = True) -> None:
         raise LengthMismatch("empty spectrum")
     if np.any(m < 1):
         raise LengthMismatch("degeneracies must be positive integers")
+    if not np.all(np.isfinite(p)):
+        j = int(np.argmin(np.isfinite(p)))
+        raise NotNormalized(f"eigenvalue {j} is not finite: {p[j]!r}")
     if np.any(p <= 0.0):
         raise NotDescending("eigenvalues must be positive")
-    diffs = p[:-1] - p[1:]
-    if strict and np.any(diffs <= 0.0):
+    if np.any(p[:-1] - p[1:] <= 0.0):
         raise NotDescending(f"eigenvalues not strictly descending: {p.tolist()}")
-    if not strict and np.any(diffs < -norm_tol):
-        raise NotDescending(f"eigenvalues not descending: {p.tolist()}")
     total = float(np.dot(p, m))
     if abs(total - 1.0) > norm_tol:
         raise NotNormalized(f"sum_j m_j p_j = {total!r} != 1")
@@ -177,40 +174,30 @@ class DensityOperator:
         f = self.frames[j]
         return f @ f.conj().T
 
-    def kernel_projector(self) -> Array:
-        if self.kernel.shape[1] == 0:
-            return np.zeros_like(self.matrix)
-        return self.kernel @ self.kernel.conj().T
 
-
-def spectral_decompose(
-    rho,
-    gap_tol: float = linalg.GAP_TOL,
-    zero_tol: float = linalg.ZERO_TOL,
-    state_tol: float = STATE_TOL,
-) -> DensityOperator:
+def spectral_decompose(rho) -> DensityOperator:
     """Decompose a density matrix into near-degenerate positive eigenblocks.
 
-    Eigenvalues within gap_tol of each other are merged into one block;
-    eigenvalues at or below zero_tol are treated as the excluded zero
+    Eigenvalues within GAP_TOL of each other are merged into one block;
+    eigenvalues at or below ZERO_TOL are treated as the excluded zero
     eigenvalue. Raises NotAState if the Hermitian/PSD/unit-trace checks fail.
     """
     rho = linalg.as_cmat(rho)
     if rho.shape[0] != rho.shape[1]:
         raise NotAState(f"not square: {rho.shape}")
-    if linalg.herm_deviation(rho) > state_tol * max(1.0, linalg.frob(rho)):
+    if linalg.herm_deviation(rho) > tolerances.STATE_TOL * max(1.0, linalg.frob(rho)):
         raise NotAState("not Hermitian within tolerance")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > state_tol:
+    if abs(tr - 1.0) > tolerances.STATE_TOL:
         raise NotAState(f"trace {tr!r} != 1")
-    eig = linalg.hermitian_eig(rho, tol=state_tol)
-    if eig.values[-1] < -state_tol:
+    eig = linalg.hermitian_eig(rho)
+    if eig.values[-1] < -tolerances.STATE_TOL:
         raise NotAState(f"negative eigenvalue {eig.values[-1]:.3e}")
-    positive = eig.values > zero_tol
+    positive = eig.values > tolerances.ZERO_TOL
     r = int(np.count_nonzero(positive))
     if r == 0:
         raise NotAState("zero rank")
-    blocks = linalg.cluster(eig.values[:r], gap_tol)
+    blocks = linalg.cluster(eig.values[:r], tolerances.GAP_TOL)
     p = tuple(float(np.mean(eig.values[lo:hi])) for lo, hi in blocks)
     m = tuple(hi - lo for lo, hi in blocks)
     frames = tuple(eig.frame[:, lo:hi].copy() for lo, hi in blocks)
@@ -220,7 +207,7 @@ def spectral_decompose(
 
 def assemble(p, m, frames) -> Array:
     """Rebuild the density matrix sum_j p_j Psi_j Psi_j^dag from spectral data."""
-    validate(p, m, norm_tol=1e-9)
+    validate(p, m, tolerances.ASSEMBLE_NORM_TOL)
     n = frames[0].shape[0]
     rho = np.zeros((n, n), dtype=np.complex128)
     for pj, f in zip(p, frames):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bundle, dynamics, invariants, linalg
+from . import bundle, dynamics, invariants, linalg, tolerances
 from .curves import OperatorCurve, TimeGrid, trapezoid
 from .errors import (
     DegeneracyMismatch,
@@ -54,9 +54,9 @@ class PureLoopSpec:
         psi = np.asarray(self.psi, dtype=np.complex128).reshape(-1)
         phi = np.asarray(self.phi, dtype=np.complex128).reshape(-1)
         for name, v in (("psi", psi), ("phi", phi)):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+            if abs(np.linalg.norm(v) - 1.0) > tolerances.ORTHONORMAL_TOL:
                 raise OutOfRange(f"{name} is not a unit vector")
-        if abs(np.vdot(psi, phi)) > 1e-8:
+        if abs(np.vdot(psi, phi)) > tolerances.ORTHONORMAL_TOL:
             raise OutOfRange("plane pair is not orthogonal")
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi", phi)
@@ -119,7 +119,7 @@ def complement_frame(support: Array, dim: int) -> Array:
             for c in found:
                 v = v - c * np.vdot(c, v)
         norm = np.linalg.norm(v)
-        if norm > 1e-6:
+        if norm > tolerances.COMPLEMENT_TOL:
             found.append(v / norm)
         if len(found) == dim - r:
             break
@@ -197,7 +197,7 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
     if tuple(w.basis.m) != tuple(rho.m):
         raise DegeneracyMismatch(f"amplitude basis m={w.basis.m}, state has m={rho.m}")
     defect = linalg.frob(w.w @ w.w.conj().T - rho.matrix)
-    if defect > bundle.PROJECTION_TOL:
+    if defect > tolerances.PROJECTION_TOL:
         raise DegeneracyMismatch(f"amplitude projects {defect:.3e} away from the state")
     if not tau > 0.0:
         raise OutOfRange(f"tau must be positive, got {tau}")
@@ -241,11 +241,7 @@ class SaturationReport:
     integration_defect: float
 
 
-def verify_saturation(plan: SaturatingPlan,
-                      hol_tol: float = 1e-6, length_tol: float = 1e-5,
-                      hin_tol: float = 1e-9, dh_tol: float = 1e-6,
-                      energy_tol: float = 1e-5,
-                      integration_tol: float = 1e-5) -> SaturationReport:
+def verify_saturation(plan: SaturatingPlan) -> SaturationReport:
     """Run the plan end to end and check every saturation guarantee.
 
     Re-integrates the schedule with the generic propagator and checks it
@@ -258,35 +254,35 @@ def verify_saturation(plan: SaturatingPlan,
     rho_curve = plan.exact_states()
     _, evolved = dynamics.evolve(plan.rho, plan.schedule)
     integration_defect = float(np.max(np.linalg.norm(evolved.samples - rho_curve.samples, axis=(1, 2))))
-    if integration_defect > integration_tol:
+    if integration_defect > tolerances.SAT_INTEGRATION_TOL:
         raise SaturationFailed(f"schedule fails to regenerate the trajectory by {integration_defect:.3e}")
 
     loop = bundle.closed_loop(rho_curve, plan.w)
     report = invariants.iso_report(loop)
     hol_err = linalg.frob(report.holonomy.u - plan.target.u)
-    if hol_err > hol_tol:
+    if hol_err > tolerances.SAT_HOLONOMY_TOL:
         raise SaturationFailed(f"holonomy misses the target by {hol_err:.3e}")
     ihb = plan.ihb
     length_err = abs(report.length - ihb)
-    if length_err > length_tol:
+    if length_err > tolerances.SAT_LENGTH_TOL:
         raise SaturationFailed(f"length differs from the bound by {length_err:.3e}")
 
     h_in = dynamics.incoherent_part_path(plan.schedule.samples, loop.path)
     max_h_in = float(np.max(np.linalg.norm(h_in, axis=(1, 2))))
-    if max_h_in > hin_tol:
+    if max_h_in > tolerances.SAT_HIN_TOL:
         raise SaturationFailed(f"drive has incoherent mass {max_h_in:.3e}")
 
     dh = np.sqrt(np.maximum(dynamics.variance_path(rho_curve.samples, plan.schedule.samples), 0.0))
     dh_dev = float(np.max(np.abs(dh - ihb / plan.tau)))
-    if dh_dev > dh_tol:
+    if dh_dev > tolerances.SAT_DH_TOL:
         raise SaturationFailed(f"energy uncertainty varies by {dh_dev:.3e} from ihb/tau")
 
     delta_e = trapezoid(dh, rho_curve.grid.dt) / plan.tau
     energy_gap = abs(plan.tau * delta_e - report.length)
-    if energy_gap > energy_tol:
+    if energy_gap > tolerances.SAT_ENERGY_TOL:
         raise SaturationFailed(f"tau Delta E misses the length by {energy_gap:.3e}")
-    bound_gap = abs(plan.tau - ihb / delta_e) if ihb > 1e-12 else 0.0
-    if bound_gap > energy_tol:
+    bound_gap = abs(plan.tau - ihb / delta_e) if ihb > tolerances.ZERO_IHB_TOL else 0.0
+    if bound_gap > tolerances.SAT_ENERGY_TOL:
         raise SaturationFailed(f"speed limit not saturated, gap {bound_gap:.3e}")
     return SaturationReport(
         holonomy_error=hol_err, length=report.length, ihb=ihb, length_error=length_err,
@@ -306,7 +302,6 @@ def embed_state(rho_matrix: Array, ambient_dim: int) -> Array:
     return out
 
 
-def embedded_state(rho_matrix: Array, ambient_dim: int,
-                   gap_tol: float = linalg.GAP_TOL) -> DensityOperator:
+def embedded_state(rho_matrix: Array, ambient_dim: int) -> DensityOperator:
     """Embed and decompose a density matrix in a larger ambient space."""
-    return spectral_decompose(embed_state(rho_matrix, ambient_dim), gap_tol=gap_tol)
+    return spectral_decompose(embed_state(rho_matrix, ambient_dim))

@@ -254,6 +254,10 @@ class TestQubitDemo:
     def test_stationary_axis_exits_one(self, capsys):
         assert cli.main(["qubit-demo", "--n3", "1.0"]) == 1
 
+    def test_nan_axis_exits_one(self, capsys):
+        assert cli.main(["qubit-demo", "--n3", "nan", "--n", "11"]) == 1
+        assert "axis" in capsys.readouterr().err
+
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "demo.csv"
         assert cli.main(["qubit-demo", "--n3", "0.3", "--n", "401", "--csv",
@@ -275,3 +279,9 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "argument --ambient-dim: dimension must be at least 2, got 1" in err
         assert "samples" not in err
+
+    @pytest.mark.parametrize("flag", ["--gap-tol", "--phase-tol"])
+    def test_tolerance_flags_are_gone(self, tmp_path, capsys, flag):
+        path = write_curve(tmp_path / "c.json", constant_state_curve())
+        assert cli.main(["check", path, flag, "1e-6"]) == 1
+        assert f"unrecognized arguments: {flag} 1e-6" in capsys.readouterr().err

@@ -256,3 +256,13 @@ class TestQubitReference:
             dynamics.qubit_reference(qubit_axis(0.3), TWO_PI, 0.4)
         with pytest.raises(InvalidP):
             dynamics.qubit_reference(qubit_axis(0.3), TWO_PI, 1.0)
+
+    @pytest.mark.parametrize("axis", [(np.nan, 0.0, np.nan), (0.6, 0.0, np.nan)])
+    def test_non_finite_axis_rejected(self, axis):
+        with pytest.raises(StationaryAxis, match="axis"):
+            dynamics.qubit_reference(axis, TWO_PI, 0.7)
+
+    @pytest.mark.parametrize("omega", [np.inf, np.nan])
+    def test_non_finite_omega_rejected(self, omega):
+        with pytest.raises(InvalidP, match="omega"):
+            dynamics.qubit_reference(qubit_axis(0.3), omega, 0.7)

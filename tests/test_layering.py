@@ -1,4 +1,5 @@
-"""No module of the library reads another module's underscore names."""
+"""Layering guards: no module of the library reads another module's
+underscore names, and every threshold lives in the tolerance table."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,57 @@ def test_guard_sees_a_private_read(tmp_path):
     probe.write_text("from . import bundle\nfrom .dynamics import _uncertainty_path\n"
                      "x = bundle._lift_samples\n", encoding="utf-8")
     assert foreign_private_reads(probe) == [(2, "dynamics._uncertainty_path"), (3, "bundle._lift_samples")]
+
+
+# the kernels whose tolerance has two values in use, or a tighter one in a test
+TOLERANCE_PARAMETERS = {
+    ("bundle", "_lift_tangents", "tangent_tol"),
+    ("bundle", "gauge_membership", "tol"),
+    ("bundle", "path_speeds_sq", "tangent_tol"),
+    ("linalg", "check_hermitian_stack", "tol"),
+    ("linalg", "cluster", "gap_tol"),
+    ("linalg", "hermitian_eig_stack", "tol"),
+    ("linalg", "propagator_step_stack", "tol"),
+    ("spectra", "validate", "norm_tol"),
+}
+
+
+def tolerance_definitions(path):
+    """Names ending in _TOL that one file assigns at module level."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        found.extend(t.id for t in targets if isinstance(t, ast.Name) and t.id.endswith("_TOL"))
+    return found
+
+
+def tolerance_parameters(path):
+    """(module, function, parameter) of every parameter named tol, *_tol or strict."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            found.update((path.stem, node.name, a.arg) for a in args.posonlyargs + args.args + args.kwonlyargs
+                         if a.arg in ("tol", "strict") or a.arg.endswith("_tol"))
+    return found
+
+
+def test_tolerances_are_defined_only_in_the_table():
+    offenders = {path.name: names for path in sorted(SRC.glob("*.py"))
+                 if path.stem != "tolerances" and (names := tolerance_definitions(path))}
+    assert offenders == {}
+    table = ast.parse((SRC / "tolerances.py").read_text(encoding="utf-8"))
+    assert not [n for n in ast.walk(table) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+def test_only_the_kernels_take_a_tolerance():
+    found = set().union(*(tolerance_parameters(path) for path in SRC.glob("*.py")))
+    assert found == TOLERANCE_PARAMETERS
+
+
+def test_guard_sees_a_tolerance(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("EDGE_TOL = 1e-3\nLIMIT_TOL: float = 1.0\n\n\n"
+                     "def f(x, tol=EDGE_TOL, *, strict=True):\n    LOCAL_TOL = tol\n", encoding="utf-8")
+    assert tolerance_definitions(probe) == ["EDGE_TOL", "LIMIT_TOL"]
+    assert tolerance_parameters(probe) == {("probe", "f", "tol"), ("probe", "f", "strict")}

@@ -34,6 +34,12 @@ class TestValidate:
         with pytest.raises(NotDescending):
             spectra.validate([1.2, -0.2], [1, 1], norm_tol=1e-6)
 
+    @pytest.mark.parametrize("p, m, j", [([np.nan], [1], 0), ([0.5, np.nan], [1, 1], 1),
+                                         ([np.inf, 0.5], [1, 1], 0)])
+    def test_non_finite_rejected(self, p, m, j):
+        with pytest.raises(NotNormalized, match=f"eigenvalue {j} is not finite"):
+            spectra.validate(p, m)
+
 
 class TestSpectralDecompose:
     def test_diagonal(self):
