@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, tolerances
-from .curves import OperatorCurve, grid_derivative
+from .curves import OperatorCurve
 from .errors import (
     DegeneracyMismatch,
     EndpointMismatch,
@@ -63,10 +63,6 @@ class Amplitude:
     def block_values(self) -> tuple[float, ...]:
         """The descending scalars q_j with W^dag W = sum_j q_j Lambda_j."""
         return self._block_values
-
-    @property
-    def dim_h(self) -> int:
-        return self.w.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,35 +164,30 @@ def split(amp: Amplitude, wdot: Array) -> tuple[Array, Array]:
 # tangent lifts and the induced metric on the state space
 
 
-def _lift_tangents(spath: "SpectralPath", rdots: Array, tangent_tol: float) -> Array:
-    """Horizontal lifts of state tangents, in eigenbasis coordinates.
+def lift_tangents(spath: "SpectralPath", tangents: Array, tangent_tol: float) -> Array:
+    """Horizontal lifts of state tangents given in eigenframe coordinates.
 
-    rdots (N, n, n) are Hermitian tangents at the samples of spath. Returns
-    (N, n, r) lifted tangents; raises NotTangent when reprojection misses
-    rdot by more than tangent_tol (relative).
+    tangents (N, n, n) are F^dag rdot F for Hermitian tangents rdot at the
+    samples of spath. Returns (N, n, r) lifted tangents; raises NotTangent
+    when reprojection misses the tangent by more than tangent_tol (relative).
     """
-    lam, frames, blocks, r = spath.support_lam(), spath.frames, spath.blocks, spath.rank
-    n = lam.shape[1]
-    big = frames.conj().transpose(0, 2, 1) @ rdots @ frames
-    blk_id = np.full(n, len(blocks), dtype=int)
-    for j, (lo, hi) in enumerate(blocks):
-        blk_id[lo:hi] = j
-    same = blk_id[:, None] == blk_id[None, :]
+    lam, blocks, r = spath.support_lam(), spath.blocks, spath.rank
+    same = spath.block_mask
     denom = lam[:, None, :] - lam[:, :, None]
     denom[:, same] = 1.0
-    K = np.where(same[None, :, :], 0.0, 1j * big / denom)
+    K = np.where(same[None, :, :], 0.0, 1j * tangents / denom)
     sqrtp = np.sqrt(lam[:, :r])
     wt = -1j * K[:, :, :r] * sqrtp[:, None, :]
-    diag = np.real(np.einsum("kii->ki", big))
-    for j, (lo, hi) in enumerate(blocks):
+    diag = np.real(np.einsum("kii->ki", tangents))
+    for lo, hi in blocks:
         pdot = np.mean(diag[:, lo:hi], axis=1)
         wt[:, range(lo, hi), range(lo, hi)] += (pdot / (2.0 * np.sqrt(lam[:, lo])))[:, None]
     # reproject and compare: the defect is the non-tangent component of rdot
-    e = np.zeros_like(big)
+    e = np.zeros_like(tangents)
     e[:, :, :r] = wt * sqrtp[:, None, :]
-    residual = e + e.conj().transpose(0, 2, 1) - big
+    residual = e + e.conj().transpose(0, 2, 1) - tangents
     res = np.linalg.norm(residual, axis=(1, 2))
-    scale = np.maximum(1.0, np.linalg.norm(big, axis=(1, 2)))
+    scale = np.maximum(1.0, np.linalg.norm(tangents, axis=(1, 2)))
     worst = int(np.argmax(res / scale))
     if res[worst] > tangent_tol * scale[worst]:
         raise NotTangent(f"sample {worst}: lift residual {res[worst]:.3e} exceeds tolerance")
@@ -205,7 +196,7 @@ def _lift_tangents(spath: "SpectralPath", rdots: Array, tangent_tol: float) -> A
 
 def path_speeds_sq(spath: "SpectralPath", rdots: Array, tangent_tol: float = tolerances.TANGENT_TOL) -> Array:
     """Squared metric speeds g(rdot, rdot) along a decomposed state path."""
-    wt = _lift_tangents(spath, rdots, tangent_tol)
+    wt = lift_tangents(spath, spath.in_eigenframe(rdots), tangent_tol)
     return np.real(np.sum(np.abs(wt) ** 2, axis=(1, 2)))
 
 
@@ -216,11 +207,9 @@ def metric_g(rho: DensityOperator, rdot1: Array, rdot2: Array) -> float:
     NotTangent if either argument fails to be tangent to the fixed-degeneracy
     stratum at rho within TANGENT_TOL.
     """
-    values = np.concatenate([np.repeat(rho.p, rho.m), np.zeros(rho.dim - rho.rank)])
-    spath = SpectralPath(values=values[None, :], frames=rho.full_frame[None, :, :],
-                         blocks=rho.basis.blocks, m=rho.m)
-    w1 = _lift_tangents(spath, linalg.as_cmat(rdot1)[None, :, :], tolerances.TANGENT_TOL)[0]
-    w2 = _lift_tangents(spath, linalg.as_cmat(rdot2)[None, :, :], tolerances.TANGENT_TOL)[0]
+    spath = SpectralPath.of_state(rho)
+    w1, w2 = (lift_tangents(spath, spath.in_eigenframe(linalg.as_cmat(rdot)[None, :, :]), tolerances.TANGENT_TOL)[0]
+              for rdot in (rdot1, rdot2))
     return float(np.real(np.sum(w1.conj() * w2)))
 
 
@@ -239,9 +228,27 @@ class SpectralPath:
     blocks: list[tuple[int, int]]
     m: tuple[int, ...]
 
+    @classmethod
+    def of_state(cls, rho: DensityOperator) -> "SpectralPath":
+        """The length-1 path at a single state."""
+        values = np.concatenate([np.repeat(rho.p, rho.m), np.zeros(rho.dim - rho.rank)])
+        return cls(values=values[None, :], frames=rho.full_frame[None, :, :], blocks=rho.basis.blocks, m=rho.m)
+
     @property
     def rank(self) -> int:
         return sum(self.m)
+
+    @property
+    def block_mask(self) -> Array:
+        """(n, n) boolean mask of index pairs in the same support block or
+        both in the kernel; on it F^dag X F holds the part of X that
+        commutes with every state of the path."""
+        ids = np.repeat(np.arange(len(self.m) + 1), tuple(self.m) + (self.values.shape[1] - self.rank,))
+        return ids[:, None] == ids[None, :]
+
+    def in_eigenframe(self, ops: Array) -> Array:
+        """F^dag ops F per sample: operators (N, n, n) in eigenframe coordinates."""
+        return np.conj(np.swapaxes(self.frames, -1, -2)) @ ops @ self.frames
 
     def block_means(self) -> Array:
         """(N, l) per-sample block-averaged eigenvalues."""
@@ -313,12 +320,6 @@ def _transport_frames(spath: SpectralPath, frames0: Array) -> Array:
     return out
 
 
-def _assemble_lift(spath: SpectralPath, frames_t: Array) -> Array:
-    """Amplitude samples sqrt(p_{j;t}) on block j applied to the frames."""
-    scale = np.sqrt(spath.support_lam()[:, : spath.rank])
-    return frames_t * scale[:, None, :]
-
-
 def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
     """Discrete horizontal lift of a state curve starting at the amplitude w0.
 
@@ -340,7 +341,8 @@ def _lift_samples(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) 
         [w0.w[:, lo:hi] / np.sqrt(p0[j]) for j, (lo, hi) in enumerate(spath.blocks)], axis=1
     )
     frames_t = _transport_frames(spath, frames0)
-    samples = _assemble_lift(spath, frames_t)
+    # amplitude samples: sqrt(p_{j;t}) on block j applied to the frames
+    samples = frames_t * np.sqrt(spath.support_lam()[:, None, : spath.rank])
     samples[0] = w0.w
     return samples
 
@@ -408,16 +410,3 @@ def holonomy(rho_curve: OperatorCurve, w0: Amplitude) -> GaugeElement:
     """Holonomy of a closed state curve at the amplitude w0; see closed_loop."""
     return closed_loop(rho_curve, w0).holonomy
 
-
-def lift_connection_residuals(lift: OperatorCurve, basis: EigenprojectorBasis) -> Array:
-    """Norm of the connection form along a lift, via finite differences.
-
-    For an exactly horizontal lift this vanishes; the discrete transport
-    leaves a residual that shrinks with the step size.
-    """
-    wdots = grid_derivative(lift.samples, lift.grid.dt)
-    out = np.empty(lift.samples.shape[0])
-    for k in range(lift.samples.shape[0]):
-        amp = Amplitude(w=lift.samples[k], basis=basis)
-        out[k] = linalg.frob(connection_form(amp, wdots[k]).a)
-    return out

@@ -3,6 +3,8 @@
 Midpoint propagator integration, the state-coherent/state-incoherent split
 of a Hamiltonian, energy-uncertainty accounting, the cyclic speed-limit
 report, and closed-form reference values for the precessing-qubit benchmark.
+The split, the variances and the state speeds are read off B = F^dag H F in
+the eigenframes F of the states: H_in is B on the block mask.
 """
 
 from __future__ import annotations
@@ -78,12 +80,7 @@ def split_hamiltonian(h: Array, rho: DensityOperator) -> tuple[Array, Array]:
     h = linalg.as_cmat(h)
     if h.shape != rho.matrix.shape:
         raise DimMismatch(f"H has shape {h.shape}, state has shape {rho.matrix.shape}")
-    h_in = np.zeros_like(h)
-    for f in rho.frames:
-        h_in += f @ (f.conj().T @ h @ f) @ f.conj().T
-    if rho.kernel.shape[1] > 0:
-        f = rho.kernel
-        h_in += f @ (f.conj().T @ h @ f) @ f.conj().T
+    h_in = incoherent_part_path(h[None], bundle.SpectralPath.of_state(rho))[0]
     return h_in, h - h_in
 
 
@@ -94,40 +91,50 @@ def uncertainty(rho: DensityOperator, h: Array) -> tuple[float, float, float]:
     coherent part has zero mean in the state. Raises NonHermitian for a
     non-Hermitian h.
     """
-    h_in, h_co = split_hamiltonian(h, rho)
     h = linalg.as_cmat(h)
+    if h.shape != rho.matrix.shape:
+        raise DimMismatch(f"H has shape {h.shape}, state has shape {rho.matrix.shape}")
     linalg.check_hermitian_stack(h[None])
-    dh, dco, din = np.sqrt(np.maximum(variance_path(rho.matrix, np.stack([h, h_co, h_in])), 0.0))
+    spath = bundle.SpectralPath.of_state(rho)
+    dh, dco, din = np.sqrt(np.maximum(variance_split(spath.in_eigenframe(h[None]), spath), 0.0))[:, 0]
     return float(dh), float(dco), float(din)
 
 
 def incoherent_part_path(hs: Array, spath: bundle.SpectralPath) -> Array:
-    """Batched state-incoherent components along a decomposed state path."""
-    h_in = np.zeros_like(hs)
-    slices = list(spath.blocks)
-    if spath.rank < spath.frames.shape[1]:
-        slices.append((spath.rank, spath.frames.shape[1]))
-    for lo, hi in slices:
-        f = spath.frames[:, :, lo:hi]
-        fh = np.conj(np.swapaxes(f, -1, -2))
-        h_in += f @ (fh @ hs @ f) @ fh
-    return h_in
+    """Batched state-incoherent components F (B o mask) F^dag along a
+    decomposed state path, with B = F^dag H F and the block mask."""
+    b = spath.in_eigenframe(hs)
+    return spath.frames @ (b * spath.block_mask) @ np.conj(np.swapaxes(spath.frames, -1, -2))
 
 
-def variance_path(states: Array, hs: Array) -> Array:
-    """Variances tr(rho H^2) - tr(rho H)^2 of Hermitian H over stacks
-    (N, n, n), broadcasting a single state or Hamiltonian."""
-    prod = states @ hs
-    means = np.real(np.trace(prod, axis1=-2, axis2=-1))
-    # tr(rho H H) contracts (rho H) against H^dag = H entrywise
-    sq = np.real(np.sum(prod * np.conj(hs), axis=(-2, -1)))
-    return sq - means**2
+def variance_split(b: Array, spath: bundle.SpectralPath) -> tuple[Array, Array, Array]:
+    """(Delta^2 H, Delta^2 H_co, Delta^2 H_in) per sample from B = F^dag H F.
+
+    With eigenvalues lambda_i (kernel zeros included), tr(rho H^2) is
+    sum_ij lambda_i |B_ij|^2 and tr(rho H) = sum_i lambda_i B_ii. H_in takes
+    the block-mask entries of B and H_co, which has zero mean, the rest.
+    """
+    weighted = spath.values[:, :, None] * (b.real**2 + b.imag**2)
+    second_in = np.sum(weighted * spath.block_mask, axis=(1, 2))
+    second_co = np.sum(weighted * ~spath.block_mask, axis=(1, 2))
+    mean = np.sum(spath.values * np.real(np.einsum("kii->ki", b)), axis=1)
+    return second_in + second_co - mean**2, second_co, second_in - mean**2
+
+
+def state_speeds_sq(b: Array, spath: bundle.SpectralPath) -> Array:
+    """Squared metric speeds of the states driven by H, from B = F^dag H F.
+
+    The tangent rdot = -i[H, rho] is F (-i B_ij (lambda_j - lambda_i)) F^dag,
+    so it is lifted in eigenframe coordinates without being formed.
+    """
+    lam = spath.values
+    wt = bundle.lift_tangents(spath, -1j * b * (lam[:, None, :] - lam[:, :, None]), tolerances.TANGENT_TOL)
+    return np.sum(wt.real**2 + wt.imag**2, axis=(1, 2))
 
 
 def _uncertainty_path(states: Array, hs: Array, spath: bundle.SpectralPath) -> tuple[Array, Array, Array]:
-    """Batched (Delta^2 H, Delta^2 H_co, Delta^2 H_in) along an evolution."""
-    h_in = incoherent_part_path(hs, spath)
-    return variance_path(states, hs), variance_path(states, hs - h_in), variance_path(states, h_in)
+    """variance_split of the Hamiltonians hs; the states enter through spath."""
+    return variance_split(spath.in_eigenframe(hs), spath)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,13 +173,13 @@ def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule) -> SpeedLi
     phases = invariants.eigenphases(hol)
     ihb = invariants.ihb_isospectral(spath.block_means()[0], phases)
 
-    dh2, dco2, din2 = _uncertainty_path(rho_curve.samples, sched.samples, spath)
+    b = spath.in_eigenframe(sched.samples)
+    dh2, dco2, din2 = variance_split(b, spath)
     pyth = np.abs(dh2 - dco2 - din2) / np.maximum(1.0, np.abs(dh2))
     if np.any(pyth > tolerances.PYTHAGORAS_TOL):
         raise ContractViolation(f"variance decomposition violated by {np.max(pyth):.3e}")
 
-    rdots = -1j * (sched.samples @ rho_curve.samples - rho_curve.samples @ sched.samples)
-    speeds2 = bundle.path_speeds_sq(spath, rdots)
+    speeds2 = state_speeds_sq(b, spath)
     dev = np.abs(speeds2 - dco2) / np.maximum(1.0, np.abs(dco2))
     if np.any(dev > tolerances.SPEED_IDENTITY_TOL):
         raise ContractViolation(f"speed identity violated by {np.max(dev):.3e}")

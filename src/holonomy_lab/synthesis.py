@@ -267,12 +267,14 @@ def verify_saturation(plan: SaturatingPlan) -> SaturationReport:
     if length_err > tolerances.SAT_LENGTH_TOL:
         raise SaturationFailed(f"length differs from the bound by {length_err:.3e}")
 
-    h_in = dynamics.incoherent_part_path(plan.schedule.samples, loop.path)
-    max_h_in = float(np.max(np.linalg.norm(h_in, axis=(1, 2))))
+    # |H_in|_F = |B o mask|_F since the eigenframes are unitary
+    b = loop.path.in_eigenframe(plan.schedule.samples)
+    b_in = b[:, loop.path.block_mask]
+    max_h_in = float(np.sqrt(np.max(np.sum(b_in.real**2 + b_in.imag**2, axis=1))))
     if max_h_in > tolerances.SAT_HIN_TOL:
         raise SaturationFailed(f"drive has incoherent mass {max_h_in:.3e}")
 
-    dh = np.sqrt(np.maximum(dynamics.variance_path(rho_curve.samples, plan.schedule.samples), 0.0))
+    dh = np.sqrt(np.maximum(dynamics.variance_split(b, loop.path)[0], 0.0))
     dh_dev = float(np.max(np.abs(dh - ihb / plan.tau)))
     if dh_dev > tolerances.SAT_DH_TOL:
         raise SaturationFailed(f"energy uncertainty varies by {dh_dev:.3e} from ihb/tau")

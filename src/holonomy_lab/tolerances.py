@@ -6,7 +6,7 @@ the point of use. Only eight kernel parameters take a tolerance argument,
 because callers or tests use more than one value: linalg.cluster,
 linalg.check_hermitian_stack, linalg.hermitian_eig_stack,
 linalg.propagator_step_stack, bundle.gauge_membership,
-bundle.path_speeds_sq with its helper _lift_tangents, and spectra.validate.
+bundle.path_speeds_sq and bundle.lift_tangents, and spectra.validate.
 """
 
 # matrices and spectra (linalg, spectra)

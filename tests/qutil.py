@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from holonomy_lab import bundle, spectra
-from holonomy_lab.curves import OperatorCurve, TimeGrid
+from holonomy_lab import bundle, linalg, spectra
+from holonomy_lab.curves import OperatorCurve, TimeGrid, grid_derivative
 from holonomy_lab.dynamics import SIGMA1, SIGMA2, SIGMA3
 
 TWO_PI = 2.0 * np.pi
@@ -169,4 +169,29 @@ def polar_transport_reference(samples, blocks, frames0) -> np.ndarray:
             prev = frames0[:, lo:hi] if k == 0 else out[k - 1, :, lo:hi]
             u, _, vh = np.linalg.svd(v[:, lo:hi].conj().T @ prev)
             out[k, :, lo:hi] = v[:, lo:hi] @ (u @ vh)
+    return out
+
+
+def variance_path(states, hs) -> np.ndarray:
+    """State-space oracle for the variances tr(rho H^2) - tr(rho H)^2 of
+    Hermitian H over stacks (N, n, n), broadcasting a single state or
+    Hamiltonian."""
+    prod = states @ hs
+    means = np.real(np.trace(prod, axis1=-2, axis2=-1))
+    # tr(rho H H) contracts (rho H) against H^dag = H entrywise
+    sq = np.real(np.sum(prod * np.conj(hs), axis=(-2, -1)))
+    return sq - means**2
+
+
+def lift_connection_residuals(lift: OperatorCurve, basis: spectra.EigenprojectorBasis) -> np.ndarray:
+    """Norm of the connection form along a lift, via finite differences.
+
+    For an exactly horizontal lift this vanishes; the discrete transport
+    leaves a residual that shrinks with the step size.
+    """
+    wdots = grid_derivative(lift.samples, lift.grid.dt)
+    out = np.empty(lift.samples.shape[0])
+    for k in range(lift.samples.shape[0]):
+        amp = bundle.Amplitude(w=lift.samples[k], basis=basis)
+        out[k] = linalg.frob(bundle.connection_form(amp, wdots[k]).a)
     return out

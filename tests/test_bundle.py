@@ -13,6 +13,7 @@ from holonomy_lab.errors import (
 from qutil import (
     aa_holonomy_phase,
     great_circle_section,
+    lift_connection_residuals,
     polar_transport_reference,
     precessing_qubit_curve,
     pure_curve,
@@ -299,7 +300,7 @@ class TestHorizontalLift:
             rho0 = spectra.spectral_decompose(c.samples[0])
             w0 = bundle.canonical_amplitude(rho0)
             lift = bundle.horizontal_lift(c, w0)
-            return np.max(bundle.lift_connection_residuals(lift, w0.basis))
+            return np.max(lift_connection_residuals(lift, w0.basis))
 
         r1, r2 = residual(201), residual(401)
         assert r1 / r2 > 1.8

@@ -39,7 +39,20 @@ def calls(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
+    # the operator stacks each call rotates into eigenframe coordinates
+    counts["in_eigenframe"] = []
+    original_rotate = bundle.SpectralPath.in_eigenframe
+
+    def rotate_spy(self, ops):
+        counts["in_eigenframe"].append(ops)
+        return original_rotate(self, ops)
+
+    monkeypatch.setattr(bundle.SpectralPath, "in_eigenframe", rotate_spy)
     return counts
+
+
+def rotations_of(calls, ops):
+    return sum(seen is ops for seen in calls["in_eigenframe"])
 
 
 class TestOncePerCall:
@@ -57,6 +70,8 @@ class TestOncePerCall:
         states, sched, w0 = qubit_run()
         dynamics.speed_limit(states, sched, w0)
         assert calls["decompose_path"] == 1
+        assert rotations_of(calls, sched.samples) == 1
+        assert calls["incoherent_part_path"] == 0
 
     def test_qubit_demo(self, calls, capsys):
         assert cli.main(["qubit-demo", "--n3", "0.6"]) == 0
@@ -74,7 +89,8 @@ class TestOncePerCall:
         plan = saturating_plan()
         synthesis.verify_saturation(plan)
         assert calls["decompose_path"] == 1
-        assert calls["incoherent_part_path"] == 1
+        assert rotations_of(calls, plan.schedule.samples) == 1
+        assert calls["incoherent_part_path"] == 0
 
 
 class TestClosedLoop:

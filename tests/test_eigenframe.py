@@ -1,0 +1,89 @@
+"""Eigenframe-coordinate kernels against state-space oracles.
+
+The variance split, the incoherent part and the state speeds are computed
+from B = F^dag H F; each is checked here against a formula that never
+forms B, on random stacks with a degenerate block and a nonzero kernel.
+"""
+
+import numpy as np
+import pytest
+
+from holonomy_lab import bundle, dynamics, spectra
+from holonomy_lab.curves import OperatorCurve, TimeGrid
+from qutil import rand_hermitian, rand_unitary, variance_path
+
+# (support block sizes, kernel dimension) per ambient dimension; dim 2 has
+# room for a kernel but not for a degenerate block beside it
+LAYOUTS = {2: ((1,), 1), 3: ((2,), 1), 4: ((1, 2), 1), 5: ((2, 1), 2), 6: ((1, 2, 1), 2)}
+NSAMP = 7
+REL = 1e-12
+
+
+def random_path(rng, dim):
+    """Random states with a fixed block spectrum, their block projectors
+    (kernel last) built from the generating unitaries, and random
+    Hamiltonians."""
+    m, kernel = LAYOUTS[dim]
+    # well-separated block values keep the eigenframes well conditioned
+    p = np.arange(len(m), 0, -1) + rng.uniform(0.0, 0.5, size=len(m))
+    p /= p @ np.array(m)
+    diag = np.concatenate([np.repeat(p, m), np.zeros(kernel)])
+    bounds = np.cumsum((0,) + m + (kernel,))
+    states = np.empty((NSAMP, dim, dim), dtype=complex)
+    projectors = np.empty((NSAMP, len(m) + 1, dim, dim), dtype=complex)
+    for k in range(NSAMP):
+        v = rand_unitary(rng, dim)
+        states[k] = (v * diag) @ v.conj().T
+        for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            projectors[k, j] = v[:, lo:hi] @ v[:, lo:hi].conj().T
+    hs = np.stack([rand_hermitian(rng, dim) for _ in range(NSAMP)])
+    spath = bundle.decompose_path(OperatorCurve(grid=TimeGrid(tau=1.0, n=NSAMP), samples=states))
+    assert spath.m == m
+    return states, projectors, hs, spath
+
+
+def projector_incoherent(projectors, hs):
+    """sum_j P_j H P_j over the support blocks and the kernel."""
+    return np.einsum("kjab,kbc,kjcd->kad", projectors, hs, projectors)
+
+
+def assert_close(actual, expected):
+    rel = np.abs(actual - expected) / np.maximum(1.0, np.abs(expected))
+    assert np.max(rel) <= REL
+
+
+@pytest.mark.parametrize("dim", sorted(LAYOUTS))
+class TestAgainstStateSpace:
+    def test_block_mask(self, dim, rng):
+        _, _, _, spath = random_path(rng, dim)
+        m, kernel = LAYOUTS[dim]
+        sizes = m + (kernel,)
+        ids = np.repeat(np.arange(len(sizes)), sizes)
+        assert np.array_equal(spath.block_mask, ids[:, None] == ids[None, :])
+
+    def test_incoherent_part(self, dim, rng):
+        _, projectors, hs, spath = random_path(rng, dim)
+        assert_close(dynamics.incoherent_part_path(hs, spath), projector_incoherent(projectors, hs))
+
+    def test_variance_split(self, dim, rng):
+        states, projectors, hs, spath = random_path(rng, dim)
+        h_in = projector_incoherent(projectors, hs)
+        dh2, dco2, din2 = dynamics.variance_split(spath.in_eigenframe(hs), spath)
+        assert_close(dh2, variance_path(states, hs))
+        assert_close(dco2, variance_path(states, hs - h_in))
+        assert_close(din2, variance_path(states, h_in))
+
+    def test_state_speeds(self, dim, rng):
+        states, _, hs, spath = random_path(rng, dim)
+        rdots = -1j * (hs @ states - states @ hs)
+        speeds2 = dynamics.state_speeds_sq(spath.in_eigenframe(hs), spath)
+        assert_close(speeds2, bundle.path_speeds_sq(spath, rdots))
+
+    def test_uncertainty(self, dim, rng):
+        states, projectors, hs, _ = random_path(rng, dim)
+        for k in range(NSAMP):
+            rho = spectra.spectral_decompose(states[k])
+            h_in = projector_incoherent(projectors[k : k + 1], hs[k : k + 1])[0]
+            expected = [variance_path(states[k], h) for h in (hs[k], hs[k] - h_in, h_in)]
+            assert_close(np.square(dynamics.uncertainty(rho, hs[k])), np.array(expected))
+            assert_close(np.stack(dynamics.split_hamiltonian(hs[k], rho)), np.stack([h_in, hs[k] - h_in]))

@@ -39,8 +39,8 @@ def test_guard_sees_a_private_read(tmp_path):
 
 # the kernels whose tolerance has two values in use, or a tighter one in a test
 TOLERANCE_PARAMETERS = {
-    ("bundle", "_lift_tangents", "tangent_tol"),
     ("bundle", "gauge_membership", "tol"),
+    ("bundle", "lift_tangents", "tangent_tol"),
     ("bundle", "path_speeds_sq", "tangent_tol"),
     ("linalg", "check_hermitian_stack", "tol"),
     ("linalg", "cluster", "gap_tol"),
