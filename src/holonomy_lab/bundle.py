@@ -5,6 +5,9 @@ block-diagonal gauge unitaries, the connection one-form and its
 vertical/horizontal splitting, discrete horizontal lifts by polar-aligned
 eigenframe transport, holonomies of closed curves, and the induced metric
 on the state space.
+
+Transport steps are inverse polar factors of consecutive eigenframe overlaps:
+a lift scans them, a holonomy reduces them to the endpoint's total product.
 """
 
 from __future__ import annotations
@@ -288,36 +291,50 @@ def decompose_path(curve: OperatorCurve) -> SpectralPath:
     return SpectralPath(values=vals, frames=frames, blocks=blocks, m=tuple(hi - lo for lo, hi in blocks))
 
 
-def _transport_frames(spath: SpectralPath, frames0: Array) -> Array:
-    """Discretely parallel-transport initial support frames along the path.
+def _singular_step(j: int, k: int, value: float, what: str) -> Singular:
+    return Singular(f"block {j}, step {k} (sample {k} -> {k + 1}): consecutive {what}, "
+                    f"smallest overlap {value:.3e} <= {tolerances.OVERLAP_TOL:.3e}", k, value)
 
-    Per block and per step the new eigenframe is right-aligned by the
-    unitary polar factor of the overlap, which makes each consecutive block
-    overlap Hermitian positive. Returns the (N, n, r) transported frames.
-    """
-    nsamp, n, _ = spath.frames.shape
-    r = spath.rank
-    out = np.empty((nsamp, n, r), dtype=np.complex128)
-    for lo, hi in spath.blocks:
+
+def _transport_steps(spath: SpectralPath, frames0: Array):
+    """Per block (lo, hi, head, steps): the block frame at sample k is
+    F_k[:, lo:hi] steps[k-1] ... steps[0] head, with head the polar factor of
+    F_0^dag frames0 and steps[k] the inverse polar factor of F_k^dag F_{k+1}
+    (a phase for a 1x1 block), so consecutive overlaps are Hermitian positive."""
+    for j, (lo, hi) in enumerate(spath.blocks):
         raw = spath.frames[:, :, lo:hi]
-        mj = hi - lo
-        s0 = raw[0].conj().T @ frames0[:, lo:hi]
-        if mj == 1:
-            z = np.einsum("kn,kn->k", raw[:-1, :, 0].conj(), raw[1:, :, 0])
-            mags = np.abs(z)
+        head = linalg.polar_unitary(raw[0].conj().T @ frames0[:, lo:hi])
+        overlaps = np.einsum("kna,knb->kab", raw[:-1].conj(), raw[1:])
+        if hi == lo + 1:
+            mags = np.abs(overlaps)
             if np.any(mags <= tolerances.OVERLAP_TOL):
-                raise Singular("consecutive eigenvector overlap vanishes")
-            steps = np.concatenate([[complex(linalg.polar_unitary(s0)[0, 0])], (z / mags).conj()])
-            out[:, :, lo:hi] = raw * np.cumprod(steps)[:, None, None]
+                k = int(np.argmax(mags <= tolerances.OVERLAP_TOL))
+                raise _singular_step(j, k, mags.flat[k], "eigenvector overlap vanishes")
+            steps = (overlaps / mags).conj()
         else:
-            overlaps = np.einsum("kna,knb->kab", raw[:-1].conj(), raw[1:])
-            u, s, vh = np.linalg.svd(overlaps)
-            if np.any(s[:, -1] <= tolerances.OVERLAP_TOL):
-                raise Singular("consecutive eigenframe overlap is singular")
-            uf = u @ vh
-            cur = linalg.ordered_products(np.conj(np.swapaxes(uf, -1, -2)), linalg.polar_unitary(s0))
-            out[:, :, lo:hi] = raw @ cur
+            try:
+                steps = np.conj(np.swapaxes(linalg.polar_unitary_stack(overlaps, tolerances.OVERLAP_TOL), -1, -2))
+            except Singular as exc:
+                raise _singular_step(j, exc.index, exc.value, "eigenframe overlap is singular") from exc
+        yield lo, hi, head, steps
+
+
+def _transport_frames(spath: SpectralPath, frames0: Array) -> Array:
+    """The (N, n, r) frames transported from frames0: running step products."""
+    out = np.empty(spath.frames.shape[:2] + (spath.rank,), dtype=np.complex128)
+    for lo, hi, head, steps in _transport_steps(spath, frames0):
+        out[:, :, lo:hi] = spath.frames[:, :, lo:hi] @ linalg.ordered_products(steps, head)
     return out
+
+
+def _initial_frames(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
+    """Support frames W0 p_j^{-1/2} of a lift start, checked against the curve."""
+    if tuple(w0.basis.m) != spath.m:
+        raise DegeneracyMismatch(f"amplitude basis m={w0.basis.m}, curve has m={spath.m}")
+    defect = linalg.frob(w0.w @ w0.w.conj().T - rho_curve.samples[0])
+    if defect > tolerances.PROJECTION_TOL:
+        raise EndpointMismatch(f"W0 projects {defect:.3e} away from the initial state")
+    return w0.w / np.sqrt(spath.support_lam()[0, : spath.rank])
 
 
 def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
@@ -326,25 +343,21 @@ def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
     The lift projects back onto the curve and its consecutive block frame
     overlaps are Hermitian positive (the discrete horizontality condition).
     """
-    samples = _lift_samples(rho_curve, decompose_path(rho_curve), w0)
-    return OperatorCurve(grid=rho_curve.grid, samples=samples)
-
-
-def _lift_samples(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
-    if tuple(w0.basis.m) != spath.m:
-        raise DegeneracyMismatch(f"amplitude basis m={w0.basis.m}, curve has m={spath.m}")
-    defect = linalg.frob(w0.w @ w0.w.conj().T - rho_curve.samples[0])
-    if defect > tolerances.PROJECTION_TOL:
-        raise EndpointMismatch(f"W0 projects {defect:.3e} away from the initial state")
-    p0 = spath.block_means()[0]
-    frames0 = np.concatenate(
-        [w0.w[:, lo:hi] / np.sqrt(p0[j]) for j, (lo, hi) in enumerate(spath.blocks)], axis=1
-    )
-    frames_t = _transport_frames(spath, frames0)
+    spath = decompose_path(rho_curve)
+    frames_t = _transport_frames(spath, _initial_frames(rho_curve, spath, w0))
     # amplitude samples: sqrt(p_{j;t}) on block j applied to the frames
     samples = frames_t * np.sqrt(spath.support_lam()[:, None, : spath.rank])
     samples[0] = w0.w
-    return samples
+    return OperatorCurve(grid=rho_curve.grid, samples=samples)
+
+
+def lift_endpoint(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
+    """W_tau = horizontal_lift(rho_curve, w0).samples[-1], from the step products alone."""
+    frame = np.empty((spath.frames.shape[1], spath.rank), dtype=np.complex128)
+    for lo, hi, head, steps in _transport_steps(spath, _initial_frames(rho_curve, spath, w0)):
+        end = head * np.prod(steps) if hi == lo + 1 else linalg.total_product(steps, head)
+        frame[:, lo:hi] = spath.frames[-1, :, lo:hi] @ end
+    return frame * np.sqrt(spath.support_lam()[-1, : spath.rank])
 
 
 def transported_frame(rho_curve: OperatorCurve, frames0) -> Array:
@@ -385,7 +398,7 @@ class ClosedLoop:
 def closed_loop(rho_curve: OperatorCurve, w0: Amplitude) -> ClosedLoop:
     """Decompose a closed state curve once, lift it from w0 and take its holonomy.
 
-    The holonomy is W0^+ W_tau from the horizontal lift, re-unitarized
+    The holonomy is W0^+ W_tau with W_tau from lift_endpoint, re-unitarized
     blockwise by polar projection (the deviation is logged). Raises
     NotClosed for open curves and GaugeViolation when the raw holonomy
     carries more than OFFBLOCK_TOL of block-off-diagonal mass.
@@ -394,7 +407,7 @@ def closed_loop(rho_curve: OperatorCurve, w0: Amplitude) -> ClosedLoop:
     if defect > tolerances.CLOSED_TOL:
         raise NotClosed(f"curve closure defect {defect:.3e} exceeds {tolerances.CLOSED_TOL:.3e}")
     spath = decompose_path(rho_curve)
-    raw = linalg.pinv(w0.w) @ _lift_samples(rho_curve, spath, w0)[-1]
+    raw = linalg.pinv(w0.w) @ lift_endpoint(rho_curve, spath, w0)
     off = w0.basis.offblock_norm(raw)
     if off > tolerances.OFFBLOCK_TOL:
         raise GaugeViolation(f"block-off-diagonal holonomy mass {off:.3e} exceeds {tolerances.OFFBLOCK_TOL:.3e}")

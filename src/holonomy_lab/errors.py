@@ -25,7 +25,9 @@ class NoConvergence(HolonomyLabError):
 
 
 class Singular(HolonomyLabError):
-    pass
+    def __init__(self, message: str, index: int | None = None, value: float = 0.0):
+        super().__init__(message)
+        self.index, self.value = index, value  # position in a stack, smallest singular value
 
 
 class RankDeficient(HolonomyLabError):

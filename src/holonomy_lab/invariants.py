@@ -123,8 +123,8 @@ def geometric_phase(rho_curve: OperatorCurve, w0: bundle.Amplitude) -> float:
     Raises UndefinedPhase when the trace is too close to zero for the
     argument to be meaningful.
     """
-    lift = bundle.horizontal_lift(rho_curve, w0)
-    tr = complex(np.trace(w0.w.conj().T @ lift.samples[-1]))
+    end = bundle.lift_endpoint(rho_curve, bundle.decompose_path(rho_curve), w0)
+    tr = complex(np.trace(w0.w.conj().T @ end))
     if abs(tr) <= tolerances.TRACE_TOL:
         raise UndefinedPhase(f"|tr(W0^dag W_tau)| = {abs(tr):.3e} is below {tolerances.TRACE_TOL:.3e}")
     return float(np.angle(tr))

@@ -14,6 +14,7 @@ import numpy as np
 from . import linalg, tolerances
 from .errors import (
     LengthMismatch,
+    NonHermitian,
     NotAState,
     NotDescending,
     NotNormalized,
@@ -185,12 +186,13 @@ def spectral_decompose(rho) -> DensityOperator:
     rho = linalg.as_cmat(rho)
     if rho.shape[0] != rho.shape[1]:
         raise NotAState(f"not square: {rho.shape}")
-    if linalg.herm_deviation(rho) > tolerances.STATE_TOL * max(1.0, linalg.frob(rho)):
-        raise NotAState("not Hermitian within tolerance")
+    try:
+        eig = linalg.hermitian_eig(rho)
+    except NonHermitian as exc:
+        raise NotAState(f"not Hermitian within tolerance: {exc}") from exc
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > tolerances.STATE_TOL:
         raise NotAState(f"trace {tr!r} != 1")
-    eig = linalg.hermitian_eig(rho)
     if eig.values[-1] < -tolerances.STATE_TOL:
         raise NotAState(f"negative eigenvalue {eig.values[-1]:.3e}")
     positive = eig.values > tolerances.ZERO_TOL

@@ -2,11 +2,11 @@
 
 A threshold here decides whether a check raises or which branch runs; the
 comment says what it guards and "relative" marks one scaled by a norm at
-the point of use. Only eight kernel parameters take a tolerance argument,
+the point of use. Only nine kernel parameters take a tolerance argument,
 because callers or tests use more than one value: linalg.cluster,
-linalg.check_hermitian_stack, linalg.hermitian_eig_stack,
-linalg.propagator_step_stack, bundle.gauge_membership,
-bundle.path_speeds_sq and bundle.lift_tangents, and spectra.validate.
+check_hermitian_stack, hermitian_eig_stack, propagator_step_stack and
+polar_unitary_stack, bundle.gauge_membership, path_speeds_sq and
+lift_tangents, and spectra.validate.
 """
 
 # matrices and spectra (linalg, spectra)
@@ -16,7 +16,7 @@ COHERENT_HERM_TOL = 1e-8  # Hermiticity of the coherent midpoint steps of a unit
 GAP_TOL = 1e-9  # eigenvalues closer than this share a degenerate block
 ZERO_TOL = 1e-10  # eigenvalues at or below this belong to the kernel
 SINGULAR_TOL = 1e-12  # smallest singular value / Gram eigenvalue of an invertible map
-STATE_TOL = 1e-10  # Hermiticity, unit trace and positivity of a density matrix
+STATE_TOL = 1e-10  # unit trace and positivity of a density matrix (HERM_TOL checks its Hermiticity)
 NORM_TOL = 1e-12  # sum_j m_j p_j = 1 for a given spectral pair
 ASSEMBLE_NORM_TOL = 1e-9  # sum_j m_j p_j = 1 for spectral data rebuilt into a matrix
 

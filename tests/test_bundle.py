@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holonomy_lab import bundle, curves, dynamics, invariants, linalg, spectra
+from holonomy_lab import bundle, cli, curves, dynamics, invariants, linalg, serialize, spectra
 from holonomy_lab.curves import OperatorCurve, TimeGrid
 from holonomy_lab.errors import (
     DegeneracyMismatch,
@@ -9,6 +9,7 @@ from holonomy_lab.errors import (
     MultiplicityChange,
     NotClosed,
     NotTangent,
+    Singular,
 )
 from qutil import (
     aa_holonomy_phase,
@@ -444,6 +445,43 @@ class TestHolonomy:
             slot = props[:, :, j]
             expected = np.mod(aa_holonomy_phase(slot, c.grid.dt), TWO_PI)
             assert abs(got[j] - expected) <= 1e-5
+
+
+# closed curves [rho_A, rho_B, rho_A] whose block eigenspaces at A and B are
+# orthogonal: block 0 is 1x1 for m = (1, 1) and 2x2 for m = (2, 1)
+ORTHOGONAL_SWAPS = {
+    "m11": ([0.7, 0.3], [0.3, 0.7], "eigenvector overlap vanishes"),
+    "m21": ([0.4, 0.4, 0.2, 0.0], [0.0, 0.2, 0.4, 0.4], "eigenframe overlap is singular"),
+}
+
+
+def orthogonal_swap(name):
+    a, b, what = ORTHOGONAL_SWAPS[name]
+    rho_a, rho_b = np.diag(a).astype(complex), np.diag(b).astype(complex)
+    curve = OperatorCurve.from_samples(1.0, np.stack([rho_a, rho_b, rho_a]))
+    message = rf"^block 0, step 0 \(sample 0 -> 1\): consecutive {what}, smallest overlap 0\.000e\+00 <= 1\.000e-08$"
+    return curve, bundle.canonical_amplitude(spectra.spectral_decompose(rho_a)), message
+
+
+@pytest.mark.parametrize("name", sorted(ORTHOGONAL_SWAPS))
+class TestSingularTransport:
+    def test_check_isoholonomic(self, name):
+        curve, w0, message = orthogonal_swap(name)
+        with pytest.raises(Singular, match=message) as caught:
+            invariants.check_isoholonomic(curve, w0)
+        assert caught.value.index == 0
+
+    def test_horizontal_lift(self, name):
+        curve, w0, message = orthogonal_swap(name)
+        with pytest.raises(Singular, match=message):
+            bundle.horizontal_lift(curve, w0)
+
+    def test_cli_check_is_an_input_error(self, name, tmp_path, capsys):
+        curve, _, _ = orthogonal_swap(name)
+        path = tmp_path / "swap.json"
+        serialize.write_json(path, serialize.curve_to_json(curve))
+        assert cli.main(["check", str(path)]) == 1
+        assert "step 0 (sample 0 -> 1)" in capsys.readouterr().err
 
 
 class TestTransportedFrame:

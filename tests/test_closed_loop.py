@@ -1,14 +1,15 @@
-"""Each closed curve is decomposed and lifted once per call."""
+"""Each closed curve is decomposed and lifted once per call, and its holonomy
+reduces the transport steps to the lift's endpoint without scanning them."""
 
 import json
 
 import numpy as np
 import pytest
 
-from holonomy_lab import bundle, cli, dynamics, invariants, spectra, synthesis
+from holonomy_lab import bundle, cli, dynamics, invariants, linalg, spectra, synthesis
 from holonomy_lab.curves import TimeGrid
 from holonomy_lab.errors import GridMismatch
-from qutil import qubit_axis
+from qutil import qubit_axis, wobble_loop
 
 TWO_PI = 2.0 * np.pi
 
@@ -109,3 +110,59 @@ class TestClosedLoop:
         longer = dynamics.HamiltonianSchedule(grid=TimeGrid(tau=2.0, n=sched.grid.n), samples=sched.samples)
         with pytest.raises(GridMismatch):
             dynamics.speed_report(bundle.closed_loop(states, w0), longer)
+
+
+def scanned_holonomy(curve, w0):
+    """Blockwise SVD polar factor of W0^+ W_tau, W_tau the last sample of the scanned lift."""
+    raw = linalg.pinv(w0.w) @ bundle.horizontal_lift(curve, w0).samples[-1]
+    u = np.zeros_like(raw)
+    for lo, hi in w0.basis.blocks:
+        a, _, bh = np.linalg.svd(raw[lo:hi, lo:hi])
+        u[lo:hi, lo:hi] = a @ bh
+    return u
+
+
+# (p, m, dim) of spectrum-varying loops with a degenerate block or a kernel
+WOBBLE_CASES = [((0.6, 0.4), (1, 1), 3), ((0.4, 0.2), (2, 1), 3), ((0.5, 0.25), (1, 2), 4)]
+
+
+class TestEndpointReduction:
+    @pytest.mark.parametrize("p, m, dim", WOBBLE_CASES, ids=["m11", "m21", "m12"])
+    def test_matches_scanned_lift(self, rng, p, m, dim):
+        curve, rho0 = wobble_loop(rng, p, m, dim, nsamp=801)
+        w0 = bundle.canonical_amplitude(rho0)
+        loop = bundle.closed_loop(curve, w0)
+        assert np.max(np.abs(loop.holonomy.u - scanned_holonomy(curve, w0))) <= 1e-12
+        end = bundle.lift_endpoint(curve, loop.path, w0)
+        assert np.max(np.abs(end - bundle.horizontal_lift(curve, w0).samples[-1])) <= 1e-12
+
+    def test_synthesized_plan(self):
+        rho = synthesis.embedded_state(np.diag([0.5, 0.25, 0.25]).astype(complex), 6)
+        target = bundle.GaugeElement(u=np.diag(np.exp(TWO_PI * 1j * np.array([0.45, 0.93, 0.18]))), basis=rho.basis)
+        plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), target, tau=1.0, ambient_dim=6)
+        assert plan.rho.m == (1, 2)
+        states = plan.exact_states()
+        assert np.max(np.abs(bundle.holonomy(states, plan.w).u - scanned_holonomy(states, plan.w))) <= 1e-12
+
+    def test_no_scan_and_no_overlap_svd(self, rng, monkeypatch):
+        curve, rho0 = wobble_loop(rng, (0.5, 0.25), (1, 2), 4, nsamp=801)
+        w0 = bundle.canonical_amplitude(rho0)
+        scans, svd_shapes = [], []
+        scan, svd = linalg.ordered_products, np.linalg.svd
+
+        def scan_spy(*args, **kwargs):
+            scans.append(args[0].shape)
+            return scan(*args, **kwargs)
+
+        def svd_spy(a, *args, **kwargs):
+            svd_shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "ordered_products", scan_spy)
+        monkeypatch.setattr(np.linalg, "svd", svd_spy)
+        bundle.closed_loop(curve, w0)
+        assert scans == []
+        assert [shape for shape in svd_shapes if shape[0] == curve.grid.n - 1] == []
+        # the spies see the lift, which still scans every block
+        bundle.horizontal_lift(curve, w0)
+        assert scans == [(800, 1, 1), (800, 2, 2)]

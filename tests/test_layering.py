@@ -1,5 +1,6 @@
 """Layering guards: no module of the library reads another module's
-underscore names, and every threshold lives in the tolerance table."""
+underscore names, every threshold lives in the tolerance table, and numpy's
+decompositions and solves are called only in linalg."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,7 @@ TOLERANCE_PARAMETERS = {
     ("linalg", "check_hermitian_stack", "tol"),
     ("linalg", "cluster", "gap_tol"),
     ("linalg", "hermitian_eig_stack", "tol"),
+    ("linalg", "polar_unitary_stack", "tol"),
     ("linalg", "propagator_step_stack", "tol"),
     ("spectra", "validate", "norm_tol"),
 }
@@ -89,3 +91,37 @@ def test_guard_sees_a_tolerance(tmp_path):
                      "def f(x, tol=EDGE_TOL, *, strict=True):\n    LOCAL_TOL = tol\n", encoding="utf-8")
     assert tolerance_definitions(probe) == ["EDGE_TOL", "LIMIT_TOL"]
     assert tolerance_parameters(probe) == {("probe", "f", "tol"), ("probe", "f", "strict")}
+
+
+# numpy.linalg calls that factor a matrix or solve with one; norm and the
+# products stay free to use anywhere
+DECOMPOSITIONS = {"cholesky", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq", "pinv",
+                  "qr", "solve", "svd", "svdvals", "tensorinv", "tensorsolve"}
+
+
+def numpy_decompositions(path):
+    """(line, name) of every numpy.linalg decomposition or solve one file calls
+    or imports by name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr in DECOMPOSITIONS
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                and isinstance(node.value.value, ast.Name) and node.value.value.id in ("np", "numpy")):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found.extend((node.lineno, alias.name) for alias in node.names if alias.name in DECOMPOSITIONS)
+    return found
+
+
+def test_numpy_decompositions_only_in_linalg():
+    offenders = {path.name: calls for path in sorted(SRC.glob("*.py"))
+                 if path.stem != "linalg" and (calls := numpy_decompositions(path))}
+    assert offenders == {}
+    assert numpy_decompositions(SRC / "linalg.py")
+
+
+def test_guard_sees_a_decomposition(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\nfrom numpy.linalg import qr, norm\n"
+                     "u, s, vh = np.linalg.svd(a)\nn = np.linalg.norm(a)\n", encoding="utf-8")
+    assert numpy_decompositions(probe) == [(2, "qr"), (3, "svd")]

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from holonomy_lab import linalg
-from holonomy_lab.errors import NonHermitian, RankDeficient, Singular
+from holonomy_lab import linalg, tolerances
+from holonomy_lab.errors import NoConvergence, NonHermitian, RankDeficient, Singular
 from qutil import eigh_propagators, rand_unitary, sequential_products
 
 SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
+TWO_PI = 2.0 * np.pi
+EPS = np.finfo(float).eps
 
 
 def hermitian_stack(rng, nstep: int, n: int) -> np.ndarray:
@@ -205,3 +207,102 @@ class TestOrderedProducts:
         want = sequential_products(steps, init)
         assert got.shape == want.shape == (nstep + 1, n, n // 2 if rect else n)
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def svd_polar(ms: np.ndarray) -> np.ndarray:
+    u, _, vh = np.linalg.svd(ms)
+    return u @ vh
+
+
+def near_unitary(rng, nstep: int, n: int, size: float = 1e-2) -> np.ndarray:
+    """Unitaries with a random perturbation of the given entry size: the
+    consecutive-overlap regime, every sample inside the certificate."""
+    z = rng.standard_normal((nstep, n, n)) + 1j * rng.standard_normal((nstep, n, n))
+    return unitary_steps(rng, nstep, n) + size * z
+
+
+def conditioned(rng, nstep: int, n: int, max_log_kappa: float = 6.0) -> tuple[np.ndarray, np.ndarray]:
+    """General matrices U diag(s) V with condition numbers up to
+    10**max_log_kappa and overall scales from 1e-2 to 1e2; returns
+    (matrices, condition numbers)."""
+    log_kappa = rng.uniform(0.0, max_log_kappa, nstep) if n > 1 else np.zeros(nstep)
+    s = 10.0 ** (-rng.uniform(0.0, 1.0, (nstep, n)) * log_kappa[:, None])
+    s[:, 0], s[:, -1] = 1.0, 10.0 ** -log_kappa
+    s *= 10.0 ** rng.uniform(-2.0, 2.0, (nstep, 1))
+    ms = (unitary_steps(rng, nstep, n) * s[:, None, :]) @ unitary_steps(rng, nstep, n)
+    return ms, 10.0**log_kappa
+
+
+def monomial(rng, n: int) -> np.ndarray:
+    """A random permutation with unit phases: unitary, and exact in floating point."""
+    return np.eye(n)[rng.permutation(n)] * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+
+
+class TestPolarUnitaryStack:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_near_unitary_matches_svd(self, rng, n):
+        ms = near_unitary(rng, 500, n)
+        got = linalg.polar_unitary_stack(ms, tolerances.OVERLAP_TOL)
+        assert np.max(np.abs(got - svd_polar(ms))) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_conditioned_matches_svd(self, rng, n):
+        # the unitary polar factor of a complex matrix has condition number
+        # 1/sigma_min (Higham, "Functions of Matrices", Thm 8.9), so both
+        # routes may move by eps * kappa; well-conditioned samples meet 1e-12
+        ms, kappa = conditioned(rng, 500, n)
+        err = np.max(np.abs(linalg.polar_unitary_stack(ms, tolerances.SINGULAR_TOL) - svd_polar(ms)), axis=(1, 2))
+        assert np.all(err <= 1e-12 + 16 * n * EPS * kappa)
+        assert np.max(err[kappa <= 1e3]) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_mixed_stack(self, rng, n):
+        near = near_unitary(rng, 300, n)
+        general, kappa = conditioned(rng, 300, n)
+        order = rng.permutation(600)
+        ms = np.concatenate([near, general])[order]
+        slack = 1e-12 + 16 * n * EPS * np.concatenate([np.ones(300), kappa])[order]
+        got = linalg.polar_unitary_stack(ms, tolerances.OVERLAP_TOL)
+        assert np.all(np.max(np.abs(got - svd_polar(ms)), axis=(1, 2)) <= slack)
+        assert np.max(np.abs(np.conj(np.swapaxes(got, -1, -2)) @ got - np.eye(n))) <= 1e-13
+
+    @pytest.mark.parametrize("tol", [tolerances.OVERLAP_TOL, tolerances.SINGULAR_TOL])
+    def test_singular_threshold_is_exact(self, rng, tol):
+        n, bad = 3, 1234
+        ms = near_unitary(rng, 4000, n)
+        ms[bad] = monomial(rng, n) @ np.diag([1.0, 0.5, tol * (1 - 1e-6)]) @ monomial(rng, n)
+        with pytest.raises(Singular, match=rf"^sample {bad}: smallest singular value") as caught:
+            linalg.polar_unitary_stack(ms, tol)
+        assert caught.value.index == bad
+        assert caught.value.value == pytest.approx(tol * (1 - 1e-6), rel=1e-12)
+        ms[bad] = monomial(rng, n) @ np.diag([1.0, 0.5, tol * (1 + 1e-6)]) @ monomial(rng, n)
+        got = linalg.polar_unitary_stack(ms, tol)
+        assert np.max(np.abs(got - svd_polar(ms))) <= 1e-12
+
+    def test_names_the_first_singular_sample(self, rng):
+        ms = near_unitary(rng, 50, 2)
+        ms[[7, 30]] = np.diag([1.0, 0.0])
+        with pytest.raises(Singular, match=r"^sample 7: "):
+            linalg.polar_unitary_stack(ms, tolerances.OVERLAP_TOL)
+
+    def test_iteration_cap(self):
+        # above the threshold, yet too close to singular to converge in the cap
+        with pytest.raises(NoConvergence):
+            linalg.polar_unitary_stack(np.diag([1.0, 1e-30])[None], 0.0)
+
+
+class TestTotalProduct:
+    @pytest.mark.parametrize("nstep", [1, 2, 3, 7, 4000])
+    @pytest.mark.parametrize("rect", [False, True], ids=["square", "rectangular"])
+    def test_matches_scan(self, rng, nstep, rect):
+        n = 4
+        steps = unitary_steps(rng, nstep, n)
+        init = rand_unitary(rng, n)[:, : 2 if rect else n]
+        got = linalg.total_product(steps, init)
+        assert got.shape == init.shape
+        assert np.max(np.abs(got - linalg.ordered_products(steps, init)[-1])) <= 1e-13
+        assert np.max(np.abs(got - sequential_products(steps, init)[-1])) <= 1e-13
+
+    def test_no_steps_returns_init(self, rng):
+        init = rand_unitary(rng, 3)
+        assert np.array_equal(linalg.total_product(np.empty((0, 3, 3)), init), init)
