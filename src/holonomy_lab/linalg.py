@@ -8,8 +8,8 @@ pseudoinverse. All matrices are plain complex ndarrays.
 Propagator steps exp(-i dt H) take no eigendecomposition: they scale and
 square a truncated Taylor series evaluated in Paterson-Stockmeyer form,
 with the degree and the number of squarings fixed by the largest 1-norm of
-dt H in the stack. Polar factors take Newton-Schulz matmuls, and an SVD
-only where a Frobenius certificate fails.
+dt H in the stack. Polar factors take Newton-Schulz matmuls where a
+Frobenius certificate bounds the singular values near 1, and an SVD elsewhere.
 """
 
 from __future__ import annotations
@@ -120,34 +120,39 @@ def polar_unitary(m: Array) -> Array:
     return polar_unitary_stack(m[None], tolerances.SINGULAR_TOL)[0]
 
 
+_NS_STEPS = 10  # cap on Newton-Schulz steps; certified samples need at most 6
+
+
 def polar_unitary_stack(ms: Array, tol: float) -> Array:
     """Unitary polar factors of a stack (N, n, n) by Newton-Schulz steps
     X <- X (3I - X^dag X) / 2 (Higham, "Functions of Matrices", SIAM 2008, 8.3).
 
-    |I - M^dag M|_F < 1 - tol^2 proves tol < sigma_min and sigma_max < sqrt 2,
-    inside the basin (0, sqrt 3). Only uncertified samples get an SVD: Singular
-    names the first with sigma_min <= tol, the rest are scaled by 1/sigma_max.
-    Steps run until max|X^dag X - I| <= 8 n eps (2 on near-unitary overlaps),
-    NoConvergence after 100 (sigma_min = 1e-12 after scaling needs 74)."""
+    |I - M^dag M|_F <= 1/2 puts every singular value in [0.70, 1.23], inside
+    the basin (0, sqrt 3) and above tol < 1/2 by more than Gram rounding.
+    The samples it leaves out take an SVD: Singular names the first with
+    sigma_min <= tol, the rest get U V^dag. Steps run until
+    max|X^dag X - I| <= 8 n eps: 2 on near-unitary overlaps, at most 6 from
+    the certificate's bound, NoConvergence after _NS_STEPS."""
+    if not tol < 0.5:
+        raise ValueError(f"tol {tol} must lie below 1/2")
     x = np.array(ms, dtype=np.complex128)
     eye = np.eye(x.shape[-1])
     gram = np.conj(np.swapaxes(x, -1, -2)) @ x
-    todo = np.flatnonzero(~(np.linalg.norm(gram - eye, axis=(-2, -1)) < 1.0 - tol * tol))
-    if todo.size:
-        sv = np.linalg.svd(x[todo], compute_uv=False)
+    far = ~(np.linalg.norm(gram - eye, axis=(-2, -1)) <= 0.5)
+    if np.any(far):
+        u, sv, vh = np.linalg.svd(x[far])
         if np.any(sv[:, -1] <= tol):
             i = int(np.argmax(sv[:, -1] <= tol))
-            k, low = int(todo[i]), float(sv[i, -1])
+            k, low = int(np.flatnonzero(far)[i]), float(sv[i, -1])
             where = f"sample {k}: " if len(x) > 1 else ""
             raise Singular(f"{where}smallest singular value {low:.3e} <= {tol:.3e}", k, low)
-        x[todo] /= sv[:, :1, None]
-        gram[todo] /= sv[:, :1, None] ** 2
-    for _ in range(100):
+        x[far], gram[far] = u @ vh, eye
+    for _ in range(_NS_STEPS):
         if np.max(np.abs(gram - eye), initial=0.0) <= 8 * len(eye) * np.finfo(float).eps:
             return x
         x = x @ (1.5 * eye - 0.5 * gram)
         gram = np.conj(np.swapaxes(x, -1, -2)) @ x
-    raise NoConvergence("Newton-Schulz polar iteration exceeded 100 steps")
+    raise NoConvergence(f"Newton-Schulz polar iteration exceeded {_NS_STEPS} steps")
 
 
 def pinv(w: Array) -> Array:

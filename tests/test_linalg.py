@@ -285,10 +285,36 @@ class TestPolarUnitaryStack:
         with pytest.raises(Singular, match=r"^sample 7: "):
             linalg.polar_unitary_stack(ms, tolerances.OVERLAP_TOL)
 
-    def test_iteration_cap(self):
-        # above the threshold, yet too close to singular to converge in the cap
-        with pytest.raises(NoConvergence):
-            linalg.polar_unitary_stack(np.diag([1.0, 1e-30])[None], 0.0)
+    @pytest.mark.parametrize("tol", [tolerances.OVERLAP_TOL, tolerances.SINGULAR_TOL])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_rank_deficient_near_certificate_bound(self, rng, n, tol):
+        # every other singular value is 1, so |I - M^dag M|_F lies within Gram
+        # rounding of 1: a certificate admitting norms up to 1 - tol^2 would let
+        # rounding pass some of these to Newton-Schulz
+        for low in (0.0, tol / 2):
+            s = np.ones(n)
+            s[-1] = low
+            ms = (unitary_steps(rng, 300, n) * s) @ unitary_steps(rng, 300, n)
+            for m in ms:
+                with pytest.raises(Singular):
+                    linalg.polar_unitary_stack(m[None], tol)
+
+    def test_certified_boundary_matches_svd(self, rng):
+        # |I - M^dag M|_F just inside 1/2: the slowest samples Newton-Schulz takes
+        n = 4
+        e = rng.uniform(-1.0, 1.0, (500, n))
+        e *= 0.5 * (1 - 1e-9) / np.linalg.norm(e, axis=1, keepdims=True)
+        ms = (unitary_steps(rng, 500, n) * np.sqrt(1 - e)[:, None, :]) @ unitary_steps(rng, 500, n)
+        assert np.max(np.abs(linalg.polar_unitary_stack(ms, tolerances.OVERLAP_TOL) - svd_polar(ms))) <= 1e-13
+
+    def test_iteration_cap(self, rng, monkeypatch):
+        monkeypatch.setattr(linalg, "_NS_STEPS", 1)
+        with pytest.raises(NoConvergence, match="exceeded 1 steps"):
+            linalg.polar_unitary_stack(near_unitary(rng, 10, 3), tolerances.OVERLAP_TOL)
+
+    def test_tol_must_sit_below_the_certificate(self):
+        with pytest.raises(ValueError):
+            linalg.polar_unitary_stack(np.eye(2)[None], 0.5)
 
 
 class TestTotalProduct:
