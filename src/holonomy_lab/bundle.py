@@ -269,10 +269,12 @@ class SpectralPath:
 def decompose_path(curve: OperatorCurve) -> SpectralPath:
     """Eigendecompose every sample and check the block structure is constant.
 
-    Aborts with MultiplicityChange whenever the rank changes, the clustering
-    changes, or an inter-block gap dips below 10x GAP_TOL at any sample.
+    Checks the samples Hermitian at CURVE_HERM_TOL, the curve's one such
+    check. Aborts with MultiplicityChange whenever the rank changes, the
+    clustering changes, or an inter-block gap dips below 10x GAP_TOL.
     """
-    vals, frames = linalg.hermitian_eig_stack(curve.samples, tolerances.CURVE_HERM_TOL)
+    linalg.check_hermitian_stack(curve.samples, tolerances.CURVE_HERM_TOL)
+    vals, frames = linalg.hermitian_eig_stack(curve.samples)
     n = vals.shape[1]
     positive0 = vals[0] > tolerances.ZERO_TOL
     r = int(np.count_nonzero(positive0))
@@ -327,8 +329,9 @@ def _transport_frames(spath: SpectralPath, frames0: Array) -> Array:
     return out
 
 
-def _initial_frames(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
-    """Support frames W0 p_j^{-1/2} of a lift start, checked against the curve."""
+def initial_frames(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
+    """Support frames W0 p_j^{-1/2} of a lift start, checked against the curve:
+    DegeneracyMismatch for another m, EndpointMismatch off the first state."""
     if tuple(w0.basis.m) != spath.m:
         raise DegeneracyMismatch(f"amplitude basis m={w0.basis.m}, curve has m={spath.m}")
     defect = linalg.frob(w0.w @ w0.w.conj().T - rho_curve.samples[0])
@@ -344,7 +347,7 @@ def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
     overlaps are Hermitian positive (the discrete horizontality condition).
     """
     spath = decompose_path(rho_curve)
-    frames_t = _transport_frames(spath, _initial_frames(rho_curve, spath, w0))
+    frames_t = _transport_frames(spath, initial_frames(rho_curve, spath, w0))
     # amplitude samples: sqrt(p_{j;t}) on block j applied to the frames
     samples = frames_t * np.sqrt(spath.support_lam()[:, None, : spath.rank])
     samples[0] = w0.w
@@ -354,7 +357,7 @@ def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
 def lift_endpoint(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
     """W_tau = horizontal_lift(rho_curve, w0).samples[-1], from the step products alone."""
     frame = np.empty((spath.frames.shape[1], spath.rank), dtype=np.complex128)
-    for lo, hi, head, steps in _transport_steps(spath, _initial_frames(rho_curve, spath, w0)):
+    for lo, hi, head, steps in _transport_steps(spath, initial_frames(rho_curve, spath, w0)):
         end = head * np.prod(steps) if hi == lo + 1 else linalg.total_product(steps, head)
         frame[:, lo:hi] = spath.frames[-1, :, lo:hi] @ end
     return frame * np.sqrt(spath.support_lam()[-1, : spath.rank])

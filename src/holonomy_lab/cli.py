@@ -47,17 +47,16 @@ def _emit(payload, out_path: str | None) -> None:
         sys.stdout.write("\n")
 
 
-def _default_amplitude(rho_curve) -> bundle.Amplitude:
+def _lift_start(rho_curve, amplitude_path: str | None) -> bundle.Amplitude:
+    """The --amplitude file, or the canonical amplitude over the first state."""
+    if amplitude_path:
+        return serialize.amplitude_from_json(serialize.read_json(amplitude_path))
     return bundle.canonical_amplitude(spectra.spectral_decompose(rho_curve.samples[0]))
 
 
 def _check_one(path: str, amplitude_path: str | None, alpha) -> dict:
     curve = serialize.curve_from_json(serialize.read_json(path))
-    if amplitude_path:
-        w0 = serialize.amplitude_from_json(serialize.read_json(amplitude_path))
-    else:
-        w0 = _default_amplitude(curve)
-    report = invariants.check_isoholonomic(curve, w0, alpha=alpha)
+    report = invariants.check_isoholonomic(curve, _lift_start(curve, amplitude_path), alpha=alpha)
     payload = serialize.iso_report_to_json(report)
     payload["input"] = path
     return payload
@@ -95,10 +94,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_lift(args) -> int:
     curve = serialize.curve_from_json(serialize.read_json(args.curve))
-    if args.amplitude:
-        w0 = serialize.amplitude_from_json(serialize.read_json(args.amplitude))
-    else:
-        w0 = _default_amplitude(curve)
+    w0 = _lift_start(curve, args.amplitude)
     lift = bundle.horizontal_lift(curve, w0)
     _emit(serialize.amplitude_curve_to_json(lift, w0.basis), args.out)
     return 0

@@ -154,13 +154,15 @@ def reparam_arclength(c: OperatorCurve, speed, n_out: int | None = None) -> Oper
     speed holds the per-sample speeds of c in whatever metric the caller
     uses; the output curve covers the same time interval with the same
     orientation but (up to quadrature error) constant speed. Samples are
-    interpolated linearly. Raises ZeroLength for curves of zero total length.
+    interpolated linearly. Raises ZeroLength for curves of zero total length
+    and ValueError naming the first negative or non-finite speed.
     """
     speed = np.asarray(speed, dtype=float)
     if speed.shape != (c.grid.n,):
         raise GridMismatch(f"speed has shape {speed.shape}, expected ({c.grid.n},)")
-    if np.any(speed < 0.0):
-        raise ValueError("speeds must be nonnegative")
+    bad = np.flatnonzero(~(np.isfinite(speed) & (speed >= 0.0)))
+    if bad.size:
+        raise ValueError(f"speed {bad[0]} is {float(speed[bad[0]])}; speeds must be finite and nonnegative")
     dt = c.grid.dt
     s = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * dt)])
     total = s[-1]
@@ -183,11 +185,10 @@ def fisher_rao(path: ProbabilityPath) -> tuple[float, float]:
     The squared speed of the weighted distribution (m_1 p_1, ..., m_l p_l)
     is sum_j m_j pdot_j^2 / p_j / 4; the length carries a 1/2 prefactor and
     the energy a 1/8 prefactor. Derivatives are finite differences and the
-    quadrature is the composite trapezoid rule.
+    quadrature is the composite trapezoid rule. ProbabilityPath has checked
+    that every p_j is positive.
     """
     p = path.values
-    if np.any(p <= 0.0):
-        raise NonPositiveEigenvalue("eigenvalue path touches zero")
     pdot = grid_derivative(p, path.grid.dt)
     mvec = np.asarray(path.m, dtype=float)
     quad = np.sum(mvec * pdot**2 / p, axis=1)

@@ -56,9 +56,9 @@ def evolve(rho0: DensityOperator, sched: HamiltonianSchedule) -> tuple[OperatorC
         raise DimMismatch(f"schedule acts on dim {sched.samples.shape[1]}, state has dim {n}")
     nsamp = sched.grid.n
     dt = sched.grid.dt
+    # the schedule checked its samples when it was built
     if float(np.max(np.abs(sched.samples - sched.samples[0]))) == 0.0:
-        step = linalg.propagator_step(sched.samples[0], dt)
-        steps = np.broadcast_to(step, (nsamp - 1, n, n))
+        steps = np.broadcast_to(linalg.propagator_step_stack(sched.samples[:1], dt), (nsamp - 1, n, n))
     else:
         mids = 0.5 * (sched.samples[:-1] + sched.samples[1:])
         steps = linalg.propagator_step_stack(mids, dt)
@@ -75,9 +75,10 @@ def split_hamiltonian(h: Array, rho: DensityOperator) -> tuple[Array, Array]:
 
     The incoherent part sums the compressions of H onto the eigenspaces of
     rho and onto its kernel; it commutes with rho. The coherent part is the
-    remainder, and has no block-diagonal component.
+    remainder, and has no block-diagonal component. Raises NonHermitian for
+    a non-Hermitian h.
     """
-    h = linalg.as_cmat(h)
+    h = linalg.as_hermitian(h)
     if h.shape != rho.matrix.shape:
         raise DimMismatch(f"H has shape {h.shape}, state has shape {rho.matrix.shape}")
     h_in = incoherent_part_path(h[None], bundle.SpectralPath.of_state(rho))[0]
@@ -91,10 +92,9 @@ def uncertainty(rho: DensityOperator, h: Array) -> tuple[float, float, float]:
     coherent part has zero mean in the state. Raises NonHermitian for a
     non-Hermitian h.
     """
-    h = linalg.as_cmat(h)
+    h = linalg.as_hermitian(h)
     if h.shape != rho.matrix.shape:
         raise DimMismatch(f"H has shape {h.shape}, state has shape {rho.matrix.shape}")
-    linalg.check_hermitian_stack(h[None])
     spath = bundle.SpectralPath.of_state(rho)
     dh, dco, din = np.sqrt(np.maximum(variance_split(spath.in_eigenframe(h[None]), spath), 0.0))[:, 0]
     return float(dh), float(dco), float(din)
@@ -153,6 +153,14 @@ class SpeedLimitReport:
     phases: invariants.PhaseSpectrum
 
 
+def _check_run(rho_curve: OperatorCurve, sched: HamiltonianSchedule) -> None:
+    """The state curve and the schedule share sample shapes and interval."""
+    if rho_curve.samples.shape != sched.samples.shape:
+        raise DimMismatch("state curve and schedule have different shapes")
+    if abs(rho_curve.grid.tau - sched.grid.tau) > tolerances.INTERVAL_TOL * sched.grid.tau:
+        raise GridMismatch("state curve and schedule cover different intervals")
+
+
 def speed_limit(rho_curve: OperatorCurve, sched: HamiltonianSchedule, w0: bundle.Amplitude) -> SpeedLimitReport:
     """Speed-limit report for a closed unitary evolution; see speed_report."""
     return speed_report(bundle.closed_loop(rho_curve, w0), sched)
@@ -166,10 +174,7 @@ def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule) -> SpeedLi
     holonomy-based lower bound on the return time and its margin.
     """
     rho_curve, spath, hol = loop.curve, loop.path, loop.holonomy
-    if rho_curve.samples.shape != sched.samples.shape:
-        raise DimMismatch("state curve and schedule have different shapes")
-    if abs(rho_curve.grid.tau - sched.grid.tau) > tolerances.INTERVAL_TOL * sched.grid.tau:
-        raise GridMismatch("state curve and schedule cover different intervals")
+    _check_run(rho_curve, sched)
     phases = invariants.eigenphases(hol)
     ihb = invariants.ihb_isospectral(spath.block_means()[0], phases)
 
@@ -208,16 +213,14 @@ def horizontal_lift_unitary(rho_curve: OperatorCurve, sched: HamiltonianSchedule
     """Horizontal lift of a unitary run by integrating with the coherent part.
 
     Steps W with exp(-i Hco dt) using trapezoid-averaged coherent samples;
-    cross-validates the eigenframe-transport lift.
+    cross-validates the eigenframe-transport lift. Checks the run and the
+    start as speed_report and horizontal_lift do.
     """
-    if rho_curve.samples.shape != sched.samples.shape:
-        raise DimMismatch("state curve and schedule have different shapes")
+    _check_run(rho_curve, sched)
     spath = bundle.decompose_path(rho_curve)
-    if tuple(w0.basis.m) != spath.m:
-        raise DimMismatch(f"amplitude basis m={w0.basis.m}, curve has m={spath.m}")
+    bundle.initial_frames(rho_curve, spath, w0)
     h_co = sched.samples - incoherent_part_path(sched.samples, spath)
-    mids = 0.5 * (h_co[:-1] + h_co[1:])
-    steps = linalg.propagator_step_stack(mids, sched.grid.dt, tolerances.COHERENT_HERM_TOL)
+    steps = linalg.propagator_step_stack(0.5 * (h_co[:-1] + h_co[1:]), sched.grid.dt)
     return OperatorCurve(grid=sched.grid, samples=linalg.ordered_products(steps, w0.w))
 
 

@@ -34,13 +34,11 @@ class PhaseSpectrum:
     blocks: tuple[Array, ...]
 
     def __post_init__(self):
-        cleaned = []
-        for ph in self.blocks:
-            ph = np.asarray(ph, dtype=float)
-            if np.any(ph < 0.0) or np.any(ph >= TWO_PI):
+        blocks = tuple(np.asarray(ph, dtype=float) for ph in self.blocks)
+        for ph in blocks:
+            if not np.all((ph >= 0.0) & (ph < TWO_PI)):  # NaN fails too
                 raise OutOfRange(f"phases {ph.tolist()} leave [0, 2pi)")
-            cleaned.append(ph)
-        object.__setattr__(self, "blocks", tuple(cleaned))
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def m(self) -> tuple[int, ...]:
@@ -187,9 +185,7 @@ def iso_report(loop: bundle.ClosedLoop, alpha=None) -> IsoReport:
     ihb_alpha = None
     if alpha is not None:
         alpha = np.asarray(alpha, dtype=float)
-        if alpha.shape != (means.shape[1],):
-            raise ShapeMismatch(f"{alpha.size} bounds for {means.shape[1]} blocks")
-        ihb_alpha = ihb_constrained(alpha, phases)
+        ihb_alpha = ihb_constrained(alpha, phases)  # checks one finite bound per block
         if np.any(means < alpha[None, :] - tolerances.REGION_TOL):
             raise OutOfRange("curve leaves the spectrally bounded region")
     ihb = ihb_isospectral(means[0], phases) if constant else (ihb_alpha if ihb_alpha is not None else 0.0)

@@ -5,6 +5,9 @@ clustering, polar decomposition, short-time unitary propagator steps,
 running and total products of step stacks, and the Moore-Penrose
 pseudoinverse. All matrices are plain complex ndarrays.
 
+Hermiticity is checked where a matrix enters: by as_hermitian for one matrix,
+by check_hermitian_stack for a stack. The stack kernels trust their callers.
+
 Propagator steps exp(-i dt H) take no eigendecomposition: they scale and
 square a truncated Taylor series evaluated in Paterson-Stockmeyer form,
 with the degree and the number of squarings fixed by the largest 1-norm of
@@ -48,10 +51,12 @@ class EigResult:
     frame: Array
 
 
-def _square(m) -> Array:
+def as_hermitian(m) -> Array:
+    """Coerce input to a finite complex128 matrix, square and Hermitian at HERM_TOL."""
     m = as_cmat(m)
     if m.shape[0] != m.shape[1]:
         raise NonHermitian(f"matrix is not square: {m.shape}")
+    check_hermitian_stack(m[None])
     return m
 
 
@@ -61,7 +66,7 @@ def hermitian_eig(m: Array) -> EigResult:
     Raises NonHermitian if the symmetry check fails and NoConvergence if
     the underlying iteration stalls.
     """
-    vals, frames = hermitian_eig_stack(_square(m)[None])
+    vals, frames = hermitian_eig_stack(as_hermitian(m)[None])
     return EigResult(values=vals[0], frame=frames[0])
 
 
@@ -76,11 +81,10 @@ def check_hermitian_stack(ms: Array, tol: float = tolerances.HERM_TOL) -> None:
         raise NonHermitian(f"{where}Hermiticity deviation {dev[k]:.3e} exceeds {tol:.3e}")
 
 
-def hermitian_eig_stack(ms: Array, tol: float = tolerances.HERM_TOL) -> tuple[Array, Array]:
-    """Batched descending eigendecomposition of a stack (N, n, n) of
+def hermitian_eig_stack(ms: Array) -> tuple[Array, Array]:
+    """Batched descending eigendecomposition of a checked stack (N, n, n) of
     Hermitian matrices. Returns (values (N, n), frames (N, n, n))."""
     ms = np.asarray(ms, dtype=np.complex128)
-    check_hermitian_stack(ms, tol)
     try:
         w, v = np.linalg.eigh(ms)
     except np.linalg.LinAlgError as exc:
@@ -188,11 +192,11 @@ def _taylor_plan(norm: float) -> tuple[int, int, int]:
 
 def propagator_step(h: Array, dt: float) -> Array:
     """exp(-i H dt) for Hermitian H; the N = 1 case of propagator_step_stack."""
-    return propagator_step_stack(_square(h)[None], dt)[0]
+    return propagator_step_stack(as_hermitian(h)[None], dt)[0]
 
 
-def propagator_step_stack(hs: Array, dt: float, tol: float = tolerances.HERM_TOL) -> Array:
-    """Batched exp(-i H dt) over a stack (N, n, n) of Hermitian matrices.
+def propagator_step_stack(hs: Array, dt: float) -> Array:
+    """Batched exp(-i H dt) over a checked stack (N, n, n) of Hermitian matrices.
 
     Scaling and squaring of the truncated Taylor series (Higham, SIAM J.
     Matrix Anal. Appl. 26, 2005): A = -i dt H is scaled by 2^-s, the
@@ -203,7 +207,6 @@ def propagator_step_stack(hs: Array, dt: float, tol: float = tolerances.HERM_TOL
     batched matmuls.
     """
     hs = np.asarray(hs, dtype=np.complex128)
-    check_hermitian_stack(hs, tol)
     norm = abs(dt) * float(np.max(np.sum(np.abs(hs), axis=-2), initial=0.0))
     if not math.isfinite(norm):
         raise ValueError("Hamiltonian stack has non-finite entries")

@@ -18,6 +18,7 @@ from .errors import (
     NotAState,
     NotDescending,
     NotNormalized,
+    ShapeMismatch,
 )
 
 Array = np.ndarray
@@ -51,11 +52,14 @@ def validate(p, m, norm_tol: float = tolerances.NORM_TOL) -> None:
 
 
 def check_bound(p, alpha) -> list[int]:
-    """Indices j where p_j < alpha_j; empty list means the bound holds."""
+    """Indices j where p_j < alpha_j; empty list means the bound holds.
+    Raises ShapeMismatch for non-finite p or alpha."""
     p = np.asarray(p, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     if p.shape != alpha.shape:
         raise LengthMismatch(f"p has length {p.size}, alpha has length {alpha.size}")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(alpha))):
+        raise ShapeMismatch(f"p {p.tolist()} and bounds {alpha.tolist()} must be finite")
     return [int(j) for j in np.nonzero(p < alpha)[0]]
 
 
@@ -184,8 +188,6 @@ def spectral_decompose(rho) -> DensityOperator:
     eigenvalue. Raises NotAState if the Hermitian/PSD/unit-trace checks fail.
     """
     rho = linalg.as_cmat(rho)
-    if rho.shape[0] != rho.shape[1]:
-        raise NotAState(f"not square: {rho.shape}")
     try:
         eig = linalg.hermitian_eig(rho)
     except NonHermitian as exc:

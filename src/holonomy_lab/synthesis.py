@@ -199,8 +199,6 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
     defect = linalg.frob(w.w @ w.w.conj().T - rho.matrix)
     if defect > tolerances.PROJECTION_TOL:
         raise DegeneracyMismatch(f"amplitude projects {defect:.3e} away from the state")
-    if not tau > 0.0:
-        raise OutOfRange(f"tau must be positive, got {tau}")
     thetas, s = invariants.blockwise_eigenbasis(target)
     w_adapted = bundle.Amplitude(w=w.w @ s, basis=w.basis)
     planes = choose_planes(rho, w_adapted, ambient_dim)

@@ -2,17 +2,15 @@
 
 A threshold here decides whether a check raises or which branch runs; the
 comment says what it guards and "relative" marks one scaled by a norm at
-the point of use. Only nine kernel parameters take a tolerance argument,
-because callers or tests use more than one value: linalg.cluster,
-check_hermitian_stack, hermitian_eig_stack, propagator_step_stack and
-polar_unitary_stack, bundle.gauge_membership, path_speeds_sq and
-lift_tangents, and spectra.validate.
+the point of use. Only seven kernel parameters take a tolerance argument,
+because callers or tests use more than one value: bundle.gauge_membership,
+bundle.lift_tangents, bundle.path_speeds_sq, linalg.check_hermitian_stack,
+linalg.cluster, linalg.polar_unitary_stack and spectra.validate.
 """
 
 # matrices and spectra (linalg, spectra)
-HERM_TOL = 1e-10  # Hermiticity of a matrix or stack, relative
-CURVE_HERM_TOL = 1e-8  # Hermiticity of the samples of a state curve, relative
-COHERENT_HERM_TOL = 1e-8  # Hermiticity of the coherent midpoint steps of a unitary lift, relative
+HERM_TOL = 1e-10  # Hermiticity of a single matrix or a schedule where it enters, relative
+CURVE_HERM_TOL = 1e-8  # Hermiticity of the samples of a state curve where it is decomposed, relative
 GAP_TOL = 1e-9  # eigenvalues closer than this share a degenerate block
 ZERO_TOL = 1e-10  # eigenvalues at or below this belong to the kernel
 SINGULAR_TOL = 1e-12  # smallest singular value / Gram eigenvalue of an invertible map

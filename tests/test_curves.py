@@ -129,6 +129,15 @@ class TestReparamArclength:
         with pytest.raises(ZeroLength):
             curves.reparam_arclength(c, np.zeros(11))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_speed_named(self, bad):
+        # the speed is at fault, not the curve, and no RuntimeWarning escapes
+        c = pure_curve(great_circle_section(11, 0.0, np.pi), tau=1.0)
+        speed = np.full(11, np.pi)
+        speed[2] = bad
+        with pytest.raises(ValueError, match=f"^speed 2 is {bad}; speeds must be finite"):
+            curves.reparam_arclength(c, speed)
+
 
 class TestFisherRao:
     def test_constant_spectrum(self):

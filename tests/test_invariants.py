@@ -112,6 +112,11 @@ class TestIsospectralBound:
         with pytest.raises(ShapeMismatch):
             invariants.ihb_isospectral([0.5, 0.5], ph)
 
+    def test_nan_phase_rejected(self):
+        # a NaN phase would make every bound built on it NaN
+        with pytest.raises(OutOfRange, match="leave"):
+            invariants.PhaseSpectrum(blocks=(np.array([np.pi]), np.array([np.nan])))
+
 
 class TestConstrainedBound:
     def test_zero_alpha(self):
@@ -317,6 +322,13 @@ class TestCheckIsoholonomic:
         w0 = bundle.canonical_amplitude(spectra.spectral_decompose(c.samples[0]))
         with pytest.raises(ShapeMismatch, match="finite"):
             invariants.check_isoholonomic(c, w0, alpha=[bad, 0.2])
+
+    @pytest.mark.parametrize("alpha", [[0.5], [0.5, 0.1, 0.0], [[0.5, 0.1]]], ids=["short", "long", "2d"])
+    def test_alpha_needs_one_bound_per_block(self, alpha):
+        c = precessing_qubit_curve(0.6, TWO_PI, 0.7, 201)
+        w0 = bundle.canonical_amplitude(spectra.spectral_decompose(c.samples[0]))
+        with pytest.raises(ShapeMismatch, match="for 2 phase blocks"):
+            invariants.check_isoholonomic(c, w0, alpha=alpha)
 
     def test_invariants_stable_across_amplitudes(self, rng):
         c = precessing_qubit_curve(0.6, TWO_PI, 0.7, 801)

@@ -1,8 +1,10 @@
 """Layering guards: no module of the library reads another module's
-underscore names, every threshold lives in the tolerance table, and numpy's
-decompositions and solves are called only in linalg."""
+underscore names, every threshold lives in the tolerance table, numpy's
+decompositions and solves are called only in linalg, and the stack kernels
+that trust their input are called only where that input was checked."""
 
 import ast
+import re
 from pathlib import Path
 
 import holonomy_lab
@@ -45,9 +47,7 @@ TOLERANCE_PARAMETERS = {
     ("bundle", "path_speeds_sq", "tangent_tol"),
     ("linalg", "check_hermitian_stack", "tol"),
     ("linalg", "cluster", "gap_tol"),
-    ("linalg", "hermitian_eig_stack", "tol"),
     ("linalg", "polar_unitary_stack", "tol"),
-    ("linalg", "propagator_step_stack", "tol"),
     ("spectra", "validate", "norm_tol"),
 }
 
@@ -83,6 +83,31 @@ def test_tolerances_are_defined_only_in_the_table():
 def test_only_the_kernels_take_a_tolerance():
     found = set().union(*(tolerance_parameters(path) for path in SRC.glob("*.py")))
     assert found == TOLERANCE_PARAMETERS
+
+
+NUMBER_WORDS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten",
+                "eleven", "twelve")
+
+
+def docstring_kernels(path):
+    """(count word, {(module, function)}) of the kernels a tolerance-table
+    docstring lists as module.function after "Only <count> kernel parameters"."""
+    doc = " ".join(ast.get_docstring(ast.parse(path.read_text(encoding="utf-8"))).split())
+    count, names = re.search(r"Only (\w+) kernel parameters (.*?)\.(?:\s|$)", doc).groups()
+    return count, {pair for pair in re.findall(r"\b(\w+)\.(\w+)\b", names) if pair[0] in MODULES}
+
+
+def test_table_docstring_names_the_tolerance_kernels():
+    count, named = docstring_kernels(SRC / "tolerances.py")
+    assert named == {(module, function) for module, function, _ in TOLERANCE_PARAMETERS}
+    assert count == NUMBER_WORDS[len(TOLERANCE_PARAMETERS)]
+
+
+def test_docstring_guard_sees_the_list(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text('"""Table.\n\nOnly two kernel parameters take one: linalg.cluster\n'
+                     'and bundle.lift_tangents. Not os.path or spectra.validate."""\n', encoding="utf-8")
+    assert docstring_kernels(probe) == ("two", {("linalg", "cluster"), ("bundle", "lift_tangents")})
 
 
 def test_guard_sees_a_tolerance(tmp_path):
@@ -125,3 +150,45 @@ def test_guard_sees_a_decomposition(tmp_path):
     probe.write_text("import numpy as np\nfrom numpy.linalg import qr, norm\n"
                      "u, s, vh = np.linalg.svd(a)\nn = np.linalg.norm(a)\n", encoding="utf-8")
     assert numpy_decompositions(probe) == [(2, "qr"), (3, "svd")]
+
+
+# stack kernels that do not check Hermiticity, and the functions that may
+# call them because their input was checked where it entered
+TRUSTING_KERNELS = {"hermitian_eig_stack", "propagator_step_stack"}
+TRUSTED_CALLERS = {("linalg", "hermitian_eig"), ("linalg", "propagator_step"), ("bundle", "decompose_path"),
+                   ("dynamics", "evolve"), ("dynamics", "horizontal_lift_unitary")}
+
+
+def trusting_kernel_uses(path):
+    """(enclosing function, kernel) of every reference to a trusting kernel
+    in one file; module-level references count under "<module>"."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Name) and node.id in TRUSTING_KERNELS:
+            found.add((where, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in TRUSTING_KERNELS:
+            found.add((where, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found.update((where, alias.name) for alias in node.names if alias.name in TRUSTING_KERNELS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_trusting_kernels_only_behind_a_check():
+    callers = {(path.stem, where) for path in SRC.glob("*.py") for where, _ in trusting_kernel_uses(path)}
+    assert callers == TRUSTED_CALLERS
+
+
+def test_guard_sees_a_trusting_kernel(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .linalg import propagator_step_stack\n\n\n"
+                     "def evolve(hs):\n    return linalg.hermitian_eig_stack(hs)\n\n\n"
+                     "def planted(hs):\n    f = propagator_step_stack\n    return f(hs, 0.1)\n", encoding="utf-8")
+    assert trusting_kernel_uses(probe) == {("<module>", "propagator_step_stack"), ("evolve", "hermitian_eig_stack"),
+                                           ("planted", "propagator_step_stack")}

@@ -185,10 +185,11 @@ class TestPropagatorStep:
             linalg.propagator_step_stack(hs, 0.1)
 
     def test_stack_names_non_hermitian_sample(self, rng):
+        # the stack kernel trusts its caller; the one stack check names the sample
         hs = hermitian_stack(rng, 6, 2)
         hs[4, 0, 1] += 0.5
         with pytest.raises(NonHermitian, match=r"^sample 4: Hermiticity deviation"):
-            linalg.propagator_step_stack(hs, 0.1)
+            linalg.check_hermitian_stack(hs)
 
 
 def unitary_steps(rng, nstep: int, n: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from holonomy_lab.errors import (
     NotAState,
     NotDescending,
     NotNormalized,
+    ShapeMismatch,
 )
 from qutil import rand_unitary
 
@@ -118,6 +119,13 @@ class TestCheckBound:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             spectra.check_bound([0.7, 0.3], [0.5])
+
+    @pytest.mark.parametrize("p, alpha", [([0.7, 0.3], [np.nan, 0.1]), ([np.nan, 0.3], [0.5, 0.1])],
+                             ids=["alpha", "p"])
+    def test_non_finite_rejected(self, p, alpha):
+        # a NaN compares false, which would read as "the bound holds"
+        with pytest.raises(ShapeMismatch, match="must be finite"):
+            spectra.check_bound(p, alpha)
 
 
 class TestSimplexCoords:

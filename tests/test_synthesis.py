@@ -155,6 +155,14 @@ class TestSynthesize:
         with pytest.raises(DimensionTooSmall):
             synthesis.synthesize(rho, w, target, tau=1.0, ambient_dim=3)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan])
+    def test_non_positive_tau_rejected(self, tau):
+        # the pure-loop specs check tau where it enters the plan
+        rho = synthesis.embedded_state(np.diag([0.7, 0.3]).astype(complex), 4)
+        target = bundle.GaugeElement(u=np.eye(2), basis=rho.basis)
+        with pytest.raises(OutOfRange, match="tau must be positive"):
+            synthesis.synthesize(rho, bundle.canonical_amplitude(rho), target, tau=tau, ambient_dim=4)
+
     def test_non_gauge_target_rejected(self, rng):
         basis = spectra.EigenprojectorBasis(m=(1, 2))
         u = rand_unitary(rng, 3)  # generically not block diagonal
