@@ -329,14 +329,19 @@ def _transport_frames(spath: SpectralPath, frames0: Array) -> Array:
     return out
 
 
-def initial_frames(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
-    """Support frames W0 p_j^{-1/2} of a lift start, checked against the curve:
-    DegeneracyMismatch for another m, EndpointMismatch off the first state."""
-    if tuple(w0.basis.m) != spath.m:
-        raise DegeneracyMismatch(f"amplitude basis m={w0.basis.m}, curve has m={spath.m}")
-    defect = linalg.frob(w0.w @ w0.w.conj().T - rho_curve.samples[0])
+def check_lift_start(w0: Amplitude, m: tuple[int, ...], rho0: Array) -> None:
+    """Check w0 as a lift start over a state rho0 with multiplicities m:
+    DegeneracyMismatch for another m, EndpointMismatch off rho0."""
+    if w0.basis.m != tuple(m):
+        raise DegeneracyMismatch(f"amplitude basis m={w0.basis.m}, curve has m={tuple(m)}")
+    defect = linalg.frob(w0.w @ w0.w.conj().T - rho0)
     if defect > tolerances.PROJECTION_TOL:
         raise EndpointMismatch(f"W0 projects {defect:.3e} away from the initial state")
+
+
+def initial_frames(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
+    """Support frames W0 p_j^{-1/2} of a lift start checked by check_lift_start."""
+    check_lift_start(w0, spath.m, rho_curve.samples[0])
     return w0.w / np.sqrt(spath.support_lam()[0, : spath.rank])
 
 

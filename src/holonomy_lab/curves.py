@@ -83,7 +83,7 @@ class OperatorCurve:
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityPath:
-    """Per-block eigenvalue samples p_{j;t} with fixed multiplicities m."""
+    """Finite per-block eigenvalue samples p_{j;t} with fixed multiplicities m."""
 
     grid: TimeGrid
     values: Array
@@ -93,6 +93,8 @@ class ProbabilityPath:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != self.grid.n or v.shape[1] != len(self.m):
             raise ValueError(f"values shape {v.shape} does not match grid/m")
+        if not np.isfinite(v).all():
+            raise NonFinite(f"sample {int(np.argmin(np.isfinite(v).all(axis=1)))} has non-finite entries")
         if np.any(v <= 0.0):
             raise NonPositiveEigenvalue("eigenvalue path touches zero")
         # boundary points of the simplex (ties) are admitted

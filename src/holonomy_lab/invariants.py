@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import bundle, tolerances
+from . import bundle, linalg, tolerances
 from .curves import OperatorCurve, ProbabilityPath, fisher_rao, grid_derivative, trapezoid
 from .errors import (
     BoundViolated,
@@ -60,8 +59,7 @@ def blockwise_eigenbasis(g: bundle.GaugeElement) -> tuple[Array, Array]:
     s = np.zeros((dim, dim), dtype=np.complex128)
     phases = np.zeros(dim)
     for lo, hi in g.basis.blocks:
-        t, q = scipy.linalg.schur(g.u[lo:hi, lo:hi], output="complex")
-        ph = np.mod(np.angle(np.diag(t)), TWO_PI)
+        ph, q = linalg.unitary_eig(g.u[lo:hi, lo:hi])
         ph[ph >= TWO_PI - tolerances.PHASE_TOL] = 0.0
         order = np.argsort(ph)[::-1]
         phases[lo:hi] = ph[order]
@@ -97,8 +95,8 @@ def _weighted_bound(weights, phases: PhaseSpectrum) -> float:
 def ihb_isospectral(p, phases: PhaseSpectrum) -> float:
     """Isoholonomic bound sqrt(sum_ja p_j theta_ja (2pi - theta_ja))."""
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0):
-        raise ShapeMismatch("eigenvalues must be positive")
+    if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
+        raise ShapeMismatch(f"eigenvalues must be finite and positive, got {p.tolist()}")
     return _weighted_bound(p, phases)
 
 

@@ -1,9 +1,9 @@
 """Dense complex-matrix kernels.
 
 Hermitian eigendecomposition with descending eigenvalues and degeneracy
-clustering, polar decomposition, short-time unitary propagator steps,
-running and total products of step stacks, and the Moore-Penrose
-pseudoinverse. All matrices are plain complex ndarrays.
+clustering, unitary eigenphases, polar decomposition, short-time unitary
+propagator steps, running and total products of step stacks, and the
+Moore-Penrose pseudoinverse. All matrices are plain complex ndarrays.
 
 Hermiticity is checked where a matrix enters: by as_hermitian for one matrix,
 by check_hermitian_stack for a stack. The stack kernels trust their callers.
@@ -68,6 +68,24 @@ def hermitian_eig(m: Array) -> EigResult:
     """
     vals, frames = hermitian_eig_stack(as_hermitian(m)[None])
     return EigResult(values=vals[0], frame=frames[0])
+
+
+def unitary_eig(u: Array) -> tuple[Array, Array]:
+    """Eigenphases in [0, 2pi) and an orthonormal eigenbasis q (column j for
+    phases[j]) of a unitary u, not checked. q is eigh's frame of the Hermitian
+    Cayley transform i (I + V)^{-1} (I - V), V = e^{-i phi} u with -1 mid-way
+    across the widest phase gap, so it stays orthonormal inside degenerate
+    clusters; the phases are read back from diag(q^dag u q)."""
+    u = as_cmat(u)
+    eye = np.eye(len(u))
+    ph = np.sort(np.mod(np.angle(np.linalg.eigvals(u)), math.tau))
+    gaps = np.diff(ph, append=ph[0] + math.tau)
+    k = int(np.argmax(gaps))
+    v = np.exp(-1j * (ph[k] + 0.5 * gaps[k] - math.pi)) * u
+    c = 1j * np.linalg.solve(eye + v, eye - v)
+    q = hermitian_eig_stack(0.5 * (c + c.conj().T)[None])[1][0]  # Hermitian by construction
+    phases = np.mod(np.angle(np.diag(q.conj().T @ u @ q)), math.tau)
+    return np.where(phases < math.tau, phases, 0.0), q  # mod rounds a tiny negative angle up to 2pi
 
 
 def check_hermitian_stack(ms: Array, tol: float = tolerances.HERM_TOL) -> None:

@@ -82,7 +82,7 @@ def amplitude_to_json(amp: bundle.Amplitude) -> dict:
 
 
 def amplitude_from_json(data: dict) -> bundle.Amplitude:
-    basis = EigenprojectorBasis(m=tuple(int(x) for x in data["basis"]["m"]))
+    basis = EigenprojectorBasis(m=data["basis"]["m"])
     return bundle.Amplitude(w=matrix_from_json(data["matrix"]), basis=basis)
 
 
@@ -97,7 +97,7 @@ def unitary_to_json(g: bundle.GaugeElement) -> dict:
 
 
 def unitary_from_json(data: dict) -> bundle.GaugeElement:
-    basis = EigenprojectorBasis(m=tuple(int(x) for x in data["basis"]["m"]))
+    basis = EigenprojectorBasis(m=data["basis"]["m"])
     return bundle.GaugeElement(u=matrix_from_json(data["matrix"]), basis=basis)
 
 

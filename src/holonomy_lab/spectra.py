@@ -74,9 +74,10 @@ class EigenprojectorBasis:
     m: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.m) == 0 or any(int(x) < 1 for x in self.m):
-            raise LengthMismatch(f"invalid degeneracy spectrum {self.m}")
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
+        m = np.asarray(self.m, dtype=float)  # ValueError for an entry that is no number
+        if m.ndim != 1 or m.size == 0 or not np.all(np.isfinite(m) & (m >= 1.0) & (m == np.round(m))):
+            raise LengthMismatch(f"degeneracies must be positive integers, got {self.m}")
+        object.__setattr__(self, "m", tuple(int(x) for x in m))
 
     @property
     def dim_k(self) -> int:

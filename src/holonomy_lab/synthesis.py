@@ -104,48 +104,27 @@ def optimal_pure_loop(spec: PureLoopSpec, n_samples: int = 201) -> tuple[Array, 
 
 
 def complement_frame(support: Array, dim: int) -> Array:
-    """Orthonormalize the standard basis against a support frame.
-
-    Deterministic Gram-Schmidt sweep over e_1, e_2, ...; returns the
-    (dim, dim - r) matrix spanning the orthogonal complement.
-    """
-    r = support.shape[1]
-    found: list[Array] = []
-    for i in range(dim):
-        v = np.zeros(dim, dtype=np.complex128)
-        v[i] = 1.0
-        for _ in range(2):  # one re-orthogonalization pass for stability
-            v = v - support @ (support.conj().T @ v)
-            for c in found:
-                v = v - c * np.vdot(c, v)
-        norm = np.linalg.norm(v)
-        if norm > tolerances.COMPLEMENT_TOL:
-            found.append(v / norm)
-        if len(found) == dim - r:
-            break
-    if len(found) != dim - r:
-        raise DimensionTooSmall("could not complete the complement frame")
-    return np.stack(found, axis=1)
+    """(dim, dim - r) orthonormal frame of the complement of an orthonormal
+    (dim, r) support frame S: the eigenvalue-1 block of I - S S^dag."""
+    projector = np.eye(dim) - support @ support.conj().T
+    return linalg.hermitian_eig(projector).frame[:, : dim - support.shape[1]]
 
 
 def choose_planes(rho: DensityOperator, w: bundle.Amplitude, ambient_dim: int) -> list[tuple[Array, Array]]:
     """Mutually orthogonal planes, one per auxiliary slot.
 
-    Plane q is spanned by the slot vector psi_q = W|q> / sqrt(p) and one
-    deterministic unit vector from the kernel of rho.
+    Plane q is spanned by the slot vector psi_q = W|q> / sqrt(p) and column q
+    of complement_frame, in the kernel of rho. Raises DimensionTooSmall unless
+    ambient_dim is rho's dimension and at least twice its rank.
     """
     if ambient_dim != rho.dim:
         raise DimensionTooSmall(f"state lives in dim {rho.dim}, ambient_dim says {ambient_dim}")
     r = rho.rank
     if ambient_dim < 2 * r:
         raise DimensionTooSmall(f"need ambient dim >= {2 * r} to fit {r} planes, got {ambient_dim}")
-    slots = []
-    for j, (lo, hi) in enumerate(w.basis.blocks):
-        for q in range(lo, hi):
-            slots.append(w.w[:, q] / np.sqrt(w.block_values[j]))
-    support = np.stack(slots, axis=1)
+    support = w.w / np.sqrt(np.repeat(w.block_values, w.basis.m))
     partners = complement_frame(support, ambient_dim)
-    return [(slots[q], partners[:, q]) for q in range(r)]
+    return [(support[:, q], partners[:, q]) for q in range(r)]
 
 
 def _flow_props(generator: Array, ts: Array) -> Array:
@@ -194,11 +173,7 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
     """
     if tuple(target.basis.m) != tuple(rho.m):
         raise DegeneracyMismatch(f"target basis m={target.basis.m}, state has m={rho.m}")
-    if tuple(w.basis.m) != tuple(rho.m):
-        raise DegeneracyMismatch(f"amplitude basis m={w.basis.m}, state has m={rho.m}")
-    defect = linalg.frob(w.w @ w.w.conj().T - rho.matrix)
-    if defect > tolerances.PROJECTION_TOL:
-        raise DegeneracyMismatch(f"amplitude projects {defect:.3e} away from the state")
+    bundle.check_lift_start(w, rho.m, rho.matrix)
     thetas, s = invariants.blockwise_eigenbasis(target)
     w_adapted = bundle.Amplitude(w=w.w @ s, basis=w.basis)
     planes = choose_planes(rho, w_adapted, ambient_dim)

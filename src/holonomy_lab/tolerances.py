@@ -53,7 +53,6 @@ AXIS_TILT_TOL = 1e-18  # n_1^2 + n_2^2 at or below this leaves the qubit station
 
 # synthesis
 ORTHONORMAL_TOL = 1e-8  # the plane pair of a pure loop is orthonormal
-COMPLEMENT_TOL = 1e-6  # residual norm below which Gram-Schmidt drops a candidate
 SAT_INTEGRATION_TOL = 1e-5  # re-integrated schedule against the planned trajectory
 SAT_HOLONOMY_TOL = 1e-6  # realized holonomy against the target
 SAT_LENGTH_TOL = 1e-5  # curve length against the isoholonomic bound

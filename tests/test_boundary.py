@@ -2,7 +2,8 @@
 when it is decomposed, of a schedule when it is built, of a single matrix at
 its entry point; the stack kernels re-check nothing the library built from
 checked data. horizontal_lift_unitary checks its run and its lift start as
-speed_report and horizontal_lift do."""
+speed_report and horizontal_lift do, and synthesize checks its amplitude
+with the same lift-start check."""
 
 import numpy as np
 import pytest
@@ -88,6 +89,14 @@ class TestHermiticityOnce:
         assert [n for n in herm_checks if n > 1] == [plan.schedule.grid.n]
 
 
+def synthesize_from(states, w0):
+    """synthesize at the first state of a qubit curve; the lift-start check
+    runs before the ambient dimension is looked at."""
+    rho = spectra.spectral_decompose(states.samples[0])
+    target = bundle.GaugeElement(u=np.diag(np.exp(1j * np.array([1.0, 2.0]))), basis=rho.basis)
+    return synthesis.synthesize(rho, w0, target, tau=1.0, ambient_dim=4)
+
+
 class TestUnitaryLiftChecks:
     def test_other_interval(self):
         states, sched, w0 = qubit_run()
@@ -100,7 +109,8 @@ class TestUnitaryLiftChecks:
         c, s = np.cos(0.25), np.sin(0.25)
         foreign = bundle.Amplitude(w=np.array([[c, -s], [s, c]]) @ w0.w, basis=w0.basis)
         for lift in (lambda: bundle.horizontal_lift(states, foreign),
-                     lambda: dynamics.horizontal_lift_unitary(states, sched, foreign)):
+                     lambda: dynamics.horizontal_lift_unitary(states, sched, foreign),
+                     lambda: synthesize_from(states, foreign)):
             with pytest.raises(EndpointMismatch, match=r"W0 projects 1\.4\d+e-01 away"):
                 lift()
 
@@ -108,7 +118,8 @@ class TestUnitaryLiftChecks:
         states, sched, _ = qubit_run()
         flat = bundle.canonical_amplitude(spectra.spectral_decompose(0.5 * np.eye(2, dtype=complex)))
         for lift in (lambda: bundle.horizontal_lift(states, flat),
-                     lambda: dynamics.horizontal_lift_unitary(states, sched, flat)):
+                     lambda: dynamics.horizontal_lift_unitary(states, sched, flat),
+                     lambda: synthesize_from(states, flat)):
             with pytest.raises(DegeneracyMismatch, match=r"m=\(2,\), curve has m=\(1, 1\)"):
                 lift()
 

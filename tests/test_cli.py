@@ -155,6 +155,22 @@ class TestCheck:
         assert np.allclose(report["phases"], base["phases"], atol=1e-8)
 
 
+    def test_non_integral_amplitude_m_exits_one(self, tmp_path, capsys):
+        # int() used to truncate m = (1.2, 1.7) to (1, 1) and run the check
+        from holonomy_lab import bundle, spectra
+
+        curve = precessing_qubit_curve(0.6, TWO_PI, 0.7, 101)
+        cpath = write_curve(tmp_path / "c.json", curve)
+        data = serialize.amplitude_to_json(bundle.canonical_amplitude(spectra.spectral_decompose(curve.samples[0])))
+        data["basis"]["m"] = [1.2, 1.7]
+        apath = tmp_path / "w.json"
+        serialize.write_json(apath, data)
+        assert cli.main(["check", cpath, "--amplitude", str(apath)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "degeneracies must be positive integers, got [1.2, 1.7]" in captured.err
+
+
 class TestEvolve:
     def test_zero_hamiltonian(self, tmp_path, capsys):
         state = write_state(tmp_path / "s.json", np.diag([0.7, 0.3]).astype(complex))

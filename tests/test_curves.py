@@ -172,6 +172,13 @@ class TestFisherRao:
         l2, _ = curves.fisher_rao(path2)
         assert abs(l1 - l2) <= 1e-6
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # every other check is a comparison that NaN fails, so fisher_rao returned (nan, nan)
+        with pytest.raises(NonFinite, match="^sample 1 "):
+            ProbabilityPath(grid=TimeGrid(tau=1.0, n=3),
+                            values=np.array([[0.6, 0.4], [bad, 0.4], [0.6, bad]]), m=(1, 1))
+
     def test_positive_required(self):
         with pytest.raises(NonPositiveEigenvalue):
             ProbabilityPath(grid=TimeGrid(tau=1.0, n=3),

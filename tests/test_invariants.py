@@ -112,6 +112,12 @@ class TestIsospectralBound:
         with pytest.raises(ShapeMismatch):
             invariants.ihb_isospectral([0.5, 0.5], ph)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_rejects_non_finite_or_nonpositive_p(self, bad):
+        # a NaN compares false against zero and used to come back as a NaN bound
+        with pytest.raises(ShapeMismatch, match="finite and positive"):
+            invariants.ihb_isospectral([bad, 0.3], invariants.PhaseSpectrum(blocks=(np.array([1.0]), np.array([2.0]))))
+
     def test_nan_phase_rejected(self):
         # a NaN phase would make every bound built on it NaN
         with pytest.raises(OutOfRange, match="leave"):

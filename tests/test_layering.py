@@ -1,11 +1,16 @@
 """Layering guards: no module of the library reads another module's
 underscore names, every threshold lives in the tolerance table, numpy's
-decompositions and solves are called only in linalg, and the stack kernels
-that trust their input are called only where that input was checked."""
+decompositions and solves are called only in linalg, the stack kernels
+that trust their input are called only where that input was checked, and
+numpy is the only third-party package the library imports."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import holonomy_lab
 
@@ -153,10 +158,11 @@ def test_guard_sees_a_decomposition(tmp_path):
 
 
 # stack kernels that do not check Hermiticity, and the functions that may
-# call them because their input was checked where it entered
+# call them because their input was checked where it entered (unitary_eig:
+# because it builds a Hermitian matrix itself)
 TRUSTING_KERNELS = {"hermitian_eig_stack", "propagator_step_stack"}
-TRUSTED_CALLERS = {("linalg", "hermitian_eig"), ("linalg", "propagator_step"), ("bundle", "decompose_path"),
-                   ("dynamics", "evolve"), ("dynamics", "horizontal_lift_unitary")}
+TRUSTED_CALLERS = {("linalg", "hermitian_eig"), ("linalg", "propagator_step"), ("linalg", "unitary_eig"),
+                   ("bundle", "decompose_path"), ("dynamics", "evolve"), ("dynamics", "horizontal_lift_unitary")}
 
 
 def trusting_kernel_uses(path):
@@ -192,3 +198,41 @@ def test_guard_sees_a_trusting_kernel(tmp_path):
                      "def planted(hs):\n    f = propagator_step_stack\n    return f(hs, 0.1)\n", encoding="utf-8")
     assert trusting_kernel_uses(probe) == {("<module>", "propagator_step_stack"), ("evolve", "hermitian_eig_stack"),
                                            ("planted", "propagator_step_stack")}
+
+
+def scipy_imports(path):
+    """Line numbers of every import of scipy or a scipy submodule in one file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.extend(node.lineno for alias in node.names if alias.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "scipy":
+            found.append(node.lineno)
+    return found
+
+
+def test_no_module_imports_scipy():
+    offenders = {path.name: lines for path in sorted(SRC.glob("*.py")) if (lines := scipy_imports(path))}
+    assert offenders == {}
+
+
+def test_guard_sees_a_scipy_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\nimport scipy.linalg\nfrom scipy import sparse\n"
+                     "from .scipyish import x\nimport os, scipy\n", encoding="utf-8")
+    assert scipy_imports(probe) == [2, 3, 5]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # a fresh interpreter: this test process may have imported scipy itself
+    code = "import sys, holonomy_lab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         cwd=SRC.parent, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in deps] == ["numpy"]

@@ -333,3 +333,51 @@ class TestTotalProduct:
     def test_no_steps_returns_init(self, rng):
         init = rand_unitary(rng, 3)
         assert np.array_equal(linalg.total_product(np.empty((0, 3, 3)), init), init)
+
+
+def check_unitary_eig(u: np.ndarray, want: np.ndarray, tol: float = 1e-13) -> None:
+    """unitary_eig against the definition: q unitary, q^dag u q diagonal with
+    entries e^{i phases}, and the phases those u was built from."""
+    phases, q = linalg.unitary_eig(u)
+    n = len(u)
+    assert np.all((phases >= 0.0) & (phases < TWO_PI))
+    assert np.max(np.abs(q.conj().T @ q - np.eye(n))) <= tol
+    d = q.conj().T @ u @ q
+    assert np.max(np.abs(d - np.diag(np.diag(d)))) <= tol
+    assert np.max(np.abs(np.diag(d) - np.exp(1j * phases))) <= tol
+    # the monic polynomials with roots e^{i phases} and e^{i want}: equal
+    # coefficients mean equal phase multisets on the circle, in any order
+    assert np.max(np.abs(np.poly(np.exp(1j * phases)) - np.poly(np.exp(1j * want)))) <= tol
+
+
+class TestUnitaryEig:
+    @pytest.mark.parametrize("want", [
+        [1.3],
+        [5.9, 4.0, 2.2, 0.3],
+        [2.5, 2.5],
+        [4.1, 4.1, 4.1, 1.0],
+        [3.0, 3.0, 3.0, 3.0],
+        [0.7, 0.7, 5.0, 5.0],
+        [TWO_PI - 1e-9, 3.0],
+        [TWO_PI - 1e-9, TWO_PI - 1e-9, TWO_PI - 1e-9],
+        [TWO_PI - 1e-9, 0.0, 1e-9, np.pi],
+        [1.0, 1.0 + 1e-9, 4.0],
+    ], ids=["m1", "distinct", "pair", "cluster_of_three", "full_cluster", "two_pairs", "near_two_pi",
+            "near_two_pi_cluster", "straddles_zero", "split_by_1e-9"])
+    def test_cases(self, rng, want):
+        want = np.array(want)
+        v = rand_unitary(rng, want.size)
+        check_unitary_eig(v @ np.diag(np.exp(1j * want)) @ v.conj().T, want)
+
+    def test_random_blocks_with_forced_degeneracies(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            want = rng.uniform(0.0, TWO_PI, n)
+            if n > 1 and rng.random() < 0.5:
+                want[1] = want[0]
+            if rng.random() < 0.3:
+                want[0] = TWO_PI - 1e-9
+            if rng.random() < 0.3:
+                want[-1] = 0.0  # its computed angle is often -1e-17, which mod sends to 2pi
+            v = rand_unitary(rng, n)
+            check_unitary_eig(v @ np.diag(np.exp(1j * want)) @ v.conj().T, want)

@@ -137,6 +137,14 @@ class TestSimplexCoords:
 
 
 class TestEigenprojectorBasis:
+    @pytest.mark.parametrize("m", [(1.2, 1.7), (0,), (np.nan,), (np.inf,), (), ((1, 2),)])
+    def test_rejects_non_integral_or_nonpositive_m(self, m):
+        with pytest.raises(LengthMismatch, match="positive integers"):
+            spectra.EigenprojectorBasis(m=m)
+
+    def test_integral_values_become_ints(self):
+        assert spectra.EigenprojectorBasis(m=(np.int64(1), 2.0)).m == (1, 2)
+
     def test_blocks_and_labels(self):
         basis = spectra.EigenprojectorBasis(m=(1, 2))
         assert basis.dim_k == 3
