@@ -170,30 +170,31 @@ def split(amp: Amplitude, wdot: Array) -> tuple[Array, Array]:
 def lift_tangents(spath: "SpectralPath", tangents: Array, tangent_tol: float) -> Array:
     """Horizontal lifts of state tangents given in eigenframe coordinates.
 
-    tangents (N, n, n) are F^dag rdot F for Hermitian tangents rdot at the
-    samples of spath. Returns (N, n, r) lifted tangents; raises NotTangent
-    when reprojection misses the tangent by more than tangent_tol (relative).
+    tangents (N, n, n) are T = F^dag rdot F at the samples of spath, lambda
+    the block means (zero on the kernel) and pdot_i the mean of Re T_jj
+    over the support block of i. The (N, n, r) lift is T_ic sqrt(lambda_c)
+    / (lambda_c - lambda_i) off the block mask, pdot_i / (2 sqrt(lambda_i))
+    on the support diagonal and zero elsewhere. Raises NotTangent when the
+    residual of its reprojection, T - diag(pdot) on the mask and
+    lambda_i (T_ic - conj(T_ci)) / (lambda_c - lambda_i) off it, exceeds
+    tangent_tol (relative).
     """
-    lam, blocks, r = spath.support_lam(), spath.blocks, spath.rank
+    lam, r = spath.support_lam(), spath.rank
     same = spath.block_mask
-    denom = lam[:, None, :] - lam[:, :, None]
-    denom[:, same] = 1.0
-    K = np.where(same[None, :, :], 0.0, 1j * tangents / denom)
-    sqrtp = np.sqrt(lam[:, :r])
-    wt = -1j * K[:, :, :r] * sqrtp[:, None, :]
-    diag = np.real(np.einsum("kii->ki", tangents))
-    for lo, hi in blocks:
-        pdot = np.mean(diag[:, lo:hi], axis=1)
-        wt[:, range(lo, hi), range(lo, hi)] += (pdot / (2.0 * np.sqrt(lam[:, lo])))[:, None]
-    # reproject and compare: the defect is the non-tangent component of rdot
-    e = np.zeros_like(tangents)
-    e[:, :, :r] = wt * sqrtp[:, None, :]
-    residual = e + e.conj().transpose(0, 2, 1) - tangents
+    gap = lam[:, None, :] - lam[:, :, None]
+    gap[:, same] = np.inf
+    x = tangents / gap
+    pdot = np.real(np.einsum("kii->ki", tangents))[:, :r] @ (same[:r, :r] / np.sum(same[:r, :r], axis=1))
+    residual = np.where(same, tangents, lam[:, :, None] * (x + np.conj(np.swapaxes(x, 1, 2))))
+    support = np.arange(r)
+    residual[:, support, support] -= pdot
     res = np.linalg.norm(residual, axis=(1, 2))
     scale = np.maximum(1.0, np.linalg.norm(tangents, axis=(1, 2)))
     worst = int(np.argmax(res / scale))
     if res[worst] > tangent_tol * scale[worst]:
         raise NotTangent(f"sample {worst}: lift residual {res[worst]:.3e} exceeds tolerance")
+    wt = x[:, :, :r] * np.sqrt(lam[:, None, :r])
+    wt[:, support, support] = pdot / (2.0 * np.sqrt(lam[:, :r]))
     return wt
 
 

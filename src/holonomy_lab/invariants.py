@@ -86,9 +86,8 @@ def _weighted_bound(weights, phases: PhaseSpectrum) -> float:
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size != len(phases.blocks):
         raise ShapeMismatch(f"{weights.size} weights for {len(phases.blocks)} phase blocks")
-    total = 0.0
-    for wj, ph in zip(weights, phases.blocks):
-        total += wj * float(np.sum(ph * (TWO_PI - ph)))
+    theta = phases.flat()
+    total = float(np.sum(np.repeat(weights, phases.m) * theta * (TWO_PI - theta)))
     return float(np.sqrt(max(total, 0.0)))
 
 

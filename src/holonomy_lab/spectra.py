@@ -32,13 +32,9 @@ def validate(p, m, norm_tol: float = tolerances.NORM_TOL) -> None:
     NotDescending, NotNormalized, or LengthMismatch.
     """
     p = np.asarray(p, dtype=float)
-    m = np.asarray(m, dtype=int)
-    if p.ndim != 1 or m.ndim != 1 or p.size != m.size:
+    m = np.asarray(EigenprojectorBasis(m).m)
+    if p.ndim != 1 or p.size != m.size:
         raise LengthMismatch(f"p has length {p.size}, m has length {m.size}")
-    if p.size == 0:
-        raise LengthMismatch("empty spectrum")
-    if np.any(m < 1):
-        raise LengthMismatch("degeneracies must be positive integers")
     if not np.all(np.isfinite(p)):
         j = int(np.argmin(np.isfinite(p)))
         raise NotNormalized(f"eigenvalue {j} is not finite: {p[j]!r}")

@@ -21,11 +21,11 @@ from .errors import (
     OutOfRange,
     SaturationFailed,
 )
+from .invariants import TWO_PI
 from .spectra import DensityOperator, spectral_decompose
 
 Array = np.ndarray
 
-TWO_PI = 2.0 * np.pi
 PLAN_SAMPLES = 4001
 
 # branch integers of the minimizing pure loop; any other pair lengthens it
@@ -77,7 +77,7 @@ class PureLoopSpec:
 
     @property
     def speed(self) -> float:
-        return float(np.sqrt(self.theta * (TWO_PI - self.theta))) / self.tau
+        return invariants.pure_ihb(self.theta) / self.tau
 
 
 def optimal_pure_loop(spec: PureLoopSpec, n_samples: int = 201) -> tuple[Array, Array]:
@@ -148,9 +148,9 @@ class SaturatingPlan:
 
     @property
     def ihb(self) -> float:
-        p_slots = np.repeat(self.rho.p, self.rho.m)
-        thetas = np.array([loop.theta for loop in self.loops])
-        return float(np.sqrt(np.sum(p_slots * thetas * (TWO_PI - thetas))))
+        thetas = [loop.theta for loop in self.loops]
+        phases = invariants.PhaseSpectrum(tuple(np.array(thetas[lo:hi]) for lo, hi in self.rho.basis.blocks))
+        return invariants.ihb_isospectral(self.rho.p, phases)
 
     def exact_states(self) -> OperatorCurve:
         """Closed-form state trajectory of the combined loops, sampled on

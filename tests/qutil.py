@@ -8,6 +8,7 @@ import numpy as np
 from holonomy_lab import bundle, linalg, spectra
 from holonomy_lab.curves import OperatorCurve, TimeGrid, grid_derivative
 from holonomy_lab.dynamics import SIGMA1, SIGMA2, SIGMA3
+from holonomy_lab.errors import NotTangent
 
 TWO_PI = 2.0 * np.pi
 
@@ -195,3 +196,29 @@ def lift_connection_residuals(lift: OperatorCurve, basis: spectra.Eigenprojector
         amp = bundle.Amplitude(w=lift.samples[k], basis=basis)
         out[k] = linalg.frob(bundle.connection_form(amp, wdots[k]).a)
     return out
+
+
+def reference_lift(spath: bundle.SpectralPath, tangents, tangent_tol: float) -> np.ndarray:
+    """Reference for bundle.lift_tangents by lift and reprojection: build
+    the lift from K = i T / (lambda_c - lambda_i) off the block mask, then
+    reproject e = lift sqrt(lambda) and take e + e^dag - T as the residual."""
+    lam, blocks, r = spath.support_lam(), spath.blocks, spath.rank
+    same = spath.block_mask
+    denom = lam[:, None, :] - lam[:, :, None]
+    denom[:, same] = 1.0
+    K = np.where(same[None, :, :], 0.0, 1j * tangents / denom)
+    sqrtp = np.sqrt(lam[:, :r])
+    wt = -1j * K[:, :, :r] * sqrtp[:, None, :]
+    diag = np.real(np.einsum("kii->ki", tangents))
+    for lo, hi in blocks:
+        pdot = np.mean(diag[:, lo:hi], axis=1)
+        wt[:, range(lo, hi), range(lo, hi)] += (pdot / (2.0 * np.sqrt(lam[:, lo])))[:, None]
+    e = np.zeros_like(tangents)
+    e[:, :, :r] = wt * sqrtp[:, None, :]
+    residual = e + e.conj().transpose(0, 2, 1) - tangents
+    res = np.linalg.norm(residual, axis=(1, 2))
+    scale = np.maximum(1.0, np.linalg.norm(tangents, axis=(1, 2)))
+    worst = int(np.argmax(res / scale))
+    if res[worst] > tangent_tol * scale[worst]:
+        raise NotTangent(f"sample {worst}: lift residual {res[worst]:.3e} exceeds tolerance")
+    return wt

@@ -230,6 +230,18 @@ class TestMetricOnStates:
         with pytest.raises(NotTangent):
             bundle.metric_g(rho, kernel_mass - np.trace(kernel_mass) * rho.matrix, rho.matrix * 0)
 
+    def test_rejects_non_hermitian_tangent(self):
+        # metric_g takes rdot unchecked; zero on the block mask, so only the
+        # off-mask residual lambda_i (T_ic - conj(T_ci)) / (lambda_c - lambda_i) sees these
+        i_sigma_x = np.array([[0.0, 1j], [1j, 0.0]])  # a support-support pair
+        with pytest.raises(NotTangent, match="residual 7.211e"):
+            bundle.metric_g(mixed_qubit_state(0.6), i_sigma_x, i_sigma_x)
+        rho = spectra.spectral_decompose(np.diag([0.6, 0.4, 0.0]).astype(complex))
+        e02 = np.zeros((3, 3), dtype=complex)
+        e02[0, 2] = 1.0  # a support-kernel pair
+        with pytest.raises(NotTangent):
+            bundle.metric_g(rho, e02, e02)
+
 
 class TestHorizontalLift:
     def test_constant_curve(self):

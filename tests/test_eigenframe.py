@@ -3,14 +3,19 @@
 The variance split, the incoherent part and the state speeds are computed
 from B = F^dag H F; each is checked here against a formula that never
 forms B, on random stacks with a degenerate block and a nonzero kernel.
+The closed-form tangent lift is checked against the lift-and-reproject
+reference.
 """
+
+import re
 
 import numpy as np
 import pytest
 
-from holonomy_lab import bundle, dynamics, spectra
+from holonomy_lab import bundle, dynamics, spectra, tolerances
 from holonomy_lab.curves import OperatorCurve, TimeGrid
-from qutil import rand_hermitian, rand_unitary, variance_path
+from holonomy_lab.errors import NotTangent
+from qutil import rand_hermitian, rand_unitary, reference_lift, variance_path
 
 # (support block sizes, kernel dimension) per ambient dimension; dim 2 has
 # room for a kernel but not for a degenerate block beside it
@@ -19,11 +24,11 @@ NSAMP = 7
 REL = 1e-12
 
 
-def random_path(rng, dim):
-    """Random states with a fixed block spectrum, their block projectors
+def random_path(rng, m, kernel):
+    """Random states with block sizes m and a kernel, their block projectors
     (kernel last) built from the generating unitaries, and random
     Hamiltonians."""
-    m, kernel = LAYOUTS[dim]
+    dim = sum(m) + kernel
     # well-separated block values keep the eigenframes well conditioned
     p = np.arange(len(m), 0, -1) + rng.uniform(0.0, 0.5, size=len(m))
     p /= p @ np.array(m)
@@ -55,18 +60,18 @@ def assert_close(actual, expected):
 @pytest.mark.parametrize("dim", sorted(LAYOUTS))
 class TestAgainstStateSpace:
     def test_block_mask(self, dim, rng):
-        _, _, _, spath = random_path(rng, dim)
+        _, _, _, spath = random_path(rng, *LAYOUTS[dim])
         m, kernel = LAYOUTS[dim]
         sizes = m + (kernel,)
         ids = np.repeat(np.arange(len(sizes)), sizes)
         assert np.array_equal(spath.block_mask, ids[:, None] == ids[None, :])
 
     def test_incoherent_part(self, dim, rng):
-        _, projectors, hs, spath = random_path(rng, dim)
+        _, projectors, hs, spath = random_path(rng, *LAYOUTS[dim])
         assert_close(dynamics.incoherent_part_path(hs, spath), projector_incoherent(projectors, hs))
 
     def test_variance_split(self, dim, rng):
-        states, projectors, hs, spath = random_path(rng, dim)
+        states, projectors, hs, spath = random_path(rng, *LAYOUTS[dim])
         h_in = projector_incoherent(projectors, hs)
         dh2, dco2, din2 = dynamics.variance_split(spath.in_eigenframe(hs), spath)
         assert_close(dh2, variance_path(states, hs))
@@ -74,16 +79,62 @@ class TestAgainstStateSpace:
         assert_close(din2, variance_path(states, h_in))
 
     def test_state_speeds(self, dim, rng):
-        states, _, hs, spath = random_path(rng, dim)
+        states, _, hs, spath = random_path(rng, *LAYOUTS[dim])
         rdots = -1j * (hs @ states - states @ hs)
         speeds2 = dynamics.state_speeds_sq(spath.in_eigenframe(hs), spath)
         assert_close(speeds2, bundle.path_speeds_sq(spath, rdots))
+        ref = reference_lift(spath, spath.in_eigenframe(rdots), tolerances.TANGENT_TOL)
+        assert_close(speeds2, np.sum(np.abs(ref) ** 2, axis=(1, 2)))
 
     def test_uncertainty(self, dim, rng):
-        states, projectors, hs, _ = random_path(rng, dim)
+        states, projectors, hs, _ = random_path(rng, *LAYOUTS[dim])
         for k in range(NSAMP):
             rho = spectra.spectral_decompose(states[k])
             h_in = projector_incoherent(projectors[k : k + 1], hs[k : k + 1])[0]
             expected = [variance_path(states[k], h) for h in (hs[k], hs[k] - h_in, h_in)]
             assert_close(np.square(dynamics.uncertainty(rho, hs[k])), np.array(expected))
             assert_close(np.stack(dynamics.split_hamiltonian(hs[k], rho)), np.stack([h_in, hs[k] - h_in]))
+
+
+def sample_named(message: str) -> int:
+    return int(re.match(r"sample (\d+):", message).group(1))
+
+
+@pytest.mark.parametrize("m, kernel", [((1, 1), 0), ((1,), 1), ((2, 1), 0), ((1, 2), 1), ((2, 2), 2)],
+                         ids=["m11", "pure", "m21", "m12k1", "m22k2"])
+@pytest.mark.parametrize("kind", ["hermitian", "offmask", "general"])
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+def test_lift_tangents_matches_reference(m, kernel, kind, tol, rng):
+    """Exact state tangents plus noise of growing size: Hermitian noise,
+    non-Hermitian noise off the block mask, or a general complex matrix.
+    The closed-form lift agrees with the reference, and NotTangent fires
+    for the same sizes and names the same sample."""
+    _, _, _, spath = random_path(rng, m, kernel)
+    n = spath.values.shape[1]
+    same = spath.block_mask
+    support_diag = np.repeat(rng.uniform(-1.0, 1.0, len(m)), m)
+    exact = np.where(same, 0.0, np.stack([rand_hermitian(rng, n) for _ in range(NSAMP)]))
+    exact[:, range(sum(m)), range(sum(m))] = support_diag
+    outcomes = set()
+    for size in (0.0, 1e-10, 1e-7, 1e-4, 1e-1):
+        noise = rng.standard_normal((NSAMP, n, n)) + 1j * rng.standard_normal((NSAMP, n, n))
+        if kind == "hermitian":
+            noise = noise + np.conj(np.swapaxes(noise, 1, 2))
+        elif kind == "offmask":
+            noise = np.where(same, 0.0, noise)
+        tangents = exact + size * rng.uniform(0.1, 1.0, NSAMP)[:, None, None] * noise
+        try:
+            expected = reference_lift(spath, tangents, tol)
+        except NotTangent as ref_exc:
+            with pytest.raises(NotTangent) as exc:
+                bundle.lift_tangents(spath, tangents, tol)
+            assert sample_named(str(exc.value)) == sample_named(str(ref_exc))
+            outcomes.add("rejected")
+            continue
+        lift = bundle.lift_tangents(spath, tangents, tol)
+        assert lift.shape == (NSAMP, n, sum(m))
+        assert np.max(np.abs(lift - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+        outcomes.add("accepted")
+    # with 1x1 blocks and no kernel every Hermitian matrix is a tangent
+    every_hermitian_tangent = kind == "hermitian" and set(m) == {1} and kernel == 0
+    assert outcomes == ({"accepted"} if every_hermitian_tangent else {"accepted", "rejected"})

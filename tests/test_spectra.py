@@ -31,6 +31,13 @@ class TestValidate:
         with pytest.raises(LengthMismatch):
             spectra.validate([0.5, 0.5], [1])
 
+    @pytest.mark.parametrize("check", [spectra.validate, lambda p, m: spectra.assemble(p, m, [np.eye(2)[:, :1]] * 2)],
+                             ids=["validate", "assemble"])
+    def test_non_integral_m_rejected(self, check):
+        # m = (1.2, 1.7) must not truncate to (1, 1), which sums to 1 against p
+        with pytest.raises(LengthMismatch, match="positive integers"):
+            check([0.6, 0.4], [1.2, 1.7])
+
     def test_nonpositive(self):
         with pytest.raises(NotDescending):
             spectra.validate([1.2, -0.2], [1, 1], norm_tol=1e-6)
