@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, tolerances
-from .curves import OperatorCurve
+from .curves import OperatorCurve, UnitaryOrbit
 from .errors import (
     DegeneracyMismatch,
     EndpointMismatch,
@@ -267,13 +267,32 @@ class SpectralPath:
         return out
 
 
-def decompose_path(curve: OperatorCurve) -> SpectralPath:
-    """Eigendecompose every sample and check the block structure is constant.
+def _check_gap_below(vals: Array, hi: int, r: int) -> None:
+    """MultiplicityChange when the support block ending at index hi sits
+    closer than 10x GAP_TOL to the next one in any eigenvalue row of vals
+    (N, n); r is the rank."""
+    if hi < r and np.any(vals[:, hi - 1] - vals[:, hi] < 10.0 * tolerances.GAP_TOL):
+        raise MultiplicityChange("inter-block gap closes along the curve")
 
-    Checks the samples Hermitian at CURVE_HERM_TOL, the curve's one such
-    check. Aborts with MultiplicityChange whenever the rank changes, the
-    clustering changes, or an inter-block gap dips below 10x GAP_TOL.
+
+def decompose_path(curve: OperatorCurve) -> SpectralPath:
+    """Eigendata of every sample, with a block structure that stays constant.
+
+    A UnitaryOrbit keeps its start's spectrum and block structure, so its
+    path is read off its propagators: frames U_k F_0 and the start's values
+    on every sample, with no eigendecomposition; only the inter-block gap
+    rule below applies, once, to the start's values. Any other curve is
+    eigendecomposed sample by sample after its samples are checked
+    Hermitian at CURVE_HERM_TOL, the curve's one such check; it aborts with
+    MultiplicityChange whenever the rank changes, the clustering changes, or
+    an inter-block gap dips below 10x GAP_TOL.
     """
+    if isinstance(curve, UnitaryOrbit):
+        path0 = SpectralPath.of_state(curve.start)
+        for _, hi in path0.blocks:
+            _check_gap_below(path0.values, hi, path0.rank)
+        return SpectralPath(values=np.tile(path0.values, (curve.grid.n, 1)), frames=curve.propagators @ path0.frames,
+                            blocks=path0.blocks, m=path0.m)
     linalg.check_hermitian_stack(curve.samples, tolerances.CURVE_HERM_TOL)
     vals, frames = linalg.hermitian_eig_stack(curve.samples)
     n = vals.shape[1]
@@ -289,8 +308,7 @@ def decompose_path(curve: OperatorCurve) -> SpectralPath:
     for lo, hi in blocks:
         if hi - lo > 1 and np.any(vals[:, lo : hi - 1] - vals[:, lo + 1 : hi] > tolerances.GAP_TOL):
             raise MultiplicityChange("eigenvalue block splits along the curve")
-        if hi < r and np.any(vals[:, hi - 1] - vals[:, hi] < 10.0 * tolerances.GAP_TOL):
-            raise MultiplicityChange("inter-block gap closes along the curve")
+        _check_gap_below(vals, hi, r)
     return SpectralPath(values=vals, frames=frames, blocks=blocks, m=tuple(hi - lo for lo, hi in blocks))
 
 

@@ -1,13 +1,13 @@
 """Sampled operator curves and functionals on them.
 
-Uniform time grids, curve concatenation/reversal/reparameterization, the
-finite-difference/trapezoid toolbox, and the Fisher-Rao length and kinetic
-energy of eigenvalue paths.
+Uniform time grids, unitary orbits of a state, curve
+concatenation/reversal/reparameterization, the finite-difference/trapezoid
+toolbox, and the Fisher-Rao length and kinetic energy of eigenvalue paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import (
     NotNormalized,
     ZeroLength,
 )
+from .spectra import DensityOperator
 
 Array = np.ndarray
 
@@ -79,6 +80,27 @@ class OperatorCurve:
 
     def closure_defect(self) -> float:
         return float(np.linalg.norm(self.samples[0] - self.samples[-1]))
+
+
+@dataclass(frozen=True, eq=False)
+class UnitaryOrbit(OperatorCurve):
+    """State curve rho_k = U_k rho_0 U_k^dag of a unitary run, built from its
+    propagators (N, n, n) and its start rho_0, so its samples and the
+    eigenframes U_k F_0 cannot disagree. The samples are Hermitian by
+    construction; samples and propagators are read-only."""
+
+    samples: Array = field(init=False)
+    propagators: Array
+    start: DensityOperator
+
+    def __post_init__(self):
+        u = np.asarray(self.propagators, dtype=np.complex128).view()
+        states = u @ self.start.matrix @ np.conj(np.swapaxes(u, -1, -2))
+        states = 0.5 * (states + np.conj(np.swapaxes(states, -1, -2)))
+        u.flags.writeable = states.flags.writeable = False
+        object.__setattr__(self, "propagators", u)
+        object.__setattr__(self, "samples", states)
+        super().__post_init__()
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bundle, invariants, linalg, tolerances
-from .curves import OperatorCurve, TimeGrid, trapezoid
+from .curves import OperatorCurve, TimeGrid, UnitaryOrbit, trapezoid
 from .errors import (
     ContractViolation,
     DimMismatch,
@@ -45,11 +45,14 @@ class HamiltonianSchedule(OperatorCurve):
         return cls(grid=TimeGrid(tau=tau, n=n), samples=np.broadcast_to(h, (n, *h.shape)).copy())
 
 
-def evolve(rho0: DensityOperator, sched: HamiltonianSchedule) -> tuple[OperatorCurve, OperatorCurve]:
+def evolve(rho0: DensityOperator, sched: HamiltonianSchedule) -> tuple[OperatorCurve, UnitaryOrbit]:
     """Propagate rho0 under the schedule; returns (U curve, state curve).
 
     The propagator is stepped with the midpoint Hamiltonian (linear
     interpolation between samples), which is exact for constant schedules.
+    The state curve is the UnitaryOrbit of rho0 under the propagators, whose
+    spectral path decompose_path reads without eigendecomposing; the U
+    curve holds the same read-only propagators.
     """
     n = rho0.dim
     if sched.samples.shape[1:] != (n, n):
@@ -62,12 +65,8 @@ def evolve(rho0: DensityOperator, sched: HamiltonianSchedule) -> tuple[OperatorC
     else:
         mids = 0.5 * (sched.samples[:-1] + sched.samples[1:])
         steps = linalg.propagator_step_stack(mids, dt)
-    props = linalg.ordered_products(steps)
-    states = props @ rho0.matrix @ np.conj(np.swapaxes(props, -1, -2))
-    return (
-        OperatorCurve(grid=sched.grid, samples=props),
-        OperatorCurve(grid=sched.grid, samples=states),
-    )
+    states = UnitaryOrbit(grid=sched.grid, propagators=linalg.ordered_products(steps), start=rho0)
+    return OperatorCurve(grid=sched.grid, samples=states.propagators), states
 
 
 def split_hamiltonian(h: Array, rho: DensityOperator) -> tuple[Array, Array]:

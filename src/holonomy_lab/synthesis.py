@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bundle, dynamics, invariants, linalg, tolerances
-from .curves import OperatorCurve, TimeGrid, trapezoid
+from .curves import TimeGrid, UnitaryOrbit, trapezoid
 from .errors import (
     DegeneracyMismatch,
     DimensionTooSmall,
@@ -152,13 +152,13 @@ class SaturatingPlan:
         phases = invariants.PhaseSpectrum(tuple(np.array(thetas[lo:hi]) for lo, hi in self.rho.basis.blocks))
         return invariants.ihb_isospectral(self.rho.p, phases)
 
-    def exact_states(self) -> OperatorCurve:
+    def exact_states(self) -> UnitaryOrbit:
         """Closed-form state trajectory of the combined loops, sampled on
-        the schedule grid; closes to machine precision."""
-        props = _flow_props(self.generator, self.schedule.grid.times)
-        states = props @ self.rho.matrix @ np.conj(np.swapaxes(props, -1, -2))
-        states = 0.5 * (states + np.conj(np.swapaxes(states, -1, -2)))
-        return OperatorCurve(grid=self.schedule.grid, samples=states)
+        the schedule grid: the UnitaryOrbit of rho under the generator's
+        flow, which closes to machine precision and whose spectral path
+        decompose_path reads without eigendecomposing."""
+        return UnitaryOrbit(grid=self.schedule.grid, propagators=_flow_props(self.generator, self.schedule.grid.times),
+                            start=self.rho)
 
 
 def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeElement,

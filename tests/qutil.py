@@ -67,6 +67,25 @@ def precessing_qubit_curve(n3: float, omega: float, p0: float, nsamp: int) -> Op
     return OperatorCurve(grid=TimeGrid(tau=tau, n=nsamp), samples=states)
 
 
+def plain_curve(curve) -> OperatorCurve:
+    """The samples of a curve (a unitary orbit, say) as a plain
+    OperatorCurve, which decompose_path eigendecomposes."""
+    return OperatorCurve(grid=curve.grid, samples=np.array(curve.samples))
+
+
+def stack_sizes(monkeypatch, name: str) -> list:
+    """Sizes of the stacks linalg.<name> sees from now on."""
+    sizes = []
+    original = getattr(linalg, name)
+
+    def spy(ms, *args, **kwargs):
+        sizes.append(len(ms))
+        return original(ms, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, name, spy)
+    return sizes
+
+
 def great_circle_section(nsamp: int, s0: float = 0.0, s1: float = np.pi, phase=None) -> np.ndarray:
     """Unit vectors cos(s)|0> + sin(s)|1> between polar angles s0, s1, with
     an optional extra phase profile (it cancels in every gauge invariant)."""

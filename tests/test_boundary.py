@@ -1,17 +1,18 @@
 """Each input is checked once, where it enters: Hermiticity of a state curve
 when it is decomposed, of a schedule when it is built, of a single matrix at
 its entry point; the stack kernels re-check nothing the library built from
-checked data. horizontal_lift_unitary checks its run and its lift start as
-speed_report and horizontal_lift do, and synthesize checks its amplitude
-with the same lift-start check."""
+checked data, and a unitary orbit, Hermitian by construction, is neither
+checked nor eigendecomposed. horizontal_lift_unitary checks its run and its
+lift start as speed_report and horizontal_lift do, and synthesize checks its
+amplitude with the same lift-start check."""
 
 import numpy as np
 import pytest
 
-from holonomy_lab import bundle, cli, dynamics, invariants, linalg, serialize, spectra, synthesis
+from holonomy_lab import bundle, cli, dynamics, invariants, serialize, spectra, synthesis
 from holonomy_lab.curves import OperatorCurve, TimeGrid
 from holonomy_lab.errors import DegeneracyMismatch, EndpointMismatch, GridMismatch, NonHermitian
-from qutil import precessing_qubit_curve, qubit_axis
+from qutil import plain_curve, precessing_qubit_curve, qubit_axis, stack_sizes
 
 TWO_PI = 2.0 * np.pi
 
@@ -27,18 +28,22 @@ def qubit_run(nsamp=201):
     return states, sched, bundle.canonical_amplitude(rho0)
 
 
+def saturating_plan():
+    rho = synthesis.embedded_state(np.diag([0.7, 0.3]).astype(complex), 4)
+    target = bundle.GaugeElement(u=np.diag(np.exp(1j * np.array([1.6 * np.pi, 0.4 * np.pi]))), basis=rho.basis)
+    return synthesis.synthesize(rho, bundle.canonical_amplitude(rho), target, tau=1.0, ambient_dim=4)
+
+
 @pytest.fixture
 def herm_checks(monkeypatch):
     """Sizes of the stacks check_hermitian_stack sees."""
-    sizes = []
-    original = linalg.check_hermitian_stack
+    return stack_sizes(monkeypatch, "check_hermitian_stack")
 
-    def spy(ms, *args, **kwargs):
-        sizes.append(len(ms))
-        return original(ms, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "check_hermitian_stack", spy)
-    return sizes
+@pytest.fixture
+def eig_stacks(monkeypatch):
+    """Sizes of the stacks hermitian_eig_stack sees."""
+    return stack_sizes(monkeypatch, "hermitian_eig_stack")
 
 
 class TestHermiticityOnce:
@@ -62,31 +67,59 @@ class TestHermiticityOnce:
 
     def test_horizontal_lift_unitary(self, herm_checks):
         states, sched, w0 = qubit_run()
+        curve = plain_curve(states)
         herm_checks.clear()
-        dynamics.horizontal_lift_unitary(states, sched, w0)
+        dynamics.horizontal_lift_unitary(curve, sched, w0)
         assert herm_checks == [201]
 
     def test_check_isoholonomic(self, herm_checks):
         states, _, w0 = qubit_run()
+        curve = plain_curve(states)
         herm_checks.clear()
-        invariants.check_isoholonomic(states, w0)
+        invariants.check_isoholonomic(curve, w0)
         assert herm_checks == [201]
 
     def test_speed_limit(self, herm_checks):
         states, sched, w0 = qubit_run()
+        curve = plain_curve(states)
         herm_checks.clear()
-        dynamics.speed_limit(states, sched, w0)
+        dynamics.speed_limit(curve, sched, w0)
         assert herm_checks == [201]
 
-    def test_verify_saturation(self, herm_checks):
-        rho = synthesis.embedded_state(np.diag([0.7, 0.3]).astype(complex), 4)
-        target = bundle.GaugeElement(u=np.diag(np.exp(1j * np.array([1.6 * np.pi, 0.4 * np.pi]))), basis=rho.basis)
-        plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), target, tau=1.0, ambient_dim=4)
+    def test_verify_saturation(self, herm_checks, monkeypatch):
+        plan = saturating_plan()
+        exact_states = synthesis.SaturatingPlan.exact_states
+        monkeypatch.setattr(synthesis.SaturatingPlan, "exact_states", lambda self: plain_curve(exact_states(self)))
         herm_checks.clear()
         synthesis.verify_saturation(plan)
         # the state curve's one check; the generator of the closed-form
         # trajectory is a single matrix
         assert [n for n in herm_checks if n > 1] == [plan.schedule.grid.n]
+
+
+def orbit_entry_points():
+    """(name, call) of each entry point that takes a unitary orbit, with its
+    inputs built up front."""
+    states, sched, w0 = qubit_run()
+    plan = saturating_plan()
+    return [
+        ("horizontal_lift_unitary", lambda: dynamics.horizontal_lift_unitary(states, sched, w0)),
+        ("check_isoholonomic", lambda: invariants.check_isoholonomic(states, w0)),
+        ("speed_limit", lambda: dynamics.speed_limit(states, sched, w0)),
+        ("verify_saturation", lambda: synthesis.verify_saturation(plan)),
+    ]
+
+
+def test_orbit_is_neither_checked_nor_decomposed(herm_checks, eig_stacks):
+    """The unitary orbits evolve and exact_states return skip the curve check
+    and the eigendecomposition of their samples; single matrices (the
+    generator, the holonomy's eigenbasis) still go through both."""
+    for name, call in orbit_entry_points():
+        herm_checks.clear()
+        eig_stacks.clear()
+        call()
+        assert [n for n in herm_checks if n > 1] == [], name
+        assert [n for n in eig_stacks if n > 1] == [], name
 
 
 def synthesize_from(states, w0):

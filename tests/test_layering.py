@@ -1,8 +1,9 @@
 """Layering guards: no module of the library reads another module's
 underscore names, every threshold lives in the tolerance table, numpy's
 decompositions and solves are called only in linalg, the stack kernels
-that trust their input are called only where that input was checked, and
-numpy is the only third-party package the library imports."""
+that trust their input are called only where that input was checked, only
+the two unitary runs build a UnitaryOrbit, and numpy is the only
+third-party package the library imports."""
 
 import ast
 import re
@@ -198,6 +199,45 @@ def test_guard_sees_a_trusting_kernel(tmp_path):
                      "def planted(hs):\n    f = propagator_step_stack\n    return f(hs, 0.1)\n", encoding="utf-8")
     assert trusting_kernel_uses(probe) == {("<module>", "propagator_step_stack"), ("evolve", "hermitian_eig_stack"),
                                            ("planted", "propagator_step_stack")}
+
+
+# decompose_path trusts an orbit's propagators to carry its start's spectral
+# path, so orbits are built only from the library's own unitary runs
+ORBIT_BUILDERS = {("dynamics", "evolve"), ("synthesis", "SaturatingPlan.exact_states")}
+
+
+def orbit_constructions(path):
+    """Enclosing function, qualified by its class, of every call of
+    UnitaryOrbit in one file; module-level calls count under "<module>"."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+        if isinstance(node, ast.Call) and "UnitaryOrbit" in (getattr(node.func, "id", None),
+                                                              getattr(node.func, "attr", None)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_only_unitary_runs_build_orbits():
+    builders = {(path.stem, where) for path in SRC.glob("*.py") for where in orbit_constructions(path)}
+    assert builders == ORBIT_BUILDERS
+
+
+def test_guard_sees_an_orbit_construction(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import curves\nfrom .curves import UnitaryOrbit\n\n\n"
+                     "def evolve(u, rho):\n    return UnitaryOrbit(grid=None, propagators=u, start=rho)\n\n\n"
+                     "class Plan:\n    def exact_states(self):\n"
+                     "        return curves.UnitaryOrbit(grid=None, propagators=None, start=None)\n\n\n"
+                     "def route(c):\n    return isinstance(c, UnitaryOrbit)\n\n\n"
+                     "planted = UnitaryOrbit(grid=None, propagators=None, start=None)\n", encoding="utf-8")
+    assert orbit_constructions(probe) == {"evolve", "Plan.exact_states", "<module>"}
 
 
 def scipy_imports(path):

@@ -1,0 +1,109 @@
+"""A unitary run carries its spectral path: decompose_path reads a
+UnitaryOrbit's eigenframes U_k F_0 and its start's values instead of
+eigendecomposing the samples, and agrees with the eigendecomposition route
+on a plain curve holding the same samples. Every curve operation returns a
+plain curve, which takes the eigendecomposition route again."""
+
+import numpy as np
+import pytest
+
+from holonomy_lab import bundle, curves, dynamics, invariants, linalg, serialize, spectra, synthesis
+from holonomy_lab.curves import OperatorCurve, UnitaryOrbit
+from holonomy_lab.errors import MultiplicityChange
+from qutil import plain_curve, qubit_axis, rand_gauge, rand_state, stack_sizes
+
+TWO_PI = 2.0 * np.pi
+
+
+def qubit_run(p=(0.7, 0.3), nsamp=401):
+    rho0 = spectra.spectral_decompose(np.diag(p).astype(complex))
+    sched = dynamics.HamiltonianSchedule.constant(dynamics.qubit_hamiltonian(qubit_axis(0.6), TWO_PI), 1.0, nsamp)
+    _, states = dynamics.evolve(rho0, sched)
+    return states, sched, bundle.canonical_amplitude(rho0)
+
+
+def plan_run(rng, p, m, dim):
+    rho = rand_state(rng, p, m, dim)
+    plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis), tau=1.0,
+                                ambient_dim=dim)
+    return plan.exact_states(), plan.schedule, plan.w
+
+
+# (p, m, dim) of the synthesized plans; the last two have a degenerate block
+# and a kernel
+PLANS = {
+    "pure-2": ((1.0,), (1,), 2),
+    "m11-4": ((0.7, 0.3), (1, 1), 4),
+    "m12-6": ((0.5, 0.25), (1, 2), 6),
+    "m22-8": ((0.3, 0.2), (2, 2), 8),
+}
+
+
+def block_projectors(spath):
+    """(N, n, n) projectors onto each support block and the kernel."""
+    ranges = spath.blocks + [(spath.rank, spath.frames.shape[1])]
+    return [spath.frames[:, :, lo:hi] @ np.conj(np.swapaxes(spath.frames[:, :, lo:hi], 1, 2))
+            for lo, hi in ranges if hi > lo]
+
+
+@pytest.mark.parametrize("case", ["qubit-evolve"] + sorted(PLANS))
+def test_orbit_route_matches_eigh_route(case, rng):
+    orbit, sched, w0 = qubit_run() if case == "qubit-evolve" else plan_run(rng, *PLANS[case])
+    assert type(orbit) is UnitaryOrbit
+    fast, slow = bundle.closed_loop(orbit, w0), bundle.closed_loop(plain_curve(orbit), w0)
+    assert fast.path.m == slow.path.m and fast.path.blocks == slow.path.blocks
+    assert linalg.frob(fast.holonomy.u - slow.holonomy.u) <= 1e-12
+    for pf, ps in zip(block_projectors(fast.path), block_projectors(slow.path), strict=True):
+        assert np.max(np.abs(pf - ps)) <= 1e-12
+    iso_fast, iso_slow = invariants.iso_report(fast), invariants.iso_report(slow)
+    assert abs(iso_fast.length - iso_slow.length) <= 1e-12
+    assert abs(iso_fast.ihb - iso_slow.ihb) <= 1e-12
+    assert abs(dynamics.speed_report(fast, sched).bound - dynamics.speed_report(slow, sched).bound) <= 1e-12
+
+
+def test_gap_rule_holds_on_both_routes():
+    """Blocks 5e-9 apart are two blocks for spectral_decompose (GAP_TOL) but
+    too close for a path (10x GAP_TOL): both routes refuse the run."""
+    orbit, sched, w0 = qubit_run(p=(0.5 + 2.5e-9, 0.5 - 2.5e-9), nsamp=201)
+    assert orbit.start.m == (1, 1)
+    for curve in (orbit, plain_curve(orbit)):
+        with pytest.raises(MultiplicityChange, match="^inter-block gap closes along the curve$"):
+            dynamics.speed_limit(curve, sched, w0)
+
+
+class TestIntegrity:
+    def test_read_only(self):
+        orbit, _, _ = qubit_run()
+        for array in (orbit.samples, orbit.propagators):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 0.0
+
+    def test_caller_array_left_writable(self):
+        rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
+        props = np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2)).copy()
+        orbit = UnitaryOrbit(grid=curves.TimeGrid(tau=1.0, n=5), propagators=props, start=rho0)
+        assert props.flags.writeable and not orbit.propagators.flags.writeable
+        assert np.array_equal(orbit.samples, np.broadcast_to(rho0.matrix, (5, 2, 2)))
+
+    def test_no_orbit_without_propagators(self):
+        orbit, _, _ = qubit_run()
+        with pytest.raises(TypeError):
+            UnitaryOrbit.from_samples(1.0, orbit.samples)
+
+    def test_curve_operations_return_plain_curves(self):
+        orbit, _, _ = qubit_run()
+        made = [
+            curves.reverse(orbit),
+            curves.concatenate(orbit, orbit),
+            curves.reparam_arclength(orbit, np.ones(orbit.grid.n)),
+            serialize.curve_from_json(serialize.curve_to_json(orbit)),
+        ]
+        assert [type(c) for c in made] == [OperatorCurve] * len(made)
+
+    def test_reversed_orbit_is_eigendecomposed(self, monkeypatch):
+        orbit, _, _ = qubit_run()
+        sizes = stack_sizes(monkeypatch, "hermitian_eig_stack")
+        bundle.decompose_path(orbit)
+        assert sizes == []
+        bundle.decompose_path(curves.reverse(orbit))
+        assert sizes == [orbit.grid.n]
