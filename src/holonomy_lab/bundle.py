@@ -252,7 +252,7 @@ class SpectralPath:
 
     def in_eigenframe(self, ops: Array) -> Array:
         """F^dag ops F per sample: operators (N, n, n) in eigenframe coordinates."""
-        return np.conj(np.swapaxes(self.frames, -1, -2)) @ ops @ self.frames
+        return linalg.matmul_stack(linalg.matmul_stack(np.conj(np.swapaxes(self.frames, -1, -2)), ops), self.frames)
 
     def block_means(self) -> Array:
         """(N, l) per-sample block-averaged eigenvalues."""
@@ -291,8 +291,8 @@ def decompose_path(curve: OperatorCurve) -> SpectralPath:
         path0 = SpectralPath.of_state(curve.start)
         for _, hi in path0.blocks:
             _check_gap_below(path0.values, hi, path0.rank)
-        return SpectralPath(values=np.tile(path0.values, (curve.grid.n, 1)), frames=curve.propagators @ path0.frames,
-                            blocks=path0.blocks, m=path0.m)
+        return SpectralPath(values=np.tile(path0.values, (curve.grid.n, 1)),
+                            frames=linalg.matmul_stack(curve.propagators, path0.frames), blocks=path0.blocks, m=path0.m)
     linalg.check_hermitian_stack(curve.samples, tolerances.CURVE_HERM_TOL)
     vals, frames = linalg.hermitian_eig_stack(curve.samples)
     n = vals.shape[1]
@@ -325,7 +325,7 @@ def _transport_steps(spath: SpectralPath, frames0: Array):
     for j, (lo, hi) in enumerate(spath.blocks):
         raw = spath.frames[:, :, lo:hi]
         head = linalg.polar_unitary(raw[0].conj().T @ frames0[:, lo:hi])
-        overlaps = np.einsum("kna,knb->kab", raw[:-1].conj(), raw[1:])
+        overlaps = linalg.matmul_stack(np.conj(np.swapaxes(raw[:-1], -1, -2)), raw[1:])
         if hi == lo + 1:
             mags = np.abs(overlaps)
             if np.any(mags <= tolerances.OVERLAP_TOL):
@@ -344,7 +344,7 @@ def _transport_frames(spath: SpectralPath, frames0: Array) -> Array:
     """The (N, n, r) frames transported from frames0: running step products."""
     out = np.empty(spath.frames.shape[:2] + (spath.rank,), dtype=np.complex128)
     for lo, hi, head, steps in _transport_steps(spath, frames0):
-        out[:, :, lo:hi] = spath.frames[:, :, lo:hi] @ linalg.ordered_products(steps, head)
+        out[:, :, lo:hi] = linalg.matmul_stack(spath.frames[:, :, lo:hi], linalg.ordered_products(steps, head))
     return out
 
 

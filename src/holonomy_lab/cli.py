@@ -173,6 +173,13 @@ def _sample_count(text: str) -> int:
     return value
 
 
+def _job_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 job, got {text}")
+    return value
+
+
 def _dimension(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -191,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curves", nargs="+")
     p.add_argument("--amplitude", type=str, default=None)
     p.add_argument("--alpha", type=str, default=None, help="comma-separated spectral bounds")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1)
     common(p)
     p.set_defaults(func=cmd_check)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tolerances
+from . import linalg, tolerances
 from .errors import (
     EndpointMismatch,
     GridMismatch,
@@ -95,7 +95,7 @@ class UnitaryOrbit(OperatorCurve):
 
     def __post_init__(self):
         u = np.asarray(self.propagators, dtype=np.complex128).view()
-        states = u @ self.start.matrix @ np.conj(np.swapaxes(u, -1, -2))
+        states = linalg.matmul_stack(linalg.matmul_stack(u, self.start.matrix), np.conj(np.swapaxes(u, -1, -2)))
         states = 0.5 * (states + np.conj(np.swapaxes(states, -1, -2)))
         u.flags.writeable = states.flags.writeable = False
         object.__setattr__(self, "propagators", u)

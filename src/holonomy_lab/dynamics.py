@@ -103,7 +103,8 @@ def incoherent_part_path(hs: Array, spath: bundle.SpectralPath) -> Array:
     """Batched state-incoherent components F (B o mask) F^dag along a
     decomposed state path, with B = F^dag H F and the block mask."""
     b = spath.in_eigenframe(hs)
-    return spath.frames @ (b * spath.block_mask) @ np.conj(np.swapaxes(spath.frames, -1, -2))
+    return linalg.matmul_stack(linalg.matmul_stack(spath.frames, b * spath.block_mask),
+                               np.conj(np.swapaxes(spath.frames, -1, -2)))
 
 
 def variance_split(b: Array, spath: bundle.SpectralPath) -> tuple[Array, Array, Array]:

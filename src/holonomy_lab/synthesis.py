@@ -131,7 +131,7 @@ def _flow_props(generator: Array, ts: Array) -> Array:
     """Stack of exp(-i t generator) over the sample times."""
     eig = linalg.hermitian_eig(generator)
     rot = np.exp(-1j * ts[:, None] * eig.values[None, :])
-    return (eig.frame[None, :, :] * rot[:, None, :]) @ eig.frame.conj().T
+    return linalg.matmul_stack(eig.frame[None, :, :] * rot[:, None, :], eig.frame.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +191,7 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
         coherent0 += coupling + coupling.conj().T
     # conjugate the t=0 coherent part along the flow of the generator
     props = _flow_props(generator, np.linspace(0.0, tau, n_samples))
-    hs = props @ coherent0 @ np.conj(np.swapaxes(props, -1, -2))
+    hs = linalg.matmul_stack(linalg.matmul_stack(props, coherent0), np.conj(np.swapaxes(props, -1, -2)))
     hs = 0.5 * (hs + np.conj(np.swapaxes(hs, -1, -2)))
     schedule = dynamics.HamiltonianSchedule(grid=TimeGrid(tau=float(tau), n=n_samples), samples=hs)
     return SaturatingPlan(rho=rho, w=w, target=target, tau=float(tau), loops=loops,
@@ -225,8 +225,9 @@ def verify_saturation(plan: SaturatingPlan) -> SaturationReport:
     first violated assertion.
     """
     rho_curve = plan.exact_states()
-    _, evolved = dynamics.evolve(plan.rho, plan.schedule)
-    integration_defect = float(np.max(np.linalg.norm(evolved.samples - rho_curve.samples, axis=(1, 2))))
+    # one expression, so the re-integrated U and state curves are freed before the lift
+    integration_defect = float(np.max(np.linalg.norm(
+        dynamics.evolve(plan.rho, plan.schedule)[1].samples - rho_curve.samples, axis=(1, 2))))
     if integration_defect > tolerances.SAT_INTEGRATION_TOL:
         raise SaturationFailed(f"schedule fails to regenerate the trajectory by {integration_defect:.3e}")
 

@@ -296,6 +296,12 @@ class TestUsageErrors:
         assert "argument --ambient-dim: dimension must be at least 2, got 1" in err
         assert "samples" not in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_names_the_flag(self, tmp_path, capsys, jobs):
+        path = write_curve(tmp_path / "c.json", constant_state_curve())
+        assert cli.main(["check", path, "--jobs", jobs]) == 1
+        assert f"argument --jobs: need at least 1 job, got {jobs}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--gap-tol", "--phase-tol"])
     def test_tolerance_flags_are_gone(self, tmp_path, capsys, flag):
         path = write_curve(tmp_path / "c.json", constant_state_curve())

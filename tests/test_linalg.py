@@ -15,6 +15,67 @@ def hermitian_stack(rng, nstep: int, n: int) -> np.ndarray:
     return 0.5 * (z + np.conj(np.swapaxes(z, -1, -2)))
 
 
+def random_stack(rng, shape, real: bool = False) -> np.ndarray:
+    z = rng.standard_normal(shape)
+    return z if real else z + 1j * rng.standard_normal(shape)
+
+
+def check_matmul(a: np.ndarray, b: np.ndarray) -> None:
+    """matmul_stack against np.matmul: same shape and dtype, and every entry
+    within 1e-14 of the sum of |a_ij| |b_jk| it is formed from."""
+    got, want = linalg.matmul_stack(a, b), np.matmul(a, b)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert np.all(np.abs(got - want) <= 1e-14 * np.matmul(np.abs(a), np.abs(b)))
+
+
+class TestMatmulStack:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_matmul_on_every_shape(self, rng, n):
+        # k and m from 1 to 6 put every product on both sides of the threshold
+        for k in range(1, 7):
+            for m in range(1, 7):
+                check_matmul(random_stack(rng, (40, n, k)), random_stack(rng, (40, k, m)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_broadcast_forms(self, rng, n):
+        # the forms the call sites pass: one matrix on the right, two stacks,
+        # and the chunked scan's (C, W) stack against one matrix per chunk
+        check_matmul(random_stack(rng, (30, n, n)), random_stack(rng, (n, n)))
+        check_matmul(random_stack(rng, (30, n, n - 1)), random_stack(rng, (30, n - 1, n)))
+        check_matmul(random_stack(rng, (5, 7, n, n)), random_stack(rng, (5, 1, n, max(n // 2, 1))))
+        check_matmul(random_stack(rng, (n, n)), random_stack(rng, (30, n, n)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_mixed_dtypes_and_views(self, rng, n):
+        real, cplx = random_stack(rng, (30, n, n), real=True), random_stack(rng, (30, n, n))
+        check_matmul(real, cplx)
+        check_matmul(cplx, real)
+        check_matmul(real, real)
+        frozen = cplx.copy()
+        frozen.flags.writeable = False
+        check_matmul(frozen, frozen)
+        check_matmul(np.swapaxes(cplx, -1, -2), np.conj(np.swapaxes(cplx, -1, -2)))
+        check_matmul(cplx[::-2, :, ::-1], cplx[1::2])
+
+    def test_path_follows_the_matrix_shape(self, rng):
+        # up to 3 the product is the column-broadcast sum, bit for bit; from 4 it is matmul's
+        for n in (1, 2, 3):
+            a, b = random_stack(rng, (20, n, n)), random_stack(rng, (20, n, n))
+            want = sum(a[:, :, j, None] * b[:, None, j, :] for j in range(n))
+            assert np.array_equal(linalg.matmul_stack(a, b), want)
+        a, b = random_stack(rng, (20, 4, 2)), random_stack(rng, (20, 2, 2))
+        assert np.array_equal(linalg.matmul_stack(a, b), a @ b)
+
+    def test_inner_dimension_mismatch_raises(self, rng):
+        with pytest.raises(ValueError):
+            linalg.matmul_stack(random_stack(rng, (5, 2, 2)), random_stack(rng, (5, 3, 2)))
+
+    def test_empty_inner_dimension_gives_zeros(self):
+        got = linalg.matmul_stack(np.empty((4, 2, 0)), np.empty((4, 0, 3)))
+        assert got.shape == (4, 2, 3) and not np.any(got)
+
+
 class TestHermitianEig:
     def test_identity(self):
         eig = linalg.hermitian_eig(np.eye(2, dtype=complex))
@@ -164,7 +225,7 @@ class TestPropagatorStep:
 
     @pytest.mark.parametrize("norm", np.geomspace(1e-4, 50.0, 12).tolist(), ids="{:.1e}".format)
     @pytest.mark.parametrize("nstep", [1, 4000])
-    @pytest.mark.parametrize("n", [1, 2, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_stack_matches_eigh_oracle(self, rng, n, nstep, norm):
         # norm is the largest 1-norm of dt H, swept across the Taylor degrees:
         # 1e-4 takes no squaring, 50 several
@@ -199,14 +260,15 @@ def unitary_steps(rng, nstep: int, n: int) -> np.ndarray:
 
 class TestOrderedProducts:
     @pytest.mark.parametrize("nstep", [0, 1, 2, 16, 17, 4000])
-    @pytest.mark.parametrize("n", [2, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     @pytest.mark.parametrize("rect", [False, True], ids=["identity", "rectangular"])
     def test_matches_sequential_loop(self, rng, nstep, n, rect):
         steps = unitary_steps(rng, nstep, n)
-        init = rand_unitary(rng, n)[:, : n // 2] if rect else None
+        cols = max(n // 2, 1) if rect else n
+        init = rand_unitary(rng, n)[:, :cols] if rect else None
         got = linalg.ordered_products(steps, init)
         want = sequential_products(steps, init)
-        assert got.shape == want.shape == (nstep + 1, n, n // 2 if rect else n)
+        assert got.shape == want.shape == (nstep + 1, n, cols)
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
@@ -318,13 +380,18 @@ class TestPolarUnitaryStack:
             linalg.polar_unitary_stack(np.eye(2)[None], 0.5)
 
 
+# (nstep, n) for total_product: n = 4 takes matmul, n = 2 and 3 the broadcast
+# sum; an n = 4 case is named by nstep alone
+TOTAL_CASES = [(nstep, n) for n in (4, 2, 3) for nstep in (1, 2, 3, 7, 4000)]
+
+
 class TestTotalProduct:
-    @pytest.mark.parametrize("nstep", [1, 2, 3, 7, 4000])
+    @pytest.mark.parametrize("nstep,n", TOTAL_CASES,
+                             ids=[f"{nstep}" if n == 4 else f"n{n}-{nstep}" for nstep, n in TOTAL_CASES])
     @pytest.mark.parametrize("rect", [False, True], ids=["square", "rectangular"])
-    def test_matches_scan(self, rng, nstep, rect):
-        n = 4
+    def test_matches_scan(self, rng, nstep, n, rect):
         steps = unitary_steps(rng, nstep, n)
-        init = rand_unitary(rng, n)[:, : 2 if rect else n]
+        init = rand_unitary(rng, n)[:, : max(n // 2, 1) if rect else n]
         got = linalg.total_product(steps, init)
         assert got.shape == init.shape
         assert np.max(np.abs(got - linalg.ordered_products(steps, init)[-1])) <= 1e-13

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,31 @@ class TestSynthesize:
         for lo, hi in w.basis.blocks:
             block = np.einsum("kna,knb->kab", frames[:, :, lo:hi].conj(), d[:, :, lo:hi])
             assert np.max(np.abs(block[1:-1])) <= 1e-3
+
+
+    def test_re_integrated_run_is_freed_before_the_lift(self, rng, monkeypatch):
+        # only the integration defect is read from the re-integrated run, so
+        # neither of its curves may stay alive through the lift and the checks
+        rho = rand_state(rng, (0.7, 0.3), (1, 1), 4)
+        w = bundle.canonical_amplitude(rho)
+        plan = synthesis.synthesize(rho, w, rand_gauge(rng, rho.basis), tau=1.0, ambient_dim=4)
+        refs, entered = [], []
+        evolve, closed_loop = dynamics.evolve, bundle.closed_loop
+
+        def tracked_evolve(*args):
+            curves = evolve(*args)
+            refs.extend(weakref.ref(c) for c in curves)
+            return curves
+
+        def checked_closed_loop(*args):
+            assert len(refs) == 2 and all(ref() is None for ref in refs)
+            entered.append(True)
+            return closed_loop(*args)
+
+        monkeypatch.setattr(dynamics, "evolve", tracked_evolve)
+        monkeypatch.setattr(bundle, "closed_loop", checked_closed_loop)
+        synthesis.verify_saturation(plan)
+        assert entered == [True]
 
 
 class TestSaturationGuard:
