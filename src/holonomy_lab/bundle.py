@@ -179,8 +179,7 @@ def lift_tangents(spath: "SpectralPath", tangents: Array, tangent_tol: float) ->
     lambda_i (T_ic - conj(T_ci)) / (lambda_c - lambda_i) off it, exceeds
     tangent_tol (relative).
     """
-    lam, r = spath.support_lam(), spath.rank
-    same = spath.block_mask
+    lam, r, same = spath.values, spath.rank, spath.block_mask
     gap = lam[:, None, :] - lam[:, :, None]
     gap[:, same] = np.inf
     x = tangents / gap
@@ -224,55 +223,46 @@ def metric_g(rho: DensityOperator, rdot1: Array, rdot2: Array) -> float:
 @dataclass(frozen=True, eq=False)
 class SpectralPath:
     """Per-sample eigendata of a curve of density operators with constant
-    multiplicity structure. values/frames cover the full space, descending;
-    the first r columns are the support, block j spanning blocks[j]."""
+    multiplicity structure: the block eigenvalues means (N, l), descending,
+    and full-space eigenframes (N, n, n) whose first r columns are the
+    support, block j spanning blocks[j].
 
-    values: Array
+    values (N, n) repeats each block mean over its columns, zeros on the
+    kernel; block_mask (n, n) marks the index pairs in one support block or
+    both in the kernel, where F^dag X F holds the part of X that commutes
+    with every state of the path."""
+
+    means: Array
     frames: Array
-    blocks: list[tuple[int, int]]
     m: tuple[int, ...]
+
+    def __post_init__(self):
+        kernel = self.frames.shape[1] - self.rank
+        values = np.concatenate([np.repeat(self.means, self.m, axis=1), np.zeros((len(self.means), kernel))], axis=1)
+        ids = np.repeat(np.arange(len(self.m) + 1), tuple(self.m) + (kernel,))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "block_mask", ids[:, None] == ids[None, :])
 
     @classmethod
     def of_state(cls, rho: DensityOperator) -> "SpectralPath":
         """The length-1 path at a single state."""
-        values = np.concatenate([np.repeat(rho.p, rho.m), np.zeros(rho.dim - rho.rank)])
-        return cls(values=values[None, :], frames=rho.full_frame[None, :, :], blocks=rho.basis.blocks, m=rho.m)
+        return cls(means=np.array(rho.p)[None, :], frames=rho.full_frame[None, :, :], m=rho.m)
 
     @property
     def rank(self) -> int:
         return sum(self.m)
 
     @property
-    def block_mask(self) -> Array:
-        """(n, n) boolean mask of index pairs in the same support block or
-        both in the kernel; on it F^dag X F holds the part of X that
-        commutes with every state of the path."""
-        ids = np.repeat(np.arange(len(self.m) + 1), tuple(self.m) + (self.values.shape[1] - self.rank,))
-        return ids[:, None] == ids[None, :]
+    def blocks(self) -> list[tuple[int, int]]:
+        return EigenprojectorBasis(self.m).blocks
 
     def in_eigenframe(self, ops: Array) -> Array:
         """F^dag ops F per sample: operators (N, n, n) in eigenframe coordinates."""
         return linalg.matmul_stack(linalg.matmul_stack(np.conj(np.swapaxes(self.frames, -1, -2)), ops), self.frames)
 
     def block_means(self) -> Array:
-        """(N, l) per-sample block-averaged eigenvalues."""
-        return np.stack([np.mean(self.values[:, lo:hi], axis=1) for lo, hi in self.blocks], axis=1)
-
-    def support_lam(self) -> Array:
-        """(N, n) block means repeated within blocks, zeros on the kernel."""
-        out = np.zeros_like(self.values)
-        means = self.block_means()
-        for j, (lo, hi) in enumerate(self.blocks):
-            out[:, lo:hi] = means[:, j : j + 1]
-        return out
-
-
-def _check_gap_below(vals: Array, hi: int, r: int) -> None:
-    """MultiplicityChange when the support block ending at index hi sits
-    closer than 10x GAP_TOL to the next one in any eigenvalue row of vals
-    (N, n); r is the rank."""
-    if hi < r and np.any(vals[:, hi - 1] - vals[:, hi] < 10.0 * tolerances.GAP_TOL):
-        raise MultiplicityChange("inter-block gap closes along the curve")
+        """(N, l) per-sample block eigenvalues."""
+        return self.means
 
 
 def decompose_path(curve: OperatorCurve) -> SpectralPath:
@@ -280,21 +270,18 @@ def decompose_path(curve: OperatorCurve) -> SpectralPath:
 
     A UnitaryOrbit keeps its start's spectrum and block structure, so its
     path is read off its propagators: frames U_k F_0 and the start's values
-    on every sample, with no eigendecomposition; only the inter-block gap
-    rule below applies, once, to the start's values. Any other curve is
-    eigendecomposed sample by sample after its samples are checked
-    Hermitian at CURVE_HERM_TOL, the curve's one such check; it aborts with
-    MultiplicityChange whenever the rank changes, the clustering changes, or
-    an inter-block gap dips below 10x GAP_TOL.
+    on every sample, with no eigendecomposition; the rules below check the
+    start's values once. Any other curve is eigendecomposed sample by sample
+    after its samples are checked Hermitian at CURVE_HERM_TOL, the curve's
+    one such check. Raises MultiplicityChange whenever the rank changes, the
+    clustering changes, or an inter-block gap dips below 10x GAP_TOL.
     """
     if isinstance(curve, UnitaryOrbit):
-        path0 = SpectralPath.of_state(curve.start)
-        for _, hi in path0.blocks:
-            _check_gap_below(path0.values, hi, path0.rank)
-        return SpectralPath(values=np.tile(path0.values, (curve.grid.n, 1)),
-                            frames=linalg.matmul_stack(curve.propagators, path0.frames), blocks=path0.blocks, m=path0.m)
-    linalg.check_hermitian_stack(curve.samples, tolerances.CURVE_HERM_TOL)
-    vals, frames = linalg.hermitian_eig_stack(curve.samples)
+        start = SpectralPath.of_state(curve.start)
+        vals, frames = start.values, linalg.matmul_stack(curve.propagators, start.frames)
+    else:
+        linalg.check_hermitian_stack(curve.samples, tolerances.CURVE_HERM_TOL)
+        vals, frames = linalg.hermitian_eig_stack(curve.samples)
     n = vals.shape[1]
     positive0 = vals[0] > tolerances.ZERO_TOL
     r = int(np.count_nonzero(positive0))
@@ -308,35 +295,28 @@ def decompose_path(curve: OperatorCurve) -> SpectralPath:
     for lo, hi in blocks:
         if hi - lo > 1 and np.any(vals[:, lo : hi - 1] - vals[:, lo + 1 : hi] > tolerances.GAP_TOL):
             raise MultiplicityChange("eigenvalue block splits along the curve")
-        _check_gap_below(vals, hi, r)
-    return SpectralPath(values=vals, frames=frames, blocks=blocks, m=tuple(hi - lo for lo, hi in blocks))
-
-
-def _singular_step(j: int, k: int, value: float, what: str) -> Singular:
-    return Singular(f"block {j}, step {k} (sample {k} -> {k + 1}): consecutive {what}, "
-                    f"smallest overlap {value:.3e} <= {tolerances.OVERLAP_TOL:.3e}", k, value)
+        if hi < r and np.any(vals[:, hi - 1] - vals[:, hi] < 10.0 * tolerances.GAP_TOL):
+            raise MultiplicityChange("inter-block gap closes along the curve")
+    means = np.stack([np.mean(vals[:, lo:hi], axis=1) for lo, hi in blocks], axis=1)
+    return SpectralPath(means=np.broadcast_to(means, (len(frames), len(blocks))), frames=frames,
+                        m=tuple(hi - lo for lo, hi in blocks))
 
 
 def _transport_steps(spath: SpectralPath, frames0: Array):
     """Per block (lo, hi, head, steps): the block frame at sample k is
     F_k[:, lo:hi] steps[k-1] ... steps[0] head, with head the polar factor of
-    F_0^dag frames0 and steps[k] the inverse polar factor of F_k^dag F_{k+1}
-    (a phase for a 1x1 block), so consecutive overlaps are Hermitian positive."""
+    F_0^dag frames0 and steps[k] the inverse polar factor of F_k^dag F_{k+1},
+    so consecutive overlaps are Hermitian positive."""
     for j, (lo, hi) in enumerate(spath.blocks):
         raw = spath.frames[:, :, lo:hi]
         head = linalg.polar_unitary(raw[0].conj().T @ frames0[:, lo:hi])
         overlaps = linalg.matmul_stack(np.conj(np.swapaxes(raw[:-1], -1, -2)), raw[1:])
-        if hi == lo + 1:
-            mags = np.abs(overlaps)
-            if np.any(mags <= tolerances.OVERLAP_TOL):
-                k = int(np.argmax(mags <= tolerances.OVERLAP_TOL))
-                raise _singular_step(j, k, mags.flat[k], "eigenvector overlap vanishes")
-            steps = (overlaps / mags).conj()
-        else:
-            try:
-                steps = np.conj(np.swapaxes(linalg.polar_unitary_stack(overlaps, tolerances.OVERLAP_TOL), -1, -2))
-            except Singular as exc:
-                raise _singular_step(j, exc.index, exc.value, "eigenframe overlap is singular") from exc
+        try:
+            steps = np.conj(np.swapaxes(linalg.polar_unitary_stack(overlaps, tolerances.OVERLAP_TOL), -1, -2))
+        except Singular as exc:
+            k = exc.index
+            raise Singular(f"block {j}, step {k} (sample {k} -> {k + 1}): consecutive eigenframe overlap is singular, "
+                           f"smallest overlap {exc.value:.3e} <= {tolerances.OVERLAP_TOL:.3e}", k, exc.value) from exc
         yield lo, hi, head, steps
 
 
@@ -361,7 +341,7 @@ def check_lift_start(w0: Amplitude, m: tuple[int, ...], rho0: Array) -> None:
 def initial_frames(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
     """Support frames W0 p_j^{-1/2} of a lift start checked by check_lift_start."""
     check_lift_start(w0, spath.m, rho_curve.samples[0])
-    return w0.w / np.sqrt(spath.support_lam()[0, : spath.rank])
+    return w0.w / np.sqrt(spath.values[0, : spath.rank])
 
 
 def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
@@ -373,7 +353,7 @@ def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
     spath = decompose_path(rho_curve)
     frames_t = _transport_frames(spath, initial_frames(rho_curve, spath, w0))
     # amplitude samples: sqrt(p_{j;t}) on block j applied to the frames
-    samples = frames_t * np.sqrt(spath.support_lam()[:, None, : spath.rank])
+    samples = frames_t * np.sqrt(spath.values[:, None, : spath.rank])
     samples[0] = w0.w
     return OperatorCurve(grid=rho_curve.grid, samples=samples)
 
@@ -382,33 +362,26 @@ def lift_endpoint(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) 
     """W_tau = horizontal_lift(rho_curve, w0).samples[-1], from the step products alone."""
     frame = np.empty((spath.frames.shape[1], spath.rank), dtype=np.complex128)
     for lo, hi, head, steps in _transport_steps(spath, initial_frames(rho_curve, spath, w0)):
-        end = head * np.prod(steps) if hi == lo + 1 else linalg.total_product(steps, head)
-        frame[:, lo:hi] = spath.frames[-1, :, lo:hi] @ end
-    return frame * np.sqrt(spath.support_lam()[-1, : spath.rank])
+        frame[:, lo:hi] = spath.frames[-1, :, lo:hi] @ linalg.total_product(steps, head)
+    return frame * np.sqrt(spath.values[-1, : spath.rank])
 
 
 def transported_frame(rho_curve: OperatorCurve, frames0) -> Array:
     """Parallel-transport initial eigenframes along the curve.
 
-    frames0 may be an (n, r) matrix or a sequence of per-block matrices; it
-    must diagonalize the initial sample blockwise. Returns an (N, n, r)
-    array of transported frames.
+    frames0 may be an (n, r) matrix or a sequence of per-block matrices;
+    frames0 sqrt(p_0) must be a lift start (see initial_frames): orthonormal
+    frames (else DegeneracyMismatch) of the initial sample's eigenspaces
+    (else EndpointMismatch). Returns an (N, n, r) array of transported frames.
     """
     if not isinstance(frames0, np.ndarray):
         frames0 = np.concatenate([np.asarray(f, dtype=np.complex128) for f in frames0], axis=1)
     spath = decompose_path(rho_curve)
-    r = spath.rank
-    if frames0.shape != (rho_curve.samples.shape[1], r):
-        raise DegeneracyMismatch(f"frames have shape {frames0.shape}, expected {(rho_curve.samples.shape[1], r)}")
-    rho0 = rho_curve.samples[0]
-    means0 = spath.block_means()[0]
-    for j, (lo, hi) in enumerate(spath.blocks):
-        f = frames0[:, lo:hi]
-        ortho = linalg.frob(f.conj().T @ f - np.eye(hi - lo))
-        eig_defect = linalg.frob(rho0 @ f - means0[j] * f)
-        if max(ortho, eig_defect) > tolerances.PROJECTION_TOL:
-            raise EndpointMismatch(f"block {j}: frames do not diagonalize the initial sample")
-    return _transport_frames(spath, frames0)
+    shape = spath.frames.shape[1], spath.rank
+    if frames0.shape != shape:
+        raise DegeneracyMismatch(f"frames have shape {frames0.shape}, expected {shape}")
+    w0 = Amplitude(w=frames0 * np.sqrt(spath.values[0, : spath.rank]), basis=EigenprojectorBasis(spath.m))
+    return _transport_frames(spath, initial_frames(rho_curve, spath, w0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,8 +399,8 @@ def closed_loop(rho_curve: OperatorCurve, w0: Amplitude) -> ClosedLoop:
     """Decompose a closed state curve once, lift it from w0 and take its holonomy.
 
     The holonomy is W0^+ W_tau with W_tau from lift_endpoint, re-unitarized
-    blockwise by polar projection (the deviation is logged). Raises
-    NotClosed for open curves and GaugeViolation when the raw holonomy
+    as the polar factor of its block-diagonal part (the deviation is logged).
+    Raises NotClosed for open curves and GaugeViolation when the raw holonomy
     carries more than OFFBLOCK_TOL of block-off-diagonal mass.
     """
     defect = rho_curve.closure_defect()
@@ -438,9 +411,7 @@ def closed_loop(rho_curve: OperatorCurve, w0: Amplitude) -> ClosedLoop:
     off = w0.basis.offblock_norm(raw)
     if off > tolerances.OFFBLOCK_TOL:
         raise GaugeViolation(f"block-off-diagonal holonomy mass {off:.3e} exceeds {tolerances.OFFBLOCK_TOL:.3e}")
-    u = np.zeros_like(raw)
-    for lo, hi in w0.basis.blocks:
-        u[lo:hi, lo:hi] = linalg.polar_unitary(raw[lo:hi, lo:hi])
+    u = linalg.polar_unitary(w0.basis.block_diag_part(raw))
     deviation = linalg.frob(u - raw)
     logger.debug("holonomy re-unitarization deviation %.3e (off-block %.3e)", deviation, off)
     return ClosedLoop(curve=rho_curve, path=spath, holonomy=GaugeElement(u=u, basis=w0.basis))

@@ -22,8 +22,8 @@ from .errors import ContractViolation, HolonomyLabError
 
 
 def _configure_logging() -> None:
-    level = os.environ.get("HOLONOMY_LAB_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = logging.getLevelName(os.environ.get("HOLONOMY_LAB_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"numerical contract violated: {exc}", file=sys.stderr)
         return 2
-    except (HolonomyLabError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (HolonomyLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,8 @@ square a truncated Taylor series evaluated in Paterson-Stockmeyer form,
 with the degree and the number of squarings fixed by the largest 1-norm of
 dt H in the stack. Polar factors take Newton-Schulz matmuls where a
 Frobenius certificate bounds the singular values near 1, and an SVD elsewhere.
+Stacks of 1x1 matrices are scalars: their polar factor is the phase z/|z| and
+their product is a product of numbers.
 """
 
 from __future__ import annotations
@@ -181,21 +183,27 @@ def polar_unitary_stack(ms: Array, tol: float) -> Array:
     The samples it leaves out take an SVD: Singular names the first with
     sigma_min <= tol, the rest get U V^dag. Steps run until
     max|X^dag X - I| <= 8 n eps: 2 on near-unitary overlaps, at most 6 from
-    the certificate's bound, NoConvergence after _NS_STEPS."""
+    the certificate's bound, NoConvergence after _NS_STEPS. A 1x1 matrix z
+    has the singular value |z| and the factor z/|z|, and takes neither."""
     if not tol < 0.5:
         raise ValueError(f"tol {tol} must lie below 1/2")
     x = np.array(ms, dtype=np.complex128)
-    eye = np.eye(x.shape[-1])
-    gram = matmul_stack(np.conj(np.swapaxes(x, -1, -2)), x)
-    far = ~(np.linalg.norm(gram - eye, axis=(-2, -1)) <= 0.5)
-    if np.any(far):
+    if x.shape[-1] == 1:
+        far, low = np.ones(len(x), dtype=bool), np.abs(x[:, 0, 0])
+    else:
+        eye = np.eye(x.shape[-1])
+        gram = matmul_stack(np.conj(np.swapaxes(x, -1, -2)), x)
+        far = ~(np.linalg.norm(gram - eye, axis=(-2, -1)) <= 0.5)
         u, sv, vh = np.linalg.svd(x[far])
-        if np.any(sv[:, -1] <= tol):
-            i = int(np.argmax(sv[:, -1] <= tol))
-            k, low = int(np.flatnonzero(far)[i]), float(sv[i, -1])
-            where = f"sample {k}: " if len(x) > 1 else ""
-            raise Singular(f"{where}smallest singular value {low:.3e} <= {tol:.3e}", k, low)
-        x[far], gram[far] = matmul_stack(u, vh), eye
+        low = sv[:, -1]
+    if np.any(low <= tol):
+        i = int(np.argmax(low <= tol))
+        k, value = int(np.flatnonzero(far)[i]), float(low[i])
+        where = f"sample {k}: " if len(x) > 1 else ""
+        raise Singular(f"{where}smallest singular value {value:.3e} <= {tol:.3e}", k, value)
+    if x.shape[-1] == 1:
+        return x / low[:, None, None]
+    x[far], gram[far] = matmul_stack(u, vh), eye
     for _ in range(_NS_STEPS):
         if np.max(np.abs(gram - eye), initial=0.0) <= 8 * len(eye) * np.finfo(float).eps:
             return x
@@ -311,8 +319,11 @@ def ordered_products(steps: Array, init: Array | None = None) -> Array:
 
 def total_product(steps: Array, init: Array) -> Array:
     """steps[N-1] @ ... @ steps[0] @ init, the last of ordered_products, as a
-    pairwise tree: one batched matmul per level, about log2 N in all."""
+    pairwise tree: one batched matmul per level, about log2 N in all; 1x1
+    steps multiply as scalars."""
     steps = np.asarray(steps, dtype=np.complex128)
+    if steps.shape[-1] == 1:
+        return np.prod(steps[:, 0, 0]) * np.asarray(init, dtype=np.complex128)
     while len(steps) > 1:
         even = len(steps) & ~1
         steps = np.concatenate([matmul_stack(steps[1:even:2], steps[0:even:2]), steps[even:]])

@@ -4,7 +4,8 @@ Complex entries are [re, im] pairs; matrices are nested row-major lists,
 and a stack of them is encoded or decoded in one numpy call. Files are
 written as compact JSON; readers accept any whitespace. Floats go through
 Python's shortest round-trip repr, so write/read is bit-exact for finite
-values, signed zeros included.
+values, signed zeros included. A reader raises ValueError naming the field
+that a document lacks or holds with the wrong JSON type.
 """
 
 from __future__ import annotations
@@ -21,13 +22,28 @@ from .spectra import EigenprojectorBasis
 Array = np.ndarray
 
 
+def _field(data, name: str, kinds: tuple = (list,)):
+    """data[name], an instance of one of kinds (a bool counts as no number)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object with field {name!r}, got {type(data).__name__}")
+    if name not in data:
+        raise ValueError(f"missing field {name!r}")
+    if not isinstance(data[name], kinds) or isinstance(data[name], bool):
+        want = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"field {name!r} must be {want}, got {type(data[name]).__name__}")
+    return data[name]
+
+
 def matrix_to_json(m: Array) -> list:
     m = np.asarray(m, dtype=np.complex128)
     return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_json(data) -> Array:
-    arr = np.ascontiguousarray(data, dtype=float)
+    try:
+        arr = np.ascontiguousarray(data, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"matrix JSON must be rows of [re, im] pairs: {exc}") from None
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError(f"matrix JSON must be rows of [re, im] pairs, got shape {arr.shape}")
     return arr.view(np.complex128)[..., 0]  # a view keeps -0.0, which re + 1j*im turns into +0.0
@@ -59,9 +75,9 @@ def state_to_json(rho: Array) -> dict:
 
 
 def state_from_json(data: dict) -> Array:
-    rho = matrix_from_json(data["matrix"])
-    if rho.shape != (data["dim"], data["dim"]):
-        raise ValueError(f"matrix shape {rho.shape} contradicts dim {data['dim']}")
+    rho, dim = matrix_from_json(_field(data, "matrix")), _field(data, "dim", (int,))
+    if rho.shape != (dim, dim):
+        raise ValueError(f"matrix shape {rho.shape} contradicts dim {dim}")
     return rho
 
 
@@ -70,11 +86,12 @@ def curve_to_json(curve: OperatorCurve) -> dict:
 
 
 def curve_from_json(data: dict) -> OperatorCurve:
-    return OperatorCurve.from_samples(data["tau"], stack_from_json(data["samples"]))
+    return OperatorCurve.from_samples(_field(data, "tau", (int, float)), stack_from_json(_field(data, "samples")))
 
 
 def schedule_from_json(data: dict) -> dynamics.HamiltonianSchedule:
-    return dynamics.HamiltonianSchedule.from_samples(data["tau"], stack_from_json(data["samples"]))
+    return dynamics.HamiltonianSchedule.from_samples(_field(data, "tau", (int, float)),
+                                                     stack_from_json(_field(data, "samples")))
 
 
 def amplitude_to_json(amp: bundle.Amplitude) -> dict:
@@ -82,8 +99,8 @@ def amplitude_to_json(amp: bundle.Amplitude) -> dict:
 
 
 def amplitude_from_json(data: dict) -> bundle.Amplitude:
-    basis = EigenprojectorBasis(m=data["basis"]["m"])
-    return bundle.Amplitude(w=matrix_from_json(data["matrix"]), basis=basis)
+    basis = EigenprojectorBasis(m=_field(_field(data, "basis", (dict,)), "m"))
+    return bundle.Amplitude(w=matrix_from_json(_field(data, "matrix")), basis=basis)
 
 
 def amplitude_curve_to_json(curve: OperatorCurve, basis: EigenprojectorBasis) -> dict:
@@ -97,8 +114,8 @@ def unitary_to_json(g: bundle.GaugeElement) -> dict:
 
 
 def unitary_from_json(data: dict) -> bundle.GaugeElement:
-    basis = EigenprojectorBasis(m=data["basis"]["m"])
-    return bundle.GaugeElement(u=matrix_from_json(data["matrix"]), basis=basis)
+    basis = EigenprojectorBasis(m=_field(_field(data, "basis", (dict,)), "m"))
+    return bundle.GaugeElement(u=matrix_from_json(_field(data, "matrix")), basis=basis)
 
 
 def iso_report_to_json(report: invariants.IsoReport) -> dict:

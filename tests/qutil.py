@@ -134,19 +134,14 @@ def wobble_loop(rng, p, m, dim: int, nsamp: int, tau: float = 1.0,
     f = np.sin(np.pi * ts / tau) ** 2
     g = np.sin(TWO_PI * ts / tau)
     vbase = rand_unitary(rng, dim)
-    samples = np.empty((nsamp, dim, dim), dtype=complex)
     w1, v1 = np.linalg.eigh(h1)
     w2, v2 = np.linalg.eigh(h2)
-    for k in range(nsamp):
-        u1 = (v1 * np.exp(-1j * f[k] * w1)) @ v1.conj().T
-        u2 = (v2 * np.exp(-1j * g[k] * w2)) @ v2.conj().T
-        u = u1 @ u2 @ vbase
-        diag = np.zeros(dim)
-        pos = 0
-        for pj, mj in zip(p_t[k], m):
-            diag[pos : pos + mj] = pj
-            pos += mj
-        samples[k] = u @ np.diag(diag).astype(complex) @ u.conj().T
+    u1 = (v1 * np.exp(-1j * f[:, None] * w1)[:, None, :]) @ v1.conj().T
+    u2 = (v2 * np.exp(-1j * g[:, None] * w2)[:, None, :]) @ v2.conj().T
+    u = u1 @ u2 @ vbase
+    diag = np.zeros((nsamp, dim))
+    diag[:, : m.sum()] = np.repeat(p_t, m, axis=1)
+    samples = u @ (diag[:, :, None] * np.eye(dim)).astype(complex) @ np.conj(np.swapaxes(u, -1, -2))
     curve = OperatorCurve(grid=TimeGrid(tau=tau, n=nsamp), samples=samples)
     rho0 = spectra.spectral_decompose(samples[0])
     return curve, rho0
@@ -221,7 +216,7 @@ def reference_lift(spath: bundle.SpectralPath, tangents, tangent_tol: float) -> 
     """Reference for bundle.lift_tangents by lift and reprojection: build
     the lift from K = i T / (lambda_c - lambda_i) off the block mask, then
     reproject e = lift sqrt(lambda) and take e + e^dag - T as the residual."""
-    lam, blocks, r = spath.support_lam(), spath.blocks, spath.rank
+    lam, blocks, r = spath.values, spath.blocks, spath.rank
     same = spath.block_mask
     denom = lam[:, None, :] - lam[:, :, None]
     denom[:, same] = 1.0

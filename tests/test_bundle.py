@@ -462,7 +462,7 @@ class TestHolonomy:
 # closed curves [rho_A, rho_B, rho_A] whose block eigenspaces at A and B are
 # orthogonal: block 0 is 1x1 for m = (1, 1) and 2x2 for m = (2, 1)
 ORTHOGONAL_SWAPS = {
-    "m11": ([0.7, 0.3], [0.3, 0.7], "eigenvector overlap vanishes"),
+    "m11": ([0.7, 0.3], [0.3, 0.7], "eigenframe overlap is singular"),
     "m21": ([0.4, 0.4, 0.2, 0.0], [0.0, 0.2, 0.4, 0.4], "eigenframe overlap is singular"),
 }
 
@@ -572,6 +572,25 @@ class TestTransportedFrame:
         assert np.max(np.linalg.norm(assembled - lift.samples, axis=(1, 2))) <= 1e-8
         extracted = lift.samples / weights[None, None, :]
         assert np.max(np.linalg.norm(extracted - frames, axis=(1, 2))) <= 1e-8
+
+    # bad initial frames on a dim-4 loop with blocks of size 2 and 1 and a kernel
+    def test_wrong_shape_rejected(self, rng):
+        c, rho0 = wobble_loop(rng, (0.35, 0.3), (2, 1), 4, 201)
+        with pytest.raises(DegeneracyMismatch, match="frames have shape"):
+            bundle.transported_frame(c, rho0.full_frame)
+
+    def test_non_orthonormal_frames_rejected(self, rng):
+        c, rho0 = wobble_loop(rng, (0.35, 0.3), (2, 1), 4, 201)
+        frames0 = rho0.full_frame[:, :3].copy()
+        frames0[:, 1] += 0.1 * frames0[:, 0]  # inside the top eigenspace, but not orthogonal
+        with pytest.raises(DegeneracyMismatch):
+            bundle.transported_frame(c, frames0)
+
+    def test_frames_off_the_eigenspaces_rejected(self, rng):
+        c, rho0 = wobble_loop(rng, (0.35, 0.3), (2, 1), 4, 201)
+        frames0 = rho0.full_frame[:, [0, 1, 3]]  # orthonormal, with a kernel vector for block 1
+        with pytest.raises(EndpointMismatch):
+            bundle.transported_frame(c, frames0)
 
 
 class TestGaugeMembership:

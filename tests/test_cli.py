@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import logging
 import os
 
 import numpy as np
@@ -55,6 +56,24 @@ class TestCheck:
         path = tmp_path / "broken.json"
         path.write_text('{"tau": 1.0, "samples": [[[')
         assert cli.main(["check", str(path)]) == 1
+
+    @pytest.mark.parametrize("document, message", [
+        ([1, 2], "expected an object with field 'tau', got list"),
+        ({"tau": [1], "samples": []}, "field 'tau' must be int or float, got list"),
+        ({"tau": 1.0}, "missing field 'samples'"),
+    ], ids=["array", "list_tau", "no_samples"])
+    def test_malformed_document_exits_one(self, tmp_path, capsys, document, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(document))
+        assert cli.main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_object_matrix_entry_exits_one(self, tmp_path, capsys):
+        path = write_curve(tmp_path / "c.json", constant_state_curve())
+        amp = tmp_path / "a.json"
+        amp.write_text(json.dumps({"matrix": [[{"re": 1.0}]], "basis": {"m": [1, 1]}}))
+        assert cli.main(["check", path, "--amplitude", str(amp)]) == 1
+        assert "matrix JSON must be rows of [re, im] pairs" in capsys.readouterr().err
 
     def test_open_curve_exits_one(self, tmp_path):
         from holonomy_lab.curves import OperatorCurve
@@ -281,6 +300,19 @@ class TestQubitDemo:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "quantity,analytic,numeric,abs_err"
         assert len(lines) == 10
+
+
+class TestLogging:
+    @pytest.mark.parametrize("name, level", [
+        ("debug", logging.DEBUG), ("INFO", logging.INFO), ("basic_format", logging.WARNING), ("loud", logging.WARNING),
+    ])
+    def test_level_comes_from_the_environment(self, monkeypatch, capsys, name, level):
+        # a name of logging that is no level, like BASIC_FORMAT, falls back to WARNING
+        monkeypatch.setenv("HOLONOMY_LAB_LOG", name)
+        calls = []
+        monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: calls.append(kwargs))
+        assert cli.main(["qubit-demo", "--n3", "0.5", "--n", "51"]) == 0
+        assert calls == [{"level": level}]
 
 
 class TestUsageErrors:

@@ -349,7 +349,7 @@ class TestPolarUnitaryStack:
             linalg.polar_unitary_stack(ms, tolerances.OVERLAP_TOL)
 
     @pytest.mark.parametrize("tol", [tolerances.OVERLAP_TOL, tolerances.SINGULAR_TOL])
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_rank_deficient_near_certificate_bound(self, rng, n, tol):
         # every other singular value is 1, so |I - M^dag M|_F lies within Gram
         # rounding of 1: a certificate admitting norms up to 1 - tol^2 would let
@@ -361,6 +361,16 @@ class TestPolarUnitaryStack:
             for m in ms:
                 with pytest.raises(Singular):
                     linalg.polar_unitary_stack(m[None], tol)
+
+    @pytest.mark.parametrize("tol", [tolerances.OVERLAP_TOL, tolerances.SINGULAR_TOL])
+    def test_scalar_stack_is_the_phase(self, rng, tol):
+        ms, _ = conditioned(rng, 4000, 1)
+        ms[::7] = near_unitary(rng, len(ms[::7]), 1)
+        assert np.array_equal(linalg.polar_unitary_stack(ms, tol), ms / np.abs(ms))
+        ms[[1234, 3000]] = 0.0
+        with pytest.raises(Singular, match=r"^sample 1234: smallest singular value 0\.000e\+00 <= ") as caught:
+            linalg.polar_unitary_stack(ms, tol)
+        assert caught.value.index == 1234 and caught.value.value == 0.0
 
     def test_certified_boundary_matches_svd(self, rng):
         # |I - M^dag M|_F just inside 1/2: the slowest samples Newton-Schulz takes
@@ -381,8 +391,8 @@ class TestPolarUnitaryStack:
 
 
 # (nstep, n) for total_product: n = 4 takes matmul, n = 2 and 3 the broadcast
-# sum; an n = 4 case is named by nstep alone
-TOTAL_CASES = [(nstep, n) for n in (4, 2, 3) for nstep in (1, 2, 3, 7, 4000)]
+# sum, n = 1 a scalar product; an n = 4 case is named by nstep alone
+TOTAL_CASES = [(nstep, n) for n in (4, 2, 3, 1) for nstep in (1, 2, 3, 7, 4000)]
 
 
 class TestTotalProduct:
