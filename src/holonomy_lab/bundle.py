@@ -278,7 +278,7 @@ def decompose_path(curve: OperatorCurve) -> SpectralPath:
     """
     if isinstance(curve, UnitaryOrbit):
         start = SpectralPath.of_state(curve.start)
-        vals, frames = start.values, linalg.matmul_stack(curve.propagators, start.frames)
+        vals, frames = start.values, linalg.matmul_stack(curve.propagators, start.frames[0])
     else:
         linalg.check_hermitian_stack(curve.samples, tolerances.CURVE_HERM_TOL)
         vals, frames = linalg.hermitian_eig_stack(curve.samples)
@@ -330,9 +330,12 @@ def _transport_frames(spath: SpectralPath, frames0: Array) -> Array:
 
 def check_lift_start(w0: Amplitude, m: tuple[int, ...], rho0: Array) -> None:
     """Check w0 as a lift start over a state rho0 with multiplicities m:
-    DegeneracyMismatch for another m, EndpointMismatch off rho0."""
+    DegeneracyMismatch for another m or another dimension, EndpointMismatch
+    off rho0."""
     if w0.basis.m != tuple(m):
         raise DegeneracyMismatch(f"amplitude basis m={w0.basis.m}, curve has m={tuple(m)}")
+    if w0.w.shape[0] != rho0.shape[0]:
+        raise DegeneracyMismatch(f"amplitude has shape {w0.w.shape}, the state has shape {rho0.shape}")
     defect = linalg.frob(w0.w @ w0.w.conj().T - rho0)
     if defect > tolerances.PROJECTION_TOL:
         raise EndpointMismatch(f"W0 projects {defect:.3e} away from the initial state")

@@ -137,9 +137,10 @@ def grid_derivative(samples: Array, dt: float) -> Array:
         d[:] = (s[-1] - s[0]) / dt
         return d
     d = np.empty_like(s)
-    d[1:-1] = (s[2:] - s[:-2]) / (2.0 * dt)
-    if s.shape[0] >= 5:
-        d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) / (12.0 * dt)
+    # central differences next to the ends (all of the interior for N <= 4),
+    # the five-point stencil between them
+    d[[1, -2]] = (s[[2, -1]] - s[[0, -3]]) / (2.0 * dt)
+    d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) / (12.0 * dt)
     d[0] = (-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * dt)
     d[-1] = (3.0 * s[-1] - 4.0 * s[-2] + s[-3]) / (2.0 * dt)
     return d

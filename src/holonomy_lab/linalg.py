@@ -6,10 +6,13 @@ decomposition, short-time unitary propagator steps, running and total
 products of step stacks, and the Moore-Penrose pseudoinverse. All matrices
 are plain complex ndarrays.
 
-Every product of two stacks goes through matmul_stack. numpy's batched
-matmul spends about 0.45 us per matrix on 2x2 and 3x3 blocks whatever their
-size, so stacks whose matrix dimensions are all at most 3 are multiplied as
-a sum of column-row broadcasts instead; larger blocks go to matmul.
+Every product of two stacks, or of a stack and one matrix, goes through
+matmul_stack. numpy's batched matmul makes one BLAS call per matrix, so a
+stack times one fixed matrix is folded into a single GEMM over the stack's
+rows, and two stacks whose matrix dimensions are all at most 3 are
+multiplied as a sum of column-row broadcasts (batched matmul spends about
+0.45 us per matrix on such blocks whatever their size); larger pairs of
+stacks go to matmul.
 
 Hermiticity is checked where a matrix enters: by as_hermitian for one matrix,
 by check_hermitian_stack for a stack. The stack kernels trust their callers.
@@ -57,12 +60,19 @@ _SMALL_BLOCK = 3
 
 def matmul_stack(a: Array, b: Array) -> Array:
     """a @ b for stacks of matrices (ndim >= 2, batch axes broadcast), with
-    matmul's shape and dtype. When no matrix dimension exceeds _SMALL_BLOCK
-    it is the column-broadcast sum sum_j a[..., :, j, None] b[..., None, j, :]:
-    k elementwise products over the whole stack, where batched matmul pays
-    a fixed cost per matrix."""
+    matmul's shape and dtype. A stack times one matrix is one GEMM: with the
+    matrix on the right, the stack's rows times it, a.reshape(-1, k) @ b;
+    on the left, the same with both factors transposed, returned as a
+    swapped-axes view. Two stacks whose matrix dimensions are all at most
+    _SMALL_BLOCK take the column-broadcast sum
+    sum_j a[..., :, j, None] b[..., None, j, :]: k elementwise products over
+    the whole stack, where batched matmul pays a fixed cost per matrix."""
     a, b = np.asarray(a), np.asarray(b)
     n, k = a.shape[-2:]
+    if k == b.shape[-2] and b.ndim == 2:
+        return (a.reshape(math.prod(a.shape[:-1]), k) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+    if k == b.shape[-2] and a.ndim == 2:
+        return np.swapaxes(matmul_stack(np.swapaxes(b, -1, -2), a.T), -1, -2)
     if not 0 < k == b.shape[-2] or max(n, k, b.shape[-1]) > _SMALL_BLOCK:
         return a @ b
     out = a[..., :, 0, None] * b[..., None, 0, :]
@@ -290,8 +300,9 @@ def ordered_products(steps: Array, init: Array | None = None) -> Array:
     P_{k+1} = steps[k] @ P_k. Computed as a two-level blocked scan
     (Blelloch, CMU-CS-90-190): the steps are cut into chunks of floor(sqrt N),
     the running products inside every chunk advance together, the chunk
-    totals are chained from init, and one batched matmul applies them. That
-    is about 2 sqrt(N) Python-level matmuls instead of N.
+    totals are chained from init, and each chunk's stacked rows take its
+    head in one product. That is about 2 sqrt(N) Python-level matmuls
+    instead of N.
     """
     steps = np.asarray(steps, dtype=np.complex128)
     nstep, n, _ = steps.shape
@@ -313,7 +324,8 @@ def ordered_products(steps: Array, init: Array | None = None) -> Array:
     heads[0] = init
     for i in range(nchunk - 1):
         heads[i + 1] = run[i, -1] @ heads[i]
-    out[1:] = matmul_stack(run, heads[:, None]).reshape(nchunk * width, n, init.shape[1])[:nstep]
+    # chunk i's rows times its head: one (width n, n) @ (n, c) product per chunk
+    out[1:] = matmul_stack(run.reshape(nchunk, width * n, n), heads).reshape(nchunk * width, n, init.shape[1])[:nstep]
     return out
 
 

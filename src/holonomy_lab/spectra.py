@@ -70,7 +70,10 @@ class EigenprojectorBasis:
     m: tuple[int, ...]
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)  # ValueError for an entry that is no number
+        try:
+            m = np.asarray(self.m, dtype=float)
+        except (TypeError, ValueError):
+            raise LengthMismatch(f"degeneracies m must be numbers, got {self.m}") from None
         if m.ndim != 1 or m.size == 0 or not np.all(np.isfinite(m) & (m >= 1.0) & (m == np.round(m))):
             raise LengthMismatch(f"degeneracies must be positive integers, got {self.m}")
         object.__setattr__(self, "m", tuple(int(x) for x in m))

@@ -127,11 +127,11 @@ def choose_planes(rho: DensityOperator, w: bundle.Amplitude, ambient_dim: int) -
     return [(support[:, q], partners[:, q]) for q in range(r)]
 
 
-def _flow_props(generator: Array, ts: Array) -> Array:
-    """Stack of exp(-i t generator) over the sample times."""
+def _flow(generator: Array, ts: Array) -> tuple[Array, Array]:
+    """Eigenframe V (n, n) of the generator and the phases r (N, n), with
+    r[k] = exp(-i t_k lambda), so that exp(-i t_k generator) = V diag(r[k]) V^dag."""
     eig = linalg.hermitian_eig(generator)
-    rot = np.exp(-1j * ts[:, None] * eig.values[None, :])
-    return linalg.matmul_stack(eig.frame[None, :, :] * rot[:, None, :], eig.frame.conj().T)
+    return eig.frame, np.exp(-1j * ts[:, None] * eig.values[None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +157,8 @@ class SaturatingPlan:
         the schedule grid: the UnitaryOrbit of rho under the generator's
         flow, which closes to machine precision and whose spectral path
         decompose_path reads without eigendecomposing."""
-        return UnitaryOrbit(grid=self.schedule.grid, propagators=_flow_props(self.generator, self.schedule.grid.times),
+        v, rot = _flow(self.generator, self.schedule.grid.times)
+        return UnitaryOrbit(grid=self.schedule.grid, propagators=linalg.matmul_stack(v * rot[:, None, :], v.conj().T),
                             start=self.rho)
 
 
@@ -189,9 +190,11 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
         generator += gen
         coupling = loop.speed * np.outer(loop.psi, loop.phi.conj())
         coherent0 += coupling + coupling.conj().T
-    # conjugate the t=0 coherent part along the flow of the generator
-    props = _flow_props(generator, np.linspace(0.0, tau, n_samples))
-    hs = linalg.matmul_stack(linalg.matmul_stack(props, coherent0), np.conj(np.swapaxes(props, -1, -2)))
+    # conjugate the t=0 coherent part along the flow of the generator, in its
+    # eigenbasis: P_k C0 P_k^dag = V ((V^dag C0 V) o r_k r_k^*) V^dag
+    v, rot = _flow(generator, np.linspace(0.0, tau, n_samples))
+    phased = (v.conj().T @ coherent0 @ v) * (rot[:, :, None] * rot[:, None, :].conj())
+    hs = linalg.matmul_stack(v, linalg.matmul_stack(phased, v.conj().T))
     hs = 0.5 * (hs + np.conj(np.swapaxes(hs, -1, -2)))
     schedule = dynamics.HamiltonianSchedule(grid=TimeGrid(tau=float(tau), n=n_samples), samples=hs)
     return SaturatingPlan(rho=rho, w=w, target=target, tau=float(tau), loops=loops,

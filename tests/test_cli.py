@@ -189,6 +189,24 @@ class TestCheck:
         assert captured.out == ""
         assert "degeneracies must be positive integers, got [1.2, 1.7]" in captured.err
 
+    def test_object_amplitude_m_exits_one(self, tmp_path, capsys):
+        # float({}) raises TypeError, which used to escape as a traceback
+        path = write_curve(tmp_path / "c.json", constant_state_curve())
+        amp = tmp_path / "a.json"
+        amp.write_text(json.dumps({"matrix": serialize.matrix_to_json(np.eye(2)), "basis": {"m": [{}]}}))
+        assert cli.main(["check", path, "--amplitude", str(amp)]) == 1
+        assert capsys.readouterr().err == "error: degeneracies m must be numbers, got [{}]\n"
+
+    def test_amplitude_of_another_dimension_exits_one(self, tmp_path, capsys):
+        # three rows over a dim-2 curve used to fail inside numpy's broadcasting
+        path = write_curve(tmp_path / "c.json", constant_state_curve())
+        w = np.zeros((3, 2))
+        w[0, 0], w[1, 1] = np.sqrt(0.7), np.sqrt(0.3)
+        amp = tmp_path / "a.json"
+        amp.write_text(json.dumps({"matrix": serialize.matrix_to_json(w), "basis": {"m": [1, 1]}}))
+        assert cli.main(["check", path, "--amplitude", str(amp)]) == 1
+        assert capsys.readouterr().err == "error: amplitude has shape (3, 2), the state has shape (2, 2)\n"
+
 
 class TestEvolve:
     def test_zero_hamiltonian(self, tmp_path, capsys):

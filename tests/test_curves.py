@@ -196,3 +196,23 @@ class TestQuadratureConvergence:
         l1, l2, l3 = length_at(251), length_at(501), length_at(1001)
         ratio = abs(l1 - l2) / abs(l2 - l3)
         assert 3.0 <= ratio <= 5.0
+
+
+def full_interior_derivative(s: np.ndarray, dt: float) -> np.ndarray:
+    """The stencils applied the long way: central differences over the whole
+    interior, then the five-point stencil over it where it fits."""
+    d = np.empty_like(s)
+    d[1:-1] = (s[2:] - s[:-2]) / (2.0 * dt)
+    if len(s) >= 5:
+        d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) / (12.0 * dt)
+    d[0] = (-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * dt)
+    d[-1] = (3.0 * s[-1] - 4.0 * s[-2] + s[-3]) / (2.0 * dt)
+    return d
+
+
+class TestGridDerivative:
+    @pytest.mark.parametrize("nsamp", [3, 4, 5, 6, 201])
+    def test_matches_the_full_interior_stencils(self, rng, nsamp):
+        for shape in ((nsamp,), (nsamp, 2, 2), (nsamp, 6, 6)):
+            s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert np.array_equal(curves.grid_derivative(s, 0.01), full_interior_derivative(s, 0.01))

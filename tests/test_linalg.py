@@ -39,12 +39,17 @@ class TestMatmulStack:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_broadcast_forms(self, rng, n):
-        # the forms the call sites pass: one matrix on the right, two stacks,
-        # and the chunked scan's (C, W) stack against one matrix per chunk
+        # the forms the call sites pass: one matrix on either side, two stacks,
+        # and the chunked scan's rows (C, W n, n) against one matrix per chunk;
+        # then batch axes on both kinds of product
         check_matmul(random_stack(rng, (30, n, n)), random_stack(rng, (n, n)))
         check_matmul(random_stack(rng, (30, n, n - 1)), random_stack(rng, (30, n - 1, n)))
-        check_matmul(random_stack(rng, (5, 7, n, n)), random_stack(rng, (5, 1, n, max(n // 2, 1))))
         check_matmul(random_stack(rng, (n, n)), random_stack(rng, (30, n, n)))
+        check_matmul(random_stack(rng, (5, 7 * n, n)), random_stack(rng, (5, n, max(n // 2, 1))))
+        check_matmul(random_stack(rng, (5, 7, n, n)), random_stack(rng, (5, 1, n, max(n // 2, 1))))
+        check_matmul(random_stack(rng, (5, 7, n, 3)), random_stack(rng, (3, n + 1)))
+        check_matmul(random_stack(rng, (n + 1, 3)), random_stack(rng, (5, 7, 3, n)))
+        check_matmul(random_stack(rng, (n, n + 2)), random_stack(rng, (30, n + 2, 1)))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_mixed_dtypes_and_views(self, rng, n):
@@ -57,23 +62,41 @@ class TestMatmulStack:
         check_matmul(frozen, frozen)
         check_matmul(np.swapaxes(cplx, -1, -2), np.conj(np.swapaxes(cplx, -1, -2)))
         check_matmul(cplx[::-2, :, ::-1], cplx[1::2])
+        # one matrix on either side of a view or of the other dtype
+        fixed = random_stack(rng, (n, n))
+        for stack in (real, np.swapaxes(cplx, -1, -2), cplx[::-2, ::-1], np.conj(np.swapaxes(cplx, -1, -2))[:, :, ::-1]):
+            check_matmul(stack, fixed)
+            check_matmul(fixed, stack)
+        check_matmul(cplx, fixed.real)
+        check_matmul(fixed.real.T, cplx)
 
     def test_path_follows_the_matrix_shape(self, rng):
-        # up to 3 the product is the column-broadcast sum, bit for bit; from 4 it is matmul's
+        # two stacks up to 3 take the column-broadcast sum, bit for bit; from 4, matmul
         for n in (1, 2, 3):
             a, b = random_stack(rng, (20, n, n)), random_stack(rng, (20, n, n))
             want = sum(a[:, :, j, None] * b[:, None, j, :] for j in range(n))
             assert np.array_equal(linalg.matmul_stack(a, b), want)
         a, b = random_stack(rng, (20, 4, 2)), random_stack(rng, (20, 2, 2))
         assert np.array_equal(linalg.matmul_stack(a, b), a @ b)
+        # a stack times one matrix is the single GEMM over the stack's rows,
+        # on the left with both factors transposed, whatever the block size
+        for n in (2, 6):
+            a, b = random_stack(rng, (20, 3, n)), random_stack(rng, (n, n))
+            assert np.array_equal(linalg.matmul_stack(a, b), (a.reshape(60, n) @ b).reshape(20, 3, n))
+            a, b = random_stack(rng, (n, n)), random_stack(rng, (20, n, 3))
+            want = np.swapaxes((np.swapaxes(b, -1, -2).reshape(60, n) @ a.T).reshape(20, 3, n), -1, -2)
+            assert np.array_equal(linalg.matmul_stack(a, b), want)
 
     def test_inner_dimension_mismatch_raises(self, rng):
-        with pytest.raises(ValueError):
-            linalg.matmul_stack(random_stack(rng, (5, 2, 2)), random_stack(rng, (5, 3, 2)))
+        for a_shape, b_shape in (((5, 2, 2), (5, 3, 2)), ((5, 2, 2), (3, 2)), ((2, 3), (5, 2, 2))):
+            with pytest.raises(ValueError):
+                linalg.matmul_stack(random_stack(rng, a_shape), random_stack(rng, b_shape))
 
     def test_empty_inner_dimension_gives_zeros(self):
-        got = linalg.matmul_stack(np.empty((4, 2, 0)), np.empty((4, 0, 3)))
-        assert got.shape == (4, 2, 3) and not np.any(got)
+        for a_shape, b_shape, want in (((4, 2, 0), (4, 0, 3), (4, 2, 3)), ((5, 4, 2, 0), (0, 3), (5, 4, 2, 3)),
+                                       ((2, 0), (4, 0, 3), (4, 2, 3))):
+            got = linalg.matmul_stack(np.empty(a_shape), np.empty(b_shape))
+            assert got.shape == want and not np.any(got)
 
 
 class TestHermitianEig:

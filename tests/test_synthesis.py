@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from holonomy_lab import bundle, dynamics, invariants, spectra, synthesis
+from holonomy_lab import bundle, dynamics, invariants, linalg, spectra, synthesis
 from holonomy_lab.curves import grid_derivative
 from holonomy_lab.errors import (
     DimensionTooSmall,
@@ -210,6 +210,73 @@ class TestSynthesize:
         monkeypatch.setattr(bundle, "closed_loop", checked_closed_loop)
         synthesis.verify_saturation(plan)
         assert entered == [True]
+
+
+# (p, m, dim, target eigenphases / 2pi): the benchmark's saturation sweep,
+# and its dim-6 plan with equal phases on the two-fold block
+SWEEP_PLANS = (
+    ((1.0,), (1,), 2, (0.62,)),
+    ((0.7, 0.3), (1, 1), 4, (0.81, 0.27)),
+    ((0.5, 0.25), (1, 2), 6, (0.45, 0.93, 0.18)),
+    ((0.5, 0.25), (1, 2), 6, (0.45, 0.3, 0.3)),
+)
+SWEEP_IDS = ["dim2", "dim4", "dim6", "dim6_equal_phases"]
+
+
+def sweep_plan(rng, p, m, dim, fracs, n_samples=synthesis.PLAN_SAMPLES):
+    rho = rand_state(rng, p, m, dim)
+    u = np.zeros((rho.rank, rho.rank), dtype=complex)
+    for lo, hi in rho.basis.blocks:
+        q = rand_unitary(rng, hi - lo)
+        u[lo:hi, lo:hi] = (q * np.exp(1j * TWO_PI * np.asarray(fracs[lo:hi]))) @ q.conj().T
+    target = bundle.GaugeElement(u=u, basis=rho.basis)
+    return synthesis.synthesize(rho, bundle.canonical_amplitude(rho), target, tau=1.0, ambient_dim=dim,
+                                n_samples=n_samples)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Operand shapes of every matmul_stack call from now on."""
+    shapes = []
+    matmul_stack = linalg.matmul_stack
+
+    def spy(a, b):
+        shapes.append((np.shape(a), np.shape(b)))
+        return matmul_stack(a, b)
+
+    monkeypatch.setattr(linalg, "matmul_stack", spy)
+    return shapes
+
+
+def stack_by_stack(shapes):
+    return [pair for pair in shapes if len(pair[0]) > 2 and len(pair[1]) > 2]
+
+
+class TestScheduleProducts:
+    """synthesize conjugates the coupling along the flow in the generator's
+    eigenbasis, so each of its products has one fixed factor."""
+
+    @pytest.mark.parametrize("p, m, dim, fracs", SWEEP_PLANS, ids=SWEEP_IDS)
+    def test_synthesize_makes_no_stack_by_stack_product(self, rng, products, p, m, dim, fracs):
+        sweep_plan(rng, p, m, dim, fracs, n_samples=201)
+        assert products and stack_by_stack(products) == []
+
+    def test_orbit_and_its_path_make_one(self, rng, products):
+        plan = sweep_plan(rng, *SWEEP_PLANS[2], n_samples=201)
+        products.clear()
+        bundle.decompose_path(plan.exact_states())
+        # U rho0 and U F0 fold into one GEMM each; only (U rho0) U^dag pairs two stacks
+        assert stack_by_stack(products) == [((201, 6, 6), (201, 6, 6))]
+
+    @pytest.mark.parametrize("p, m, dim, fracs", SWEEP_PLANS, ids=SWEEP_IDS)
+    def test_schedule_is_the_conjugated_coupling(self, rng, p, m, dim, fracs):
+        plan = sweep_plan(rng, p, m, dim, fracs)
+        coupling = sum(loop.speed * (np.outer(loop.psi, loop.phi.conj()) + np.outer(loop.phi, loop.psi.conj()))
+                       for loop in plan.loops)
+        lam, v = np.linalg.eigh(plan.generator)
+        props = (v * np.exp(-1j * plan.schedule.grid.times[:, None, None] * lam)) @ v.conj().T
+        want = props @ coupling @ np.conj(np.swapaxes(props, -1, -2))
+        assert np.max(np.abs(plan.schedule.samples - want)) <= 1e-13
 
 
 class TestSaturationGuard:
