@@ -159,32 +159,20 @@ def cmd_qubit_demo(args) -> int:
     return 0
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+def _number(cast, accept, message: str):
+    """argparse type: the text cast to a number that accept takes, else the
+    input error "<message>, got <text>"."""
+    def parse(text: str):
+        value = cast(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{message}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse reports a failed cast as "invalid int value"
+    return parse
 
 
-def _sample_count(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 samples, got {text}")
-    return value
-
-
-def _job_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1 job, got {text}")
-    return value
-
-
-def _dimension(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"dimension must be at least 2, got {text}")
-    return value
+_SAMPLE_COUNT = _number(int, lambda v: v >= 2, "need at least 2 samples")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curves", nargs="+")
     p.add_argument("--amplitude", type=str, default=None)
     p.add_argument("--alpha", type=str, default=None, help="comma-separated spectral bounds")
-    p.add_argument("--jobs", type=_job_count, default=1)
+    p.add_argument("--jobs", type=_number(int, lambda v: v >= 1, "need at least 1 job"), default=1)
     common(p)
     p.set_defaults(func=cmd_check)
 
@@ -218,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="bound-saturating plan for a target holonomy")
     p.add_argument("state")
     p.add_argument("target")
-    p.add_argument("--tau", type=_positive, required=True)
-    p.add_argument("--ambient-dim", type=_dimension, required=True)
-    p.add_argument("--n", type=_sample_count, default=synthesis.PLAN_SAMPLES)
+    p.add_argument("--tau", type=_number(float, lambda v: v > 0.0, "must be positive"), required=True)
+    p.add_argument("--ambient-dim", type=_number(int, lambda v: v >= 2, "dimension must be at least 2"), required=True)
+    p.add_argument("--n", type=_SAMPLE_COUNT, default=synthesis.PLAN_SAMPLES)
     common(p)
     p.set_defaults(func=cmd_synthesize)
 
@@ -228,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n3", type=float, required=True)
     p.add_argument("--omega", type=float, default=2.0 * np.pi)
     p.add_argument("--p0", type=float, default=0.7)
-    p.add_argument("--n", type=_sample_count, default=2001)
+    p.add_argument("--n", type=_SAMPLE_COUNT, default=2001)
     p.add_argument("--csv", action="store_true")
     common(p)
     p.set_defaults(func=cmd_qubit_demo)

@@ -45,11 +45,21 @@ class HamiltonianSchedule(OperatorCurve):
         return cls(grid=TimeGrid(tau=tau, n=n), samples=np.broadcast_to(h, (n, *h.shape)).copy())
 
 
+def _steps(hs: Array, dt: float) -> Array:
+    """The (N - 1, n, n) midpoint steps exp(-i dt (H_k + H_{k+1})/2) of a checked
+    Hermitian stack (N, n, n): the one step builder of both unitary integrators.
+    A constant stack takes one exponential, broadcast; the midpoint of equal
+    samples is that sample."""
+    if np.all(hs == hs[0]):
+        return np.broadcast_to(linalg.propagator_step_stack(hs[:1], dt), (len(hs) - 1, *hs.shape[1:]))
+    return linalg.propagator_step_stack(0.5 * (hs[:-1] + hs[1:]), dt)
+
+
 def evolve(rho0: DensityOperator, sched: HamiltonianSchedule) -> tuple[OperatorCurve, UnitaryOrbit]:
     """Propagate rho0 under the schedule; returns (U curve, state curve).
 
-    The propagator is stepped with the midpoint Hamiltonian (linear
-    interpolation between samples), which is exact for constant schedules.
+    The propagator takes the midpoint steps of _steps (linear
+    interpolation between samples), which are exact for constant schedules.
     The state curve is the UnitaryOrbit of rho0 under the propagators, whose
     spectral path decompose_path reads without eigendecomposing; the U
     curve holds the same read-only propagators.
@@ -57,15 +67,9 @@ def evolve(rho0: DensityOperator, sched: HamiltonianSchedule) -> tuple[OperatorC
     n = rho0.dim
     if sched.samples.shape[1:] != (n, n):
         raise DimMismatch(f"schedule acts on dim {sched.samples.shape[1]}, state has dim {n}")
-    nsamp = sched.grid.n
-    dt = sched.grid.dt
     # the schedule checked its samples when it was built
-    if float(np.max(np.abs(sched.samples - sched.samples[0]))) == 0.0:
-        steps = np.broadcast_to(linalg.propagator_step_stack(sched.samples[:1], dt), (nsamp - 1, n, n))
-    else:
-        mids = 0.5 * (sched.samples[:-1] + sched.samples[1:])
-        steps = linalg.propagator_step_stack(mids, dt)
-    states = UnitaryOrbit(grid=sched.grid, propagators=linalg.ordered_products(steps), start=rho0)
+    props = linalg.ordered_products(_steps(sched.samples, sched.grid.dt))
+    states = UnitaryOrbit(grid=sched.grid, propagators=props, start=rho0)
     return OperatorCurve(grid=sched.grid, samples=states.propagators), states
 
 
@@ -212,16 +216,15 @@ def horizontal_lift_unitary(rho_curve: OperatorCurve, sched: HamiltonianSchedule
                             w0: bundle.Amplitude) -> OperatorCurve:
     """Horizontal lift of a unitary run by integrating with the coherent part.
 
-    Steps W with exp(-i Hco dt) using trapezoid-averaged coherent samples;
-    cross-validates the eigenframe-transport lift. Checks the run and the
-    start as speed_report and horizontal_lift do.
+    Steps W with the coherent part Hco, taking the same midpoint steps
+    (_steps) as evolve; cross-validates the eigenframe-transport lift.
+    Checks the run and the start as speed_report and horizontal_lift do.
     """
     _check_run(rho_curve, sched)
     spath = bundle.decompose_path(rho_curve)
     bundle.initial_frames(rho_curve, spath, w0)
     h_co = sched.samples - incoherent_part_path(sched.samples, spath)
-    steps = linalg.propagator_step_stack(0.5 * (h_co[:-1] + h_co[1:]), sched.grid.dt)
-    return OperatorCurve(grid=sched.grid, samples=linalg.ordered_products(steps, w0.w))
+    return OperatorCurve(grid=sched.grid, samples=linalg.ordered_products(_steps(h_co, sched.grid.dt), w0.w))
 
 
 @dataclass(frozen=True, eq=False)

@@ -130,8 +130,9 @@ def unitary_eig(u: Array) -> tuple[Array, Array]:
 def check_hermitian_stack(ms: Array, tol: float = tolerances.HERM_TOL) -> None:
     """Raise NonHermitian, naming the worst sample, if any matrix of the
     stack (N, n, n) deviates from Hermitian by more than tol (relative)."""
-    dev = np.linalg.norm(ms - np.conj(np.swapaxes(ms, -1, -2)), axis=(-2, -1))
-    scale = np.maximum(1.0, np.linalg.norm(ms, axis=(-2, -1)))
+    with np.errstate(over="ignore"):  # entries near 1e308 have norm inf; propagator_step_stack rejects them
+        dev = np.linalg.norm(ms - np.conj(np.swapaxes(ms, -1, -2)), axis=(-2, -1))
+        scale = np.maximum(1.0, np.linalg.norm(ms, axis=(-2, -1)))
     if np.any(dev > tol * scale):
         k = int(np.argmax(dev / scale))
         where = f"sample {k}: " if len(ms) > 1 else ""
@@ -267,12 +268,14 @@ def propagator_step_stack(hs: Array, dt: float) -> Array:
     powers (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973), and the
     result is squared s times. Degree and s follow from the largest
     1-norm in the stack; at 1-norm 1e-3 that is degree 6, s = 0 and 3
-    batched matmuls.
+    batched matmuls. Above about 4e292, or non-finite, the lowest degree
+    would need infinitely many squarings, and the stack raises ValueError.
     """
     hs = np.asarray(hs, dtype=np.complex128)
-    norm = abs(dt) * float(np.max(np.sum(np.abs(hs), axis=-2), initial=0.0))
-    if not math.isfinite(norm):
-        raise ValueError("Hamiltonian stack has non-finite entries")
+    with np.errstate(over="ignore"):  # a column sum past 1e308 is inf, rejected below
+        norm = abs(dt) * float(np.max(np.sum(np.abs(hs), axis=-2), initial=0.0))
+    if not math.isfinite(norm / _TAYLOR[0][2]):
+        raise ValueError(f"dt*|H|_1 = {norm:.3e} is non-finite or too large for a finite Taylor plan")
     degree, width, squarings = _taylor_plan(norm)
     a = (-1j * dt * 0.5**squarings) * hs
     powers = [a]  # A^1 .. A^q

@@ -225,7 +225,8 @@ def verify_saturation(plan: SaturatingPlan) -> SaturationReport:
     the holonomy hits the target, the length equals the bound, the drive
     stays state-coherent with constant energy uncertainty ihb/tau, and
     tau * Delta E equals the length. Raises SaturationFailed naming the
-    first violated assertion.
+    first violated assertion, and OutOfRange when tau is so long that
+    Delta E underflows to zero under a nonzero holonomy.
     """
     rho_curve = plan.exact_states()
     # one expression, so the re-integrated U and state curves are freed before the lift
@@ -257,6 +258,8 @@ def verify_saturation(plan: SaturatingPlan) -> SaturationReport:
         raise SaturationFailed(f"energy uncertainty varies by {dh_dev:.3e} from ihb/tau")
 
     delta_e = trapezoid(dh, rho_curve.grid.dt) / plan.tau
+    if delta_e <= 0.0 and ihb > tolerances.ZERO_IHB_TOL:
+        raise OutOfRange(f"tau = {plan.tau:.3e} underflows the energy uncertainty ihb/tau to zero")
     energy_gap = abs(plan.tau * delta_e - report.length)
     if energy_gap > tolerances.SAT_ENERGY_TOL:
         raise SaturationFailed(f"tau Delta E misses the length by {energy_gap:.3e}")

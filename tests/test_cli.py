@@ -236,6 +236,17 @@ class TestEvolve:
         serialize.write_json(path, bad)
         assert cli.main(["evolve", state, str(path), "--out", str(tmp_path / "c.json")]) == 1
 
+    @pytest.mark.parametrize("h, tau, norm", [
+        (np.diag([1e308, -1e308]), 1.0, "2.500e+306"),
+        (np.diag([0.5, -0.5]), 1e300, "1.250e+298"),
+    ], ids=["entries_1e308", "tau_1e300"])
+    def test_step_without_a_taylor_plan_exits_one(self, tmp_path, capsys, h, tau, norm):
+        # finite entries whose dt |H|_1 needs infinitely many squarings
+        state = write_state(tmp_path / "s.json", np.diag([0.7, 0.3]).astype(complex))
+        sched = write_schedule(tmp_path / "h.json", h, tau, 41)
+        assert cli.main(["evolve", state, sched, "--out", str(tmp_path / "c.json")]) == 1
+        assert f"dt*|H|_1 = {norm} is non-finite or too large for a finite Taylor plan" in capsys.readouterr().err
+
 
 class TestLift:
     def test_round_trip(self, tmp_path, capsys):
@@ -287,6 +298,16 @@ class TestSynthesize:
         serialize.write_json(tpath, target)
         assert cli.main(["synthesize", state, str(tpath), "--tau", "1.0",
                          "--ambient-dim", "3", "--out", str(tmp_path / "plan")]) == 1
+
+    def test_tau_that_underflows_the_energy_uncertainty_exits_one(self, tmp_path, capsys):
+        # ihb/tau underflows to Delta E = 0 while the holonomy stays nonzero
+        state = write_state(tmp_path / "s.json", np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex))
+        target = {"matrix": serialize.matrix_to_json(np.diag([1.0, np.exp(1e-12j)])), "basis": {"m": [1, 1]}}
+        tpath = tmp_path / "u.json"
+        serialize.write_json(tpath, target)
+        assert cli.main(["synthesize", state, str(tpath), "--tau", "1e300", "--ambient-dim", "4",
+                         "--n", "2", "--out", str(tmp_path / "plan")]) == 1
+        assert "tau = 1.000e+300 underflows the energy uncertainty ihb/tau to zero" in capsys.readouterr().err
 
 
 class TestQubitDemo:
@@ -351,6 +372,28 @@ class TestUsageErrors:
         path = write_curve(tmp_path / "c.json", constant_state_curve())
         assert cli.main(["check", path, "--jobs", jobs]) == 1
         assert f"argument --jobs: need at least 1 job, got {jobs}" in capsys.readouterr().err
+
+    # --jobs and --ambient-dim have their own tests above
+    @pytest.mark.parametrize("command, flag, value, message", [
+        (["synthesize", "s.json", "u.json", "--ambient-dim", "4"], "--tau", "0", "must be positive"),
+        (["synthesize", "s.json", "u.json", "--ambient-dim", "4"], "--tau", "nan", "must be positive"),
+        (["synthesize", "s.json", "u.json", "--tau", "1", "--ambient-dim", "4"], "--n", "1",
+         "need at least 2 samples"),
+        (["qubit-demo", "--n3", "0.5"], "--n", "-4", "need at least 2 samples"),
+    ])
+    def test_number_out_of_range_names_the_flag(self, capsys, command, flag, value, message):
+        assert cli.main([*command, flag, value]) == 1
+        assert f"argument {flag}: {message}, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value, kind", [
+        (["check", "c.json"], "--jobs", "two", "int"),
+        (["synthesize", "s.json", "u.json", "--ambient-dim", "4"], "--tau", "1s", "float"),
+        (["synthesize", "s.json", "u.json", "--tau", "1"], "--ambient-dim", "4.0", "int"),
+        (["qubit-demo", "--n3", "0.5"], "--n", "", "int"),
+    ])
+    def test_non_numeric_text_names_the_flag(self, capsys, command, flag, value, kind):
+        assert cli.main([*command, flag, value]) == 1
+        assert f"argument {flag}: invalid {kind} value: {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--gap-tol", "--phase-tol"])
     def test_tolerance_flags_are_gone(self, tmp_path, capsys, flag):

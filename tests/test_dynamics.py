@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from holonomy_lab import bundle, dynamics, invariants, spectra
-from holonomy_lab.curves import OperatorCurve, TimeGrid
+from holonomy_lab import bundle, dynamics, invariants, linalg, spectra, synthesis
+from holonomy_lab.curves import OperatorCurve, TimeGrid, UnitaryOrbit
 from holonomy_lab.dynamics import SIGMA1, SIGMA3, HamiltonianSchedule
 from holonomy_lab.errors import DimMismatch, InvalidP, NonHermitian, NotClosed, StationaryAxis
 from qutil import (
     precessing_qubit_curve,
     qubit_axis,
     qubit_propagators,
+    rand_gauge,
     rand_hermitian,
     rand_state,
     rand_unitary,
@@ -230,6 +231,73 @@ class TestUnitaryLift:
         lift_a = bundle.horizontal_lift(states, w0)
         lift_b = dynamics.horizontal_lift_unitary(states, sched, w0)
         assert np.max(np.linalg.norm(lift_a.samples - lift_b.samples, axis=(1, 2))) <= 1e-6
+
+
+STEP_KERNEL = linalg.propagator_step_stack  # unspied by the step_stacks fixture
+
+
+def midpoint_products(hs, dt, init=None, shortcut=True):
+    """The midpoint rule written out: the step of the first sample broadcast
+    over a constant stack (when shortcut), else exp(-i dt (H_k + H_{k+1})/2),
+    then the running products."""
+    if shortcut and np.max(np.abs(hs - hs[0])) == 0.0:
+        steps = np.broadcast_to(STEP_KERNEL(hs[:1], dt), (len(hs) - 1, *hs.shape[1:]))
+    else:
+        steps = STEP_KERNEL(0.5 * (hs[:-1] + hs[1:]), dt)
+    return linalg.ordered_products(steps, init)
+
+
+@pytest.fixture
+def step_stacks(monkeypatch):
+    """Shapes of the stacks handed to propagator_step_stack from now on."""
+    shapes = []
+    kernel = linalg.propagator_step_stack
+
+    def spy(hs, dt):
+        shapes.append(np.shape(hs))
+        return kernel(hs, dt)
+
+    monkeypatch.setattr(linalg, "propagator_step_stack", spy)
+    return shapes
+
+
+class TestStepBuilder:
+    """evolve and horizontal_lift_unitary share one midpoint step builder;
+    each gives exactly the numbers of the rule written out."""
+
+    def run(self, rho0, w0, sched):
+        props, states = dynamics.evolve(rho0, sched)
+        dt = sched.grid.dt
+        expected_props = midpoint_products(sched.samples, dt)
+        assert np.array_equal(props.samples, expected_props)
+        expected_states = UnitaryOrbit(grid=sched.grid, propagators=expected_props, start=rho0).samples
+        assert np.array_equal(states.samples, expected_states)
+        h_co = sched.samples - dynamics.incoherent_part_path(sched.samples, bundle.decompose_path(states))
+        lift = dynamics.horizontal_lift_unitary(states, sched, w0)
+        assert np.array_equal(lift.samples, midpoint_products(h_co, dt, w0.w, shortcut=False))
+        return h_co
+
+    def test_constant_qubit_schedule(self, step_stacks):
+        rho0 = mixed_qubit()
+        sched = HamiltonianSchedule.constant(dynamics.qubit_hamiltonian(qubit_axis(0.6), TWO_PI), 1.0, 2001)
+        self.run(rho0, bundle.canonical_amplitude(rho0), sched)
+        # evolve steps the constant schedule once; the rotating state's coherent part is not constant
+        assert step_stacks == [(1, 2, 2), (2000, 2, 2)]
+
+    def test_synthesized_dim6_schedule(self, rng):
+        rho = rand_state(rng, (0.5, 0.25), (1, 2), 6)
+        plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis),
+                                    tau=1.0, ambient_dim=6)
+        assert np.max(np.abs(plan.schedule.samples - plan.schedule.samples[0])) > 0.0
+        self.run(plan.rho, plan.w, plan.schedule)
+
+    def test_constant_coherent_part_takes_one_step(self, step_stacks):
+        # under H = 0 the coherent part is bitwise constant, so the lift takes the shortcut too
+        rho0 = mixed_qubit()
+        sched = HamiltonianSchedule.constant(np.zeros((2, 2)), 1.0, 201)
+        h_co = self.run(rho0, bundle.canonical_amplitude(rho0), sched)
+        assert np.all(h_co == h_co[0])
+        assert step_stacks == [(1, 2, 2), (1, 2, 2)]
 
 
 class TestQubitReference:

@@ -1,8 +1,9 @@
 """Layering guards: no module of the library reads another module's
 underscore names, every threshold lives in the tolerance table, numpy's
 decompositions and solves are called only in linalg, the stack kernels
-that trust their input are called only where that input was checked, only
-the two unitary runs build a UnitaryOrbit, and numpy is the only
+that trust their input are called only where that input was checked, the
+unitary integrators take their midpoint steps from one builder, only the
+two unitary runs build a UnitaryOrbit, and numpy is the only
 third-party package the library imports."""
 
 import ast
@@ -160,10 +161,11 @@ def test_guard_sees_a_decomposition(tmp_path):
 
 # stack kernels that do not check Hermiticity, and the functions that may
 # call them because their input was checked where it entered (unitary_eig:
-# because it builds a Hermitian matrix itself)
+# because it builds a Hermitian matrix itself; _steps: the one step builder
+# of evolve and horizontal_lift_unitary)
 TRUSTING_KERNELS = {"hermitian_eig_stack", "propagator_step_stack"}
 TRUSTED_CALLERS = {("linalg", "hermitian_eig"), ("linalg", "propagator_step"), ("linalg", "unitary_eig"),
-                   ("bundle", "decompose_path"), ("dynamics", "evolve"), ("dynamics", "horizontal_lift_unitary")}
+                   ("bundle", "decompose_path"), ("dynamics", "_steps")}
 
 
 def trusting_kernel_uses(path):
@@ -199,6 +201,38 @@ def test_guard_sees_a_trusting_kernel(tmp_path):
                      "def planted(hs):\n    f = propagator_step_stack\n    return f(hs, 0.1)\n", encoding="utf-8")
     assert trusting_kernel_uses(probe) == {("<module>", "propagator_step_stack"), ("evolve", "hermitian_eig_stack"),
                                            ("planted", "propagator_step_stack")}
+
+
+def midpoint_sums(path):
+    """Enclosing function of every sum x[:-1] + x[1:] (either order) of
+    neighbouring samples in one file."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and (
+                re.fullmatch(r"(.+)\[:-1\] \+ \1\[1:\]|(.+)\[1:\] \+ \2\[:-1\]", ast.unparse(node))):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_dynamics_steps_from_one_builder():
+    # the midpoint rule of both unitary integrators lives in _steps alone, as
+    # does their call of propagator_step_stack (TRUSTED_CALLERS)
+    assert midpoint_sums(SRC / "dynamics.py") == {"_steps"}
+
+
+def test_guard_sees_a_midpoint(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def lift(h):\n    return 0.5 * (h[:-1] + h[1:])\n\n\n"
+                     "def flipped(s):\n    return s.x[1:] + s.x[:-1]\n\n\n"
+                     "def shifted(h):\n    return h[:-1] + h[2:], h[1:] - h[:-1]\n", encoding="utf-8")
+    assert midpoint_sums(probe) == {"lift", "flipped"}
 
 
 # decompose_path trusts an orbit's propagators to carry its start's spectral

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,16 @@ class TestPropagatorStep:
         hs[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             linalg.propagator_step_stack(hs, 0.1)
+
+    @pytest.mark.parametrize("h, dt, norm", [
+        (np.diag([1e308, -1e308]), 1.0 / 40, "2.500e+306"),
+        (SIGMA3, 1e300, "1.000e+300"),
+        (np.full((2, 2), 1e308), 0.1, "inf"),
+    ], ids=["entries_1e308", "dt_1e300", "column_sum_overflows"])
+    def test_no_finite_taylor_plan_raises(self, h, dt, norm):
+        # above dt |H|_1 of about 4e292 the degree-1 plan needs infinitely many squarings
+        with pytest.raises(ValueError, match=rf"^dt\*\|H\|_1 = {re.escape(norm)} is non-finite or too large"):
+            linalg.propagator_step(h, dt)
 
     def test_stack_names_non_hermitian_sample(self, rng):
         # the stack kernel trusts its caller; the one stack check names the sample
