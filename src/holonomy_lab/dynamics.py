@@ -20,6 +20,7 @@ from .errors import (
     DimMismatch,
     GridMismatch,
     InvalidP,
+    OutOfRange,
     StationaryAxis,
 )
 from .spectra import DensityOperator
@@ -99,7 +100,7 @@ def uncertainty(rho: DensityOperator, h: Array) -> tuple[float, float, float]:
     if h.shape != rho.matrix.shape:
         raise DimMismatch(f"H has shape {h.shape}, state has shape {rho.matrix.shape}")
     spath = bundle.SpectralPath.of_state(rho)
-    dh, dco, din = np.sqrt(np.maximum(variance_split(spath.in_eigenframe(h[None]), spath), 0.0))[:, 0]
+    dh, dco, din = np.sqrt(variance_split(spath.in_eigenframe(h[None]), spath))[:, 0]
     return float(dh), float(dco), float(din)
 
 
@@ -114,15 +115,18 @@ def incoherent_part_path(hs: Array, spath: bundle.SpectralPath) -> Array:
 def variance_split(b: Array, spath: bundle.SpectralPath) -> tuple[Array, Array, Array]:
     """(Delta^2 H, Delta^2 H_co, Delta^2 H_in) per sample from B = F^dag H F.
 
-    With eigenvalues lambda_i (kernel zeros included), tr(rho H^2) is
-    sum_ij lambda_i |B_ij|^2 and tr(rho H) = sum_i lambda_i B_ii. H_in takes
-    the block-mask entries of B and H_co, which has zero mean, the rest.
+    With eigenvalues lambda_i (kernel zeros included) and the mean
+    mu = sum_i lambda_i B_ii, each variance sums lambda_i |B_ij - mu delta_ij|^2
+    over its entries: the block mask for H_in, the rest for H_co (zero mean),
+    all for H. No term is negative, and H + c I cancels c before squaring.
     """
-    weighted = spath.values[:, :, None] * (b.real**2 + b.imag**2)
-    second_in = np.sum(weighted * spath.block_mask, axis=(1, 2))
-    second_co = np.sum(weighted * ~spath.block_mask, axis=(1, 2))
-    mean = np.sum(spath.values * np.real(np.einsum("kii->ki", b)), axis=1)
-    return second_in + second_co - mean**2, second_co, second_in - mean**2
+    lam, diag = spath.values, np.arange(b.shape[-1])
+    centred = b[:, diag, diag] - np.einsum("ki,ki->k", lam, b[:, diag, diag].real)[:, None]
+    weighted = lam[:, :, None] * (b.real**2 + b.imag**2)
+    weighted[:, diag, diag] = lam * (centred.real**2 + centred.imag**2)
+    flat, mask = weighted.reshape(len(b), -1), spath.block_mask.ravel()  # a GEMV per mask: np.sum is slower
+    din2, dco2 = flat @ mask.astype(float), flat @ (~mask).astype(float)
+    return din2 + dco2, dco2, din2
 
 
 def state_speeds_sq(b: Array, spath: bundle.SpectralPath) -> Array:
@@ -173,9 +177,10 @@ def speed_limit(rho_curve: OperatorCurve, sched: HamiltonianSchedule, w0: bundle
 def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule) -> SpeedLimitReport:
     """Speed-limit report for an analysed closed unitary evolution.
 
-    Verifies the per-sample variance decomposition and the identity between
-    the squared state speed and the coherent variance, then reports the
-    holonomy-based lower bound on the return time and its margin.
+    Verifies the identity between the squared state speed and the coherent
+    variance, which cross-checks lift_tangents against variance_split, then
+    reports the holonomy-based lower bound of speed_bound on the return
+    time and its margin.
     """
     rho_curve, spath, hol = loop.curve, loop.path, loop.holonomy
     _check_run(rho_curve, sched)
@@ -184,32 +189,29 @@ def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule) -> SpeedLi
 
     b = spath.in_eigenframe(sched.samples)
     dh2, dco2, din2 = variance_split(b, spath)
-    pyth = np.abs(dh2 - dco2 - din2) / np.maximum(1.0, np.abs(dh2))
-    if np.any(pyth > tolerances.PYTHAGORAS_TOL):
-        raise ContractViolation(f"variance decomposition violated by {np.max(pyth):.3e}")
-
-    speeds2 = state_speeds_sq(b, spath)
-    dev = np.abs(speeds2 - dco2) / np.maximum(1.0, np.abs(dco2))
+    dev = np.abs(state_speeds_sq(b, spath) - dco2) / np.maximum(1.0, dco2)
     if np.any(dev > tolerances.SPEED_IDENTITY_TOL):
         raise ContractViolation(f"speed identity violated by {np.max(dev):.3e}")
 
-    dh = np.sqrt(np.maximum(dh2, 0.0))
-    tau = rho_curve.grid.tau
-    delta_e = trapezoid(dh, rho_curve.grid.dt) / tau
-    if delta_e > 0.0:
-        bound = ihb / delta_e
-    elif ihb <= tolerances.ZERO_IHB_TOL:
-        bound = 0.0
-    else:
-        raise ContractViolation("nonzero holonomy with zero average uncertainty")
-    margin = tau - bound
+    dh = np.sqrt(dh2)
+    delta_e, bound = speed_bound(dh, rho_curve.grid, ihb)
+    margin = rho_curve.grid.tau - bound
     if margin < -tolerances.MARGIN_TOL:
         raise ContractViolation(f"speed-limit margin {margin:.3e} is negative")
     return SpeedLimitReport(
-        tau=tau, delta_e=delta_e, ihb=ihb, bound=bound, margin=margin,
-        dh=dh, dh_co=np.sqrt(np.maximum(dco2, 0.0)), dh_in=np.sqrt(np.maximum(din2, 0.0)),
-        holonomy=hol, phases=phases,
+        tau=rho_curve.grid.tau, delta_e=delta_e, ihb=ihb, bound=bound, margin=margin,
+        dh=dh, dh_co=np.sqrt(dco2), dh_in=np.sqrt(din2), holonomy=hol, phases=phases,
     )
+
+
+def speed_bound(dh: Array, grid: TimeGrid, ihb: float) -> tuple[float, float]:
+    """Average energy uncertainty Delta E = trapezoid(Delta H) / tau and the
+    speed-limit bound iHB / Delta E on the return time (0 when iHB = 0).
+    Raises OutOfRange when Delta E underflows to zero under a nonzero iHB."""
+    delta_e = trapezoid(dh, grid.dt) / grid.tau
+    if ihb and not delta_e:
+        raise OutOfRange(f"tau = {grid.tau:.3e} underflows the energy uncertainty to zero under iHB = {ihb:.3e}")
+    return delta_e, ihb / delta_e if ihb else 0.0
 
 
 def horizontal_lift_unitary(rho_curve: OperatorCurve, sched: HamiltonianSchedule,

@@ -52,15 +52,15 @@ def blockwise_eigenbasis(g: bundle.GaugeElement) -> tuple[Array, Array]:
 
     Returns (phases, s): phases in [0, 2pi), descending within each block,
     and s block-diagonal unitary with s^dag U s diagonal. Phases within
-    PHASE_TOL of 2pi wrap to 0, which leaves every bound built on
-    theta(2pi - theta) unchanged.
+    PHASE_TOL of 0 mod 2pi, on either side, are set to 0, so a trivial
+    holonomy has every bound built on theta(2pi - theta) exactly 0.
     """
     dim = g.basis.dim_k
     s = np.zeros((dim, dim), dtype=np.complex128)
     phases = np.zeros(dim)
     for lo, hi in g.basis.blocks:
         ph, q = linalg.unitary_eig(g.u[lo:hi, lo:hi])
-        ph[ph >= TWO_PI - tolerances.PHASE_TOL] = 0.0
+        ph[np.minimum(ph, TWO_PI - ph) <= tolerances.PHASE_TOL] = 0.0
         order = np.argsort(ph)[::-1]
         phases[lo:hi] = ph[order]
         s[lo:hi, lo:hi] = q[:, order]
@@ -87,8 +87,7 @@ def _weighted_bound(weights, phases: PhaseSpectrum) -> float:
     if weights.ndim != 1 or weights.size != len(phases.blocks):
         raise ShapeMismatch(f"{weights.size} weights for {len(phases.blocks)} phase blocks")
     theta = phases.flat()
-    total = float(np.sum(np.repeat(weights, phases.m) * theta * (TWO_PI - theta)))
-    return float(np.sqrt(max(total, 0.0)))
+    return float(np.sqrt(np.sum(np.repeat(weights, phases.m) * theta * (TWO_PI - theta))))
 
 
 def ihb_isospectral(p, phases: PhaseSpectrum) -> float:
@@ -135,9 +134,8 @@ def curve_length_energy(rho_curve: OperatorCurve) -> tuple[float, float]:
 
 
 def _path_length_energy(rho_curve: OperatorCurve, spath: bundle.SpectralPath) -> tuple[float, float]:
-    rdots = grid_derivative(rho_curve.samples, rho_curve.grid.dt)
-    sq = np.maximum(bundle.path_speeds_sq(spath, rdots, tolerances.LENGTH_TANGENT_TOL), 0.0)
     dt = rho_curve.grid.dt
+    sq = bundle.path_speeds_sq(spath, grid_derivative(rho_curve.samples, dt), tolerances.LENGTH_TANGENT_TOL)
     return trapezoid(np.sqrt(sq), dt), 0.5 * trapezoid(sq, dt)
 
 

@@ -130,9 +130,12 @@ def unitary_eig(u: Array) -> tuple[Array, Array]:
 def check_hermitian_stack(ms: Array, tol: float = tolerances.HERM_TOL) -> None:
     """Raise NonHermitian, naming the worst sample, if any matrix of the
     stack (N, n, n) deviates from Hermitian by more than tol (relative)."""
-    with np.errstate(over="ignore"):  # entries near 1e308 have norm inf; propagator_step_stack rejects them
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near 1e308 give norms of inf
         dev = np.linalg.norm(ms - np.conj(np.swapaxes(ms, -1, -2)), axis=(-2, -1))
         scale = np.maximum(1.0, np.linalg.norm(ms, axis=(-2, -1)))
+        for k in np.flatnonzero(np.isposinf(scale)):  # the same relative test on m / max|m_ij|, in range
+            m = ms[k] / np.max(np.abs(ms[k]))
+            dev[k], scale[k] = np.linalg.norm(m - m.conj().T), np.linalg.norm(m)
     if np.any(dev > tol * scale):
         k = int(np.argmax(dev / scale))
         where = f"sample {k}: " if len(ms) > 1 else ""

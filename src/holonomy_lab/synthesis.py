@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bundle, dynamics, invariants, linalg, tolerances
-from .curves import TimeGrid, UnitaryOrbit, trapezoid
+from .curves import TimeGrid, UnitaryOrbit
 from .errors import (
     DegeneracyMismatch,
     DimensionTooSmall,
@@ -224,9 +224,9 @@ def verify_saturation(plan: SaturatingPlan) -> SaturationReport:
     reproduces the loop trajectory, then lifts the trajectory and asserts:
     the holonomy hits the target, the length equals the bound, the drive
     stays state-coherent with constant energy uncertainty ihb/tau, and
-    tau * Delta E equals the length. Raises SaturationFailed naming the
-    first violated assertion, and OutOfRange when tau is so long that
-    Delta E underflows to zero under a nonzero holonomy.
+    tau * Delta E equals the length, with Delta E and the bound from
+    dynamics.speed_bound. Raises SaturationFailed naming the first violated
+    assertion, and speed_bound's OutOfRange for a Delta E that underflows.
     """
     rho_curve = plan.exact_states()
     # one expression, so the re-integrated U and state curves are freed before the lift
@@ -252,18 +252,16 @@ def verify_saturation(plan: SaturatingPlan) -> SaturationReport:
     if max_h_in > tolerances.SAT_HIN_TOL:
         raise SaturationFailed(f"drive has incoherent mass {max_h_in:.3e}")
 
-    dh = np.sqrt(np.maximum(dynamics.variance_split(b, loop.path)[0], 0.0))
+    dh = np.sqrt(dynamics.variance_split(b, loop.path)[0])
     dh_dev = float(np.max(np.abs(dh - ihb / plan.tau)))
     if dh_dev > tolerances.SAT_DH_TOL:
         raise SaturationFailed(f"energy uncertainty varies by {dh_dev:.3e} from ihb/tau")
 
-    delta_e = trapezoid(dh, rho_curve.grid.dt) / plan.tau
-    if delta_e <= 0.0 and ihb > tolerances.ZERO_IHB_TOL:
-        raise OutOfRange(f"tau = {plan.tau:.3e} underflows the energy uncertainty ihb/tau to zero")
+    delta_e, bound = dynamics.speed_bound(dh, rho_curve.grid, ihb)
     energy_gap = abs(plan.tau * delta_e - report.length)
     if energy_gap > tolerances.SAT_ENERGY_TOL:
         raise SaturationFailed(f"tau Delta E misses the length by {energy_gap:.3e}")
-    bound_gap = abs(plan.tau - ihb / delta_e) if ihb > tolerances.ZERO_IHB_TOL else 0.0
+    bound_gap = abs(plan.tau - bound) if ihb else 0.0
     if bound_gap > tolerances.SAT_ENERGY_TOL:
         raise SaturationFailed(f"speed limit not saturated, gap {bound_gap:.3e}")
     return SaturationReport(

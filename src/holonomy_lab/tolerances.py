@@ -35,7 +35,7 @@ PROJECTION_TOL = 1e-8  # W W^dag or initial frames against the initial state
 OVERLAP_TOL = 1e-8  # smallest singular value of consecutive eigenframe overlaps
 
 # invariants
-PHASE_TOL = 1e-7  # eigenphases this close below 2pi wrap to 0
+PHASE_TOL = 1e-7  # eigenphases this close to 0 mod 2pi, on either side, are set to 0
 SLACK_TOL = 1e-6  # negative slack of the isoholonomic inequalities
 TRACE_TOL = 1e-9  # |tr(W0^dag W_tau)| below this leaves the geometric phase undefined
 CONST_SPECTRUM_TOL = 1e-7  # block means constant along a curve
@@ -44,9 +44,7 @@ REGION_TOL = 1e-12  # block means below the spectral bounds alpha
 
 # dynamics
 INTERVAL_TOL = 1e-12  # state curve and schedule cover the same interval, relative
-PYTHAGORAS_TOL = 1e-8  # Delta^2 H = Delta^2 H_co + Delta^2 H_in, relative
 SPEED_IDENTITY_TOL = 1e-6  # squared state speed equals Delta^2 H_co, relative
-ZERO_IHB_TOL = 1e-12  # an isoholonomic bound at or below this counts as zero
 MARGIN_TOL = 1e-6  # negative speed-limit margin tau - iHB / Delta E
 AXIS_NORM_TOL = 1e-9  # the qubit precession axis is a unit vector
 AXIS_TILT_TOL = 1e-18  # n_1^2 + n_2^2 at or below this leaves the qubit stationary

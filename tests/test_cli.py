@@ -247,6 +247,15 @@ class TestEvolve:
         assert cli.main(["evolve", state, sched, "--out", str(tmp_path / "c.json")]) == 1
         assert f"dt*|H|_1 = {norm} is non-finite or too large for a finite Taylor plan" in capsys.readouterr().err
 
+    def test_tau_that_underflows_the_energy_uncertainty_exits_one(self, tmp_path, capsys):
+        # the README precession slowed down by 1e170: every variance underflows
+        # to 0 while the holonomy, and so iHB, stays that of the full period
+        state = write_state(tmp_path / "s.json", np.diag([0.7, 0.3]).astype(complex))
+        h = 1e-170 * dynamics.qubit_hamiltonian(qubit_axis(0.6), TWO_PI)
+        sched = write_schedule(tmp_path / "h.json", h, 1e170, 201)
+        assert cli.main(["evolve", state, sched, "--out", str(tmp_path / "c.json")]) == 1
+        assert "error: tau = 1.000e+170 underflows the energy uncertainty to zero" in capsys.readouterr().err
+
 
 class TestLift:
     def test_round_trip(self, tmp_path, capsys):
@@ -299,15 +308,18 @@ class TestSynthesize:
         assert cli.main(["synthesize", state, str(tpath), "--tau", "1.0",
                          "--ambient-dim", "3", "--out", str(tmp_path / "plan")]) == 1
 
-    def test_tau_that_underflows_the_energy_uncertainty_exits_one(self, tmp_path, capsys):
-        # ihb/tau underflows to Delta E = 0 while the holonomy stays nonzero
+    def test_target_phase_within_phase_tol_of_zero_is_trivial(self, tmp_path, capsys):
+        # a phase of 1e-12 reads as 0, so even at tau = 1e300 the plan is the
+        # trivial one, which meets the target to 1e-12
         state = write_state(tmp_path / "s.json", np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex))
         target = {"matrix": serialize.matrix_to_json(np.diag([1.0, np.exp(1e-12j)])), "basis": {"m": [1, 1]}}
         tpath = tmp_path / "u.json"
         serialize.write_json(tpath, target)
         assert cli.main(["synthesize", state, str(tpath), "--tau", "1e300", "--ambient-dim", "4",
-                         "--n", "2", "--out", str(tmp_path / "plan")]) == 1
-        assert "tau = 1.000e+300 underflows the energy uncertainty ihb/tau to zero" in capsys.readouterr().err
+                         "--n", "2", "--out", str(tmp_path / "plan")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["iHB"] == 0.0 and report["L"] == 0.0 and report["bound_gap"] == 0.0
+        assert report["holonomy_error"] <= 1e-12
 
 
 class TestQubitDemo:

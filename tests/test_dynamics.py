@@ -166,9 +166,9 @@ class TestUncertainty:
 
 
 class TestSpeedLimit:
-    def run_qubit(self, n3, p0=0.7, omega=TWO_PI, nsamp=2001):
+    def run_qubit(self, n3, p0=0.7, omega=TWO_PI, nsamp=2001, offset=0.0):
         rho0 = mixed_qubit(p0)
-        h = dynamics.qubit_hamiltonian(qubit_axis(n3), omega)
+        h = dynamics.qubit_hamiltonian(qubit_axis(n3), omega) + offset * np.eye(2)
         sched = HamiltonianSchedule.constant(h, TWO_PI / omega, nsamp)
         _, states = dynamics.evolve(rho0, sched)
         w0 = bundle.canonical_amplitude(rho0)
@@ -182,6 +182,20 @@ class TestSpeedLimit:
         assert abs(report.bound - expected) <= 1e-6
         assert report.margin >= 0.0
         assert report.margin > 1e-3
+
+    def test_energy_offset_leaves_the_bound(self):
+        plain = self.run_qubit(0.6)
+        shifted = self.run_qubit(0.6, offset=1e5)
+        assert abs(shifted.bound - plain.bound) <= 1e-6 * plain.bound
+
+    @pytest.mark.parametrize("p", [(0.7, 0.3), (0.5, 0.3, 0.2)], ids=["dim2", "dim3"])
+    def test_stationary_run_has_a_zero_bound(self, p):
+        # H = I moves no state: the holonomy is trivial, so iHB and the bound are exactly 0
+        rho0 = spectra.spectral_decompose(np.diag(p).astype(complex))
+        sched = HamiltonianSchedule.constant(np.eye(len(p)), 1.0, 2001)
+        _, states = dynamics.evolve(rho0, sched)
+        report = dynamics.speed_limit(states, sched, bundle.canonical_amplitude(rho0))
+        assert report.ihb == 0.0 and report.bound == 0.0 and report.margin == 1.0
 
     def test_equality_iff_axis_in_plane(self):
         report = self.run_qubit(0.0)

@@ -78,6 +78,11 @@ class TestAgainstStateSpace:
         assert_close(dco2, variance_path(states, hs - h_in))
         assert_close(din2, variance_path(states, h_in))
 
+    def test_variance_split_adds_up(self, dim, rng):
+        _, _, hs, spath = random_path(rng, *LAYOUTS[dim])
+        dh2, dco2, din2 = dynamics.variance_split(spath.in_eigenframe(hs), spath)
+        assert np.array_equal(dh2, din2 + dco2)
+
     def test_state_speeds(self, dim, rng):
         states, _, hs, spath = random_path(rng, *LAYOUTS[dim])
         rdots = -1j * (hs @ states - states @ hs)
@@ -94,6 +99,15 @@ class TestAgainstStateSpace:
             expected = [variance_path(states[k], h) for h in (hs[k], hs[k] - h_in, h_in)]
             assert_close(np.square(dynamics.uncertainty(rho, hs[k])), np.array(expected))
             assert_close(np.stack(dynamics.split_hamiltonian(hs[k], rho)), np.stack([h_in, hs[k] - h_in]))
+
+    def test_uncertainty_ignores_an_energy_offset(self, dim, rng):
+        # the variances are taken about the mean, so 1e5 I cancels before it is squared
+        states, _, hs, _ = random_path(rng, *LAYOUTS[dim])
+        for k in range(NSAMP):
+            rho = spectra.spectral_decompose(states[k])
+            plain = np.array(dynamics.uncertainty(rho, hs[k]))
+            shifted = np.array(dynamics.uncertainty(rho, hs[k] + 1e5 * np.eye(dim)))
+            assert np.max(np.abs(shifted - plain)) <= 1e-9 * plain[0]
 
 
 def sample_named(message: str) -> int:

@@ -3,13 +3,14 @@ underscore names, every threshold lives in the tolerance table, numpy's
 decompositions and solves are called only in linalg, the stack kernels
 that trust their input are called only where that input was checked, the
 unitary integrators take their midpoint steps from one builder, only the
-two unitary runs build a UnitaryOrbit, and numpy is the only
-third-party package the library imports."""
+two unitary runs build a UnitaryOrbit, the exit-2 raise sites are pinned,
+and numpy is the only third-party package the library imports."""
 
 import ast
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,67 @@ def test_guard_sees_an_orbit_construction(tmp_path):
                      "def route(c):\n    return isinstance(c, UnitaryOrbit)\n\n\n"
                      "planted = UnitaryOrbit(grid=None, propagators=None, start=None)\n", encoding="utf-8")
     assert orbit_constructions(probe) == {"evolve", "Plan.exact_states", "<module>"}
+
+
+# CLI exit 2 says the method has a bug; these are the raise statements of
+# ContractViolation or a subclass per (module, function), so a new exit-2
+# path is added here on purpose
+EXIT_TWO_RAISES = {("dynamics", "speed_report"): 2, ("invariants", "iso_report"): 2,
+                   ("synthesis", "verify_saturation"): 7}
+
+
+def contract_classes(path):
+    """ContractViolation and the classes an errors module derives from it."""
+    names = {"ContractViolation"}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef) and any(getattr(b, "id", getattr(b, "attr", None)) in names
+                                                  for b in node.bases):
+            names.add(node.name)
+    return names
+
+
+def contract_raises(path, contracts):
+    """Count of raise statements of a contract class per (module, enclosing
+    function) in one file; module-level raises count under "<module>"."""
+    found = Counter()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) in contracts:
+                found[(path.stem, where)] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_exit_two_raises_are_pinned():
+    contracts = contract_classes(SRC / "errors.py")
+    assert {"BoundViolated", "SaturationFailed"} <= contracts
+    found = sum((contract_raises(path, contracts) for path in SRC.glob("*.py")), Counter())
+    assert dict(found) == EXIT_TWO_RAISES
+
+
+def test_guard_sees_a_contract_raise(tmp_path):
+    errors = tmp_path / "errors.py"
+    errors.write_text("class HolonomyLabError(Exception):\n    pass\n\n\n"
+                      "class ContractViolation(HolonomyLabError):\n    pass\n\n\n"
+                      "class Drift(ContractViolation):\n    pass\n\n\n"
+                      "class Deeper(errors.Drift):\n    pass\n\n\n"
+                      "class OutOfRange(HolonomyLabError):\n    pass\n", encoding="utf-8")
+    contracts = contract_classes(errors)
+    assert contracts == {"ContractViolation", "Drift", "Deeper"}
+    probe = tmp_path / "probe.py"
+    probe.write_text("def check(x):\n    if x:\n        raise ContractViolation('a')\n"
+                     "    raise errors.Deeper\n\n\n"
+                     "def other(x):\n    try:\n        x()\n    except Exception:\n        raise\n"
+                     "    raise OutOfRange('b')\n\n\n"
+                     "raise Drift('c')\n", encoding="utf-8")
+    assert contract_raises(probe, contracts) == {("probe", "check"): 2, ("probe", "<module>"): 1}
 
 
 def scipy_imports(path):

@@ -287,6 +287,14 @@ class TestPropagatorStep:
         with pytest.raises(NonHermitian, match=r"^sample 4: Hermiticity deviation"):
             linalg.check_hermitian_stack(hs)
 
+    def test_non_hermitian_with_an_overflowing_norm(self):
+        # |m - m^dag| and |m| are both inf; the sample is tested again scaled by its largest entry
+        m = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        with pytest.raises(NonHermitian, match=r"^sample 1: Hermiticity deviation"):
+            linalg.check_hermitian_stack(np.stack([np.eye(2), m, np.diag([1e308, -1e308])]))
+        with pytest.raises(NonHermitian, match=r"^Hermiticity deviation"):
+            linalg.propagator_step(m, 0.1)
+
 
 def unitary_steps(rng, nstep: int, n: int) -> np.ndarray:
     z = rng.standard_normal((nstep, n, n)) + 1j * rng.standard_normal((nstep, n, n))
