@@ -175,32 +175,35 @@ def lift_tangents(spath: "SpectralPath", tangents: Array, tangent_tol: float) ->
     over the support block of i. The (N, n, r) lift is T_ic sqrt(lambda_c)
     / (lambda_c - lambda_i) off the block mask, pdot_i / (2 sqrt(lambda_i))
     on the support diagonal and zero elsewhere. Raises NotTangent when the
-    residual of its reprojection, T - diag(pdot) on the mask and
-    lambda_i (T_ic - conj(T_ci)) / (lambda_c - lambda_i) off it, exceeds
-    tangent_tol (relative).
+    residual of its reprojection exceeds tangent_tol (relative). Its squared
+    norm sums (lambda_i^2 + lambda_j^2) / (lambda_j - lambda_i)^2
+    |T_ij - conj(T_ji)|^2 over the off-mask pairs i < j, |T_ij|^2 over the
+    off-diagonal entries of the mask and |T_ii - pdot_i|^2 on the diagonal
+    (pdot zero on the kernel), each over an (N, pairs) gather of T.
     """
     lam, r, same = spath.values, spath.rank, spath.block_mask
-    gap = lam[:, None, :] - lam[:, :, None]
-    gap[:, same] = np.inf
-    x = tangents / gap
-    pdot = np.real(np.einsum("kii->ki", tangents))[:, :r] @ (same[:r, :r] / np.sum(same[:r, :r], axis=1))
-    residual = np.where(same, tangents, lam[:, :, None] * (x + np.conj(np.swapaxes(x, 1, 2))))
-    support = np.arange(r)
-    residual[:, support, support] -= pdot
-    res = np.linalg.norm(residual, axis=(1, 2))
-    scale = np.maximum(1.0, np.linalg.norm(tangents, axis=(1, 2)))
+    i, j = np.nonzero(np.triu(~same))
+    diag = np.arange(len(same))
+    centred = tangents[:, diag, diag]
+    pdot = np.real(centred[:, :r]) @ (same[:r, :r] / np.sum(same[:r, :r], axis=1))
+    centred[:, :r] -= pdot
+    off = (tangents[:, i, j] - np.conj(tangents[:, j, i])) * (np.hypot(lam[:, i], lam[:, j]) / (lam[:, j] - lam[:, i]))
+    res = np.sqrt(linalg.stack_sq_norms(off) + linalg.stack_sq_norms(tangents[:, same & (diag[:, None] != diag)])
+                  + linalg.stack_sq_norms(centred))
+    scale = np.maximum(1.0, np.sqrt(linalg.stack_sq_norms(tangents)))
     worst = int(np.argmax(res / scale))
     if res[worst] > tangent_tol * scale[worst]:
         raise NotTangent(f"sample {worst}: lift residual {res[worst]:.3e} exceeds tolerance")
-    wt = x[:, :, :r] * np.sqrt(lam[:, None, :r])
-    wt[:, support, support] = pdot / (2.0 * np.sqrt(lam[:, :r]))
+    gap = lam[:, None, :r] - lam[:, :, None]
+    gap[:, same[:, :r]] = np.inf
+    wt = tangents[:, :, :r] / gap * np.sqrt(lam[:, None, :r])
+    wt[:, diag[:r], diag[:r]] = pdot / (2.0 * np.sqrt(lam[:, :r]))
     return wt
 
 
 def path_speeds_sq(spath: "SpectralPath", rdots: Array, tangent_tol: float = tolerances.TANGENT_TOL) -> Array:
     """Squared metric speeds g(rdot, rdot) along a decomposed state path."""
-    wt = lift_tangents(spath, spath.in_eigenframe(rdots), tangent_tol)
-    return np.real(np.sum(np.abs(wt) ** 2, axis=(1, 2)))
+    return linalg.stack_sq_norms(lift_tangents(spath, spath.in_eigenframe(rdots), tangent_tol))
 
 
 def metric_g(rho: DensityOperator, rdot1: Array, rdot2: Array) -> float:

@@ -136,8 +136,8 @@ def state_speeds_sq(b: Array, spath: bundle.SpectralPath) -> Array:
     so it is lifted in eigenframe coordinates without being formed.
     """
     lam = spath.values
-    wt = bundle.lift_tangents(spath, -1j * b * (lam[:, None, :] - lam[:, :, None]), tolerances.TANGENT_TOL)
-    return np.sum(wt.real**2 + wt.imag**2, axis=(1, 2))
+    return linalg.stack_sq_norms(bundle.lift_tangents(spath, -1j * b * (lam[:, None, :] - lam[:, :, None]),
+                                                     tolerances.TANGENT_TOL))
 
 
 def _uncertainty_path(states: Array, hs: Array, spath: bundle.SpectralPath) -> tuple[Array, Array, Array]:

@@ -9,10 +9,11 @@ are plain complex ndarrays.
 Every product of two stacks, or of a stack and one matrix, goes through
 matmul_stack. numpy's batched matmul makes one BLAS call per matrix, so a
 stack times one fixed matrix is folded into a single GEMM over the stack's
-rows, and two stacks whose matrix dimensions are all at most 3 are
-multiplied as a sum of column-row broadcasts (batched matmul spends about
-0.45 us per matrix on such blocks whatever their size); larger pairs of
-stacks go to matmul.
+rows, and two stacks whose product block has at most 9 entries are
+multiplied entry by entry, each entry a j-ordered sum of products of
+(N,)-vectors (batched matmul spends about 0.3 us per matrix on such blocks
+whatever their size); larger pairs of stacks go to matmul. Per-sample
+squared Frobenius norms of a stack go through stack_sq_norms.
 
 Hermiticity is checked where a matrix enters: by as_hermitian for one matrix,
 by check_hermitian_stack for a stack. The stack kernels trust their callers.
@@ -53,8 +54,10 @@ def frob(m: Array) -> float:
     return float(np.linalg.norm(m))
 
 
-# the largest matrix dimension that matmul_stack sums by broadcasts; from 4
-# on, numpy's batched matmul is the faster of the two
+# matmul_stack sums a product of two stacks entry by entry when its block has
+# at most _SMALL_BLOCK**2 entries: n m k vector products then beat batched
+# matmul's fixed cost per matrix, (4001, 2, 2) and (4000, 2, 6) @ (4000, 6, 2)
+# included; a 4 x 4 block or larger goes to matmul
 _SMALL_BLOCK = 3
 
 
@@ -63,22 +66,36 @@ def matmul_stack(a: Array, b: Array) -> Array:
     matmul's shape and dtype. A stack times one matrix is one GEMM: with the
     matrix on the right, the stack's rows times it, a.reshape(-1, k) @ b;
     on the left, the same with both factors transposed, returned as a
-    swapped-axes view. Two stacks whose matrix dimensions are all at most
-    _SMALL_BLOCK take the column-broadcast sum
-    sum_j a[..., :, j, None] b[..., None, j, :]: k elementwise products over
-    the whole stack, where batched matmul pays a fixed cost per matrix."""
+    swapped-axes view. Two stacks whose (n, m) product has n m <=
+    _SMALL_BLOCK**2 entries take each entry as a sum over the batch,
+    out[..., i, l] = sum_j a[..., i, j] b[..., j, l] in j order: n m k
+    products of (N,)-vectors, where batched matmul pays a fixed cost per matrix."""
     a, b = np.asarray(a), np.asarray(b)
     n, k = a.shape[-2:]
+    m = b.shape[-1]
     if k == b.shape[-2] and b.ndim == 2:
-        return (a.reshape(math.prod(a.shape[:-1]), k) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+        return (a.reshape(math.prod(a.shape[:-1]), k) @ b).reshape(a.shape[:-1] + (m,))
     if k == b.shape[-2] and a.ndim == 2:
         return np.swapaxes(matmul_stack(np.swapaxes(b, -1, -2), a.T), -1, -2)
-    if not 0 < k == b.shape[-2] or max(n, k, b.shape[-1]) > _SMALL_BLOCK:
+    if not 0 < k == b.shape[-2] or n * m > _SMALL_BLOCK**2:
         return a @ b
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    for j in range(1, k):
-        out += a[..., :, j, None] * b[..., None, j, :]
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (n, m), np.result_type(a, b))
+    for i in range(n):
+        for l in range(m):
+            entry = a[..., i, 0] * b[..., 0, l]
+            for j in range(1, k):
+                entry += a[..., i, j] * b[..., j, l]
+            out[..., i, l] = entry
     return out
+
+
+def stack_sq_norms(x: Array) -> Array:
+    """Squared Frobenius norms sum |x[k, ...]|^2 of the samples of a stack
+    (N, ...), real or complex, as one contraction of its float view."""
+    flat = np.ascontiguousarray(x).reshape(len(x), math.prod(x.shape[1:]))
+    if np.iscomplexobj(flat):
+        flat = flat.view(flat.real.dtype)
+    return np.einsum("ki,ki->k", flat, flat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +148,8 @@ def check_hermitian_stack(ms: Array, tol: float = tolerances.HERM_TOL) -> None:
     """Raise NonHermitian, naming the worst sample, if any matrix of the
     stack (N, n, n) deviates from Hermitian by more than tol (relative)."""
     with np.errstate(over="ignore", invalid="ignore"):  # entries near 1e308 give norms of inf
-        dev = np.linalg.norm(ms - np.conj(np.swapaxes(ms, -1, -2)), axis=(-2, -1))
-        scale = np.maximum(1.0, np.linalg.norm(ms, axis=(-2, -1)))
+        dev = np.sqrt(stack_sq_norms(ms - np.conj(np.swapaxes(ms, -1, -2))))
+        scale = np.maximum(1.0, np.sqrt(stack_sq_norms(ms)))
         for k in np.flatnonzero(np.isposinf(scale)):  # the same relative test on m / max|m_ij|, in range
             m = ms[k] / np.max(np.abs(ms[k]))
             dev[k], scale[k] = np.linalg.norm(m - m.conj().T), np.linalg.norm(m)
@@ -207,7 +224,7 @@ def polar_unitary_stack(ms: Array, tol: float) -> Array:
     else:
         eye = np.eye(x.shape[-1])
         gram = matmul_stack(np.conj(np.swapaxes(x, -1, -2)), x)
-        far = ~(np.linalg.norm(gram - eye, axis=(-2, -1)) <= 0.5)
+        far = ~(stack_sq_norms(gram - eye) <= 0.25)
         u, sv, vh = np.linalg.svd(x[far])
         low = sv[:, -1]
     if np.any(low <= tol):
@@ -246,13 +263,22 @@ _TAYLOR = (
 )
 
 
+# s squarings leave a step up to about 40 2^s u from unitary in max|U^dag U - I|
+# (u = 2^-53; measured on Hermitian matrices up to n = 6), so s stops where
+# 64 2^s u reaches STEP_UNITARITY_TOL, and dt |H|_1 at theta_max 2^s
+_MAX_SQUARINGS = math.floor(math.log2(tolerances.STEP_UNITARITY_TOL / 2.0**-47))
+_MAX_STEP_NORM = _TAYLOR[-1][2] * 2.0**_MAX_SQUARINGS
+
+
 def _taylor_plan(norm: float) -> tuple[int, int, int]:
     """(degree, width, squarings) with the fewest matmuls for matrices of
-    1-norm at most norm, preferring fewer squarings on a tie."""
+    1-norm at most norm (<= _MAX_STEP_NORM) and at most _MAX_SQUARINGS
+    squarings, preferring fewer squarings on a tie."""
     plans = []
     for degree, width, theta in _TAYLOR:
         squarings = math.ceil(math.log2(norm / theta)) if norm > theta else 0
-        plans.append((width + degree // width - 2 + squarings, squarings, degree, width))
+        if squarings <= _MAX_SQUARINGS:
+            plans.append((width + degree // width - 2 + squarings, squarings, degree, width))
     _, squarings, degree, width = min(plans)
     return degree, width, squarings
 
@@ -271,14 +297,16 @@ def propagator_step_stack(hs: Array, dt: float) -> Array:
     powers (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973), and the
     result is squared s times. Degree and s follow from the largest
     1-norm in the stack; at 1-norm 1e-3 that is degree 6, s = 0 and 3
-    batched matmuls. Above about 4e292, or non-finite, the lowest degree
-    would need infinitely many squarings, and the stack raises ValueError.
+    batched matmuls. s is capped by STEP_UNITARITY_TOL, so above a 1-norm
+    of _MAX_STEP_NORM (about 4.6e5), or non-finite, the stack raises ValueError.
     """
     hs = np.asarray(hs, dtype=np.complex128)
     with np.errstate(over="ignore"):  # a column sum past 1e308 is inf, rejected below
         norm = abs(dt) * float(np.max(np.sum(np.abs(hs), axis=-2), initial=0.0))
-    if not math.isfinite(norm / _TAYLOR[0][2]):
-        raise ValueError(f"dt*|H|_1 = {norm:.3e} is non-finite or too large for a finite Taylor plan")
+    if not norm <= _MAX_STEP_NORM:
+        raise ValueError(f"dt*|H|_1 = {norm:.3e} is non-finite or too large for a finite Taylor plan: the largest "
+                         f"admissible value is {_MAX_STEP_NORM:.3e}, where the steps stay unitary to "
+                         f"{tolerances.STEP_UNITARITY_TOL:.0e}")
     degree, width, squarings = _taylor_plan(norm)
     a = (-1j * dt * 0.5**squarings) * hs
     powers = [a]  # A^1 .. A^q

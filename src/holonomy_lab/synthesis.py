@@ -170,7 +170,8 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
     The amplitude is re-expressed in an eigenbasis of the target, each
     eigenslot is given an optimal pure loop in its own plane, and the drive
     is the state-coherent Hamiltonian of the combined loops, sampled on a
-    uniform grid.
+    uniform grid. Raises OutOfRange for a tau so long that the squared speed
+    of a non-trivial loop underflows the normal floats.
     """
     if tuple(target.basis.m) != tuple(rho.m):
         raise DegeneracyMismatch(f"target basis m={target.basis.m}, state has m={rho.m}")
@@ -182,6 +183,8 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
         PureLoopSpec(theta=float(thetas[q]), tau=float(tau), psi=psi, phi=phi)
         for q, (psi, phi) in enumerate(planes)
     )
+    if any(loop.theta and loop.speed**2 < np.finfo(float).tiny for loop in loops):
+        raise OutOfRange(f"tau = {tau:.3e} underflows the plan's squared loop speeds below {np.finfo(float).tiny:.3e}")
     n = rho.dim
     generator = np.zeros((n, n), dtype=np.complex128)
     coherent0 = np.zeros((n, n), dtype=np.complex128)
@@ -230,8 +233,8 @@ def verify_saturation(plan: SaturatingPlan) -> SaturationReport:
     """
     rho_curve = plan.exact_states()
     # one expression, so the re-integrated U and state curves are freed before the lift
-    integration_defect = float(np.max(np.linalg.norm(
-        dynamics.evolve(plan.rho, plan.schedule)[1].samples - rho_curve.samples, axis=(1, 2))))
+    integration_defect = float(np.sqrt(np.max(linalg.stack_sq_norms(
+        dynamics.evolve(plan.rho, plan.schedule)[1].samples - rho_curve.samples))))
     if integration_defect > tolerances.SAT_INTEGRATION_TOL:
         raise SaturationFailed(f"schedule fails to regenerate the trajectory by {integration_defect:.3e}")
 
@@ -247,8 +250,7 @@ def verify_saturation(plan: SaturatingPlan) -> SaturationReport:
 
     # |H_in|_F = |B o mask|_F since the eigenframes are unitary
     b = loop.path.in_eigenframe(plan.schedule.samples)
-    b_in = b[:, loop.path.block_mask]
-    max_h_in = float(np.sqrt(np.max(np.sum(b_in.real**2 + b_in.imag**2, axis=1))))
+    max_h_in = float(np.sqrt(np.max(linalg.stack_sq_norms(b[:, loop.path.block_mask]))))
     if max_h_in > tolerances.SAT_HIN_TOL:
         raise SaturationFailed(f"drive has incoherent mass {max_h_in:.3e}")
 

@@ -10,6 +10,7 @@ linalg.cluster, linalg.polar_unitary_stack and spectra.validate.
 
 # matrices and spectra (linalg, spectra)
 HERM_TOL = 1e-10  # Hermiticity of a single matrix or a schedule where it enters, relative
+STEP_UNITARITY_TOL = 1e-9  # max|U^dag U - I| that the squarings of a propagator step may reach; caps them
 CURVE_HERM_TOL = 1e-8  # Hermiticity of the samples of a state curve where it is decomposed, relative
 GAP_TOL = 1e-9  # eigenvalues closer than this share a degenerate block
 ZERO_TOL = 1e-10  # eigenvalues at or below this belong to the kernel

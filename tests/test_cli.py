@@ -247,6 +247,15 @@ class TestEvolve:
         assert cli.main(["evolve", state, sched, "--out", str(tmp_path / "c.json")]) == 1
         assert f"dt*|H|_1 = {norm} is non-finite or too large for a finite Taylor plan" in capsys.readouterr().err
 
+    def test_step_beyond_the_squaring_cap_exits_one(self, tmp_path, capsys):
+        # the README precession slowed to tau = 1e7 over 41 samples: dt |H|_1 = 1.1e6
+        # needs more squarings than keep a step unitary to STEP_UNITARITY_TOL
+        state = write_state(tmp_path / "s.json", np.diag([0.7, 0.3]).astype(complex))
+        sched = write_schedule(tmp_path / "h.json", dynamics.qubit_hamiltonian(qubit_axis(0.6), TWO_PI), 1e7, 41)
+        assert cli.main(["evolve", state, sched, "--out", str(tmp_path / "c.json")]) == 1
+        assert ("dt*|H|_1 = 1.100e+06 is non-finite or too large for a finite Taylor plan: "
+                "the largest admissible value is 4.640e+05") in capsys.readouterr().err
+
     def test_tau_that_underflows_the_energy_uncertainty_exits_one(self, tmp_path, capsys):
         # the README precession slowed down by 1e170: every variance underflows
         # to 0 while the holonomy, and so iHB, stays that of the full period
@@ -307,6 +316,16 @@ class TestSynthesize:
         serialize.write_json(tpath, target)
         assert cli.main(["synthesize", state, str(tpath), "--tau", "1.0",
                          "--ambient-dim", "3", "--out", str(tmp_path / "plan")]) == 1
+
+    def test_tau_that_underflows_the_squared_loop_speeds_exits_one(self, tmp_path, capsys):
+        # a loop of phase 1e-3 over tau = 1e300 has speed 7.9e-302, whose square is 0
+        state = write_state(tmp_path / "s.json", np.diag([0.7, 0.3]).astype(complex))
+        target = {"matrix": serialize.matrix_to_json(np.diag([1.0, np.exp(1e-3j)])), "basis": {"m": [1, 1]}}
+        tpath = tmp_path / "u.json"
+        serialize.write_json(tpath, target)
+        assert cli.main(["synthesize", state, str(tpath), "--tau", "1e300", "--ambient-dim", "4",
+                         "--n", "201", "--out", str(tmp_path / "plan")]) == 1
+        assert "error: tau = 1.000e+300 underflows the plan's squared loop speeds" in capsys.readouterr().err
 
     def test_target_phase_within_phase_tol_of_zero_is_trivial(self, tmp_path, capsys):
         # a phase of 1e-12 reads as 0, so even at tau = 1e300 the plan is the

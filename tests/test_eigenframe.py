@@ -152,3 +152,40 @@ def test_lift_tangents_matches_reference(m, kernel, kind, tol, rng):
     # with 1x1 blocks and no kernel every Hermitian matrix is a tangent
     every_hermitian_tangent = kind == "hermitian" and set(m) == {1} and kernel == 0
     assert outcomes == ({"accepted"} if every_hermitian_tangent else {"accepted", "rejected"})
+
+
+def residual_named(message: str) -> float:
+    return float(re.search(r"lift residual (\S+) exceeds", message).group(1))
+
+
+@pytest.mark.parametrize("m, kernel", [((1, 1), 0), ((1,), 1), ((2, 1), 0), ((1, 2), 1), ((2, 2), 2), ((1,), 0),
+                                       ((1, 1, 1), 0)],
+                         ids=["m11", "pure", "m21", "m12k1", "m22k2", "dim1", "m111"])
+def test_lift_residual_matches_reference(m, kernel, rng):
+    """The residual that NotTangent names equals the reference's to 1e-12
+    relative, on the layouts above plus one with no off-mask pair (dim 1)
+    and one with no pair inside a block (m111), for every noise kind."""
+    _, _, _, spath = random_path(rng, m, kernel)
+    n = spath.values.shape[1]
+    same = spath.block_mask
+    exact = np.where(same, 0.0, np.stack([rand_hermitian(rng, n) for _ in range(NSAMP)]))
+    exact[:, range(sum(m)), range(sum(m))] = np.repeat(rng.uniform(-1.0, 1.0, len(m)), m)
+    compared = 0
+    for kind in ("hermitian", "offmask", "general"):
+        for size in (1e-7, 1e-4, 1e-1, 10.0):
+            noise = rng.standard_normal((NSAMP, n, n)) + 1j * rng.standard_normal((NSAMP, n, n))
+            if kind == "hermitian":
+                noise = noise + np.conj(np.swapaxes(noise, 1, 2))
+            elif kind == "offmask":
+                noise = np.where(same, 0.0, noise)
+            tangents = exact + size * rng.uniform(0.1, 1.0, NSAMP)[:, None, None] * noise
+            try:
+                reference_lift(spath, tangents, 1e-9)
+            except NotTangent as ref_exc:
+                with pytest.raises(NotTangent) as exc:
+                    bundle.lift_tangents(spath, tangents, 1e-9)
+                assert sample_named(str(exc.value)) == sample_named(str(ref_exc))
+                want = residual_named(str(ref_exc))
+                assert abs(residual_named(str(exc.value)) - want) <= 1e-12 * want
+                compared += 1
+    assert compared >= 4

@@ -3,8 +3,9 @@ underscore names, every threshold lives in the tolerance table, numpy's
 decompositions and solves are called only in linalg, the stack kernels
 that trust their input are called only where that input was checked, the
 unitary integrators take their midpoint steps from one builder, only the
-two unitary runs build a UnitaryOrbit, the exit-2 raise sites are pinned,
-and numpy is the only third-party package the library imports."""
+two unitary runs build a UnitaryOrbit, per-sample norms of a stack go
+through one kernel, the exit-2 raise sites are pinned, and numpy is the
+only third-party package the library imports."""
 
 import ast
 import re
@@ -234,6 +235,46 @@ def test_guard_sees_a_midpoint(tmp_path):
                      "def flipped(s):\n    return s.x[1:] + s.x[:-1]\n\n\n"
                      "def shifted(h):\n    return h[:-1] + h[2:], h[1:] - h[:-1]\n", encoding="utf-8")
     assert midpoint_sums(probe) == {"lift", "flipped"}
+
+
+# per-sample norms of a stack come from linalg.stack_sq_norms alone; these
+# are the other ways to take them: a sum or a matrix norm over two axes
+TWO_AXIS_REDUCTIONS = {"np.sum": 1, "numpy.sum": 1, "np.linalg.norm": 2, "numpy.linalg.norm": 2}
+
+
+def two_axis_reductions(path):
+    """(line, function) of every np.sum, x.sum or np.linalg.norm call in one
+    file whose axis, by keyword or by position, is a pair of axes."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name in TWO_AXIS_REDUCTIONS:
+            position = TWO_AXIS_REDUCTIONS[name]
+        elif isinstance(node.func, ast.Attribute) and node.func.attr == "sum":
+            name, position = "sum", 0
+        else:
+            continue
+        axes = [kw.value for kw in node.keywords if kw.arg == "axis"] + node.args[position:position + 1]
+        if any(isinstance(axis, ast.Tuple) and len(axis.elts) == 2 for axis in axes):
+            found.append((node.lineno, name))
+    return found
+
+
+def test_stack_norms_only_through_the_kernel():
+    offenders = {path.name: calls for path in sorted(SRC.glob("*.py")) if (calls := two_axis_reductions(path))}
+    assert offenders == {}
+
+
+def test_guard_sees_a_stack_norm(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n\n"
+                     "a = np.linalg.norm(x, axis=(1, 2))\nb = np.sum(np.abs(x) ** 2, axis=(-2, -1))\n"
+                     "c = np.linalg.norm(x, None, (-1, -2))\nd = (x.real**2).sum((1, 2))\n"
+                     "e = np.sum(x, axis=-2)\nf = np.linalg.norm(x)\ng = x.all(axis=(1, 2))\n"
+                     "h = linalg.stack_sq_norms(x)\n", encoding="utf-8")
+    assert two_axis_reductions(probe) == [(3, "np.linalg.norm"), (4, "np.sum"), (5, "np.linalg.norm"), (6, "sum")]
 
 
 # decompose_path trusts an orbit's propagators to carry its start's spectral

@@ -52,6 +52,15 @@ class TestMatmulStack:
         check_matmul(random_stack(rng, (5, 7, n, 3)), random_stack(rng, (3, n + 1)))
         check_matmul(random_stack(rng, (n + 1, 3)), random_stack(rng, (5, 7, 3, n)))
         check_matmul(random_stack(rng, (n, n + 2)), random_stack(rng, (30, n + 2, 1)))
+        # empty, single and wider batches, and batch axes that broadcast
+        # against each other between two stacks
+        for batch in (0, 1, 64):
+            check_matmul(random_stack(rng, (batch, n, n)), random_stack(rng, (batch, n, n)))
+            check_matmul(random_stack(rng, (batch, 2, n)), random_stack(rng, (batch, n, 2)))
+        check_matmul(random_stack(rng, (1, n, n)), random_stack(rng, (30, n, n)))
+        check_matmul(random_stack(rng, (30, 2, n)), random_stack(rng, (1, n, 2)))
+        check_matmul(random_stack(rng, (4, 1, 2, n)), random_stack(rng, (1, 6, n, 1)))
+        check_matmul(random_stack(rng, (6, n, 1)), random_stack(rng, (5, 1, 1, n)))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_mixed_dtypes_and_views(self, rng, n):
@@ -73,13 +82,17 @@ class TestMatmulStack:
         check_matmul(fixed.real.T, cplx)
 
     def test_path_follows_the_matrix_shape(self, rng):
-        # two stacks up to 3 take the column-broadcast sum, bit for bit; from 4, matmul
-        for n in (1, 2, 3):
-            a, b = random_stack(rng, (20, n, n)), random_stack(rng, (20, n, n))
-            want = sum(a[:, :, j, None] * b[:, None, j, :] for j in range(n))
-            assert np.array_equal(linalg.matmul_stack(a, b), want)
-        a, b = random_stack(rng, (20, 4, 2)), random_stack(rng, (20, 2, 2))
-        assert np.array_equal(linalg.matmul_stack(a, b), a @ b)
+        # two stacks whose (n, m) product has at most 9 entries take the
+        # entry-wise sum in j order, bit for bit, whatever k; above 9, matmul
+        for n in range(1, 10):
+            for m in range(1, 9 // n + 1):
+                for k in (1, 2, 3, 6):
+                    a, b = random_stack(rng, (20, n, k)), random_stack(rng, (20, k, m))
+                    want = sum(a[:, :, j, None] * b[:, None, j, :] for j in range(k))
+                    assert np.array_equal(linalg.matmul_stack(a, b), want)
+        for n, k, m in ((4, 2, 3), (2, 6, 5), (10, 1, 1), (4, 4, 4)):
+            a, b = random_stack(rng, (20, n, k)), random_stack(rng, (20, k, m))
+            assert np.array_equal(linalg.matmul_stack(a, b), a @ b)
         # a stack times one matrix is the single GEMM over the stack's rows,
         # on the left with both factors transposed, whatever the block size
         for n in (2, 6):
@@ -279,6 +292,19 @@ class TestPropagatorStep:
         # above dt |H|_1 of about 4e292 the degree-1 plan needs infinitely many squarings
         with pytest.raises(ValueError, match=rf"^dt\*\|H\|_1 = {re.escape(norm)} is non-finite or too large"):
             linalg.propagator_step(h, dt)
+
+    def test_squarings_are_capped(self, rng):
+        # each squaring doubles the rounding of the scaled step: up to the cap on
+        # dt |H|_1 a step stays unitary to STEP_UNITARITY_TOL, above it the kernel raises
+        z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        for h in (np.diag([0.5, -0.5]).astype(complex), 0.5 * (z + z.conj().T)):
+            col = np.max(np.sum(np.abs(h), axis=0))
+            for norm in np.geomspace(1.0, 4.63e5, 40):
+                u = linalg.propagator_step(h, norm / col)
+                assert np.max(np.abs(u.conj().T @ u - np.eye(len(h)))) <= tolerances.STEP_UNITARITY_TOL
+            for norm in (4.65e5, 1e10, 1e20, 1e50):
+                with pytest.raises(ValueError, match=r"largest admissible value is 4\.640e\+05"):
+                    linalg.propagator_step(h, norm / col)
 
     def test_stack_names_non_hermitian_sample(self, rng):
         # the stack kernel trusts its caller; the one stack check names the sample
