@@ -21,10 +21,14 @@ by check_hermitian_stack for a stack. The stack kernels trust their callers.
 Propagator steps exp(-i dt H) take no eigendecomposition: they scale and
 square a truncated Taylor series evaluated in Paterson-Stockmeyer form,
 with the degree and the number of squarings fixed by the largest 1-norm of
-dt H in the stack. Polar factors take Newton-Schulz matmuls where a
-Frobenius certificate bounds the singular values near 1, and an SVD elsewhere.
-Stacks of 1x1 matrices are scalars: their polar factor is the phase z/|z| and
-their product is a product of numbers.
+dt H in the stack. Running products of a step stack take a recursive
+blocked scan: chunks of 16 steps advance together, the chunk totals are
+scanned the same way, and each level costs about 16 Python-level products,
+so N steps take about 16 log_16 N of them. Polar factors take Newton-Schulz
+matmuls where a Frobenius certificate bounds the singular values near 1, and
+an SVD elsewhere. Stacks of 1x1 matrices are scalars: their polar factor is
+the phase z/|z|, their eigenphase the angle of z, and their product a
+product of numbers.
 """
 
 from __future__ import annotations
@@ -131,16 +135,21 @@ def unitary_eig(u: Array) -> tuple[Array, Array]:
     phases[j]) of a unitary u, not checked. q is eigh's frame of the Hermitian
     Cayley transform i (I + V)^{-1} (I - V), V = e^{-i phi} u with -1 mid-way
     across the widest phase gap, so it stays orthonormal inside degenerate
-    clusters; the phases are read back from diag(q^dag u q)."""
+    clusters; the phases are read back from diag(q^dag u q). A 1x1 u is a
+    scalar: its phase, with q = [[1]]."""
     u = as_cmat(u)
-    eye = np.eye(len(u))
-    ph = np.sort(np.mod(np.angle(np.linalg.eigvals(u)), math.tau))
-    gaps = np.diff(ph, append=ph[0] + math.tau)
-    k = int(np.argmax(gaps))
-    v = np.exp(-1j * (ph[k] + 0.5 * gaps[k] - math.pi)) * u
-    c = 1j * np.linalg.solve(eye + v, eye - v)
-    q = hermitian_eig_stack(0.5 * (c + c.conj().T)[None])[1][0]  # Hermitian by construction
-    phases = np.mod(np.angle(np.diag(q.conj().T @ u @ q)), math.tau)
+    if len(u) == 1:
+        q, diag = np.ones((1, 1), dtype=np.complex128), u[0]
+    else:
+        eye = np.eye(len(u))
+        ph = np.sort(np.mod(np.angle(np.linalg.eigvals(u)), math.tau))
+        gaps = np.diff(ph, append=ph[0] + math.tau)
+        k = int(np.argmax(gaps))
+        v = np.exp(-1j * (ph[k] + 0.5 * gaps[k] - math.pi)) * u
+        c = 1j * np.linalg.solve(eye + v, eye - v)
+        q = hermitian_eig_stack(0.5 * (c + c.conj().T)[None])[1][0]  # Hermitian by construction
+        diag = np.diag(q.conj().T @ u @ q)
+    phases = np.mod(np.angle(diag), math.tau)
     return np.where(phases < math.tau, phases, 0.0), q  # mod rounds a tiny negative angle up to 2pi
 
 
@@ -211,11 +220,12 @@ def polar_unitary_stack(ms: Array, tol: float) -> Array:
 
     |I - M^dag M|_F <= 1/2 puts every singular value in [0.70, 1.23], inside
     the basin (0, sqrt 3) and above tol < 1/2 by more than Gram rounding.
-    The samples it leaves out take an SVD: Singular names the first with
-    sigma_min <= tol, the rest get U V^dag. Steps run until
-    max|X^dag X - I| <= 8 n eps: 2 on near-unitary overlaps, at most 6 from
-    the certificate's bound, NoConvergence after _NS_STEPS. A 1x1 matrix z
-    has the singular value |z| and the factor z/|z|, and takes neither."""
+    The samples it leaves out take an SVD (a stack it certifies whole takes
+    none): Singular names the first with sigma_min <= tol, the rest get
+    U V^dag. Steps run until max|X^dag X - I| <= 8 n eps: 2 on near-unitary
+    overlaps, at most 6 from the certificate's bound, NoConvergence after
+    _NS_STEPS. A 1x1 matrix z has the singular value |z| and the factor
+    z/|z|, and takes neither."""
     if not tol < 0.5:
         raise ValueError(f"tol {tol} must lie below 1/2")
     x = np.array(ms, dtype=np.complex128)
@@ -225,8 +235,8 @@ def polar_unitary_stack(ms: Array, tol: float) -> Array:
         eye = np.eye(x.shape[-1])
         gram = matmul_stack(np.conj(np.swapaxes(x, -1, -2)), x)
         far = ~(stack_sq_norms(gram - eye) <= 0.25)
-        u, sv, vh = np.linalg.svd(x[far])
-        low = sv[:, -1]
+        svd = np.linalg.svd(x[far]) if np.any(far) else None
+        low = np.empty(0) if svd is None else svd.S[:, -1]
     if np.any(low <= tol):
         i = int(np.argmax(low <= tol))
         k, value = int(np.flatnonzero(far)[i]), float(low[i])
@@ -234,7 +244,8 @@ def polar_unitary_stack(ms: Array, tol: float) -> Array:
         raise Singular(f"{where}smallest singular value {value:.3e} <= {tol:.3e}", k, value)
     if x.shape[-1] == 1:
         return x / low[:, None, None]
-    x[far], gram[far] = matmul_stack(u, vh), eye
+    if svd is not None:
+        x[far], gram[far] = matmul_stack(svd.U, svd.Vh), eye
     for _ in range(_NS_STEPS):
         if np.max(np.abs(gram - eye), initial=0.0) <= 8 * len(eye) * np.finfo(float).eps:
             return x
@@ -327,37 +338,44 @@ def propagator_step_stack(hs: Array, dt: float) -> Array:
     return u
 
 
+# ordered_products cuts the steps into chunks of this many at every level of its scan
+_SCAN_WIDTH = 16
+
+
 def ordered_products(steps: Array, init: Array | None = None) -> Array:
     """Running left products of a stack (N, n, n) of step matrices.
 
     Returns the (N + 1, n, c) stack P_0 = init (the identity by default),
-    P_{k+1} = steps[k] @ P_k. Computed as a two-level blocked scan
-    (Blelloch, CMU-CS-90-190): the steps are cut into chunks of floor(sqrt N),
-    the running products inside every chunk advance together, the chunk
-    totals are chained from init, and each chunk's stacked rows take its
-    head in one product. That is about 2 sqrt(N) Python-level matmuls
-    instead of N.
+    P_{k+1} = steps[k] @ P_k. Computed as a recursive blocked scan
+    (Blelloch, CMU-CS-90-190): the steps are cut into chunks of W =
+    _SCAN_WIDTH, the running products inside every chunk advance together,
+    the chunk totals are scanned the same way from init, and one product
+    applies each chunk's head to its rows. That is W Python-level products
+    per level over about log_W N levels (47 at N = 4000) instead of N.
     """
     steps = np.asarray(steps, dtype=np.complex128)
+    init = np.eye(steps.shape[-1], dtype=np.complex128) if init is None else np.asarray(init, dtype=np.complex128)
+    return _scan(steps, init)
+
+
+def _scan(steps: Array, init: Array) -> Array:
+    """ordered_products on coerced arguments; recurses on the chunk totals."""
     nstep, n, _ = steps.shape
-    init = np.eye(n, dtype=np.complex128) if init is None else np.asarray(init, dtype=np.complex128)
     out = np.empty((nstep + 1, n, init.shape[1]), dtype=np.complex128)
     out[0] = init
     if nstep == 0:
         return out
-    width = math.isqrt(nstep)
+    width = min(nstep, _SCAN_WIDTH)
     nchunk = -(-nstep // width)
     # the last chunk is padded with identities; row j of a chunk ends up
     # holding steps[j] @ ... @ steps[0] of that chunk
-    run = np.broadcast_to(np.eye(n, dtype=np.complex128), (nchunk * width, n, n)).copy()
-    run[:nstep] = steps
+    run = np.empty((nchunk * width, n, n), dtype=np.complex128)
+    run[:nstep], run[nstep:] = steps, np.eye(n)
     run = run.reshape(nchunk, width, n, n)
     for j in range(1, width):
         run[:, j] = matmul_stack(run[:, j], run[:, j - 1])
-    heads = np.empty((nchunk, n, init.shape[1]), dtype=np.complex128)
-    heads[0] = init
-    for i in range(nchunk - 1):
-        heads[i + 1] = run[i, -1] @ heads[i]
+    # chunk i's head is the product of the totals of chunks 0 .. i - 1 with init
+    heads = _scan(run[:-1, -1], init)
     # chunk i's rows times its head: one (width n, n) @ (n, c) product per chunk
     out[1:] = matmul_stack(run.reshape(nchunk, width * n, n), heads).reshape(nchunk * width, n, init.shape[1])[:nstep]
     return out

@@ -206,7 +206,10 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
 
 @dataclass(frozen=True)
 class SaturationReport:
-    """Measured deviations of a synthesized plan from its guarantees."""
+    """Measured deviations of a synthesized plan from its guarantees.
+
+    bound_gap is the relative gap |1 - (iHB / Delta E) / tau| between the
+    speed-limit time and the run time."""
 
     holonomy_error: float
     length: float
@@ -226,8 +229,9 @@ def verify_saturation(plan: SaturatingPlan) -> SaturationReport:
     Re-integrates the schedule with the generic propagator and checks it
     reproduces the loop trajectory, then lifts the trajectory and asserts:
     the holonomy hits the target, the length equals the bound, the drive
-    stays state-coherent with constant energy uncertainty ihb/tau, and
-    tau * Delta E equals the length, with Delta E and the bound from
+    stays state-coherent with constant energy uncertainty ihb/tau,
+    tau * Delta E equals the length, and the speed-limit time iHB / Delta E
+    equals tau relative to tau, with Delta E and the bound from
     dynamics.speed_bound. Raises SaturationFailed naming the first violated
     assertion, and speed_bound's OutOfRange for a Delta E that underflows.
     """
@@ -263,7 +267,7 @@ def verify_saturation(plan: SaturatingPlan) -> SaturationReport:
     energy_gap = abs(plan.tau * delta_e - report.length)
     if energy_gap > tolerances.SAT_ENERGY_TOL:
         raise SaturationFailed(f"tau Delta E misses the length by {energy_gap:.3e}")
-    bound_gap = abs(plan.tau - bound) if ihb else 0.0
+    bound_gap = abs(1.0 - bound / plan.tau) if ihb else 0.0
     if bound_gap > tolerances.SAT_ENERGY_TOL:
         raise SaturationFailed(f"speed limit not saturated, gap {bound_gap:.3e}")
     return SaturationReport(

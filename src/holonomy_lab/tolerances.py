@@ -57,4 +57,4 @@ SAT_HOLONOMY_TOL = 1e-6  # realized holonomy against the target
 SAT_LENGTH_TOL = 1e-5  # curve length against the isoholonomic bound
 SAT_HIN_TOL = 1e-9  # incoherent mass of the drive
 SAT_DH_TOL = 1e-6  # energy uncertainty against iHB / tau
-SAT_ENERGY_TOL = 1e-5  # tau Delta E against the length, and tau against iHB / Delta E
+SAT_ENERGY_TOL = 1e-5  # tau Delta E against the length, and (iHB / Delta E) / tau against 1

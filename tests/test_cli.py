@@ -327,6 +327,18 @@ class TestSynthesize:
                          "--n", "201", "--out", str(tmp_path / "plan")]) == 1
         assert "error: tau = 1.000e+300 underflows the plan's squared loop speeds" in capsys.readouterr().err
 
+    def test_long_tau_saturates_the_speed_limit(self, tmp_path, capsys):
+        # iHB / Delta E rounds to about 6e-4 off tau = 1e12 in absolute terms;
+        # the saturation test compares the two relative to tau
+        state = write_state(tmp_path / "s.json", np.diag([0.7, 0.3]).astype(complex))
+        target = {"matrix": serialize.matrix_to_json(np.diag([1.0, np.exp(1e-3j)])), "basis": {"m": [1, 1]}}
+        tpath = tmp_path / "u.json"
+        serialize.write_json(tpath, target)
+        assert cli.main(["synthesize", state, str(tpath), "--tau", "1e12", "--ambient-dim", "4",
+                         "--out", str(tmp_path / "plan")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["iHB"] > 0.0 and report["bound_gap"] <= 1e-12
+
     def test_target_phase_within_phase_tol_of_zero_is_trivial(self, tmp_path, capsys):
         # a phase of 1e-12 reads as 0, so even at tau = 1e300 the plan is the
         # trivial one, which meets the target to 1e-12

@@ -53,16 +53,18 @@ class TestEigenphases:
 
 class TestBlockwiseEigenbasis:
     def test_unitary_block_diagonal_eigenbasis(self, rng):
-        basis = spectra.EigenprojectorBasis(m=(1, 2, 3))
-        g = rand_gauge(rng, basis)
-        phases, s = invariants.blockwise_eigenbasis(g)
-        assert bundle.gauge_membership(s, basis, tol=1e-12)
-        d = s.conj().T @ g.u @ s
-        assert np.linalg.norm(d - np.diag(np.diag(d))) <= 1e-12
-        assert np.allclose(np.mod(np.angle(np.diag(d)), TWO_PI), phases, atol=1e-12)
-        for lo, hi in basis.blocks:
-            assert np.all(np.diff(phases[lo:hi]) <= 0.0)
-        assert np.array_equal(invariants.eigenphases(g).flat(), phases)
+        # (1, 2, 1): the scalar blocks on either side of a pair
+        for m in [(1, 2, 3), (1, 2, 1)]:
+            basis = spectra.EigenprojectorBasis(m=m)
+            g = rand_gauge(rng, basis)
+            phases, s = invariants.blockwise_eigenbasis(g)
+            assert bundle.gauge_membership(s, basis, tol=1e-12)
+            d = s.conj().T @ g.u @ s
+            assert np.linalg.norm(d - np.diag(np.diag(d))) <= 1e-12
+            assert np.allclose(np.mod(np.angle(np.diag(d)), TWO_PI), phases, atol=1e-12)
+            for lo, hi in basis.blocks:
+                assert np.all(np.diff(phases[lo:hi]) <= 0.0)
+            assert np.array_equal(invariants.eigenphases(g).flat(), phases)
 
     def test_phase_near_two_pi_wraps_to_zero(self, rng):
         basis = spectra.EigenprojectorBasis(m=(2,))

@@ -327,8 +327,12 @@ def unitary_steps(rng, nstep: int, n: int) -> np.ndarray:
     return np.linalg.qr(z)[0]
 
 
+W = linalg._SCAN_WIDTH
+
+
 class TestOrderedProducts:
-    @pytest.mark.parametrize("nstep", [0, 1, 2, 16, 17, 4000])
+    # W - 1, W, W + 1, W^2, W^2 + 1 and W^3 + 1 steps sit at the scan's recursion boundaries
+    @pytest.mark.parametrize("nstep", [0, 1, 2, W - 1, W, W + 1, W**2, W**2 + 1, 4000, W**3 + 1])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     @pytest.mark.parametrize("rect", [False, True], ids=["identity", "rectangular"])
     def test_matches_sequential_loop(self, rng, nstep, n, rect):
@@ -339,6 +343,33 @@ class TestOrderedProducts:
         want = sequential_products(steps, init)
         assert got.shape == want.shape == (nstep + 1, n, cols)
         assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_read_only_broadcast_steps(self, rng, n):
+        # a constant schedule's steps: one step broadcast along the stack, read-only
+        steps = np.broadcast_to(unitary_steps(rng, 1, n), (W**2 + 3, n, n))
+        init = rand_unitary(rng, n)
+        got = linalg.ordered_products(steps, init)
+        assert np.max(np.abs(got - sequential_products(steps, init))) <= 1e-13
+        assert not steps.flags.writeable
+
+    def test_products_grow_by_one_level(self, rng, monkeypatch):
+        # N = 4000 and N = 64000 are three and four levels of W-wide chunks:
+        # W products more (47 and 63), where a two-level scan of sqrt(N)-wide chunks takes 63 and 252
+        calls = []
+        product = linalg.matmul_stack
+
+        def spy(a, b):
+            calls.append(np.shape(a))
+            return product(a, b)
+
+        monkeypatch.setattr(linalg, "matmul_stack", spy)
+        counts = []
+        for nstep in (4000, 64000):
+            calls.clear()
+            linalg.ordered_products(unitary_steps(rng, nstep, 2))
+            counts.append(len(calls))
+        assert counts[1] - counts[0] <= W + 1
 
 
 def svd_polar(ms: np.ndarray) -> np.ndarray:
@@ -454,6 +485,22 @@ class TestPolarUnitaryStack:
         with pytest.raises(NoConvergence, match="exceeded 1 steps"):
             linalg.polar_unitary_stack(near_unitary(rng, 10, 3), tolerances.OVERLAP_TOL)
 
+    def test_certified_stack_takes_no_svd(self, rng, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        ms = near_unitary(rng, 500, 3)
+        assert np.max(np.abs(linalg.polar_unitary_stack(ms, tolerances.OVERLAP_TOL) - svd_polar(ms))) <= 1e-12
+        assert calls == [(500, 3, 3)]  # svd_polar's own call
+        ms[17] *= 3.0
+        linalg.polar_unitary_stack(ms, tolerances.OVERLAP_TOL)
+        assert calls[1:] == [(1, 3, 3)]
+
     def test_tol_must_sit_below_the_certificate(self):
         with pytest.raises(ValueError):
             linalg.polar_unitary_stack(np.eye(2)[None], 0.5)
@@ -514,6 +561,18 @@ class TestUnitaryEig:
         want = np.array(want)
         v = rand_unitary(rng, want.size)
         check_unitary_eig(v @ np.diag(np.exp(1j * want)) @ v.conj().T, want)
+
+    def test_scalar_is_its_phase(self, rng):
+        # a 1x1 unitary takes no decomposition: its phase mod 2pi, wrapped
+        # to 0 where mod rounds up to 2pi, and the basis [[1]]
+        angles = np.concatenate([rng.uniform(-10.0, 10.0, 200), [-1e-17, 1e-17, 0.0, -np.pi, np.pi, -1e-9]])
+        for angle in angles:
+            u = np.array([[np.exp(1j * angle)]])
+            phases, q = linalg.unitary_eig(u)
+            want = np.mod(np.angle(u[0]), TWO_PI)
+            assert np.array_equal(phases, np.where(want < TWO_PI, want, 0.0))
+            assert q.dtype == np.complex128 and np.array_equal(q, [[1.0]])
+        assert linalg.unitary_eig(np.array([[np.exp(-1e-17j)]]))[0][0] == 0.0
 
     def test_random_blocks_with_forced_degeneracies(self, rng):
         for _ in range(300):
