@@ -206,6 +206,17 @@ def path_speeds_sq(spath: "SpectralPath", rdots: Array, tangent_tol: float = tol
     return linalg.stack_sq_norms(lift_tangents(spath, spath.in_eigenframe(rdots), tangent_tol))
 
 
+def state_speeds_sq(b: Array, spath: "SpectralPath") -> Array:
+    """Squared metric speeds of the states driven by H, from B = F^dag H F.
+
+    The tangent rdot = -i[H, rho] is F (-i B_ij (lambda_j - lambda_i)) F^dag,
+    so it is lifted in eigenframe coordinates without being formed.
+    """
+    lam = spath.values
+    return linalg.stack_sq_norms(lift_tangents(spath, -1j * b * (lam[:, None, :] - lam[:, :, None]),
+                                               tolerances.TANGENT_TOL))
+
+
 def metric_g(rho: DensityOperator, rdot1: Array, rdot2: Array) -> float:
     """Induced metric on the state space, evaluated by horizontal lifting.
 

@@ -85,20 +85,24 @@ class OperatorCurve:
 @dataclass(frozen=True, eq=False)
 class UnitaryOrbit(OperatorCurve):
     """State curve rho_k = U_k rho_0 U_k^dag of a unitary run, built from its
-    propagators (N, n, n) and its start rho_0, so its samples and the
-    eigenframes U_k F_0 cannot disagree. The samples are Hermitian by
-    construction; samples and propagators are read-only."""
+    propagators and Hamiltonians (N, n, n) and its start rho_0, so its samples,
+    eigenframes U_k F_0 and tangents -i[H_k, rho_k] cannot disagree. The
+    samples are Hermitian by construction; all three stacks are read-only."""
 
     samples: Array = field(init=False)
     propagators: Array
     start: DensityOperator
+    hamiltonians: Array
 
     def __post_init__(self):
-        u = np.asarray(self.propagators, dtype=np.complex128).view()
+        u, h = (np.asarray(a, dtype=np.complex128).view() for a in (self.propagators, self.hamiltonians))
+        if h.shape != u.shape:
+            raise ValueError(f"hamiltonians shape {h.shape} does not match propagators shape {u.shape}")
         states = linalg.matmul_stack(linalg.matmul_stack(u, self.start.matrix), np.conj(np.swapaxes(u, -1, -2)))
         states = 0.5 * (states + np.conj(np.swapaxes(states, -1, -2)))
-        u.flags.writeable = states.flags.writeable = False
+        u.flags.writeable = h.flags.writeable = states.flags.writeable = False
         object.__setattr__(self, "propagators", u)
+        object.__setattr__(self, "hamiltonians", h)
         object.__setattr__(self, "samples", states)
         super().__post_init__()
 

@@ -3,8 +3,8 @@
 Midpoint propagator integration, the state-coherent/state-incoherent split
 of a Hamiltonian, energy-uncertainty accounting, the cyclic speed-limit
 report, and closed-form reference values for the precessing-qubit benchmark.
-The split, the variances and the state speeds are read off B = F^dag H F in
-the eigenframes F of the states: H_in is B on the block mask.
+The split, the variances and the speeds (bundle.state_speeds_sq) are read off
+B = F^dag H F in the eigenframes F of the states: H_in is B on the block mask.
 """
 
 from __future__ import annotations
@@ -61,16 +61,16 @@ def evolve(rho0: DensityOperator, sched: HamiltonianSchedule) -> tuple[OperatorC
 
     The propagator takes the midpoint steps of _steps (linear
     interpolation between samples), which are exact for constant schedules.
-    The state curve is the UnitaryOrbit of rho0 under the propagators, whose
-    spectral path decompose_path reads without eigendecomposing; the U
-    curve holds the same read-only propagators.
+    The state curve is the UnitaryOrbit of rho0 under the propagators and
+    the schedule's samples, whose spectral path decompose_path reads without
+    eigendecomposing; the U curve holds the same read-only propagators.
     """
     n = rho0.dim
     if sched.samples.shape[1:] != (n, n):
         raise DimMismatch(f"schedule acts on dim {sched.samples.shape[1]}, state has dim {n}")
     # the schedule checked its samples when it was built
     props = linalg.ordered_products(_steps(sched.samples, sched.grid.dt))
-    states = UnitaryOrbit(grid=sched.grid, propagators=props, start=rho0)
+    states = UnitaryOrbit(grid=sched.grid, propagators=props, start=rho0, hamiltonians=sched.samples)
     return OperatorCurve(grid=sched.grid, samples=states.propagators), states
 
 
@@ -129,17 +129,6 @@ def variance_split(b: Array, spath: bundle.SpectralPath) -> tuple[Array, Array, 
     return din2 + dco2, dco2, din2
 
 
-def state_speeds_sq(b: Array, spath: bundle.SpectralPath) -> Array:
-    """Squared metric speeds of the states driven by H, from B = F^dag H F.
-
-    The tangent rdot = -i[H, rho] is F (-i B_ij (lambda_j - lambda_i)) F^dag,
-    so it is lifted in eigenframe coordinates without being formed.
-    """
-    lam = spath.values
-    return linalg.stack_sq_norms(bundle.lift_tangents(spath, -1j * b * (lam[:, None, :] - lam[:, :, None]),
-                                                     tolerances.TANGENT_TOL))
-
-
 def _uncertainty_path(states: Array, hs: Array, spath: bundle.SpectralPath) -> tuple[Array, Array, Array]:
     """variance_split of the Hamiltonians hs; the states enter through spath."""
     return variance_split(spath.in_eigenframe(hs), spath)
@@ -189,7 +178,7 @@ def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule) -> SpeedLi
 
     b = spath.in_eigenframe(sched.samples)
     dh2, dco2, din2 = variance_split(b, spath)
-    dev = np.abs(state_speeds_sq(b, spath) - dco2) / np.maximum(1.0, dco2)
+    dev = np.abs(bundle.state_speeds_sq(b, spath) - dco2) / np.maximum(1.0, dco2)
     if np.any(dev > tolerances.SPEED_IDENTITY_TOL):
         raise ContractViolation(f"speed identity violated by {np.max(dev):.3e}")
 

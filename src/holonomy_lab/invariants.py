@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bundle, linalg, tolerances
-from .curves import OperatorCurve, ProbabilityPath, fisher_rao, grid_derivative, trapezoid
+from .curves import OperatorCurve, ProbabilityPath, UnitaryOrbit, fisher_rao, grid_derivative, trapezoid
 from .errors import (
     BoundViolated,
     OutOfRange,
@@ -125,17 +125,18 @@ def geometric_phase(rho_curve: OperatorCurve, w0: bundle.Amplitude) -> float:
 
 
 def curve_length_energy(rho_curve: OperatorCurve) -> tuple[float, float]:
-    """Length and kinetic energy of a state curve in the induced metric.
-
-    Speeds come from finite-difference tangents lifted horizontally; the
-    quadrature is the composite trapezoid rule.
-    """
+    """Length and kinetic energy of a state curve in the induced metric: trapezoid
+    sums of its speeds, the exact lifts of -i[H, rho] for a UnitaryOrbit
+    (bundle.state_speeds_sq) and of finite-difference tangents otherwise."""
     return _path_length_energy(rho_curve, bundle.decompose_path(rho_curve))
 
 
 def _path_length_energy(rho_curve: OperatorCurve, spath: bundle.SpectralPath) -> tuple[float, float]:
     dt = rho_curve.grid.dt
-    sq = bundle.path_speeds_sq(spath, grid_derivative(rho_curve.samples, dt), tolerances.LENGTH_TANGENT_TOL)
+    if isinstance(rho_curve, UnitaryOrbit):
+        sq = bundle.state_speeds_sq(spath.in_eigenframe(rho_curve.hamiltonians), spath)
+    else:
+        sq = bundle.path_speeds_sq(spath, grid_derivative(rho_curve.samples, dt), tolerances.LENGTH_TANGENT_TOL)
     return trapezoid(np.sqrt(sq), dt), 0.5 * trapezoid(sq, dt)
 
 
@@ -163,10 +164,10 @@ def check_isoholonomic(rho_curve: OperatorCurve, w0: bundle.Amplitude, alpha=Non
 def iso_report(loop: bundle.ClosedLoop, alpha=None) -> IsoReport:
     """Evaluate the isoholonomic inequalities on an analysed closed curve.
 
-    For constant-spectrum curves the fixed-spectrum bound applies; when
-    alpha is given the constrained and strong inequalities are evaluated as
-    well. Negative slack beyond SLACK_TOL raises BoundViolated, which
-    signals a numerical-method bug rather than physics.
+    The length is curve_length_energy's. For constant-spectrum curves the
+    fixed-spectrum bound applies; with alpha the constrained and strong
+    inequalities are evaluated too. Negative slack beyond SLACK_TOL raises
+    BoundViolated, which signals a numerical-method bug rather than physics.
     """
     rho_curve, spath, hol = loop.curve, loop.path, loop.holonomy
     phases = eigenphases(hol)

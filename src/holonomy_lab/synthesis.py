@@ -153,13 +153,13 @@ class SaturatingPlan:
         return invariants.ihb_isospectral(self.rho.p, phases)
 
     def exact_states(self) -> UnitaryOrbit:
-        """Closed-form state trajectory of the combined loops, sampled on
-        the schedule grid: the UnitaryOrbit of rho under the generator's
-        flow, which closes to machine precision and whose spectral path
-        decompose_path reads without eigendecomposing."""
+        """Closed-form state trajectory of the combined loops, sampled on the
+        schedule grid: the UnitaryOrbit of rho under the generator's flow, with
+        the generator as its Hamiltonians (stride 0), which closes to machine
+        precision and whose path decompose_path reads without eigendecomposing."""
         v, rot = _flow(self.generator, self.schedule.grid.times)
         return UnitaryOrbit(grid=self.schedule.grid, propagators=linalg.matmul_stack(v * rot[:, None, :], v.conj().T),
-                            start=self.rho)
+                            start=self.rho, hamiltonians=np.broadcast_to(self.generator, self.schedule.samples.shape))
 
 
 def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeElement,

@@ -368,6 +368,14 @@ class TestQubitDemo:
         rows = {row["quantity"]: row for row in payload["rows"]}
         assert abs(rows["margin"]["numeric"]) <= 1e-6
 
+    def test_coarse_grid_length_is_exact(self, capsys):
+        # the orbit's length comes from its Hamiltonian, so four samples give
+        # the closed-form L to round-off; by finite differences L undershot
+        # the numerical iHB by 0.43 (exit 2)
+        assert cli.main(["qubit-demo", "--n3", "0.5", "--n", "4"]) == 0
+        rows = {row["quantity"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+        assert rows["L"]["abs_err"] <= 1e-12
+
     def test_stationary_axis_exits_one(self, capsys):
         assert cli.main(["qubit-demo", "--n3", "1.0"]) == 1
 

@@ -284,7 +284,8 @@ class TestStepBuilder:
         dt = sched.grid.dt
         expected_props = midpoint_products(sched.samples, dt)
         assert np.array_equal(props.samples, expected_props)
-        expected_states = UnitaryOrbit(grid=sched.grid, propagators=expected_props, start=rho0).samples
+        expected_states = UnitaryOrbit(grid=sched.grid, propagators=expected_props, start=rho0,
+                                       hamiltonians=sched.samples).samples
         assert np.array_equal(states.samples, expected_states)
         h_co = sched.samples - dynamics.incoherent_part_path(sched.samples, bundle.decompose_path(states))
         lift = dynamics.horizontal_lift_unitary(states, sched, w0)

@@ -86,7 +86,7 @@ class TestAgainstStateSpace:
     def test_state_speeds(self, dim, rng):
         states, _, hs, spath = random_path(rng, *LAYOUTS[dim])
         rdots = -1j * (hs @ states - states @ hs)
-        speeds2 = dynamics.state_speeds_sq(spath.in_eigenframe(hs), spath)
+        speeds2 = bundle.state_speeds_sq(spath.in_eigenframe(hs), spath)
         assert_close(speeds2, bundle.path_speeds_sq(spath, rdots))
         ref = reference_lift(spath, spath.in_eigenframe(rdots), tolerances.TANGENT_TOL)
         assert_close(speeds2, np.sum(np.abs(ref) ** 2, axis=(1, 2)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holonomy_lab import bundle, curves, invariants, spectra
+from holonomy_lab import bundle, curves, dynamics, invariants, spectra
 from holonomy_lab.curves import OperatorCurve, TimeGrid
 from holonomy_lab.errors import (
     BoundViolated,
@@ -14,6 +14,7 @@ from qutil import (
     great_circle_section,
     precessing_qubit_curve,
     pure_curve,
+    qubit_axis,
     rand_gauge,
     rand_state,
     rand_unitary,
@@ -262,10 +263,12 @@ class TestCurveLengthEnergy:
         assert abs(length - np.pi) <= 1e-6
 
     def test_precessing_qubit_length(self):
-        for n3 in (0.2, 0.6):
+        # the finite-difference length of a plain curve, at acceptance
+        # criterion 2's tilts and bound; criterion 2's orbits take exact speeds
+        for n3 in (0.2, 0.6, 0.9):
             c = precessing_qubit_curve(n3, TWO_PI, 0.7, 2001)
             length, _ = invariants.curve_length_energy(c)
-            assert abs(length - np.pi * np.sqrt(1 - n3**2)) <= 1e-4
+            assert abs(length - dynamics.qubit_reference(qubit_axis(n3), TWO_PI, 0.7).length) <= 1e-4
 
 
 class TestCheckIsoholonomic:

@@ -1,8 +1,10 @@
-"""A unitary run carries its spectral path: decompose_path reads a
-UnitaryOrbit's eigenframes U_k F_0 and its start's values instead of
-eigendecomposing the samples, and agrees with the eigendecomposition route
-on a plain curve holding the same samples. Every curve operation returns a
-plain curve, which takes the eigendecomposition route again."""
+"""A unitary run carries its spectral path and its Hamiltonians:
+decompose_path reads a UnitaryOrbit's eigenframes U_k F_0 and its start's
+values instead of eigendecomposing the samples, and agrees with the
+eigendecomposition route on a plain curve holding the same samples; its
+length comes from the exact tangents -i[H, rho], a plain curve's from finite
+differences. Every curve operation returns a plain curve, which takes the
+eigendecomposition route again."""
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ def plan_run(rng, p, m, dim):
     rho = rand_state(rng, p, m, dim)
     plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis), tau=1.0,
                                 ambient_dim=dim)
-    return plan.exact_states(), plan.schedule, plan.w
+    return plan.exact_states(), plan.schedule, plan.w, plan.ihb
 
 
 # (p, m, dim) of the synthesized plans; the last two have a degenerate block
@@ -48,7 +50,15 @@ def block_projectors(spath):
 
 @pytest.mark.parametrize("case", ["qubit-evolve"] + sorted(PLANS))
 def test_orbit_route_matches_eigh_route(case, rng):
-    orbit, sched, w0 = qubit_run() if case == "qubit-evolve" else plan_run(rng, *PLANS[case])
+    """Both routes give one holonomy, iHB and speed-limit bound; the orbit's
+    length is exact, the closed form of the qubit or the bound of the plan.
+    On a plan, whose speed is constant, the plain route's finite-difference
+    length meets the bound too."""
+    if case == "qubit-evolve":
+        orbit, sched, w0 = qubit_run()
+        exact = dynamics.qubit_reference(qubit_axis(0.6), TWO_PI, 0.7).length
+    else:
+        orbit, sched, w0, exact = plan_run(rng, *PLANS[case])
     assert type(orbit) is UnitaryOrbit
     fast, slow = bundle.closed_loop(orbit, w0), bundle.closed_loop(plain_curve(orbit), w0)
     assert fast.path.m == slow.path.m and fast.path.blocks == slow.path.blocks
@@ -56,7 +66,9 @@ def test_orbit_route_matches_eigh_route(case, rng):
     for pf, ps in zip(block_projectors(fast.path), block_projectors(slow.path), strict=True):
         assert np.max(np.abs(pf - ps)) <= 1e-12
     iso_fast, iso_slow = invariants.iso_report(fast), invariants.iso_report(slow)
-    assert abs(iso_fast.length - iso_slow.length) <= 1e-12
+    assert abs(iso_fast.length - exact) <= 1e-12
+    if case != "qubit-evolve":
+        assert abs(iso_slow.length - exact) <= 1e-12
     assert abs(iso_fast.ihb - iso_slow.ihb) <= 1e-12
     assert abs(dynamics.speed_report(fast, sched).bound - dynamics.speed_report(slow, sched).bound) <= 1e-12
 
@@ -74,16 +86,28 @@ def test_gap_rule_holds_on_both_routes():
 class TestIntegrity:
     def test_read_only(self):
         orbit, _, _ = qubit_run()
-        for array in (orbit.samples, orbit.propagators):
+        for array in (orbit.samples, orbit.propagators, orbit.hamiltonians):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0, 0] = 0.0
 
     def test_caller_array_left_writable(self):
         rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
         props = np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2)).copy()
-        orbit = UnitaryOrbit(grid=curves.TimeGrid(tau=1.0, n=5), propagators=props, start=rho0)
+        hs = np.zeros((5, 2, 2), dtype=complex)
+        orbit = UnitaryOrbit(grid=curves.TimeGrid(tau=1.0, n=5), propagators=props, start=rho0, hamiltonians=hs)
         assert props.flags.writeable and not orbit.propagators.flags.writeable
+        assert hs.flags.writeable and not orbit.hamiltonians.flags.writeable
         assert np.array_equal(orbit.samples, np.broadcast_to(rho0.matrix, (5, 2, 2)))
+
+    def test_hamiltonians_are_required_and_match_the_propagators(self):
+        rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
+        props = np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2))
+        grid = curves.TimeGrid(tau=1.0, n=5)
+        with pytest.raises(TypeError, match="hamiltonians"):
+            UnitaryOrbit(grid=grid, propagators=props, start=rho0)
+        for hs in (np.zeros((4, 2, 2)), np.zeros((2, 2)), np.zeros((5, 3, 3))):
+            with pytest.raises(ValueError, match="does not match propagators shape"):
+                UnitaryOrbit(grid=grid, propagators=props, start=rho0, hamiltonians=hs)
 
     def test_no_orbit_without_propagators(self):
         orbit, _, _ = qubit_run()
@@ -107,3 +131,28 @@ class TestIntegrity:
         assert sizes == []
         bundle.decompose_path(curves.reverse(orbit))
         assert sizes == [orbit.grid.n]
+
+
+class TestLength:
+    """An orbit's length is the exact lift of its tangents; a plain curve's
+    comes from finite differences. Each curve takes one route."""
+
+    @pytest.mark.parametrize("nsamp", [5, 11, 21, 2001])
+    @pytest.mark.parametrize("n3", [0.1, 0.5, 0.9])
+    def test_orbit_length_is_the_closed_form(self, n3, nsamp):
+        ref = dynamics.qubit_reference(qubit_axis(n3), TWO_PI, 0.7)
+        rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
+        _, orbit = dynamics.evolve(rho0, dynamics.HamiltonianSchedule.constant(ref.hamiltonian, ref.tau, nsamp))
+        length = invariants.check_isoholonomic(orbit, bundle.canonical_amplitude(rho0)).length
+        assert abs(length - ref.length) <= 1e-12
+
+    def test_orbit_never_differentiates_its_samples(self, monkeypatch):
+        orbit, _, w0 = qubit_run()
+
+        def refuse(samples, dt):
+            raise AssertionError("finite differences taken")
+
+        monkeypatch.setattr(invariants, "grid_derivative", refuse)
+        invariants.check_isoholonomic(orbit, w0)
+        with pytest.raises(AssertionError, match="finite differences taken"):
+            invariants.check_isoholonomic(plain_curve(orbit), w0)

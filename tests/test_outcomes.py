@@ -147,13 +147,13 @@ EXPECTED = {
     "qubit check orbit N=3": ".........",
     "qubit speed_limit N=3": ".........",
     "qubit check plain N=5": "BBBBBBB..",
-    "qubit check orbit N=5": "BBBBBBB..",
+    "qubit check orbit N=5": ".........",
     "qubit speed_limit N=5": ".........",
     "qubit check plain N=11": "BBB......",
-    "qubit check orbit N=11": "BBB......",
+    "qubit check orbit N=11": ".........",
     "qubit speed_limit N=11": ".........",
     "qubit check plain N=21": "B........",
-    "qubit check orbit N=21": "B........",
+    "qubit check orbit N=21": ".........",
     "qubit speed_limit N=21": ".........",
     "qubit check plain N=51": ".........",
     "qubit check orbit N=51": ".........",
