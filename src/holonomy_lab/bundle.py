@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, tolerances
-from .curves import OperatorCurve, UnitaryOrbit
+from .curves import OperatorCurve, UnitaryOrbit, grid_derivative
 from .errors import (
     DegeneracyMismatch,
     EndpointMismatch,
@@ -26,6 +26,7 @@ from .errors import (
     MultiplicityChange,
     NotClosed,
     NotTangent,
+    OutOfRange,
     Singular,
 )
 from .spectra import DensityOperator, EigenprojectorBasis, spectral_decompose
@@ -217,6 +218,19 @@ def state_speeds_sq(b: Array, spath: "SpectralPath") -> Array:
                                                tolerances.TANGENT_TOL))
 
 
+def curve_speeds_sq(curve: OperatorCurve, spath: "SpectralPath") -> Array:
+    """Squared metric speeds along a curve decomposed as spath: the exact lifts of
+    -i[H, rho] for a UnitaryOrbit (state_speeds_sq), of finite-difference tangents
+    at LENGTH_TANGENT_TOL otherwise. Raises OutOfRange when a squared speed overflows."""
+    if isinstance(curve, UnitaryOrbit):
+        sq = state_speeds_sq(spath.in_eigenframe(curve.hamiltonians), spath)
+    else:
+        sq = path_speeds_sq(spath, grid_derivative(curve.samples, curve.grid.dt), tolerances.LENGTH_TANGENT_TOL)
+    if not np.all(np.isfinite(sq)):
+        raise OutOfRange(f"tau = {curve.grid.tau:.3e} overflows the curve's squared speeds")
+    return sq
+
+
 def metric_g(rho: DensityOperator, rdot1: Array, rdot2: Array) -> float:
     """Induced metric on the state space, evaluated by horizontal lifting.
 
@@ -301,7 +315,7 @@ def decompose_path(curve: OperatorCurve) -> SpectralPath:
     r = int(np.count_nonzero(positive0))
     if r == 0:
         raise MultiplicityChange("initial sample has zero rank")
-    blocks = linalg.cluster(vals[0, :r], tolerances.GAP_TOL)
+    blocks = linalg.cluster(vals[0, :r])
     if np.any(vals[:, r - 1] <= tolerances.ZERO_TOL):
         raise MultiplicityChange("rank drops along the curve")
     if r < n and np.any(vals[:, r] > tolerances.ZERO_TOL):

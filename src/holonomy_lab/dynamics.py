@@ -122,11 +122,12 @@ def variance_split(b: Array, spath: bundle.SpectralPath) -> tuple[Array, Array, 
     """
     lam, diag = spath.values, np.arange(b.shape[-1])
     centred = b[:, diag, diag] - np.einsum("ki,ki->k", lam, b[:, diag, diag].real)[:, None]
-    weighted = lam[:, :, None] * (b.real**2 + b.imag**2)
-    weighted[:, diag, diag] = lam * (centred.real**2 + centred.imag**2)
-    flat, mask = weighted.reshape(len(b), -1), spath.block_mask.ravel()  # a GEMV per mask: np.sum is slower
-    din2, dco2 = flat @ mask.astype(float), flat @ (~mask).astype(float)
-    return din2 + dco2, dco2, din2
+    with np.errstate(over="ignore", invalid="ignore"):  # a square past 1e308 is inf; speed_bound rejects it
+        weighted = lam[:, :, None] * (b.real**2 + b.imag**2)
+        weighted[:, diag, diag] = lam * (centred.real**2 + centred.imag**2)
+        flat, mask = weighted.reshape(len(b), -1), spath.block_mask.ravel()  # a GEMV per mask: np.sum is slower
+        din2, dco2 = flat @ mask.astype(float), flat @ (~mask).astype(float)
+        return din2 + dco2, dco2, din2
 
 
 def _uncertainty_path(states: Array, hs: Array, spath: bundle.SpectralPath) -> tuple[Array, Array, Array]:
@@ -178,12 +179,12 @@ def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule) -> SpeedLi
 
     b = spath.in_eigenframe(sched.samples)
     dh2, dco2, din2 = variance_split(b, spath)
+    dh = np.sqrt(dh2)
+    delta_e, bound = speed_bound(dh, rho_curve.grid, ihb)
     dev = np.abs(bundle.state_speeds_sq(b, spath) - dco2) / np.maximum(1.0, dco2)
     if np.any(dev > tolerances.SPEED_IDENTITY_TOL):
         raise ContractViolation(f"speed identity violated by {np.max(dev):.3e}")
 
-    dh = np.sqrt(dh2)
-    delta_e, bound = speed_bound(dh, rho_curve.grid, ihb)
     margin = rho_curve.grid.tau - bound
     if margin < -tolerances.MARGIN_TOL:
         raise ContractViolation(f"speed-limit margin {margin:.3e} is negative")
@@ -196,10 +197,12 @@ def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule) -> SpeedLi
 def speed_bound(dh: Array, grid: TimeGrid, ihb: float) -> tuple[float, float]:
     """Average energy uncertainty Delta E = trapezoid(Delta H) / tau and the
     speed-limit bound iHB / Delta E on the return time (0 when iHB = 0).
-    Raises OutOfRange when Delta E underflows to zero under a nonzero iHB."""
+    Raises OutOfRange for a Delta E that is not finite, or 0 under a nonzero iHB."""
     delta_e = trapezoid(dh, grid.dt) / grid.tau
     if ihb and not delta_e:
         raise OutOfRange(f"tau = {grid.tau:.3e} underflows the energy uncertainty to zero under iHB = {ihb:.3e}")
+    if not np.isfinite(delta_e):
+        raise OutOfRange(f"tau = {grid.tau:.3e} overflows the energy uncertainty to {delta_e}")
     return delta_e, ihb / delta_e if ihb else 0.0
 
 
@@ -242,16 +245,16 @@ def qubit_hamiltonian(n, omega: float) -> Array:
 def qubit_reference(n, omega: float, p0: float) -> QubitReference:
     """Analytic record for the precessing mixed qubit over one period.
 
-    The axis must be a finite unit vector not parallel to (0, 0, 1), omega
-    finite and positive, and p0 must lie strictly between 1/2 and 1.
+    The axis must be a finite unit vector not parallel to (0, 0, 1) and omega
+    finite and positive; p0 needs 1 - p0 > ZERO_TOL and 2p0 - 1 >= 10 GAP_TOL.
     """
     n = np.asarray(n, dtype=float)
     if n.shape != (3,) or not np.all(np.isfinite(n)) or abs(float(np.linalg.norm(n)) - 1.0) > tolerances.AXIS_NORM_TOL:
         raise StationaryAxis(f"axis must be a finite unit 3-vector, got {n.tolist()}")
     if n[0] ** 2 + n[1] ** 2 <= tolerances.AXIS_TILT_TOL:
         raise StationaryAxis("axis parallel to (0, 0, 1) leaves the state stationary")
-    if not 0.5 < p0 < 1.0:
-        raise InvalidP(f"p0 must lie in (1/2, 1), got {p0}")
+    if not (1.0 - p0 > tolerances.ZERO_TOL and 2.0 * p0 - 1.0 >= 10.0 * tolerances.GAP_TOL):
+        raise InvalidP(f"p0 must give rank 2 (1 - p0 > ZERO_TOL) and two blocks (2 p0 - 1 >= 10 GAP_TOL), got {p0}")
     if not (omega > 0.0 and np.isfinite(omega)):
         raise InvalidP(f"omega must be finite and positive, got {omega}")
     n3 = float(n[2])

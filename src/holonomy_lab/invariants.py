@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bundle, linalg, tolerances
-from .curves import OperatorCurve, ProbabilityPath, UnitaryOrbit, fisher_rao, grid_derivative, trapezoid
+from .curves import OperatorCurve, ProbabilityPath, fisher_rao, trapezoid
 from .errors import (
     BoundViolated,
     OutOfRange,
@@ -125,18 +125,13 @@ def geometric_phase(rho_curve: OperatorCurve, w0: bundle.Amplitude) -> float:
 
 
 def curve_length_energy(rho_curve: OperatorCurve) -> tuple[float, float]:
-    """Length and kinetic energy of a state curve in the induced metric: trapezoid
-    sums of its speeds, the exact lifts of -i[H, rho] for a UnitaryOrbit
-    (bundle.state_speeds_sq) and of finite-difference tangents otherwise."""
+    """Length and kinetic energy of a state curve in the induced metric:
+    trapezoid sums of bundle.curve_speeds_sq (OutOfRange if one overflows)."""
     return _path_length_energy(rho_curve, bundle.decompose_path(rho_curve))
 
 
 def _path_length_energy(rho_curve: OperatorCurve, spath: bundle.SpectralPath) -> tuple[float, float]:
-    dt = rho_curve.grid.dt
-    if isinstance(rho_curve, UnitaryOrbit):
-        sq = bundle.state_speeds_sq(spath.in_eigenframe(rho_curve.hamiltonians), spath)
-    else:
-        sq = bundle.path_speeds_sq(spath, grid_derivative(rho_curve.samples, dt), tolerances.LENGTH_TANGENT_TOL)
+    sq, dt = bundle.curve_speeds_sq(rho_curve, spath), rho_curve.grid.dt
     return trapezoid(np.sqrt(sq), dt), 0.5 * trapezoid(sq, dt)
 
 
@@ -164,8 +159,8 @@ def check_isoholonomic(rho_curve: OperatorCurve, w0: bundle.Amplitude, alpha=Non
 def iso_report(loop: bundle.ClosedLoop, alpha=None) -> IsoReport:
     """Evaluate the isoholonomic inequalities on an analysed closed curve.
 
-    The length is curve_length_energy's. For constant-spectrum curves the
-    fixed-spectrum bound applies; with alpha the constrained and strong
+    The length integrates bundle.curve_speeds_sq. For constant-spectrum curves
+    the fixed-spectrum bound applies; with alpha the constrained and strong
     inequalities are evaluated too. Negative slack beyond SLACK_TOL raises
     BoundViolated, which signals a numerical-method bug rather than physics.
     """

@@ -179,10 +179,10 @@ def hermitian_eig_stack(ms: Array) -> tuple[Array, Array]:
     return w[:, ::-1].copy(), v[:, :, ::-1].copy()
 
 
-def cluster(values, gap_tol: float = tolerances.GAP_TOL) -> list[tuple[int, int]]:
+def cluster(values) -> list[tuple[int, int]]:
     """Partition descending values into blocks of near-degenerate entries.
 
-    Consecutive values closer than gap_tol share a block; the returned
+    Consecutive values closer than GAP_TOL share a block; the returned
     blocks are half-open index ranges (start, stop).
     """
     vals = np.asarray(values, dtype=float)
@@ -191,7 +191,7 @@ def cluster(values, gap_tol: float = tolerances.GAP_TOL) -> list[tuple[int, int]
     blocks = []
     start = 0
     for i in range(1, vals.size):
-        if vals[i - 1] - vals[i] > gap_tol:
+        if vals[i - 1] - vals[i] > tolerances.GAP_TOL:
             blocks.append((start, i))
             start = i
     blocks.append((start, vals.size))

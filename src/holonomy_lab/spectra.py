@@ -201,7 +201,7 @@ def spectral_decompose(rho) -> DensityOperator:
     r = int(np.count_nonzero(positive))
     if r == 0:
         raise NotAState("zero rank")
-    blocks = linalg.cluster(eig.values[:r], tolerances.GAP_TOL)
+    blocks = linalg.cluster(eig.values[:r])
     p = tuple(float(np.mean(eig.values[lo:hi])) for lo, hi in blocks)
     m = tuple(hi - lo for lo, hi in blocks)
     frames = tuple(eig.frame[:, lo:hi].copy() for lo, hi in blocks)

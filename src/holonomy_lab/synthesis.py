@@ -170,8 +170,8 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
     The amplitude is re-expressed in an eigenbasis of the target, each
     eigenslot is given an optimal pure loop in its own plane, and the drive
     is the state-coherent Hamiltonian of the combined loops, sampled on a
-    uniform grid. Raises OutOfRange for a tau so long that the squared speed
-    of a non-trivial loop underflows the normal floats.
+    uniform grid. Raises OutOfRange for a tau that takes the squared speed
+    of a non-trivial loop out of the normal floats.
     """
     if tuple(target.basis.m) != tuple(rho.m):
         raise DegeneracyMismatch(f"target basis m={target.basis.m}, state has m={rho.m}")
@@ -183,6 +183,8 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
         PureLoopSpec(theta=float(thetas[q]), tau=float(tau), psi=psi, phi=phi)
         for q, (psi, phi) in enumerate(planes)
     )
+    if any(loop.speed > np.sqrt(np.finfo(float).max) for loop in loops):  # a float's square raises past max
+        raise OutOfRange(f"tau = {tau:.3e} overflows the plan's squared loop speeds above {np.finfo(float).max:.3e}")
     if any(loop.theta and loop.speed**2 < np.finfo(float).tiny for loop in loops):
         raise OutOfRange(f"tau = {tau:.3e} underflows the plan's squared loop speeds below {np.finfo(float).tiny:.3e}")
     n = rho.dim
@@ -208,8 +210,8 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
 class SaturationReport:
     """Measured deviations of a synthesized plan from its guarantees.
 
-    bound_gap is the relative gap |1 - (iHB / Delta E) / tau| between the
-    speed-limit time and the run time."""
+    max_h_in = tau max|H_in|_F, dh_deviation = tau max|Delta H - iHB / tau|,
+    bound_gap = |1 - (iHB / Delta E) / tau|: the speed-limit time against tau."""
 
     holonomy_error: float
     length: float
@@ -229,11 +231,11 @@ def verify_saturation(plan: SaturatingPlan) -> SaturationReport:
     Re-integrates the schedule with the generic propagator and checks it
     reproduces the loop trajectory, then lifts the trajectory and asserts:
     the holonomy hits the target, the length equals the bound, the drive
-    stays state-coherent with constant energy uncertainty ihb/tau,
-    tau * Delta E equals the length, and the speed-limit time iHB / Delta E
-    equals tau relative to tau, with Delta E and the bound from
-    dynamics.speed_bound. Raises SaturationFailed naming the first violated
-    assertion, and speed_bound's OutOfRange for a Delta E that underflows.
+    stays state-coherent with constant energy uncertainty ihb/tau (both
+    tested times tau), tau * Delta E equals the length, and the speed-limit
+    time iHB / Delta E equals tau relative to tau, with Delta E and the
+    bound from dynamics.speed_bound. Raises SaturationFailed naming the
+    first violated assertion, and speed_bound's OutOfRange.
     """
     rho_curve = plan.exact_states()
     # one expression, so the re-integrated U and state curves are freed before the lift
@@ -254,14 +256,14 @@ def verify_saturation(plan: SaturatingPlan) -> SaturationReport:
 
     # |H_in|_F = |B o mask|_F since the eigenframes are unitary
     b = loop.path.in_eigenframe(plan.schedule.samples)
-    max_h_in = float(np.sqrt(np.max(linalg.stack_sq_norms(b[:, loop.path.block_mask]))))
+    max_h_in = plan.tau * float(np.sqrt(np.max(linalg.stack_sq_norms(b[:, loop.path.block_mask]))))
     if max_h_in > tolerances.SAT_HIN_TOL:
-        raise SaturationFailed(f"drive has incoherent mass {max_h_in:.3e}")
+        raise SaturationFailed(f"drive has incoherent mass {max_h_in:.3e} (times tau)")
 
     dh = np.sqrt(dynamics.variance_split(b, loop.path)[0])
-    dh_dev = float(np.max(np.abs(dh - ihb / plan.tau)))
+    dh_dev = plan.tau * float(np.max(np.abs(dh - ihb / plan.tau)))
     if dh_dev > tolerances.SAT_DH_TOL:
-        raise SaturationFailed(f"energy uncertainty varies by {dh_dev:.3e} from ihb/tau")
+        raise SaturationFailed(f"energy uncertainty varies by {dh_dev:.3e} from ihb/tau (times tau)")
 
     delta_e, bound = dynamics.speed_bound(dh, rho_curve.grid, ihb)
     energy_gap = abs(plan.tau * delta_e - report.length)

@@ -2,10 +2,10 @@
 
 A threshold here decides whether a check raises or which branch runs; the
 comment says what it guards and "relative" marks one scaled by a norm at
-the point of use. Only seven kernel parameters take a tolerance argument,
+the point of use. Only six kernel parameters take a tolerance argument,
 because callers or tests use more than one value: bundle.gauge_membership,
 bundle.lift_tangents, bundle.path_speeds_sq, linalg.check_hermitian_stack,
-linalg.cluster, linalg.polar_unitary_stack and spectra.validate.
+linalg.polar_unitary_stack and spectra.validate.
 """
 
 # matrices and spectra (linalg, spectra)
@@ -55,6 +55,6 @@ ORTHONORMAL_TOL = 1e-8  # the plane pair of a pure loop is orthonormal
 SAT_INTEGRATION_TOL = 1e-5  # re-integrated schedule against the planned trajectory
 SAT_HOLONOMY_TOL = 1e-6  # realized holonomy against the target
 SAT_LENGTH_TOL = 1e-5  # curve length against the isoholonomic bound
-SAT_HIN_TOL = 1e-9  # incoherent mass of the drive
-SAT_DH_TOL = 1e-6  # energy uncertainty against iHB / tau
+SAT_HIN_TOL = 1e-9  # incoherent mass of the drive, times tau
+SAT_DH_TOL = 1e-6  # energy uncertainty against iHB / tau, times tau
 SAT_ENERGY_TOL = 1e-5  # tau Delta E against the length, and (iHB / Delta E) / tau against 1

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from holonomy_lab import cli, dynamics, serialize
+from holonomy_lab import cli, dynamics, serialize, spectra
 from qutil import precessing_qubit_curve, qubit_axis
 
 TWO_PI = 2.0 * np.pi
@@ -138,6 +138,17 @@ class TestCheck:
         serialize.write_json(path, data)
         assert cli.main(["check", str(path)]) == 1
         assert "sample 3 " in capsys.readouterr().err
+
+    def test_curve_whose_squared_speeds_overflow_exits_one(self, tmp_path, capsys):
+        # the README precession over tau = 1e-160, saved and read back as a plain
+        # curve: its finite-difference speeds square past 1e308
+        rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
+        h = dynamics.qubit_hamiltonian(qubit_axis(0.6), TWO_PI / 1e-160)
+        _, orbit = dynamics.evolve(rho0, dynamics.HamiltonianSchedule.constant(h, 1e-160, 201))
+        assert cli.main(["check", write_curve(tmp_path / "c.json", orbit)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: tau = 1.000e-160 overflows the curve's squared speeds" in captured.err
 
     def test_alpha_flag(self, tmp_path, capsys):
         path = write_curve(tmp_path / "c.json", precessing_qubit_curve(0.6, TWO_PI, 0.7, 801))
@@ -327,6 +338,33 @@ class TestSynthesize:
                          "--n", "201", "--out", str(tmp_path / "plan")]) == 1
         assert "error: tau = 1.000e+300 underflows the plan's squared loop speeds" in capsys.readouterr().err
 
+    def test_tau_that_overflows_the_squared_loop_speeds_exits_one(self, tmp_path, capsys):
+        # the loops of phases 1.6 pi and 0.4 pi over tau = 1e-160 have speeds
+        # of about 1e160, whose squares are past 1e308
+        state = write_state(tmp_path / "s.json", np.diag([0.7, 0.3]).astype(complex))
+        target = {"matrix": serialize.matrix_to_json(
+            np.diag(np.exp(1j * np.array([1.6 * np.pi, 0.4 * np.pi])))), "basis": {"m": [1, 1]}}
+        tpath = tmp_path / "u.json"
+        serialize.write_json(tpath, target)
+        assert cli.main(["synthesize", state, str(tpath), "--tau", "1e-160", "--ambient-dim", "4",
+                         "--out", str(tmp_path / "plan")]) == 1
+        assert "error: tau = 1.000e-160 overflows the plan's squared loop speeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["1e-6", "1e-150"])
+    def test_short_tau_saturates(self, tmp_path, capsys, tau):
+        # |H_in| and |Delta H - iHB / tau| grow as 1/tau; the saturation checks
+        # test them times tau, as they test the speed-limit time relative to tau
+        state = write_state(tmp_path / "s.json", np.diag([0.7, 0.3]).astype(complex))
+        target = {"matrix": serialize.matrix_to_json(
+            np.diag(np.exp(1j * np.array([1.6 * np.pi, 0.4 * np.pi])))), "basis": {"m": [1, 1]}}
+        tpath = tmp_path / "u.json"
+        serialize.write_json(tpath, target)
+        assert cli.main(["synthesize", state, str(tpath), "--tau", tau, "--ambient-dim", "4",
+                         "--out", str(tmp_path / "plan")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert abs(report["L"] - 0.8 * np.pi) <= 1e-5
+        assert report["max_H_in"] <= 1e-9 and report["dH_deviation"] <= 1e-6 and report["bound_gap"] <= 1e-5
+
     def test_long_tau_saturates_the_speed_limit(self, tmp_path, capsys):
         # iHB / Delta E rounds to about 6e-4 off tau = 1e12 in absolute terms;
         # the saturation test compares the two relative to tau
@@ -375,6 +413,21 @@ class TestQubitDemo:
         assert cli.main(["qubit-demo", "--n3", "0.5", "--n", "4"]) == 0
         rows = {row["quantity"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
         assert rows["L"]["abs_err"] <= 1e-12
+
+    def test_energy_uncertainty_that_overflows_exits_one(self, capsys):
+        # at omega = 1e155 the variances square past 1e308; the table had L = inf
+        # and Delta E, bound and margin NaN with exit 0
+        assert cli.main(["qubit-demo", "--n3", "0.5", "--omega", "1e155", "--n", "11"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: tau = 6.283e-155 overflows the energy uncertainty" in captured.err
+
+    @pytest.mark.parametrize("p0", ["0.99999999995", "0.5000000001"])
+    def test_p0_without_two_resolved_blocks_exits_one(self, capsys, p0):
+        # 1 - p0 <= ZERO_TOL leaves rank 1 (an IndexError escaped main); 2 p0 - 1
+        # below GAP_TOL merges the blocks (a table against a one-block holonomy)
+        assert cli.main(["qubit-demo", "--n3", "0.6", "--p0", p0, "--n", "11"]) == 1
+        assert "error: p0 must give rank 2 (1 - p0 > ZERO_TOL) and two blocks" in capsys.readouterr().err
 
     def test_stationary_axis_exits_one(self, capsys):
         assert cli.main(["qubit-demo", "--n3", "1.0"]) == 1

@@ -3,9 +3,10 @@ underscore names, every threshold lives in the tolerance table, numpy's
 decompositions and solves are called only in linalg, the stack kernels
 that trust their input are called only where that input was checked, the
 unitary integrators take their midpoint steps from one builder, only the
-two unitary runs build a UnitaryOrbit, per-sample norms of a stack go
-through one kernel, the exit-2 raise sites are pinned, and numpy is the
-only third-party package the library imports."""
+two unitary runs build a UnitaryOrbit, only bundle tells an orbit from a
+plain curve, per-sample norms of a stack go through one kernel, the exit-2
+raise sites are pinned, and numpy is the only third-party package the
+library imports."""
 
 import ast
 import re
@@ -55,7 +56,6 @@ TOLERANCE_PARAMETERS = {
     ("bundle", "lift_tangents", "tangent_tol"),
     ("bundle", "path_speeds_sq", "tangent_tol"),
     ("linalg", "check_hermitian_stack", "tol"),
-    ("linalg", "cluster", "gap_tol"),
     ("linalg", "polar_unitary_stack", "tol"),
     ("spectra", "validate", "norm_tol"),
 }
@@ -314,6 +314,51 @@ def test_guard_sees_an_orbit_construction(tmp_path):
                      "def route(c):\n    return isinstance(c, UnitaryOrbit)\n\n\n"
                      "planted = UnitaryOrbit(grid=None, propagators=None, start=None)\n", encoding="utf-8")
     assert orbit_constructions(probe) == {"evolve", "Plan.exact_states", "<module>"}
+
+
+# bundle alone tells an orbit from a plain curve: it reads what an orbit
+# carries beyond its samples (its propagators and Hamiltonians) and decides
+# which curves are differentiated, so invariants takes its speeds from
+# bundle.curve_speeds_sq without knowing the route
+CURVE_ROUTE_NAMES = {"UnitaryOrbit", "grid_derivative"}
+
+
+def orbit_tests(path):
+    """Line of every isinstance call in one file whose class argument names
+    UnitaryOrbit."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                  and len(node.args) == 2 and "UnitaryOrbit" in ast.unparse(node.args[1]))
+
+
+def curve_route_reads(path):
+    """(line, name) of every import or attribute read of UnitaryOrbit or
+    grid_derivative in one file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            found.extend((node.lineno, alias.name) for alias in node.names if alias.name in CURVE_ROUTE_NAMES)
+        elif isinstance(node, ast.Attribute) and node.attr in CURVE_ROUTE_NAMES:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_only_bundle_tells_an_orbit_from_a_curve():
+    testers = {path.stem for path in SRC.glob("*.py") if orbit_tests(path)}
+    assert testers == {"bundle"}
+    assert curve_route_reads(SRC / "invariants.py") == []
+
+
+def test_guard_sees_an_orbit_test(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import curves\nfrom .curves import OperatorCurve, UnitaryOrbit, grid_derivative\n\n\n"
+                     "def speeds(c):\n    if isinstance(c, curves.UnitaryOrbit):\n        return c.hamiltonians\n"
+                     "    if isinstance(c, (OperatorCurve, UnitaryOrbit)):\n"
+                     "        return curves.grid_derivative(c.samples, 1.0)\n"
+                     "    return isinstance(c, OperatorCurve), type(c) is UnitaryOrbit\n", encoding="utf-8")
+    assert orbit_tests(probe) == [6, 8]
+    assert curve_route_reads(probe) == [(2, "UnitaryOrbit"), (2, "grid_derivative"), (6, "UnitaryOrbit"),
+                                        (9, "grid_derivative")]
 
 
 # CLI exit 2 says the method has a bug; these are the raise statements of

@@ -149,17 +149,17 @@ class TestHermitianEig:
 
 class TestCluster:
     def test_exact_tie(self):
-        assert linalg.cluster([0.5, 0.25, 0.25], 1e-8) == [(0, 1), (1, 3)]
+        assert linalg.cluster([0.5, 0.25, 0.25]) == [(0, 1), (1, 3)]
 
     def test_sub_tolerance_tie(self):
-        assert linalg.cluster([0.5, 0.5 - 1e-12, 1e-3], 1e-9) == [(0, 2), (2, 3)]
+        assert linalg.cluster([0.5, 0.5 - 1e-12, 1e-3]) == [(0, 2), (2, 3)]
 
     def test_multiplicities(self):
-        blocks = linalg.cluster([0.4, 0.3, 0.3], 1e-8)
+        blocks = linalg.cluster([0.4, 0.3, 0.3])
         assert [hi - lo for lo, hi in blocks] == [1, 2]
 
     def test_empty(self):
-        assert linalg.cluster([], 1e-9) == []
+        assert linalg.cluster([]) == []
 
 
 class TestPolarUnitary:

@@ -152,7 +152,7 @@ class TestLength:
         def refuse(samples, dt):
             raise AssertionError("finite differences taken")
 
-        monkeypatch.setattr(invariants, "grid_derivative", refuse)
+        monkeypatch.setattr(bundle, "grid_derivative", refuse)
         invariants.check_isoholonomic(orbit, w0)
         with pytest.raises(AssertionError, match="finite differences taken"):
             invariants.check_isoholonomic(plain_curve(orbit), w0)
