@@ -42,7 +42,7 @@ from .invariants import (
     pure_ihb,
     wilson_loop,
 )
-from .linalg import EigResult, cluster, hermitian_eig, pinv, polar_unitary, propagator_step
+from .linalg import cluster, hermitian_eig, pinv, polar_unitary, propagator_step
 from .spectra import (
     DensityOperator,
     EigenprojectorBasis,

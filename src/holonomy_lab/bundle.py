@@ -112,13 +112,9 @@ def project(amp: Amplitude) -> DensityOperator:
     return spectral_decompose(amp.w @ amp.w.conj().T)
 
 
-def canonical_amplitude(rho: DensityOperator, basis: EigenprojectorBasis | None = None) -> Amplitude:
+def canonical_amplitude(rho: DensityOperator) -> Amplitude:
     """Amplitude whose block-j columns are sqrt(p_j) times the eigenframe."""
-    basis = basis if basis is not None else rho.basis
-    if tuple(basis.m) != tuple(rho.m):
-        raise DegeneracyMismatch(f"basis m={basis.m} but state has m={rho.m}")
-    cols = [np.sqrt(pj) * f for pj, f in zip(rho.p, rho.frames)]
-    return Amplitude(w=np.concatenate(cols, axis=1), basis=basis)
+    return Amplitude(w=rho.support_frame * np.sqrt(np.repeat(rho.p, rho.m)), basis=rho.basis)
 
 
 def metric_G(wdot1: Array, wdot2: Array) -> float:
@@ -175,8 +171,8 @@ def lift_tangents(spath: "SpectralPath", tangents: Array, tangent_tol: float) ->
     the block means (zero on the kernel) and pdot_i the mean of Re T_jj
     over the support block of i. The (N, n, r) lift is T_ic sqrt(lambda_c)
     / (lambda_c - lambda_i) off the block mask, pdot_i / (2 sqrt(lambda_i))
-    on the support diagonal and zero elsewhere. Raises NotTangent when the
-    residual of its reprojection exceeds tangent_tol (relative). Its squared
+    on the support diagonal and zero elsewhere. Raises NotTangent unless the
+    residual of its reprojection is within tangent_tol (relative). Its squared
     norm sums (lambda_i^2 + lambda_j^2) / (lambda_j - lambda_i)^2
     |T_ij - conj(T_ji)|^2 over the off-mask pairs i < j, |T_ij|^2 over the
     off-diagonal entries of the mask and |T_ii - pdot_i|^2 on the diagonal
@@ -191,9 +187,10 @@ def lift_tangents(spath: "SpectralPath", tangents: Array, tangent_tol: float) ->
     off = (tangents[:, i, j] - np.conj(tangents[:, j, i])) * (np.hypot(lam[:, i], lam[:, j]) / (lam[:, j] - lam[:, i]))
     res = np.sqrt(linalg.stack_sq_norms(off) + linalg.stack_sq_norms(tangents[:, same & (diag[:, None] != diag)])
                   + linalg.stack_sq_norms(centred))
-    scale = np.maximum(1.0, np.sqrt(linalg.stack_sq_norms(tangents)))
-    worst = int(np.argmax(res / scale))
-    if res[worst] > tangent_tol * scale[worst]:
+    with np.errstate(invalid="ignore"):  # inf / inf where a squared norm overflows
+        ratio = res / np.maximum(1.0, np.sqrt(linalg.stack_sq_norms(tangents)))
+    worst = int(np.argmax(ratio))  # the first NaN, if any
+    if not ratio[worst] <= tangent_tol:
         raise NotTangent(f"sample {worst}: lift residual {res[worst]:.3e} exceeds tolerance")
     gap = lam[:, None, :r] - lam[:, :, None]
     gap[:, same[:, :r]] = np.inf
@@ -221,11 +218,15 @@ def state_speeds_sq(b: Array, spath: "SpectralPath") -> Array:
 def curve_speeds_sq(curve: OperatorCurve, spath: "SpectralPath") -> Array:
     """Squared metric speeds along a curve decomposed as spath: the exact lifts of
     -i[H, rho] for a UnitaryOrbit (state_speeds_sq), of finite-difference tangents
-    at LENGTH_TANGENT_TOL otherwise. Raises OutOfRange when a squared speed overflows."""
+    at LENGTH_TANGENT_TOL otherwise. Raises OutOfRange when a squared speed, or
+    the squared norm of a finite-difference tangent, overflows."""
     if isinstance(curve, UnitaryOrbit):
         sq = state_speeds_sq(spath.in_eigenframe(curve.hamiltonians), spath)
     else:
-        sq = path_speeds_sq(spath, grid_derivative(curve.samples, curve.grid.dt), tolerances.LENGTH_TANGENT_TOL)
+        rdots = grid_derivative(curve.samples, curve.grid.dt)
+        sq = linalg.stack_sq_norms(rdots)  # finite, or lift_tangents cannot test the tangents
+        if np.all(np.isfinite(sq)):
+            sq = path_speeds_sq(spath, rdots, tolerances.LENGTH_TANGENT_TOL)
     if not np.all(np.isfinite(sq)):
         raise OutOfRange(f"tau = {curve.grid.tau:.3e} overflows the curve's squared speeds")
     return sq

@@ -34,7 +34,6 @@ product of numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,15 +101,6 @@ def stack_sq_norms(x: Array) -> Array:
     return np.einsum("ki,ki->k", flat, flat)
 
 
-@dataclass(frozen=True, eq=False)
-class EigResult:
-    """Spectral decomposition: descending real eigenvalues and an
-    orthonormal frame whose column j pairs with value j."""
-
-    values: Array
-    frame: Array
-
-
 def as_hermitian(m) -> Array:
     """Coerce input to a finite complex128 matrix, square and Hermitian at HERM_TOL."""
     m = as_cmat(m)
@@ -120,14 +110,15 @@ def as_hermitian(m) -> Array:
     return m
 
 
-def hermitian_eig(m: Array) -> EigResult:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+def hermitian_eig(m: Array) -> tuple[Array, Array]:
+    """Eigendecomposition (values, frame) of a Hermitian matrix: values
+    descending, column j of the orthonormal frame paired with values[j].
 
     Raises NonHermitian if the symmetry check fails and NoConvergence if
     the underlying iteration stalls.
     """
     vals, frames = hermitian_eig_stack(as_hermitian(m)[None])
-    return EigResult(values=vals[0], frame=frames[0])
+    return vals[0], frames[0]
 
 
 def unitary_eig(u: Array) -> tuple[Array, Array]:

@@ -140,15 +140,16 @@ class DensityOperator:
     """A density matrix together with its cached spectral data.
 
     p holds the distinct positive eigenvalues (block means, descending), m
-    their multiplicities, frames the per-block orthonormal eigenvector
-    matrices, and kernel an orthonormal basis of the zero eigenspace.
+    their multiplicities, and full_frame the n x n unitary eigenframe of the
+    matrix as eigh returned it: the support eigenvectors block by block, then
+    an orthonormal basis of the zero eigenspace. frames, support_frame and
+    kernel are column views of full_frame.
     """
 
     matrix: Array
     p: tuple[float, ...]
     m: tuple[int, ...]
-    frames: tuple[Array, ...]
-    kernel: Array
+    full_frame: Array
 
     @property
     def dim(self) -> int:
@@ -163,16 +164,17 @@ class DensityOperator:
         return EigenprojectorBasis(self.m)
 
     @property
-    def support_frame(self) -> Array:
-        """All support eigenvectors, block by block, as an n x r matrix."""
-        return np.concatenate(self.frames, axis=1)
+    def frames(self) -> tuple[Array, ...]:
+        return tuple(self.full_frame[:, lo:hi] for lo, hi in self.basis.blocks)
 
     @property
-    def full_frame(self) -> Array:
-        """Support eigenvectors followed by kernel vectors; an n x n unitary."""
-        if self.kernel.shape[1] == 0:
-            return self.support_frame
-        return np.concatenate([self.support_frame, self.kernel], axis=1)
+    def support_frame(self) -> Array:
+        """All support eigenvectors, block by block, as an n x r matrix."""
+        return self.full_frame[:, : self.rank]
+
+    @property
+    def kernel(self) -> Array:
+        return self.full_frame[:, self.rank :]
 
     def projector(self, j: int) -> Array:
         """Orthogonal projector onto the eigenspace of p_j (0-based)."""
@@ -185,28 +187,27 @@ def spectral_decompose(rho) -> DensityOperator:
 
     Eigenvalues within GAP_TOL of each other are merged into one block;
     eigenvalues at or below ZERO_TOL are treated as the excluded zero
-    eigenvalue. Raises NotAState if the Hermitian/PSD/unit-trace checks fail.
+    eigenvalue. The state keeps hermitian_eig's whole frame, its one eigendecomposition.
+    Raises NotAState if the Hermitian/PSD/unit-trace checks fail.
     """
     rho = linalg.as_cmat(rho)
     try:
-        eig = linalg.hermitian_eig(rho)
+        values, frame = linalg.hermitian_eig(rho)
     except NonHermitian as exc:
         raise NotAState(f"not Hermitian within tolerance: {exc}") from exc
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > tolerances.STATE_TOL:
         raise NotAState(f"trace {tr!r} != 1")
-    if eig.values[-1] < -tolerances.STATE_TOL:
-        raise NotAState(f"negative eigenvalue {eig.values[-1]:.3e}")
-    positive = eig.values > tolerances.ZERO_TOL
+    if values[-1] < -tolerances.STATE_TOL:
+        raise NotAState(f"negative eigenvalue {values[-1]:.3e}")
+    positive = values > tolerances.ZERO_TOL
     r = int(np.count_nonzero(positive))
     if r == 0:
         raise NotAState("zero rank")
-    blocks = linalg.cluster(eig.values[:r])
-    p = tuple(float(np.mean(eig.values[lo:hi])) for lo, hi in blocks)
+    blocks = linalg.cluster(values[:r])
+    p = tuple(float(np.mean(values[lo:hi])) for lo, hi in blocks)
     m = tuple(hi - lo for lo, hi in blocks)
-    frames = tuple(eig.frame[:, lo:hi].copy() for lo, hi in blocks)
-    kernel = eig.frame[:, r:].copy()
-    return DensityOperator(matrix=rho, p=p, m=m, frames=frames, kernel=kernel)
+    return DensityOperator(matrix=rho, p=p, m=m, full_frame=frame)
 
 
 def assemble(p, m, frames) -> Array:

@@ -103,19 +103,13 @@ def optimal_pure_loop(spec: PureLoopSpec, n_samples: int = 201) -> tuple[Array, 
     return gen, path
 
 
-def complement_frame(support: Array, dim: int) -> Array:
-    """(dim, dim - r) orthonormal frame of the complement of an orthonormal
-    (dim, r) support frame S: the eigenvalue-1 block of I - S S^dag."""
-    projector = np.eye(dim) - support @ support.conj().T
-    return linalg.hermitian_eig(projector).frame[:, : dim - support.shape[1]]
-
-
 def choose_planes(rho: DensityOperator, w: bundle.Amplitude, ambient_dim: int) -> list[tuple[Array, Array]]:
     """Mutually orthogonal planes, one per auxiliary slot.
 
     Plane q is spanned by the slot vector psi_q = W|q> / sqrt(p) and column q
-    of complement_frame, in the kernel of rho. Raises DimensionTooSmall unless
-    ambient_dim is rho's dimension and at least twice its rank.
+    of rho's kernel; w must be a lift start over rho, which synthesize checks.
+    Raises DimensionTooSmall unless ambient_dim is rho's dimension and at
+    least twice its rank.
     """
     if ambient_dim != rho.dim:
         raise DimensionTooSmall(f"state lives in dim {rho.dim}, ambient_dim says {ambient_dim}")
@@ -123,15 +117,14 @@ def choose_planes(rho: DensityOperator, w: bundle.Amplitude, ambient_dim: int) -
     if ambient_dim < 2 * r:
         raise DimensionTooSmall(f"need ambient dim >= {2 * r} to fit {r} planes, got {ambient_dim}")
     support = w.w / np.sqrt(np.repeat(w.block_values, w.basis.m))
-    partners = complement_frame(support, ambient_dim)
-    return [(support[:, q], partners[:, q]) for q in range(r)]
+    return [(support[:, q], rho.kernel[:, q]) for q in range(r)]
 
 
 def _flow(generator: Array, ts: Array) -> tuple[Array, Array]:
     """Eigenframe V (n, n) of the generator and the phases r (N, n), with
     r[k] = exp(-i t_k lambda), so that exp(-i t_k generator) = V diag(r[k]) V^dag."""
-    eig = linalg.hermitian_eig(generator)
-    return eig.frame, np.exp(-1j * ts[:, None] * eig.values[None, :])
+    values, frame = linalg.hermitian_eig(generator)
+    return frame, np.exp(-1j * ts[:, None] * values[None, :])
 
 
 @dataclass(frozen=True, eq=False)

@@ -69,11 +69,6 @@ class TestAmplitudeAndProjection:
         assert w.w.shape == (4, 3)
         assert np.allclose(w.w.conj().T @ w.w, np.diag([0.5, 0.25, 0.25]), atol=1e-9)
 
-    def test_degeneracy_mismatch(self):
-        rho = mixed_qubit_state()
-        with pytest.raises(DegeneracyMismatch):
-            bundle.canonical_amplitude(rho, spectra.EigenprojectorBasis(m=(2,)))
-
     def test_amplitude_invariant_enforced(self, rng):
         # a non-block-scalar Gram matrix is rejected
         w = rand_unitary(rng, 3)[:, :2] @ np.diag([1.0, 0.5])

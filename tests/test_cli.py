@@ -150,6 +150,18 @@ class TestCheck:
         assert captured.out == ""
         assert "error: tau = 1.000e-160 overflows the curve's squared speeds" in captured.err
 
+    @pytest.mark.parametrize("n", [21, 2001])
+    def test_curve_whose_tangent_norms_overflow_exits_one(self, tmp_path, capsys, n):
+        # at tau = 1e-200 the finite-difference tangents' own squared norms are
+        # past 1e308, so the lift's relative tangent test would read inf / inf
+        rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
+        h = dynamics.qubit_hamiltonian(qubit_axis(0.6), TWO_PI / 1e-200)
+        _, orbit = dynamics.evolve(rho0, dynamics.HamiltonianSchedule.constant(h, 1e-200, n))
+        assert cli.main(["check", write_curve(tmp_path / "c.json", orbit)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: tau = 1.000e-200 overflows the curve's squared speeds" in captured.err
+
     def test_alpha_flag(self, tmp_path, capsys):
         path = write_curve(tmp_path / "c.json", precessing_qubit_curve(0.6, TWO_PI, 0.7, 801))
         assert cli.main(["check", path, "--alpha", "0.5,0.1"]) == 0

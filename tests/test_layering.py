@@ -1,7 +1,8 @@
 """Layering guards: no module of the library reads another module's
 underscore names, every threshold lives in the tolerance table, numpy's
 decompositions and solves are called only in linalg, the stack kernels
-that trust their input are called only where that input was checked, the
+that trust their input are called only where that input was checked,
+hermitian_eig is called only by spectral_decompose and a plan's flow, the
 unitary integrators take their midpoint steps from one builder, only the
 two unitary runs build a UnitaryOrbit, only bundle tells an orbit from a
 plain curve, per-sample norms of a stack go through one kernel, the exit-2
@@ -203,6 +204,43 @@ def test_guard_sees_a_trusting_kernel(tmp_path):
                      "def planted(hs):\n    f = propagator_step_stack\n    return f(hs, 0.1)\n", encoding="utf-8")
     assert trusting_kernel_uses(probe) == {("<module>", "propagator_step_stack"), ("evolve", "hermitian_eig_stack"),
                                            ("planted", "propagator_step_stack")}
+
+
+# a state is eigendecomposed once, by spectral_decompose, and a plan's
+# generator once, by _flow; every other eigenframe is read from those
+EIG_CALLERS = {("spectra", "spectral_decompose"), ("synthesis", "_flow")}
+
+
+def hermitian_eig_calls(path):
+    """Enclosing function of every call of hermitian_eig in one file;
+    module-level calls count under "<module>"."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and "hermitian_eig" in (getattr(node.func, "id", None),
+                                                               getattr(node.func, "attr", None)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_hermitian_eig_only_where_pinned():
+    callers = {(path.stem, where) for path in SRC.glob("*.py") for where in hermitian_eig_calls(path)}
+    assert callers == EIG_CALLERS
+
+
+def test_guard_sees_a_hermitian_eig_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import linalg\nfrom .linalg import hermitian_eig, hermitian_eig_stack\n\n\n"
+                     "def complement(s):\n    return linalg.hermitian_eig(s @ s.T)[1]\n\n\n"
+                     "def stack(ms):\n    return hermitian_eig_stack(ms)\n\n\n"
+                     "values, frame = hermitian_eig(m)\n", encoding="utf-8")
+    assert hermitian_eig_calls(probe) == {"complement", "<module>"}
 
 
 def midpoint_sums(path):

@@ -116,20 +116,20 @@ class TestMatmulStack:
 
 class TestHermitianEig:
     def test_identity(self):
-        eig = linalg.hermitian_eig(np.eye(2, dtype=complex))
-        assert np.allclose(eig.values, [1.0, 1.0])
-        assert np.allclose(eig.frame.conj().T @ eig.frame, np.eye(2), atol=1e-14)
+        values, frame = linalg.hermitian_eig(np.eye(2, dtype=complex))
+        assert np.allclose(values, [1.0, 1.0])
+        assert np.allclose(frame.conj().T @ frame, np.eye(2), atol=1e-14)
 
     def test_already_diagonal(self):
-        eig = linalg.hermitian_eig(SIGMA3)
-        assert np.allclose(eig.values, [1.0, -1.0])
-        assert np.allclose(np.abs(eig.frame), np.eye(2), atol=1e-14)
+        values, frame = linalg.hermitian_eig(SIGMA3)
+        assert np.allclose(values, [1.0, -1.0])
+        assert np.allclose(np.abs(frame), np.eye(2), atol=1e-14)
 
     def test_qubit_closed_form(self):
         # eigenvalues of (omega/2) n.sigma are +-(omega/2)|n|
         omega = 2.0
-        eig = linalg.hermitian_eig(0.5 * omega * SIGMA3)
-        assert np.allclose(eig.values, [1.0, -1.0])
+        values, _ = linalg.hermitian_eig(0.5 * omega * SIGMA3)
+        assert np.allclose(values, [1.0, -1.0])
 
     def test_rejects_non_hermitian(self):
         # one matrix: no sample index, and the tolerance is stated
@@ -141,10 +141,10 @@ class TestHermitianEig:
             n = int(rng.integers(2, 9))
             z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             m = 0.5 * (z + z.conj().T)
-            eig = linalg.hermitian_eig(m)
-            rebuilt = (eig.frame * eig.values) @ eig.frame.conj().T
+            values, frame = linalg.hermitian_eig(m)
+            rebuilt = (frame * values) @ frame.conj().T
             assert np.linalg.norm(m - rebuilt) <= 1e-10
-            assert np.all(np.diff(eig.values) <= 1e-12)
+            assert np.all(np.diff(values) <= 1e-12)
 
 
 class TestCluster:

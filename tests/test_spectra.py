@@ -112,6 +112,16 @@ class TestSpectralDecompose:
         full = rho.full_frame
         assert np.linalg.norm(full.conj().T @ full - np.eye(4)) <= 1e-12
 
+    def test_frames_are_views_of_the_full_frame(self, rng):
+        # one eigendecomposition per state: the per-block frames, the support
+        # and the kernel are columns of eigh's frame, not copies of it
+        u = rand_unitary(rng, 5)
+        rho = spectra.spectral_decompose(u @ np.diag([0.5, 0.25, 0.25, 0.0, 0.0]).astype(complex) @ u.conj().T)
+        views = (*rho.frames, rho.support_frame, rho.kernel)
+        assert [v.shape for v in views] == [(5, 1), (5, 2), (5, 3), (5, 2)]
+        assert all(np.shares_memory(v, rho.full_frame) for v in views)
+        assert np.array_equal(np.concatenate(views[:2] + views[3:], axis=1), rho.full_frame)
+
 
 class TestCheckBound:
     def test_satisfied(self):

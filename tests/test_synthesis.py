@@ -83,6 +83,16 @@ class TestChoosePlanes:
             for j in range(i + 1, 4):
                 assert abs(np.vdot(vecs[i], vecs[j])) <= 1e-12
 
+    def test_partners_are_kernel_columns(self, rng):
+        # dim 5, rank 2: plane q pairs slot q with column q of rho's kernel
+        rho = rand_state(rng, (0.6, 0.4), (1, 1), 5)
+        plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis),
+                                    tau=1.0, ambient_dim=5, n_samples=101)
+        assert len(plan.loops) == 2
+        for q, loop in enumerate(plan.loops):
+            assert np.array_equal(loop.phi, rho.kernel[:, q])
+            assert abs(np.vdot(loop.psi, loop.phi)) <= 1e-14
+
     def test_dim_too_small(self, rng):
         rho = rand_state(rng, (0.7, 0.3), (1, 1), 3)
         w = bundle.canonical_amplitude(rho)
@@ -125,6 +135,21 @@ class TestSynthesize:
         assert report.length_error <= 1e-5
         assert report.max_h_in <= 1e-9
         assert report.bound_gap <= 1e-5
+
+    def test_one_eigendecomposition_per_plan(self, rng, monkeypatch):
+        # the generator's eigh is the plan's one: the partners come from rho
+        rho = rand_state(rng, (0.5, 0.25), (1, 2), 6)
+        matrices = []
+        hermitian_eig = linalg.hermitian_eig
+
+        def spy(m):
+            matrices.append(np.shape(m))
+            return hermitian_eig(m)
+
+        monkeypatch.setattr(linalg, "hermitian_eig", spy)
+        synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis), tau=1.0,
+                             ambient_dim=6, n_samples=101)
+        assert matrices == [(6, 6)]
 
     def test_roomier_ambient_space(self, rng):
         # more kernel directions than planes need; spare ones stay idle
