@@ -237,12 +237,16 @@ def metric_g(rho: DensityOperator, rdot1: Array, rdot2: Array) -> float:
 
     The value is independent of the choice of amplitude over rho. Raises
     NotTangent if either argument fails to be tangent to the fixed-degeneracy
-    stratum at rho within TANGENT_TOL.
+    stratum at rho within TANGENT_TOL, and OutOfRange when the value overflows.
     """
     spath = SpectralPath.of_state(rho)
     w1, w2 = (lift_tangents(spath, spath.in_eigenframe(linalg.as_cmat(rdot)[None, :, :]), tolerances.TANGENT_TOL)[0]
               for rdot in (rdot1, rdot2))
-    return float(np.real(np.sum(w1.conj() * w2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range is inf, or NaN in a sum
+        g = float(np.real(np.sum(w1.conj() * w2)))
+    if not np.isfinite(g):
+        raise OutOfRange(f"the metric of the lifted tangents overflows to {g}")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +361,9 @@ def _transport_frames(spath: SpectralPath, frames0: Array) -> Array:
     return out
 
 
-def check_lift_start(w0: Amplitude, m: tuple[int, ...], rho0: Array) -> None:
-    """Check w0 as a lift start over a state rho0 with multiplicities m:
+def check_lift_start(w0: Amplitude, m: tuple[int, ...], rho0: Array) -> Array:
+    """Unit support frames W0 q_j^{-1/2} of w0, q_j its block values, once w0
+    is checked as a lift start over a state rho0 with multiplicities m:
     DegeneracyMismatch for another m or another dimension, EndpointMismatch
     off rho0."""
     if w0.basis.m != tuple(m):
@@ -368,12 +373,7 @@ def check_lift_start(w0: Amplitude, m: tuple[int, ...], rho0: Array) -> None:
     defect = linalg.frob(w0.w @ w0.w.conj().T - rho0)
     if defect > tolerances.PROJECTION_TOL:
         raise EndpointMismatch(f"W0 projects {defect:.3e} away from the initial state")
-
-
-def initial_frames(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
-    """Support frames W0 p_j^{-1/2} of a lift start checked by check_lift_start."""
-    check_lift_start(w0, spath.m, rho_curve.samples[0])
-    return w0.w / np.sqrt(spath.values[0, : spath.rank])
+    return w0.w / np.sqrt(np.repeat(w0.block_values, m))
 
 
 def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
@@ -383,7 +383,7 @@ def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
     overlaps are Hermitian positive (the discrete horizontality condition).
     """
     spath = decompose_path(rho_curve)
-    frames_t = _transport_frames(spath, initial_frames(rho_curve, spath, w0))
+    frames_t = _transport_frames(spath, check_lift_start(w0, spath.m, rho_curve.samples[0]))
     # amplitude samples: sqrt(p_{j;t}) on block j applied to the frames
     samples = frames_t * np.sqrt(spath.values[:, None, : spath.rank])
     samples[0] = w0.w
@@ -393,7 +393,7 @@ def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
 def lift_endpoint(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
     """W_tau = horizontal_lift(rho_curve, w0).samples[-1], from the step products alone."""
     frame = np.empty((spath.frames.shape[1], spath.rank), dtype=np.complex128)
-    for lo, hi, head, steps in _transport_steps(spath, initial_frames(rho_curve, spath, w0)):
+    for lo, hi, head, steps in _transport_steps(spath, check_lift_start(w0, spath.m, rho_curve.samples[0])):
         frame[:, lo:hi] = spath.frames[-1, :, lo:hi] @ linalg.total_product(steps, head)
     return frame * np.sqrt(spath.values[-1, : spath.rank])
 
@@ -402,7 +402,7 @@ def transported_frame(rho_curve: OperatorCurve, frames0) -> Array:
     """Parallel-transport initial eigenframes along the curve.
 
     frames0 may be an (n, r) matrix or a sequence of per-block matrices;
-    frames0 sqrt(p_0) must be a lift start (see initial_frames): orthonormal
+    frames0 sqrt(p_0) must be a lift start (see check_lift_start): orthonormal
     frames (else DegeneracyMismatch) of the initial sample's eigenspaces
     (else EndpointMismatch). Returns an (N, n, r) array of transported frames.
     """
@@ -413,7 +413,7 @@ def transported_frame(rho_curve: OperatorCurve, frames0) -> Array:
     if frames0.shape != shape:
         raise DegeneracyMismatch(f"frames have shape {frames0.shape}, expected {shape}")
     w0 = Amplitude(w=frames0 * np.sqrt(spath.values[0, : spath.rank]), basis=EigenprojectorBasis(spath.m))
-    return _transport_frames(spath, initial_frames(rho_curve, spath, w0))
+    return _transport_frames(spath, check_lift_start(w0, spath.m, rho_curve.samples[0]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -216,7 +216,7 @@ def horizontal_lift_unitary(rho_curve: OperatorCurve, sched: HamiltonianSchedule
     """
     _check_run(rho_curve, sched)
     spath = bundle.decompose_path(rho_curve)
-    bundle.initial_frames(rho_curve, spath, w0)
+    bundle.check_lift_start(w0, spath.m, rho_curve.samples[0])
     h_co = sched.samples - incoherent_part_path(sched.samples, spath)
     return OperatorCurve(grid=sched.grid, samples=linalg.ordered_products(_steps(h_co, sched.grid.dt), w0.w))
 

@@ -8,7 +8,7 @@ are plain complex ndarrays.
 
 Every product of two stacks, or of a stack and one matrix, goes through
 matmul_stack. numpy's batched matmul makes one BLAS call per matrix, so a
-stack times one fixed matrix is folded into a single GEMM over the stack's
+stack times one fixed matrix on its right is one GEMM over the stack's
 rows, and two stacks whose product block has at most 9 entries are
 multiplied entry by entry, each entry a j-ordered sum of products of
 (N,)-vectors (batched matmul spends about 0.3 us per matrix on such blocks
@@ -66,10 +66,9 @@ _SMALL_BLOCK = 3
 
 def matmul_stack(a: Array, b: Array) -> Array:
     """a @ b for stacks of matrices (ndim >= 2, batch axes broadcast), with
-    matmul's shape and dtype. A stack times one matrix is one GEMM: with the
-    matrix on the right, the stack's rows times it, a.reshape(-1, k) @ b;
-    on the left, the same with both factors transposed, returned as a
-    swapped-axes view. Two stacks whose (n, m) product has n m <=
+    matmul's shape and dtype. A stack times one matrix on its right is one
+    GEMM, the stack's rows times it, a.reshape(-1, k) @ b; a matrix on the
+    left is taken as a stack. Two stacks whose (n, m) product has n m <=
     _SMALL_BLOCK**2 entries take each entry as a sum over the batch,
     out[..., i, l] = sum_j a[..., i, j] b[..., j, l] in j order: n m k
     products of (N,)-vectors, where batched matmul pays a fixed cost per matrix."""
@@ -78,8 +77,6 @@ def matmul_stack(a: Array, b: Array) -> Array:
     m = b.shape[-1]
     if k == b.shape[-2] and b.ndim == 2:
         return (a.reshape(math.prod(a.shape[:-1]), k) @ b).reshape(a.shape[:-1] + (m,))
-    if k == b.shape[-2] and a.ndim == 2:
-        return np.swapaxes(matmul_stack(np.swapaxes(b, -1, -2), a.T), -1, -2)
     if not 0 < k == b.shape[-2] or n * m > _SMALL_BLOCK**2:
         return a @ b
     out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (n, m), np.result_type(a, b))

@@ -3,8 +3,9 @@
 Builds, for any target gauge unitary, a closed isospectral state curve
 whose length equals the isoholonomic bound: each holonomy eigenslot is
 driven around an optimal constant-speed loop inside its own two-dimensional
-subspace, and the drives combine into a single state-coherent Hamiltonian
-schedule. Requires the ambient dimension to be at least twice the rank.
+subspace, and the schedule carries the state-coherent part of the summed
+loop generator (dynamics.split_hamiltonian) along that generator's flow.
+Requires the ambient dimension to be at least twice the rank.
 """
 
 from __future__ import annotations
@@ -106,17 +107,17 @@ def optimal_pure_loop(spec: PureLoopSpec, n_samples: int = 201) -> tuple[Array, 
 def choose_planes(rho: DensityOperator, w: bundle.Amplitude, ambient_dim: int) -> list[tuple[Array, Array]]:
     """Mutually orthogonal planes, one per auxiliary slot.
 
-    Plane q is spanned by the slot vector psi_q = W|q> / sqrt(p) and column q
-    of rho's kernel; w must be a lift start over rho, which synthesize checks.
+    Plane q is spanned by the slot vector psi_q, column q of the unit support
+    frames check_lift_start returns for w, and column q of rho's kernel.
     Raises DimensionTooSmall unless ambient_dim is rho's dimension and at
-    least twice its rank.
+    least twice its rank, then check_lift_start's errors.
     """
     if ambient_dim != rho.dim:
         raise DimensionTooSmall(f"state lives in dim {rho.dim}, ambient_dim says {ambient_dim}")
     r = rho.rank
     if ambient_dim < 2 * r:
         raise DimensionTooSmall(f"need ambient dim >= {2 * r} to fit {r} planes, got {ambient_dim}")
-    support = w.w / np.sqrt(np.repeat(w.block_values, w.basis.m))
+    support = bundle.check_lift_start(w, rho.m, rho.matrix)
     return [(support[:, q], rho.kernel[:, q]) for q in range(r)]
 
 
@@ -162,9 +163,9 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
 
     The amplitude is re-expressed in an eigenbasis of the target, each
     eigenslot is given an optimal pure loop in its own plane, and the drive
-    is the state-coherent Hamiltonian of the combined loops, sampled on a
-    uniform grid. Raises OutOfRange for a tau that takes the squared speed
-    of a non-trivial loop out of the normal floats.
+    is the coherent part at rho (split_hamiltonian) of the summed loop
+    generator, carried along its flow. Raises OutOfRange for a tau that
+    takes the squared speed of a non-trivial loop out of the normal floats.
     """
     if tuple(target.basis.m) != tuple(rho.m):
         raise DegeneracyMismatch(f"target basis m={target.basis.m}, state has m={rho.m}")
@@ -180,19 +181,13 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
         raise OutOfRange(f"tau = {tau:.3e} overflows the plan's squared loop speeds above {np.finfo(float).max:.3e}")
     if any(loop.theta and loop.speed**2 < np.finfo(float).tiny for loop in loops):
         raise OutOfRange(f"tau = {tau:.3e} underflows the plan's squared loop speeds below {np.finfo(float).tiny:.3e}")
-    n = rho.dim
-    generator = np.zeros((n, n), dtype=np.complex128)
-    coherent0 = np.zeros((n, n), dtype=np.complex128)
-    for loop in loops:
-        gen, _ = optimal_pure_loop(loop, n_samples=2)
-        generator += gen
-        coupling = loop.speed * np.outer(loop.psi, loop.phi.conj())
-        coherent0 += coupling + coupling.conj().T
-    # conjugate the t=0 coherent part along the flow of the generator, in its
-    # eigenbasis: P_k C0 P_k^dag = V ((V^dag C0 V) o r_k r_k^*) V^dag
+    generator = sum(optimal_pure_loop(loop, n_samples=2)[0] for loop in loops)
+    coherent0 = dynamics.split_hamiltonian(generator, rho)[1]
+    # conjugate the t=0 coherent part along the generator's flow in its eigenbasis, P_k C0 P_k^dag
+    # = V ((V^dag C0 V) o r_k r_k^*) V^dag, with V X as (X^T V^T)^T: a fixed right factor for both GEMMs
     v, rot = _flow(generator, np.linspace(0.0, tau, n_samples))
     phased = (v.conj().T @ coherent0 @ v) * (rot[:, :, None] * rot[:, None, :].conj())
-    hs = linalg.matmul_stack(v, linalg.matmul_stack(phased, v.conj().T))
+    hs = np.swapaxes(linalg.matmul_stack(np.swapaxes(linalg.matmul_stack(phased, v.conj().T), -1, -2), v.T), -1, -2)
     hs = 0.5 * (hs + np.conj(np.swapaxes(hs, -1, -2)))
     schedule = dynamics.HamiltonianSchedule(grid=TimeGrid(tau=float(tau), n=n_samples), samples=hs)
     return SaturatingPlan(rho=rho, w=w, target=target, tau=float(tau), loops=loops,

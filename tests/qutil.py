@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from holonomy_lab import bundle, linalg, spectra
+from holonomy_lab import bundle, linalg, spectra, synthesis
 from holonomy_lab.curves import OperatorCurve, TimeGrid, grid_derivative
 from holonomy_lab.dynamics import SIGMA1, SIGMA2, SIGMA3
 from holonomy_lab.errors import NotTangent
@@ -40,6 +40,13 @@ def rand_gauge(rng, basis: spectra.EigenprojectorBasis) -> bundle.GaugeElement:
     for lo, hi in basis.blocks:
         u[lo:hi, lo:hi] = rand_unitary(rng, hi - lo)
     return bundle.GaugeElement(u=u, basis=basis)
+
+
+def saturating_plan():
+    """The plan for diag(e^{1.6 pi i}, e^{0.4 pi i}) at diag(0.7, 0.3) in dim 4."""
+    rho = synthesis.embedded_state(np.diag([0.7, 0.3]).astype(complex), 4)
+    target = bundle.GaugeElement(u=np.diag(np.exp(1j * np.array([1.6 * np.pi, 0.4 * np.pi]))), basis=rho.basis)
+    return synthesis.synthesize(rho, bundle.canonical_amplitude(rho), target, tau=1.0, ambient_dim=4)
 
 
 def qubit_axis(n3: float) -> np.ndarray:

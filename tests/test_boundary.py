@@ -12,7 +12,7 @@ import pytest
 from holonomy_lab import bundle, cli, dynamics, invariants, serialize, spectra, synthesis
 from holonomy_lab.curves import OperatorCurve, TimeGrid
 from holonomy_lab.errors import DegeneracyMismatch, EndpointMismatch, GridMismatch, NonHermitian
-from qutil import plain_curve, precessing_qubit_curve, qubit_axis, stack_sizes
+from qutil import plain_curve, precessing_qubit_curve, qubit_axis, saturating_plan, stack_sizes
 
 TWO_PI = 2.0 * np.pi
 
@@ -26,12 +26,6 @@ def qubit_run(nsamp=201):
     sched = dynamics.HamiltonianSchedule.constant(dynamics.qubit_hamiltonian(qubit_axis(0.6), TWO_PI), 1.0, nsamp)
     _, states = dynamics.evolve(rho0, sched)
     return states, sched, bundle.canonical_amplitude(rho0)
-
-
-def saturating_plan():
-    rho = synthesis.embedded_state(np.diag([0.7, 0.3]).astype(complex), 4)
-    target = bundle.GaugeElement(u=np.diag(np.exp(1j * np.array([1.6 * np.pi, 0.4 * np.pi]))), basis=rho.basis)
-    return synthesis.synthesize(rho, bundle.canonical_amplitude(rho), target, tau=1.0, ambient_dim=4)
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from holonomy_lab.errors import (
     MultiplicityChange,
     NotClosed,
     NotTangent,
+    OutOfRange,
     Singular,
 )
 from qutil import (
@@ -236,6 +237,20 @@ class TestMetricOnStates:
         e02[0, 2] = 1.0  # a support-kernel pair
         with pytest.raises(NotTangent):
             bundle.metric_g(rho, e02, e02)
+
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_overflowing_product_raises(self, scale):
+        # the lifted tangents are finite; their product leaves the floats
+        t = np.array([[0.0, scale], [scale, 0.0]], dtype=complex)
+        with pytest.raises(OutOfRange, match="overflows"):
+            bundle.metric_g(mixed_qubit_state(0.7), t, t)
+        with pytest.raises(OutOfRange, match="overflows"):
+            bundle.metric_g(mixed_qubit_state(0.7), (1.0 + 1.0j) * np.triu(t) + (1.0 - 1.0j) * np.tril(t), t)
+
+    def test_largest_finite_value(self):
+        t = np.array([[0.0, 1e150], [1e150, 0.0]], dtype=complex)
+        assert bundle.metric_g(mixed_qubit_state(0.7), t, t) == pytest.approx(6.25e300, rel=1e-14)
 
 
 class TestHorizontalLift:

@@ -1,0 +1,29 @@
+"""The numerical contracts fire: a fault planted behind a checked guarantee
+ends in SaturationFailed or ContractViolation (exit 2), naming its size."""
+
+import numpy as np
+import pytest
+
+from holonomy_lab import bundle, cli, dynamics, synthesis
+from holonomy_lab.errors import SaturationFailed
+from qutil import saturating_plan
+
+
+def test_incoherent_drive_is_caught():
+    # eps I commutes with every state: the re-integrated states, the holonomy
+    # and the length pass, and only the incoherent mass eps |I|_F = 2 eps shows
+    plan = saturating_plan()
+    shifted = dynamics.HamiltonianSchedule(grid=plan.schedule.grid,
+                                           samples=plan.schedule.samples + 1e-9 * np.eye(4))
+    broken = synthesis.SaturatingPlan(rho=plan.rho, w=plan.w, target=plan.target, tau=plan.tau,
+                                      loops=plan.loops, generator=plan.generator, schedule=shifted)
+    with pytest.raises(SaturationFailed, match=r"drive has incoherent mass 2\.000e-09"):
+        synthesis.verify_saturation(broken)
+
+
+def test_scaled_lift_breaks_the_speed_identity(monkeypatch, capsys):
+    # lifts 1e-3 too long square to speeds 2.001e-3 off the coherent variance
+    lift_tangents = bundle.lift_tangents
+    monkeypatch.setattr(bundle, "lift_tangents", lambda *args: (1.0 + 1e-3) * lift_tangents(*args))
+    assert cli.main(["qubit-demo", "--n3", "0.6"]) == 2
+    assert "speed identity violated by 2.001e-03" in capsys.readouterr().err

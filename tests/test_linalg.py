@@ -93,13 +93,14 @@ class TestMatmulStack:
         for n, k, m in ((4, 2, 3), (2, 6, 5), (10, 1, 1), (4, 4, 4)):
             a, b = random_stack(rng, (20, n, k)), random_stack(rng, (20, k, m))
             assert np.array_equal(linalg.matmul_stack(a, b), a @ b)
-        # a stack times one matrix is the single GEMM over the stack's rows,
-        # on the left with both factors transposed, whatever the block size
+        # a stack times one matrix on the right is the single GEMM over the
+        # stack's rows, whatever the block size; one matrix on the left meets
+        # the stack as a stack would: entry by entry up to 9 entries, else matmul
         for n in (2, 6):
             a, b = random_stack(rng, (20, 3, n)), random_stack(rng, (n, n))
             assert np.array_equal(linalg.matmul_stack(a, b), (a.reshape(60, n) @ b).reshape(20, 3, n))
             a, b = random_stack(rng, (n, n)), random_stack(rng, (20, n, 3))
-            want = np.swapaxes((np.swapaxes(b, -1, -2).reshape(60, n) @ a.T).reshape(20, 3, n), -1, -2)
+            want = a @ b if 3 * n > 9 else sum(a[:, j, None] * b[:, None, j, :] for j in range(n))
             assert np.array_equal(linalg.matmul_stack(a, b), want)
 
     def test_inner_dimension_mismatch_raises(self, rng):

@@ -151,6 +151,33 @@ class TestSynthesize:
                              ambient_dim=6, n_samples=101)
         assert matrices == [(6, 6)]
 
+    def test_coherent_part_from_split_hamiltonian(self, rng, monkeypatch):
+        rho = rand_state(rng, (0.5, 0.25), (1, 2), 6)
+        seen = []
+        split_hamiltonian = dynamics.split_hamiltonian
+
+        def spy(h, state):
+            seen.append((h, state))
+            return split_hamiltonian(h, state)
+
+        monkeypatch.setattr(dynamics, "split_hamiltonian", spy)
+        plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis), tau=1.0,
+                                    ambient_dim=6, n_samples=101)
+        assert len(seen) == 1
+        assert seen[0][0] is plan.generator and seen[0][1] is rho
+
+    @pytest.mark.parametrize("angle", [3e-10, 1e-9, 3e-9, 8e-9])
+    def test_start_tilted_into_the_kernel_saturates(self, angle):
+        # slot 0 of the canonical amplitude turned toward rho's first kernel
+        # vector stays a lift start (defect 0.99 angle < PROJECTION_TOL), and
+        # the drive stays coherent at rho whatever kernel component psi carries
+        rho = synthesis.embedded_state(np.diag([0.7, 0.3]).astype(complex), 4)
+        w = bundle.canonical_amplitude(rho).w.copy()
+        w[:, 0] = np.sqrt(0.7) * (np.cos(angle) * rho.support_frame[:, 0] + np.sin(angle) * rho.kernel[:, 0])
+        target = bundle.GaugeElement(u=np.diag(np.exp(1j * np.array([1.6 * np.pi, 0.4 * np.pi]))), basis=rho.basis)
+        plan = synthesis.synthesize(rho, bundle.Amplitude(w=w, basis=rho.basis), target, tau=1.0, ambient_dim=4)
+        assert synthesis.verify_saturation(plan).max_h_in <= 1e-13
+
     def test_roomier_ambient_space(self, rng):
         # more kernel directions than planes need; spare ones stay idle
         for p, m, dim in (((1.0,), (1,), 4), ((0.7, 0.3), (1, 1), 5), ((0.7, 0.3), (1, 1), 6)):
@@ -274,17 +301,22 @@ def products(monkeypatch):
 
 
 def stack_by_stack(shapes):
-    return [pair for pair in shapes if len(pair[0]) > 2 and len(pair[1]) > 2]
+    """The products of two stacks of more than one sample each."""
+    return [(a, b) for a, b in shapes if len(a) > 2 and len(b) > 2 and a[0] > 1 and b[0] > 1]
 
 
 class TestScheduleProducts:
-    """synthesize conjugates the coupling along the flow in the generator's
-    eigenbasis, so each of its products has one fixed factor."""
+    """synthesize conjugates the generator's coherent part along the flow in
+    the generator's eigenbasis, so each product over the schedule has one
+    fixed factor."""
 
     @pytest.mark.parametrize("p, m, dim, fracs", SWEEP_PLANS, ids=SWEEP_IDS)
     def test_synthesize_makes_no_stack_by_stack_product(self, rng, products, p, m, dim, fracs):
         sweep_plan(rng, p, m, dim, fracs, n_samples=201)
-        assert products and stack_by_stack(products) == []
+        # the four one-sample products are split_hamiltonian's, at rho
+        assert [pair for pair in products if pair[0][0] == 1] == [((1, dim, dim), (1, dim, dim))] * 4
+        assert [pair for pair in products if pair[0][0] > 1] == [((201, dim, dim), (dim, dim))] * 2
+        assert stack_by_stack(products) == []
 
     def test_orbit_and_its_path_make_one(self, rng, products):
         plan = sweep_plan(rng, *SWEEP_PLANS[2], n_samples=201)
