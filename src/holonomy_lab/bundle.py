@@ -2,9 +2,9 @@
 
 Amplitudes W with W^dag W block-scalar in the adapted auxiliary basis,
 block-diagonal gauge unitaries, the connection one-form and its
-vertical/horizontal splitting, discrete horizontal lifts by polar-aligned
-eigenframe transport, holonomies of closed curves, and the induced metric
-on the state space.
+vertical/horizontal splitting, horizontal lifts of state tangents and the
+squared speeds of state curves they give, discrete horizontal lifts by
+polar-aligned eigenframe transport, and holonomies of closed curves.
 
 Transport steps are inverse polar factors of consecutive eigenframe overlaps:
 a lift scans them, a holonomy reduces them to the endpoint's total product.
@@ -29,7 +29,7 @@ from .errors import (
     OutOfRange,
     Singular,
 )
-from .spectra import DensityOperator, EigenprojectorBasis, spectral_decompose
+from .spectra import DensityOperator, EigenprojectorBasis
 
 Array = np.ndarray
 
@@ -107,11 +107,6 @@ def gauge_membership(u: Array, basis: EigenprojectorBasis, tol: float = toleranc
     return unit_dev <= tol * max(1.0, linalg.frob(u)) and basis.offblock_norm(u) <= tol * max(1.0, linalg.frob(u))
 
 
-def project(amp: Amplitude) -> DensityOperator:
-    """Bundle projection W -> W W^dag."""
-    return spectral_decompose(amp.w @ amp.w.conj().T)
-
-
 def canonical_amplitude(rho: DensityOperator) -> Amplitude:
     """Amplitude whose block-j columns are sqrt(p_j) times the eigenframe."""
     return Amplitude(w=rho.support_frame * np.sqrt(np.repeat(rho.p, rho.m)), basis=rho.basis)
@@ -134,25 +129,6 @@ def connection_form(amp: Amplitude, wdot: Array) -> ConnectionValue:
     return ConnectionValue(a=amp.basis.block_diag_part(0.5 * (p - p.conj().T)), basis=amp.basis)
 
 
-def connection_form_isospectral(amp: Amplitude, wdot: Array) -> ConnectionValue:
-    """Connection form sum_j p_j^{-1} Lambda_j W^dag Wdot Lambda_j.
-
-    Valid only on tangents to the isospectral amplitude space, i.e. when
-    Wdot^dag W = -W^dag Wdot; raises NotTangent otherwise.
-    """
-    wdot = linalg.as_cmat(wdot)
-    if wdot.shape != amp.w.shape:
-        raise DegeneracyMismatch(f"Wdot shape {wdot.shape} != W shape {amp.w.shape}")
-    b = amp.w.conj().T @ wdot
-    dev = linalg.frob(b + b.conj().T)
-    if dev > tolerances.ISOSPECTRAL_TANGENT_TOL * max(1.0, linalg.frob(b)):
-        raise NotTangent(f"not an isospectral tangent (deviation {dev:.3e})")
-    a = np.zeros_like(b)
-    for (lo, hi), qj in zip(amp.basis.blocks, amp.block_values):
-        a[lo:hi, lo:hi] = b[lo:hi, lo:hi] / qj
-    return ConnectionValue(a=a, basis=amp.basis)
-
-
 def split(amp: Amplitude, wdot: Array) -> tuple[Array, Array]:
     """Split a tangent into (vertical, horizontal) = (W A(Wdot), rest)."""
     a = connection_form(amp, wdot)
@@ -161,7 +137,7 @@ def split(amp: Amplitude, wdot: Array) -> tuple[Array, Array]:
 
 
 # ---------------------------------------------------------------------------
-# tangent lifts and the induced metric on the state space
+# tangent lifts and the squared speeds of state curves
 
 
 def lift_tangents(spath: "SpectralPath", tangents: Array, tangent_tol: float) -> Array:
@@ -230,23 +206,6 @@ def curve_speeds_sq(curve: OperatorCurve, spath: "SpectralPath") -> Array:
     if not np.all(np.isfinite(sq)):
         raise OutOfRange(f"tau = {curve.grid.tau:.3e} overflows the curve's squared speeds")
     return sq
-
-
-def metric_g(rho: DensityOperator, rdot1: Array, rdot2: Array) -> float:
-    """Induced metric on the state space, evaluated by horizontal lifting.
-
-    The value is independent of the choice of amplitude over rho. Raises
-    NotTangent if either argument fails to be tangent to the fixed-degeneracy
-    stratum at rho within TANGENT_TOL, and OutOfRange when the value overflows.
-    """
-    spath = SpectralPath.of_state(rho)
-    w1, w2 = (lift_tangents(spath, spath.in_eigenframe(linalg.as_cmat(rdot)[None, :, :]), tolerances.TANGENT_TOL)[0]
-              for rdot in (rdot1, rdot2))
-    with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range is inf, or NaN in a sum
-        g = float(np.real(np.sum(w1.conj() * w2)))
-    if not np.isfinite(g):
-        raise OutOfRange(f"the metric of the lifted tangents overflows to {g}")
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +294,13 @@ def decompose_path(curve: OperatorCurve) -> SpectralPath:
                         m=tuple(hi - lo for lo, hi in blocks))
 
 
-def _transport_steps(spath: SpectralPath, frames0: Array):
+def _transport_steps(spath: SpectralPath, heads: list[Array]):
     """Per block (lo, hi, head, steps): the block frame at sample k is
-    F_k[:, lo:hi] steps[k-1] ... steps[0] head, with head the polar factor of
-    F_0^dag frames0 and steps[k] the inverse polar factor of F_k^dag F_{k+1},
-    so consecutive overlaps are Hermitian positive."""
-    for j, (lo, hi) in enumerate(spath.blocks):
+    F_k[:, lo:hi] steps[k-1] ... steps[0] head, with head from _start_heads
+    and steps[k] the inverse polar factor of F_k^dag F_{k+1}, so consecutive
+    overlaps are Hermitian positive."""
+    for j, ((lo, hi), head) in enumerate(zip(spath.blocks, heads)):
         raw = spath.frames[:, :, lo:hi]
-        head = linalg.polar_unitary(raw[0].conj().T @ frames0[:, lo:hi])
         overlaps = linalg.matmul_stack(np.conj(np.swapaxes(raw[:-1], -1, -2)), raw[1:])
         try:
             steps = np.conj(np.swapaxes(linalg.polar_unitary_stack(overlaps, tolerances.OVERLAP_TOL), -1, -2))
@@ -353,27 +311,38 @@ def _transport_steps(spath: SpectralPath, frames0: Array):
         yield lo, hi, head, steps
 
 
-def _transport_frames(spath: SpectralPath, frames0: Array) -> Array:
-    """The (N, n, r) frames transported from frames0: running step products."""
+def _transport_frames(spath: SpectralPath, heads: list[Array]) -> Array:
+    """The (N, n, r) frames transported from the heads: running step products."""
     out = np.empty(spath.frames.shape[:2] + (spath.rank,), dtype=np.complex128)
-    for lo, hi, head, steps in _transport_steps(spath, frames0):
+    for lo, hi, head, steps in _transport_steps(spath, heads):
         out[:, :, lo:hi] = linalg.matmul_stack(spath.frames[:, :, lo:hi], linalg.ordered_products(steps, head))
     return out
 
 
-def check_lift_start(w0: Amplitude, m: tuple[int, ...], rho0: Array) -> Array:
-    """Unit support frames W0 q_j^{-1/2} of w0, q_j its block values, once w0
-    is checked as a lift start over a state rho0 with multiplicities m:
+def _start_heads(w0: Amplitude, spath: SpectralPath, rho0: Array) -> list[Array]:
+    """Per block j the unitary polar(F_j^dag S_j), with F_j the block frame
+    spath.frames[0] holds for rho0 and S_j = W0_j q_j^{-1/2} the unit frame of
+    w0 (q_j its block values), once w0 is checked as a lift start over rho0:
     DegeneracyMismatch for another m or another dimension, EndpointMismatch
     off rho0."""
-    if w0.basis.m != tuple(m):
-        raise DegeneracyMismatch(f"amplitude basis m={w0.basis.m}, curve has m={tuple(m)}")
+    if w0.basis.m != spath.m:
+        raise DegeneracyMismatch(f"amplitude basis m={w0.basis.m}, curve has m={spath.m}")
     if w0.w.shape[0] != rho0.shape[0]:
         raise DegeneracyMismatch(f"amplitude has shape {w0.w.shape}, the state has shape {rho0.shape}")
     defect = linalg.frob(w0.w @ w0.w.conj().T - rho0)
     if defect > tolerances.PROJECTION_TOL:
         raise EndpointMismatch(f"W0 projects {defect:.3e} away from the initial state")
-    return w0.w / np.sqrt(np.repeat(w0.block_values, m))
+    units = w0.w / np.sqrt(np.repeat(w0.block_values, spath.m))
+    return [linalg.polar_unitary(spath.frames[0, :, lo:hi].conj().T @ units[:, lo:hi]) for lo, hi in spath.blocks]
+
+
+def check_lift_start(w0: Amplitude, spath: SpectralPath, rho0: Array) -> Array:
+    """The (n, r) support frames F_j polar(F_j^dag S_j) of a lift start w0 over
+    rho0, the first state of spath (see _start_heads): the frames on rho0's own
+    eigenspaces that every lift and plan from w0 starts on, whatever part of
+    W0 W0^dag lies off rho0 within PROJECTION_TOL."""
+    frame0, heads = spath.frames[0], _start_heads(w0, spath, rho0)
+    return np.concatenate([frame0[:, lo:hi] @ head for (lo, hi), head in zip(spath.blocks, heads)], axis=1)
 
 
 def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
@@ -381,9 +350,11 @@ def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
 
     The lift projects back onto the curve and its consecutive block frame
     overlaps are Hermitian positive (the discrete horizontality condition).
+    Sample 0 is w0 itself; the transport starts from the frames
+    check_lift_start gives, on the first state's own eigenspaces.
     """
     spath = decompose_path(rho_curve)
-    frames_t = _transport_frames(spath, check_lift_start(w0, spath.m, rho_curve.samples[0]))
+    frames_t = _transport_frames(spath, _start_heads(w0, spath, rho_curve.samples[0]))
     # amplitude samples: sqrt(p_{j;t}) on block j applied to the frames
     samples = frames_t * np.sqrt(spath.values[:, None, : spath.rank])
     samples[0] = w0.w
@@ -393,7 +364,7 @@ def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
 def lift_endpoint(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
     """W_tau = horizontal_lift(rho_curve, w0).samples[-1], from the step products alone."""
     frame = np.empty((spath.frames.shape[1], spath.rank), dtype=np.complex128)
-    for lo, hi, head, steps in _transport_steps(spath, check_lift_start(w0, spath.m, rho_curve.samples[0])):
+    for lo, hi, head, steps in _transport_steps(spath, _start_heads(w0, spath, rho_curve.samples[0])):
         frame[:, lo:hi] = spath.frames[-1, :, lo:hi] @ linalg.total_product(steps, head)
     return frame * np.sqrt(spath.values[-1, : spath.rank])
 
@@ -413,7 +384,7 @@ def transported_frame(rho_curve: OperatorCurve, frames0) -> Array:
     if frames0.shape != shape:
         raise DegeneracyMismatch(f"frames have shape {frames0.shape}, expected {shape}")
     w0 = Amplitude(w=frames0 * np.sqrt(spath.values[0, : spath.rank]), basis=EigenprojectorBasis(spath.m))
-    return _transport_frames(spath, check_lift_start(w0, spath.m, rho_curve.samples[0]))
+    return _transport_frames(spath, _start_heads(w0, spath, rho_curve.samples[0]))
 
 
 @dataclass(frozen=True, eq=False)

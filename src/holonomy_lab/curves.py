@@ -1,8 +1,8 @@
 """Sampled operator curves and functionals on them.
 
-Uniform time grids, unitary orbits of a state, curve
-concatenation/reversal/reparameterization, the finite-difference/trapezoid
-toolbox, and the Fisher-Rao length and kinetic energy of eigenvalue paths.
+Uniform time grids, unitary orbits of a state, curve concatenation and
+reversal, the finite-difference/trapezoid toolbox, and the Fisher-Rao
+length and kinetic energy of eigenvalue paths.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import (
     NonPositiveEigenvalue,
     NotDescending,
     NotNormalized,
-    ZeroLength,
 )
 from .spectra import DensityOperator
 
@@ -175,37 +174,6 @@ def concatenate(c1: OperatorCurve, c2: OperatorCurve) -> OperatorCurve:
 def reverse(c: OperatorCurve) -> OperatorCurve:
     """Time-reversed curve on the same grid."""
     return OperatorCurve(grid=c.grid, samples=c.samples[::-1].copy())
-
-
-def reparam_arclength(c: OperatorCurve, speed, n_out: int | None = None) -> OperatorCurve:
-    """Resample a curve proportionally to arc length.
-
-    speed holds the per-sample speeds of c in whatever metric the caller
-    uses; the output curve covers the same time interval with the same
-    orientation but (up to quadrature error) constant speed. Samples are
-    interpolated linearly. Raises ZeroLength for curves of zero total length
-    and ValueError naming the first negative or non-finite speed.
-    """
-    speed = np.asarray(speed, dtype=float)
-    if speed.shape != (c.grid.n,):
-        raise GridMismatch(f"speed has shape {speed.shape}, expected ({c.grid.n},)")
-    bad = np.flatnonzero(~(np.isfinite(speed) & (speed >= 0.0)))
-    if bad.size:
-        raise ValueError(f"speed {bad[0]} is {float(speed[bad[0]])}; speeds must be finite and nonnegative")
-    dt = c.grid.dt
-    s = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * dt)])
-    total = s[-1]
-    if total <= 0.0:
-        raise ZeroLength("curve has zero length")
-    n_out = c.grid.n if n_out is None else int(n_out)
-    # nudge flat stretches so the inverse map stays single valued
-    s = s + np.arange(c.grid.n) * (total * 1e-15)
-    targets = np.linspace(0.0, s[-1], n_out)
-    t_of_s = np.interp(targets, s, c.grid.times)
-    idx = np.clip(np.searchsorted(c.grid.times, t_of_s, side="right") - 1, 0, c.grid.n - 2)
-    w = (t_of_s - c.grid.times[idx]) / dt
-    samples = (1.0 - w)[:, None, None] * c.samples[idx] + w[:, None, None] * c.samples[idx + 1]
-    return OperatorCurve(grid=TimeGrid(tau=c.grid.tau, n=n_out), samples=samples)
 
 
 def fisher_rao(path: ProbabilityPath) -> tuple[float, float]:

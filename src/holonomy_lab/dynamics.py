@@ -48,9 +48,9 @@ class HamiltonianSchedule(OperatorCurve):
 
 def _steps(hs: Array, dt: float) -> Array:
     """The (N - 1, n, n) midpoint steps exp(-i dt (H_k + H_{k+1})/2) of a checked
-    Hermitian stack (N, n, n): the one step builder of both unitary integrators.
-    A constant stack takes one exponential, broadcast; the midpoint of equal
-    samples is that sample."""
+    Hermitian stack (N, n, n): the step builder of evolve, the one unitary
+    integrator. A constant stack takes one exponential, broadcast; the
+    midpoint of equal samples is that sample."""
     if np.all(hs == hs[0]):
         return np.broadcast_to(linalg.propagator_step_stack(hs[:1], dt), (len(hs) - 1, *hs.shape[1:]))
     return linalg.propagator_step_stack(0.5 * (hs[:-1] + hs[1:]), dt)
@@ -204,21 +204,6 @@ def speed_bound(dh: Array, grid: TimeGrid, ihb: float) -> tuple[float, float]:
     if not np.isfinite(delta_e):
         raise OutOfRange(f"tau = {grid.tau:.3e} overflows the energy uncertainty to {delta_e}")
     return delta_e, ihb / delta_e if ihb else 0.0
-
-
-def horizontal_lift_unitary(rho_curve: OperatorCurve, sched: HamiltonianSchedule,
-                            w0: bundle.Amplitude) -> OperatorCurve:
-    """Horizontal lift of a unitary run by integrating with the coherent part.
-
-    Steps W with the coherent part Hco, taking the same midpoint steps
-    (_steps) as evolve; cross-validates the eigenframe-transport lift.
-    Checks the run and the start as speed_report and horizontal_lift do.
-    """
-    _check_run(rho_curve, sched)
-    spath = bundle.decompose_path(rho_curve)
-    bundle.check_lift_start(w0, spath.m, rho_curve.samples[0])
-    h_co = sched.samples - incoherent_part_path(sched.samples, spath)
-    return OperatorCurve(grid=sched.grid, samples=linalg.ordered_products(_steps(h_co, sched.grid.dt), w0.w))
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,10 +62,6 @@ class GridMismatch(HolonomyLabError):
     pass
 
 
-class ZeroLength(HolonomyLabError):
-    pass
-
-
 class NonPositiveEigenvalue(HolonomyLabError):
     pass
 
@@ -103,10 +99,6 @@ class OutOfRange(HolonomyLabError):
 
 
 class ShapeMismatch(HolonomyLabError):
-    pass
-
-
-class UndefinedPhase(HolonomyLabError):
     pass
 
 

@@ -1,8 +1,8 @@
 """Holonomy invariants and the isoholonomic inequalities.
 
-Eigenphase spectra of gauge unitaries, the Wilson loop, the geometric
-phase, the isoholonomic bounds (fixed-spectrum and spectrally constrained),
-curve length/energy in the induced metric, and the inequality checker.
+Eigenphase spectra of gauge unitaries, the Wilson loop, the isoholonomic
+bounds (fixed-spectrum and spectrally constrained), curve length/energy in
+the induced metric, and the inequality checker.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import (
     BoundViolated,
     OutOfRange,
     ShapeMismatch,
-    UndefinedPhase,
 )
 
 Array = np.ndarray
@@ -109,19 +108,6 @@ def ihb_constrained(alpha, phases: PhaseSpectrum) -> float:
 def wilson_loop(g: bundle.GaugeElement) -> complex:
     """Trace of the holonomy."""
     return complex(np.trace(g.u))
-
-
-def geometric_phase(rho_curve: OperatorCurve, w0: bundle.Amplitude) -> float:
-    """Geometric phase arg tr(W0^dag W_tau) of the lifted curve, in (-pi, pi].
-
-    Raises UndefinedPhase when the trace is too close to zero for the
-    argument to be meaningful.
-    """
-    end = bundle.lift_endpoint(rho_curve, bundle.decompose_path(rho_curve), w0)
-    tr = complex(np.trace(w0.w.conj().T @ end))
-    if abs(tr) <= tolerances.TRACE_TOL:
-        raise UndefinedPhase(f"|tr(W0^dag W_tau)| = {abs(tr):.3e} is below {tolerances.TRACE_TOL:.3e}")
-    return float(np.angle(tr))
 
 
 def curve_length_energy(rho_curve: OperatorCurve) -> tuple[float, float]:

@@ -282,11 +282,6 @@ def _taylor_plan(norm: float) -> tuple[int, int, int]:
     return degree, width, squarings
 
 
-def propagator_step(h: Array, dt: float) -> Array:
-    """exp(-i H dt) for Hermitian H; the N = 1 case of propagator_step_stack."""
-    return propagator_step_stack(as_hermitian(h)[None], dt)[0]
-
-
 def propagator_step_stack(hs: Array, dt: float) -> Array:
     """Batched exp(-i H dt) over a checked stack (N, n, n) of Hermitian matrices.
 

@@ -1,8 +1,8 @@
 """Spectral data of density operators.
 
-Eigenvalue/degeneracy spectra (p, m), spectral bounds (alpha), the
-block-adapted auxiliary basis, and decomposition of density matrices into
-near-degenerate eigenblocks with the zero eigenvalue excluded.
+Eigenvalue/degeneracy spectra (p, m), the block-adapted auxiliary basis,
+and decomposition of density matrices into near-degenerate eigenblocks with
+the zero eigenvalue excluded.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import (
     NotAState,
     NotDescending,
     NotNormalized,
-    ShapeMismatch,
 )
 
 Array = np.ndarray
@@ -45,18 +44,6 @@ def validate(p, m, norm_tol: float = tolerances.NORM_TOL) -> None:
     total = float(np.dot(p, m))
     if abs(total - 1.0) > norm_tol:
         raise NotNormalized(f"sum_j m_j p_j = {total!r} != 1")
-
-
-def check_bound(p, alpha) -> list[int]:
-    """Indices j where p_j < alpha_j; empty list means the bound holds.
-    Raises ShapeMismatch for non-finite p or alpha."""
-    p = np.asarray(p, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if p.shape != alpha.shape:
-        raise LengthMismatch(f"p has length {p.size}, alpha has length {alpha.size}")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(alpha))):
-        raise ShapeMismatch(f"p {p.tolist()} and bounds {alpha.tolist()} must be finite")
-    return [int(j) for j in np.nonzero(p < alpha)[0]]
 
 
 @dataclass(frozen=True)

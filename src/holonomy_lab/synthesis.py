@@ -80,35 +80,27 @@ class PureLoopSpec:
     def speed(self) -> float:
         return invariants.pure_ihb(self.theta) / self.tau
 
-
-def optimal_pure_loop(spec: PureLoopSpec, n_samples: int = 201) -> tuple[Array, Array]:
-    """Generator and sampled trajectory of the optimal pure loop.
-
-    Returns (generator, path) where generator is the Hermitian drive
-    supported on the plane and path has shape (n_samples, dim). The loop is
-    horizontal, has constant speed sqrt(theta (2pi - theta)) / tau, stays in
-    its plane, and closes up to the phase factor e^{i theta}.
-    """
-    n = spec.psi.size
-    ts = np.linspace(0.0, spec.tau, n_samples)
-    if spec.theta == 0.0:
-        return np.zeros((n, n), dtype=np.complex128), np.broadcast_to(spec.psi, (n_samples, n)).copy()
-    chi = spec.mixing
-    e_plus = np.cos(chi) * spec.psi + np.sin(chi) * spec.phi
-    e_minus = np.sin(chi) * spec.psi - np.cos(chi) * spec.phi
-    gen = spec.a_plus * np.outer(e_plus, e_plus.conj()) + spec.a_minus * np.outer(e_minus, e_minus.conj())
-    path = (
-        np.cos(chi) * np.exp(-1j * spec.a_plus * ts)[:, None] * e_plus
-        + np.sin(chi) * np.exp(-1j * spec.a_minus * ts)[:, None] * e_minus
-    )
-    return gen, path
+    @property
+    def generator(self) -> Array:
+        """Hermitian drive a_+ e_+ e_+^dag + a_- e_- e_-^dag on the plane, zero
+        for theta = 0. Its flow exp(-i t G) psi is the optimal loop: horizontal,
+        at constant speed sqrt(theta (2pi - theta)) / tau, inside the plane,
+        and back at e^{i theta} psi at t = tau."""
+        n = self.psi.size
+        if self.theta == 0.0:
+            return np.zeros((n, n), dtype=np.complex128)
+        chi = self.mixing
+        e_plus = np.cos(chi) * self.psi + np.sin(chi) * self.phi
+        e_minus = np.sin(chi) * self.psi - np.cos(chi) * self.phi
+        return self.a_plus * np.outer(e_plus, e_plus.conj()) + self.a_minus * np.outer(e_minus, e_minus.conj())
 
 
 def choose_planes(rho: DensityOperator, w: bundle.Amplitude, ambient_dim: int) -> list[tuple[Array, Array]]:
     """Mutually orthogonal planes, one per auxiliary slot.
 
-    Plane q is spanned by the slot vector psi_q, column q of the unit support
-    frames check_lift_start returns for w, and column q of rho's kernel.
+    Plane q is spanned by the slot vector psi_q, column q of the support
+    frames on rho's eigenspaces that check_lift_start returns for w, and
+    column q of rho's kernel.
     Raises DimensionTooSmall unless ambient_dim is rho's dimension and at
     least twice its rank, then check_lift_start's errors.
     """
@@ -117,7 +109,7 @@ def choose_planes(rho: DensityOperator, w: bundle.Amplitude, ambient_dim: int) -
     r = rho.rank
     if ambient_dim < 2 * r:
         raise DimensionTooSmall(f"need ambient dim >= {2 * r} to fit {r} planes, got {ambient_dim}")
-    support = bundle.check_lift_start(w, rho.m, rho.matrix)
+    support = bundle.check_lift_start(w, bundle.SpectralPath.of_state(rho), rho.matrix)
     return [(support[:, q], rho.kernel[:, q]) for q in range(r)]
 
 
@@ -169,7 +161,7 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
     """
     if tuple(target.basis.m) != tuple(rho.m):
         raise DegeneracyMismatch(f"target basis m={target.basis.m}, state has m={rho.m}")
-    bundle.check_lift_start(w, rho.m, rho.matrix)
+    bundle.check_lift_start(w, bundle.SpectralPath.of_state(rho), rho.matrix)
     thetas, s = invariants.blockwise_eigenbasis(target)
     w_adapted = bundle.Amplitude(w=w.w @ s, basis=w.basis)
     planes = choose_planes(rho, w_adapted, ambient_dim)
@@ -181,7 +173,7 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
         raise OutOfRange(f"tau = {tau:.3e} overflows the plan's squared loop speeds above {np.finfo(float).max:.3e}")
     if any(loop.theta and loop.speed**2 < np.finfo(float).tiny for loop in loops):
         raise OutOfRange(f"tau = {tau:.3e} underflows the plan's squared loop speeds below {np.finfo(float).tiny:.3e}")
-    generator = sum(optimal_pure_loop(loop, n_samples=2)[0] for loop in loops)
+    generator = sum(loop.generator for loop in loops)
     coherent0 = dynamics.split_hamiltonian(generator, rho)[1]
     # conjugate the t=0 coherent part along the generator's flow in its eigenbasis, P_k C0 P_k^dag
     # = V ((V^dag C0 V) o r_k r_k^*) V^dag, with V X as (X^T V^T)^T: a fixed right factor for both GEMMs

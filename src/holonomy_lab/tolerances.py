@@ -31,14 +31,12 @@ GAUGE_TOL = 1e-9  # unitarity, block-diagonality and skew-Hermiticity of gauge d
 CLOSED_TOL = 1e-8  # closure defect |rho_0 - rho_tau| of a closed curve
 OFFBLOCK_TOL = 1e-6  # block-off-diagonal mass of a raw holonomy
 TANGENT_TOL = 1e-6  # horizontal-lift residual of exact state tangents, relative
-ISOSPECTRAL_TANGENT_TOL = 1e-8  # Wdot^dag W = -W^dag Wdot, relative
 PROJECTION_TOL = 1e-8  # W W^dag or initial frames against the initial state
 OVERLAP_TOL = 1e-8  # smallest singular value of consecutive eigenframe overlaps
 
 # invariants
 PHASE_TOL = 1e-7  # eigenphases this close to 0 mod 2pi, on either side, are set to 0
 SLACK_TOL = 1e-6  # negative slack of the isoholonomic inequalities
-TRACE_TOL = 1e-9  # |tr(W0^dag W_tau)| below this leaves the geometric phase undefined
 CONST_SPECTRUM_TOL = 1e-7  # block means constant along a curve
 LENGTH_TANGENT_TOL = 1e-3  # horizontal-lift residual of finite-difference tangents, relative
 REGION_TOL = 1e-12  # block means below the spectral bounds alpha

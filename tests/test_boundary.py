@@ -2,9 +2,9 @@
 when it is decomposed, of a schedule when it is built, of a single matrix at
 its entry point; the stack kernels re-check nothing the library built from
 checked data, and a unitary orbit, Hermitian by construction, is neither
-checked nor eigendecomposed. horizontal_lift_unitary checks its run and its
-lift start as speed_report and horizontal_lift do, and synthesize checks its
-amplitude with the same lift-start check."""
+checked nor eigendecomposed. speed_report checks that a run and its schedule
+cover one interval, horizontal_lift checks its lift start, and synthesize
+checks its amplitude with the same lift-start check."""
 
 import numpy as np
 import pytest
@@ -59,13 +59,6 @@ class TestHermiticityOnce:
         dynamics.evolve(rho0, sched)
         assert herm_checks == []
 
-    def test_horizontal_lift_unitary(self, herm_checks):
-        states, sched, w0 = qubit_run()
-        curve = plain_curve(states)
-        herm_checks.clear()
-        dynamics.horizontal_lift_unitary(curve, sched, w0)
-        assert herm_checks == [201]
-
     def test_check_isoholonomic(self, herm_checks):
         states, _, w0 = qubit_run()
         curve = plain_curve(states)
@@ -97,7 +90,6 @@ def orbit_entry_points():
     states, sched, w0 = qubit_run()
     plan = saturating_plan()
     return [
-        ("horizontal_lift_unitary", lambda: dynamics.horizontal_lift_unitary(states, sched, w0)),
         ("check_isoholonomic", lambda: invariants.check_isoholonomic(states, w0)),
         ("speed_limit", lambda: dynamics.speed_limit(states, sched, w0)),
         ("verify_saturation", lambda: synthesis.verify_saturation(plan)),
@@ -129,23 +121,21 @@ class TestUnitaryLiftChecks:
         states, sched, w0 = qubit_run()
         longer = dynamics.HamiltonianSchedule(grid=TimeGrid(tau=2.0, n=sched.grid.n), samples=sched.samples)
         with pytest.raises(GridMismatch, match="different intervals"):
-            dynamics.horizontal_lift_unitary(states, longer, w0)
+            dynamics.speed_limit(states, longer, w0)
 
     def test_foreign_start(self):
-        states, sched, w0 = qubit_run()
+        states, _, w0 = qubit_run()
         c, s = np.cos(0.25), np.sin(0.25)
         foreign = bundle.Amplitude(w=np.array([[c, -s], [s, c]]) @ w0.w, basis=w0.basis)
         for lift in (lambda: bundle.horizontal_lift(states, foreign),
-                     lambda: dynamics.horizontal_lift_unitary(states, sched, foreign),
                      lambda: synthesize_from(states, foreign)):
             with pytest.raises(EndpointMismatch, match=r"W0 projects 1\.4\d+e-01 away"):
                 lift()
 
     def test_other_degeneracy(self):
-        states, sched, _ = qubit_run()
+        states, _, _ = qubit_run()
         flat = bundle.canonical_amplitude(spectra.spectral_decompose(0.5 * np.eye(2, dtype=complex)))
         for lift in (lambda: bundle.horizontal_lift(states, flat),
-                     lambda: dynamics.horizontal_lift_unitary(states, sched, flat),
                      lambda: synthesize_from(states, flat)):
             with pytest.raises(DegeneracyMismatch, match=r"m=\(2,\), curve has m=\(1, 1\)"):
                 lift()

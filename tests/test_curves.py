@@ -8,7 +8,6 @@ from holonomy_lab.errors import (
     GridMismatch,
     NonFinite,
     NonPositiveEigenvalue,
-    ZeroLength,
 )
 from qutil import great_circle_section, precessing_qubit_curve, pure_curve
 
@@ -85,58 +84,6 @@ class TestReverse:
     def test_constant_fixed_point(self):
         c = constant_curve(np.diag([0.7, 0.3]).astype(complex), 1.0, 11)
         assert np.array_equal(curves.reverse(c).samples, c.samples)
-
-
-class TestReparamArclength:
-    def test_constant_speed_unchanged(self):
-        c = pure_curve(great_circle_section(801, 0.0, np.pi), tau=1.0)
-        speed = np.full(801, np.pi)
-        out = curves.reparam_arclength(c, speed)
-        assert np.max(np.abs(out.samples - c.samples)) <= 1e-6
-
-    def test_closes_cauchy_schwarz_gap(self):
-        # full-rank qubit loop traversed with speed proportional to
-        # sin^2(pi t / tau); linear resampling keeps full-rank curves on
-        # their stratum (rank-deficient ones would leave it)
-        from holonomy_lab import bundle
-        from qutil import qubit_axis, qubit_propagators
-
-        nsamp = 2001
-        t = np.linspace(0.0, 1.0, nsamp)
-        angle = t - np.sin(2.0 * np.pi * t) / (2.0 * np.pi)
-        props = qubit_propagators(qubit_axis(0.3), 2.0 * np.pi, angle)
-        rho0 = np.diag([0.7, 0.3]).astype(complex)
-        states = props @ rho0 @ np.conj(np.swapaxes(props, -1, -2))
-        c = OperatorCurve.from_samples(1.0, states)
-        length, energy = invariants.curve_length_energy(c)
-        assert length**2 <= 2.0 * 1.0 * energy + 1e-9
-        gap_before = 1.0 - length**2 / (2.0 * energy)
-        assert gap_before > 0.1
-        speeds = 1.0 - np.cos(2.0 * np.pi * t)  # proportional to the true speed
-        out = curves.reparam_arclength(c, speeds)
-        length2, energy2 = invariants.curve_length_energy(out)
-        assert abs(length2 - length) / length <= 5e-3
-        assert 1.0 - length2**2 / (2.0 * energy2) <= 1e-3
-        # constant speed within 2 percent away from the flat endpoints
-        spath = bundle.decompose_path(out)
-        rdots = curves.grid_derivative(out.samples, out.grid.dt)
-        sp = np.sqrt(bundle.path_speeds_sq(spath, rdots, tangent_tol=1e-2))
-        inner = sp[5:-5]
-        assert np.max(np.abs(inner - np.mean(inner))) / np.mean(inner) <= 0.02
-
-    def test_zero_length_rejected(self):
-        c = constant_curve(np.diag([0.7, 0.3]).astype(complex), 1.0, 11)
-        with pytest.raises(ZeroLength):
-            curves.reparam_arclength(c, np.zeros(11))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-    def test_bad_speed_named(self, bad):
-        # the speed is at fault, not the curve, and no RuntimeWarning escapes
-        c = pure_curve(great_circle_section(11, 0.0, np.pi), tau=1.0)
-        speed = np.full(11, np.pi)
-        speed[2] = bad
-        with pytest.raises(ValueError, match=f"^speed 2 is {bad}; speeds must be finite"):
-            curves.reparam_arclength(c, speed)
 
 
 class TestFisherRao:

@@ -234,8 +234,17 @@ class TestSpeedLimit:
         assert np.max(rel) <= 1e-4
 
 
+def coherent_schedule(sched, states):
+    """The schedule of the coherent parts split_hamiltonian gives at each state of the run."""
+    h_co = [dynamics.split_hamiltonian(h, spectra.spectral_decompose(state))[1]
+            for h, state in zip(sched.samples, states.samples)]
+    return HamiltonianSchedule(grid=sched.grid, samples=np.stack(h_co))
+
+
 class TestUnitaryLift:
     def test_agrees_with_frame_transport(self):
+        # the horizontal lift of a unitary run is the start carried by the
+        # propagators of the coherent parts: w0 under evolve of that schedule
         n3, p0, omega, nsamp = 0.6, 0.7, TWO_PI, 4001
         rho0 = mixed_qubit(p0)
         h = dynamics.qubit_hamiltonian(qubit_axis(n3), omega)
@@ -243,22 +252,23 @@ class TestUnitaryLift:
         _, states = dynamics.evolve(rho0, sched)
         w0 = bundle.canonical_amplitude(rho0)
         lift_a = bundle.horizontal_lift(states, w0)
-        lift_b = dynamics.horizontal_lift_unitary(states, sched, w0)
-        assert np.max(np.linalg.norm(lift_a.samples - lift_b.samples, axis=(1, 2))) <= 1e-6
+        props, _ = dynamics.evolve(rho0, coherent_schedule(sched, states))
+        lift_b = props.samples @ w0.w
+        assert np.max(np.linalg.norm(lift_a.samples - lift_b, axis=(1, 2))) <= 1e-6
 
 
 STEP_KERNEL = linalg.propagator_step_stack  # unspied by the step_stacks fixture
 
 
-def midpoint_products(hs, dt, init=None, shortcut=True):
+def midpoint_products(hs, dt):
     """The midpoint rule written out: the step of the first sample broadcast
-    over a constant stack (when shortcut), else exp(-i dt (H_k + H_{k+1})/2),
-    then the running products."""
-    if shortcut and np.max(np.abs(hs - hs[0])) == 0.0:
+    over a constant stack, else exp(-i dt (H_k + H_{k+1})/2), then the
+    running products."""
+    if np.max(np.abs(hs - hs[0])) == 0.0:
         steps = np.broadcast_to(STEP_KERNEL(hs[:1], dt), (len(hs) - 1, *hs.shape[1:]))
     else:
         steps = STEP_KERNEL(0.5 * (hs[:-1] + hs[1:]), dt)
-    return linalg.ordered_products(steps, init)
+    return linalg.ordered_products(steps)
 
 
 @pytest.fixture
@@ -276,42 +286,39 @@ def step_stacks(monkeypatch):
 
 
 class TestStepBuilder:
-    """evolve and horizontal_lift_unitary share one midpoint step builder;
-    each gives exactly the numbers of the rule written out."""
+    """evolve takes its midpoint steps from one builder and gives exactly
+    the numbers of the rule written out."""
 
-    def run(self, rho0, w0, sched):
+    def run(self, rho0, sched):
         props, states = dynamics.evolve(rho0, sched)
-        dt = sched.grid.dt
-        expected_props = midpoint_products(sched.samples, dt)
+        expected_props = midpoint_products(sched.samples, sched.grid.dt)
         assert np.array_equal(props.samples, expected_props)
         expected_states = UnitaryOrbit(grid=sched.grid, propagators=expected_props, start=rho0,
                                        hamiltonians=sched.samples).samples
         assert np.array_equal(states.samples, expected_states)
-        h_co = sched.samples - dynamics.incoherent_part_path(sched.samples, bundle.decompose_path(states))
-        lift = dynamics.horizontal_lift_unitary(states, sched, w0)
-        assert np.array_equal(lift.samples, midpoint_products(h_co, dt, w0.w, shortcut=False))
-        return h_co
+        return states
 
     def test_constant_qubit_schedule(self, step_stacks):
         rho0 = mixed_qubit()
         sched = HamiltonianSchedule.constant(dynamics.qubit_hamiltonian(qubit_axis(0.6), TWO_PI), 1.0, 2001)
-        self.run(rho0, bundle.canonical_amplitude(rho0), sched)
-        # evolve steps the constant schedule once; the rotating state's coherent part is not constant
-        assert step_stacks == [(1, 2, 2), (2000, 2, 2)]
+        self.run(rho0, sched)
+        # evolve steps the constant schedule once
+        assert step_stacks == [(1, 2, 2)]
 
     def test_synthesized_dim6_schedule(self, rng):
         rho = rand_state(rng, (0.5, 0.25), (1, 2), 6)
         plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis),
                                     tau=1.0, ambient_dim=6)
         assert np.max(np.abs(plan.schedule.samples - plan.schedule.samples[0])) > 0.0
-        self.run(plan.rho, plan.w, plan.schedule)
+        self.run(plan.rho, plan.schedule)
 
     def test_constant_coherent_part_takes_one_step(self, step_stacks):
-        # under H = 0 the coherent part is bitwise constant, so the lift takes the shortcut too
+        # under H = 0 the coherent-part schedule is bitwise constant, so its evolve takes the shortcut too
         rho0 = mixed_qubit()
         sched = HamiltonianSchedule.constant(np.zeros((2, 2)), 1.0, 201)
-        h_co = self.run(rho0, bundle.canonical_amplitude(rho0), sched)
-        assert np.all(h_co == h_co[0])
+        h_co = coherent_schedule(sched, self.run(rho0, sched))
+        assert np.all(h_co.samples == h_co.samples[0])
+        self.run(rho0, h_co)
         assert step_stacks == [(1, 2, 2), (1, 2, 2)]
 
 

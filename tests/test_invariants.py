@@ -8,15 +8,14 @@ from holonomy_lab.errors import (
     NotClosed,
     OutOfRange,
     ShapeMismatch,
-    UndefinedPhase,
 )
 from qutil import (
     great_circle_section,
     precessing_qubit_curve,
     pure_curve,
     qubit_axis,
+    qubit_propagators,
     rand_gauge,
-    rand_state,
     rand_unitary,
     wobble_loop,
 )
@@ -177,79 +176,6 @@ class TestWilsonLoop:
         assert abs(invariants.wilson_loop(moved) - invariants.wilson_loop(g)) <= 1e-12
 
 
-class TestGeometricPhase:
-    def test_constant_curve(self):
-        rho = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
-        c = OperatorCurve.from_samples(1.0, np.broadcast_to(rho.matrix, (21, 2, 2)).copy())
-        w0 = bundle.canonical_amplitude(rho)
-        assert abs(invariants.geometric_phase(c, w0)) <= 1e-12
-
-    def test_great_circle(self):
-        c = pure_curve(great_circle_section(2001), tau=1.0)
-        rho0 = spectra.spectral_decompose(c.samples[0])
-        w0 = bundle.canonical_amplitude(rho0)
-        assert abs(invariants.geometric_phase(c, w0) - np.pi) <= 1e-5
-
-    def test_precessing_qubit_value(self):
-        # oracle: arg(p0 e^{i pi(1+n3)} + p1 e^{i pi(1-n3)}) evaluated once
-        c = precessing_qubit_curve(0.6, TWO_PI, 0.7, 2001)
-        rho0 = spectra.spectral_decompose(c.samples[0])
-        w0 = bundle.canonical_amplitude(rho0)
-        got = invariants.geometric_phase(c, w0)
-        assert abs(got - (-0.8886007118281325)) <= 1e-5
-
-    def test_matches_blockwise_overlap_sum(self):
-        # same phase from the per-slot overlaps weighted by sqrt(p_0 p_tau)
-        c = precessing_qubit_curve(0.6, TWO_PI, 0.7, 1001)
-        rho0 = spectra.spectral_decompose(c.samples[0])
-        w0 = bundle.canonical_amplitude(rho0)
-        frames = bundle.transported_frame(c, [f.copy() for f in rho0.frames])
-        p = np.array(rho0.p)
-        total = sum(
-            np.sqrt(p[j] * p[j]) * np.vdot(frames[0][:, j], frames[-1][:, j])
-            for j in range(2)
-        )
-        direct = invariants.geometric_phase(c, w0)
-        assert abs(np.angle(total) - direct) <= 1e-7
-
-    def test_matches_blockwise_overlap_sum_degenerate(self, rng):
-        # same equivalence on a rank-3 state with a two-fold block, and on
-        # a loop with a breathing spectrum (weights sqrt(p_0 p_tau))
-        for case in ("rigid", "wobble"):
-            if case == "rigid":
-                rho0 = rand_state(rng, (0.5, 0.25), (1, 2), 5)
-                h = np.asarray(rand_unitary(rng, 5))
-                h = 1j * (h - h.conj().T)
-                hv, hw = np.linalg.eigh(h)
-                ts = np.linspace(0.0, 1.0, 601)
-                c = OperatorCurve.from_samples(1.0, np.stack([
-                    (hw * np.exp(-1j * t * hv)) @ hw.conj().T @ rho0.matrix
-                    @ (hw * np.exp(1j * t * hv)) @ hw.conj().T for t in ts
-                ]))
-            else:
-                c, rho0 = wobble_loop(rng, (0.5, 0.25), (1, 2), 5, nsamp=601)
-            w0 = bundle.canonical_amplitude(rho0)
-            frames = bundle.transported_frame(c, [f.copy() for f in rho0.frames])
-            spath = bundle.decompose_path(c)
-            means = spath.block_means()
-            p_slots_0 = np.repeat(means[0], rho0.m)
-            p_slots_t = np.repeat(means[-1], rho0.m)
-            total = sum(
-                np.sqrt(p_slots_0[q] * p_slots_t[q]) * np.vdot(frames[0][:, q], frames[-1][:, q])
-                for q in range(rho0.rank)
-            )
-            direct = invariants.geometric_phase(c, w0)
-            assert abs(np.angle(total) - direct) <= 1e-7
-
-    def test_undefined_phase(self):
-        # open quarter-circle from pole to equator-orthogonal state
-        c = pure_curve(great_circle_section(501, 0.0, np.pi / 2), tau=1.0)
-        rho0 = spectra.spectral_decompose(c.samples[0])
-        w0 = bundle.canonical_amplitude(rho0)
-        with pytest.raises(UndefinedPhase):
-            invariants.geometric_phase(c, w0)
-
-
 class TestCurveLengthEnergy:
     def test_constant_curve(self):
         rho = np.diag([0.7, 0.3]).astype(complex)
@@ -269,6 +195,19 @@ class TestCurveLengthEnergy:
             c = precessing_qubit_curve(n3, TWO_PI, 0.7, 2001)
             length, _ = invariants.curve_length_energy(c)
             assert abs(length - dynamics.qubit_reference(qubit_axis(n3), TWO_PI, 0.7).length) <= 1e-4
+
+    def test_cauchy_schwarz_gap(self):
+        # L^2 <= 2 tau E, with equality only at constant speed: a full-rank qubit
+        # loop traversed with speed proportional to sin^2(pi t / tau) keeps a gap
+        nsamp = 2001
+        t = np.linspace(0.0, 1.0, nsamp)
+        angle = t - np.sin(2.0 * np.pi * t) / (2.0 * np.pi)
+        props = qubit_propagators(qubit_axis(0.3), 2.0 * np.pi, angle)
+        rho0 = np.diag([0.7, 0.3]).astype(complex)
+        c = OperatorCurve.from_samples(1.0, props @ rho0 @ np.conj(np.swapaxes(props, -1, -2)))
+        length, energy = invariants.curve_length_energy(c)
+        assert length**2 <= 2.0 * 1.0 * energy + 1e-9
+        assert 1.0 - length**2 / (2.0 * energy) > 0.1
 
 
 class TestCheckIsoholonomic:
@@ -363,7 +302,6 @@ class TestCheckIsoholonomic:
         rho0 = spectra.spectral_decompose(base.samples[0])
         w0 = bundle.canonical_amplitude(rho0)
         ph_base = invariants.eigenphases(bundle.holonomy(base, w0)).flat()
-        from qutil import qubit_axis, qubit_propagators
 
         for _ in range(3):
             # random monotone warp with fixed endpoints

@@ -3,11 +3,12 @@ underscore names, every threshold lives in the tolerance table, numpy's
 decompositions and solves are called only in linalg, the stack kernels
 that trust their input are called only where that input was checked,
 hermitian_eig is called only by spectral_decompose and a plan's flow, the
-unitary integrators take their midpoint steps from one builder, only the
+unitary integrator takes its midpoint steps from one builder, only the
 two unitary runs build a UnitaryOrbit, only bundle tells an orbit from a
 plain curve, per-sample norms of a stack go through one kernel, the exit-2
-raise sites are pinned, and numpy is the only third-party package the
-library imports."""
+raise sites are pinned, every public name has a caller and every tolerance
+a reader, no module imports a name it does not read, and numpy is the only
+third-party package the library imports."""
 
 import ast
 import re
@@ -22,6 +23,7 @@ import holonomy_lab
 
 SRC = Path(holonomy_lab.__file__).resolve().parent
 MODULES = {path.stem for path in SRC.glob("*.py")}
+REPO = Path(__file__).resolve().parent.parent
 
 
 def foreign_private_reads(path):
@@ -164,11 +166,11 @@ def test_guard_sees_a_decomposition(tmp_path):
 
 # stack kernels that do not check Hermiticity, and the functions that may
 # call them because their input was checked where it entered (unitary_eig:
-# because it builds a Hermitian matrix itself; _steps: the one step builder
-# of evolve and horizontal_lift_unitary)
+# because it builds a Hermitian matrix itself; _steps: the step builder of
+# evolve, whose schedule was checked when it was built)
 TRUSTING_KERNELS = {"hermitian_eig_stack", "propagator_step_stack"}
-TRUSTED_CALLERS = {("linalg", "hermitian_eig"), ("linalg", "propagator_step"), ("linalg", "unitary_eig"),
-                   ("bundle", "decompose_path"), ("dynamics", "_steps")}
+TRUSTED_CALLERS = {("linalg", "hermitian_eig"), ("linalg", "unitary_eig"), ("bundle", "decompose_path"),
+                   ("dynamics", "_steps")}
 
 
 def trusting_kernel_uses(path):
@@ -262,8 +264,8 @@ def midpoint_sums(path):
 
 
 def test_dynamics_steps_from_one_builder():
-    # the midpoint rule of both unitary integrators lives in _steps alone, as
-    # does their call of propagator_step_stack (TRUSTED_CALLERS)
+    # the midpoint rule of the unitary integrator lives in _steps alone, as
+    # does its call of propagator_step_stack (TRUSTED_CALLERS)
     assert midpoint_sums(SRC / "dynamics.py") == {"_steps"}
 
 
@@ -458,6 +460,107 @@ def test_guard_sees_a_contract_raise(tmp_path):
                      "    raise OutOfRange('b')\n\n\n"
                      "raise Drift('c')\n", encoding="utf-8")
     assert contract_raises(probe, contracts) == {("probe", "check"): 2, ("probe", "<module>"): 1}
+
+
+# public names that nothing in the pipeline calls, kept for what they compute;
+# README's module table gives the same reasons
+KEEP = {
+    "assemble": "the tests' oracle that rebuilds a state from its spectral data; moved to tests/ it is no smaller",
+    "curve_length_energy": "L and E of an open curve, which no closed-loop report gives; moved to tests/ no smaller",
+}
+
+
+def names_read(nodes):
+    """Every name the nodes read: identifiers, attributes, imported names, and
+    string constants that are identifiers (tables that look a name up by string)."""
+    found = set()
+    for node in (inner for outer in nodes for inner in ast.walk(outer)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            found.add(node.value)
+    return found
+
+
+def uncalled_names(paths, callers):
+    """module.name of every public top-level def or class in paths that no
+    other top-level statement of its file, no other file in paths and no
+    file in callers reads."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")).body for path in paths}
+    outside = names_read(node for path in callers for node in ast.parse(path.read_text(encoding="utf-8")).body)
+    found = []
+    for path, body in trees.items():
+        others = outside | names_read(node for other, nodes in trees.items() if other != path for node in nodes)
+        for definition in body:
+            if not isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            own = names_read(node for node in body if node is not definition)
+            if not definition.name.startswith("_") and definition.name not in others | own:
+                found.append(f"{path.stem}.{definition.name}")
+    return found
+
+
+def unread_tolerances(table, paths):
+    """The names a tolerance table assigns that no file in paths reads."""
+    read = names_read(node for path in paths for node in ast.parse(path.read_text(encoding="utf-8")).body)
+    return [name for name in tolerance_definitions(table) if name not in read]
+
+
+def test_every_public_name_has_a_caller():
+    # a caller is another library module, the benchmark or the acceptance
+    # suite; the package's re-exports and a name's own tests do not count
+    modules = sorted(path for path in SRC.glob("*.py") if path.stem != "__init__")
+    callers = sorted((REPO / "bench").glob("*.py")) + [REPO / "tests" / "test_acceptance.py"]
+    assert {name.split(".")[1] for name in uncalled_names(modules, callers)} == set(KEEP)
+    assert unread_tolerances(SRC / "tolerances.py", [path for path in modules if path.stem != "tolerances"]) == []
+
+
+def test_guard_sees_an_uncalled_name(tmp_path):
+    lib, bench = tmp_path / "lib.py", tmp_path / "bench.py"
+    lib.write_text("LIMIT_TOL = 1.0\nEDGE_TOL = 2.0\n\n\n"
+                   "def called():\n    pass\n\n\ndef helper():\n    pass\n\n\n"
+                   "def looked_up():\n    pass\n\n\ndef from_bench():\n    pass\n\n\n"
+                   "def recursive(n):\n    return recursive(n - 1)\n\n\ndef uncalled():\n    return helper()\n\n\n"
+                   "class Unused:\n    pass\n\n\ndef _private():\n    pass\n", encoding="utf-8")
+    user = tmp_path / "user.py"
+    user.write_text("from . import lib\nfrom .lib import called\n\n"
+                    "TABLE = {'looked_up': None}\nx = tolerances.LIMIT_TOL\n", encoding="utf-8")
+    bench.write_text("import lib as hl\n\nhl.from_bench()\n", encoding="utf-8")
+    assert uncalled_names([lib, user], [bench]) == ["lib.recursive", "lib.uncalled", "lib.Unused"]
+    assert unread_tolerances(lib, [user]) == ["EDGE_TOL"]
+
+
+def unused_imports(path):
+    """(line, name) of every name a module-level import of one file binds and
+    the file never reads; from __future__ imports are not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.extend((node.lineno, alias.asname or alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend((node.lineno, alias.asname or alias.name) for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports to re-export
+    offenders = {path.name: found for path in sorted(SRC.glob("*.py"))
+                 if path.stem != "__init__" and (found := unused_imports(path))}
+    assert offenders == {}
+
+
+def test_guard_sees_an_unused_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n\nimport os\nimport numpy as np\nimport os.path\n"
+                     "from . import linalg\nfrom .errors import Singular, NotClosed as Open\n\n\n"
+                     "def f(x: Open):\n    import sys\n    return np.eye(2), sys, linalg.frob\n", encoding="utf-8")
+    assert unused_imports(probe) == [(3, "os"), (5, "os"), (7, "Singular")]
 
 
 def scipy_imports(path):

@@ -226,12 +226,17 @@ class TestPinv:
             linalg.pinv(w)
 
 
+def step(h, dt: float) -> np.ndarray:
+    """exp(-i H dt) of one Hermitian matrix: the N = 1 stack of the step kernel."""
+    return linalg.propagator_step_stack(np.asarray(h, dtype=complex)[None], dt)[0]
+
+
 class TestPropagatorStep:
     def test_zero_hamiltonian(self):
-        assert np.allclose(linalg.propagator_step(np.zeros((3, 3)), 0.7), np.eye(3), atol=1e-15)
+        assert np.allclose(step(np.zeros((3, 3)), 0.7), np.eye(3), atol=1e-15)
 
     def test_diagonal_phases(self):
-        u = linalg.propagator_step(SIGMA3, np.pi)
+        u = step(SIGMA3, np.pi)
         assert np.allclose(u, -np.eye(2), atol=1e-12)
 
     def test_qubit_closed_form(self, rng):
@@ -245,7 +250,7 @@ class TestPropagatorStep:
         expected = np.cos(0.5 * omega * t) * np.eye(2) - 1j * np.sin(0.5 * omega * t) * (
             n[0] * SIGMA1 + n[1] * SIGMA2 + n[2] * SIGMA3
         )
-        assert np.linalg.norm(linalg.propagator_step(h, t) - expected) <= 1e-12
+        assert np.linalg.norm(step(h, t) - expected) <= 1e-12
 
     def test_unitarity_and_determinant(self, rng):
         for _ in range(10):
@@ -253,14 +258,15 @@ class TestPropagatorStep:
             z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             h = 0.5 * (z + z.conj().T)
             dt = float(rng.uniform(0.01, 0.5))
-            u = linalg.propagator_step(h, dt)
+            u = step(h, dt)
             assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-12
             expected_det = np.exp(-1j * np.trace(h) * dt)
             assert abs(np.linalg.det(u) - expected_det) <= 1e-10
 
     def test_rejects_non_hermitian(self):
+        # the step kernel trusts its caller; a single matrix is checked where it enters
         with pytest.raises(NonHermitian):
-            linalg.propagator_step(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
+            linalg.as_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("norm", np.geomspace(1e-4, 50.0, 12).tolist(), ids="{:.1e}".format)
     @pytest.mark.parametrize("nstep", [1, 4000])
@@ -292,7 +298,7 @@ class TestPropagatorStep:
     def test_no_finite_taylor_plan_raises(self, h, dt, norm):
         # above dt |H|_1 of about 4e292 the degree-1 plan needs infinitely many squarings
         with pytest.raises(ValueError, match=rf"^dt\*\|H\|_1 = {re.escape(norm)} is non-finite or too large"):
-            linalg.propagator_step(h, dt)
+            step(h, dt)
 
     def test_squarings_are_capped(self, rng):
         # each squaring doubles the rounding of the scaled step: up to the cap on
@@ -301,11 +307,11 @@ class TestPropagatorStep:
         for h in (np.diag([0.5, -0.5]).astype(complex), 0.5 * (z + z.conj().T)):
             col = np.max(np.sum(np.abs(h), axis=0))
             for norm in np.geomspace(1.0, 4.63e5, 40):
-                u = linalg.propagator_step(h, norm / col)
+                u = step(h, norm / col)
                 assert np.max(np.abs(u.conj().T @ u - np.eye(len(h)))) <= tolerances.STEP_UNITARITY_TOL
             for norm in (4.65e5, 1e10, 1e20, 1e50):
                 with pytest.raises(ValueError, match=r"largest admissible value is 4\.640e\+05"):
-                    linalg.propagator_step(h, norm / col)
+                    step(h, norm / col)
 
     def test_stack_names_non_hermitian_sample(self, rng):
         # the stack kernel trusts its caller; the one stack check names the sample
@@ -320,7 +326,7 @@ class TestPropagatorStep:
         with pytest.raises(NonHermitian, match=r"^sample 1: Hermiticity deviation"):
             linalg.check_hermitian_stack(np.stack([np.eye(2), m, np.diag([1e308, -1e308])]))
         with pytest.raises(NonHermitian, match=r"^Hermiticity deviation"):
-            linalg.propagator_step(m, 0.1)
+            linalg.as_hermitian(m)
 
 
 def unitary_steps(rng, nstep: int, n: int) -> np.ndarray:

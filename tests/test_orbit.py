@@ -119,7 +119,6 @@ class TestIntegrity:
         made = [
             curves.reverse(orbit),
             curves.concatenate(orbit, orbit),
-            curves.reparam_arclength(orbit, np.ones(orbit.grid.n)),
             serialize.curve_from_json(serialize.curve_to_json(orbit)),
         ]
         assert [type(c) for c in made] == [OperatorCurve] * len(made)

@@ -7,7 +7,6 @@ from holonomy_lab.errors import (
     NotAState,
     NotDescending,
     NotNormalized,
-    ShapeMismatch,
 )
 from qutil import rand_unitary
 
@@ -121,28 +120,6 @@ class TestSpectralDecompose:
         assert [v.shape for v in views] == [(5, 1), (5, 2), (5, 3), (5, 2)]
         assert all(np.shares_memory(v, rho.full_frame) for v in views)
         assert np.array_equal(np.concatenate(views[:2] + views[3:], axis=1), rho.full_frame)
-
-
-class TestCheckBound:
-    def test_satisfied(self):
-        assert spectra.check_bound([0.7, 0.3], [0.5, 0.1]) == []
-
-    def test_unconstrained(self):
-        assert spectra.check_bound([0.7, 0.3], [0.0, 0.0]) == []
-
-    def test_violation_index(self):
-        assert spectra.check_bound([0.7, 0.3], [0.8, 0.0]) == [0]
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            spectra.check_bound([0.7, 0.3], [0.5])
-
-    @pytest.mark.parametrize("p, alpha", [([0.7, 0.3], [np.nan, 0.1]), ([np.nan, 0.3], [0.5, 0.1])],
-                             ids=["alpha", "p"])
-    def test_non_finite_rejected(self, p, alpha):
-        # a NaN compares false, which would read as "the bound holds"
-        with pytest.raises(ShapeMismatch, match="must be finite"):
-            spectra.check_bound(p, alpha)
 
 
 class TestSimplexCoords:

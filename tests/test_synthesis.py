@@ -23,25 +23,32 @@ def loop_spec(theta, dim=2, tau=1.0):
     return synthesis.PureLoopSpec(theta=theta, tau=tau, psi=psi, phi=phi)
 
 
+def loop_path(spec, n_samples):
+    """The loop exp(-i t G) psi of the spec's generator G, sampled over [0, tau]."""
+    lam, v = np.linalg.eigh(spec.generator)
+    ts = np.linspace(0.0, spec.tau, n_samples)
+    return (v * np.exp(-1j * ts[:, None, None] * lam)) @ v.conj().T @ spec.psi
+
+
 class TestOptimalPureLoop:
     def test_zero_phase_constant(self):
-        gen, path = synthesis.optimal_pure_loop(loop_spec(0.0), n_samples=11)
-        assert np.linalg.norm(gen) == 0.0
+        spec = loop_spec(0.0)
+        assert np.linalg.norm(spec.generator) == 0.0
+        path = loop_path(spec, 11)
         assert np.max(np.abs(path - path[0])) == 0.0
 
     def test_half_turn_parameters(self):
         spec = loop_spec(np.pi, tau=2.0)
         assert abs(spec.speed - np.pi / 2.0) <= 1e-15
         assert abs(spec.mixing - np.pi / 4.0) <= 1e-15
-        gen, _ = synthesis.optimal_pure_loop(spec, n_samples=3)
-        vals = np.linalg.eigvalsh(gen)
+        vals = np.linalg.eigvalsh(spec.generator)
         assert abs(vals[-1] - np.pi / 2.0) <= 1e-12
         assert abs(vals[0] + np.pi / 2.0) <= 1e-12
 
     @pytest.mark.parametrize("theta", [0.3, np.pi / 2, np.pi, 5.0, 6.1])
     def test_loop_properties(self, theta):
         spec = loop_spec(theta, dim=3, tau=0.7)
-        gen, path = synthesis.optimal_pure_loop(spec, n_samples=801)
+        gen, path = spec.generator, loop_path(spec, 801)
         # closes up to the phase factor
         assert np.linalg.norm(path[-1] - np.exp(1j * theta) * path[0]) <= 1e-8
         # horizontal and constant speed, from the exact generator action
@@ -166,17 +173,20 @@ class TestSynthesize:
         assert len(seen) == 1
         assert seen[0][0] is plan.generator and seen[0][1] is rho
 
-    @pytest.mark.parametrize("angle", [3e-10, 1e-9, 3e-9, 8e-9])
+    @pytest.mark.parametrize("angle", [3e-10, 1e-9, 3e-9, 8e-9, 8.5e-9, 9e-9, 1e-8])
     def test_start_tilted_into_the_kernel_saturates(self, angle):
         # slot 0 of the canonical amplitude turned toward rho's first kernel
-        # vector stays a lift start (defect 0.99 angle < PROJECTION_TOL), and
-        # the drive stays coherent at rho whatever kernel component psi carries
+        # vector stays a lift start (defect 0.99 angle <= PROJECTION_TOL); the
+        # loops start on rho's own eigenspaces, not on W W^dag, so the plan's
+        # orbit of rho closes and the drive stays coherent at rho
         rho = synthesis.embedded_state(np.diag([0.7, 0.3]).astype(complex), 4)
         w = bundle.canonical_amplitude(rho).w.copy()
         w[:, 0] = np.sqrt(0.7) * (np.cos(angle) * rho.support_frame[:, 0] + np.sin(angle) * rho.kernel[:, 0])
         target = bundle.GaugeElement(u=np.diag(np.exp(1j * np.array([1.6 * np.pi, 0.4 * np.pi]))), basis=rho.basis)
         plan = synthesis.synthesize(rho, bundle.Amplitude(w=w, basis=rho.basis), target, tau=1.0, ambient_dim=4)
         assert synthesis.verify_saturation(plan).max_h_in <= 1e-13
+        assert plan.exact_states().closure_defect() <= 1e-14
+        assert max(np.max(np.abs(rho.kernel.conj().T @ loop.psi)) for loop in plan.loops) <= 1e-15
 
     def test_roomier_ambient_space(self, rng):
         # more kernel directions than planes need; spare ones stay idle
@@ -313,8 +323,11 @@ class TestScheduleProducts:
     @pytest.mark.parametrize("p, m, dim, fracs", SWEEP_PLANS, ids=SWEEP_IDS)
     def test_synthesize_makes_no_stack_by_stack_product(self, rng, products, p, m, dim, fracs):
         sweep_plan(rng, p, m, dim, fracs, n_samples=201)
-        # the four one-sample products are split_hamiltonian's, at rho
-        assert [pair for pair in products if pair[0][0] == 1] == [((1, dim, dim), (1, dim, dim))] * 4
+        # the one-sample products are split_hamiltonian's four at rho, and the
+        # polar factors check_lift_start takes on the blocks of more than one slot
+        blocks = {((1, k, k), (1, k, k)) for k in m if k > 1}
+        at_rho = [pair for pair in products if pair[0][0] == 1 and pair not in blocks]
+        assert at_rho == [((1, dim, dim), (1, dim, dim))] * 4
         assert [pair for pair in products if pair[0][0] > 1] == [((201, dim, dim), (dim, dim))] * 2
         assert stack_by_stack(products) == []
 
