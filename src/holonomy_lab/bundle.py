@@ -354,7 +354,7 @@ def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
     check_lift_start gives, on the first state's own eigenspaces.
     """
     spath = decompose_path(rho_curve)
-    frames_t = _transport_frames(spath, _start_heads(w0, spath, rho_curve.samples[0]))
+    frames_t = _transport_frames(spath, _start_heads(w0, spath, rho_curve.initial))
     # amplitude samples: sqrt(p_{j;t}) on block j applied to the frames
     samples = frames_t * np.sqrt(spath.values[:, None, : spath.rank])
     samples[0] = w0.w
@@ -364,7 +364,7 @@ def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
 def lift_endpoint(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
     """W_tau = horizontal_lift(rho_curve, w0).samples[-1], from the step products alone."""
     frame = np.empty((spath.frames.shape[1], spath.rank), dtype=np.complex128)
-    for lo, hi, head, steps in _transport_steps(spath, _start_heads(w0, spath, rho_curve.samples[0])):
+    for lo, hi, head, steps in _transport_steps(spath, _start_heads(w0, spath, rho_curve.initial)):
         frame[:, lo:hi] = spath.frames[-1, :, lo:hi] @ linalg.total_product(steps, head)
     return frame * np.sqrt(spath.values[-1, : spath.rank])
 
@@ -384,7 +384,7 @@ def transported_frame(rho_curve: OperatorCurve, frames0) -> Array:
     if frames0.shape != shape:
         raise DegeneracyMismatch(f"frames have shape {frames0.shape}, expected {shape}")
     w0 = Amplitude(w=frames0 * np.sqrt(spath.values[0, : spath.rank]), basis=EigenprojectorBasis(spath.m))
-    return _transport_frames(spath, _start_heads(w0, spath, rho_curve.samples[0]))
+    return _transport_frames(spath, _start_heads(w0, spath, rho_curve.initial))
 
 
 @dataclass(frozen=True, eq=False)

@@ -59,9 +59,7 @@ class OperatorCurve:
         s = np.asarray(self.samples, dtype=np.complex128)
         if s.ndim != 3 or s.shape[0] != self.grid.n:
             raise ValueError(f"samples shape {s.shape} does not match grid n={self.grid.n}")
-        if not np.isfinite(s).all():
-            finite = np.isfinite(s).all(axis=(1, 2))
-            raise NonFinite(f"sample {int(np.argmin(finite))} has non-finite entries")
+        _check_finite(s)
         object.__setattr__(self, "samples", s)
 
     @classmethod
@@ -78,7 +76,7 @@ class OperatorCurve:
         return self.samples[-1]
 
     def closure_defect(self) -> float:
-        return float(np.linalg.norm(self.samples[0] - self.samples[-1]))
+        return float(np.linalg.norm(self.initial - self.final))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +84,10 @@ class UnitaryOrbit(OperatorCurve):
     """State curve rho_k = U_k rho_0 U_k^dag of a unitary run, built from its
     propagators and Hamiltonians (N, n, n) and its start rho_0, so its samples,
     eigenframes U_k F_0 and tangents -i[H_k, rho_k] cannot disagree. The
-    samples are Hermitian by construction; all three stacks are read-only."""
+    propagators and Hamiltonians must be finite (NonFinite names the first bad
+    sample). The samples are formed, Hermitian, on their first read; initial,
+    final and closure_defect form only the first and last state. All three
+    stacks are read-only."""
 
     samples: Array = field(init=False)
     propagators: Array
@@ -95,15 +96,45 @@ class UnitaryOrbit(OperatorCurve):
 
     def __post_init__(self):
         u, h = (np.asarray(a, dtype=np.complex128).view() for a in (self.propagators, self.hamiltonians))
+        if u.shape != (self.grid.n, *self.start.matrix.shape):
+            raise ValueError(f"propagators shape {u.shape} does not match grid n={self.grid.n}, dim {self.start.dim}")
         if h.shape != u.shape:
             raise ValueError(f"hamiltonians shape {h.shape} does not match propagators shape {u.shape}")
-        states = linalg.matmul_stack(linalg.matmul_stack(u, self.start.matrix), np.conj(np.swapaxes(u, -1, -2)))
-        states = 0.5 * (states + np.conj(np.swapaxes(states, -1, -2)))
-        u.flags.writeable = h.flags.writeable = states.flags.writeable = False
+        _check_finite(u, h)
+        u.flags.writeable = h.flags.writeable = False
         object.__setattr__(self, "propagators", u)
         object.__setattr__(self, "hamiltonians", h)
+
+    def __getattr__(self, name: str):
+        # reached only while the instance has no such attribute: samples before its first read
+        if name != "samples":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        states = _orbit_states(self.propagators, self.start.matrix)
+        states.flags.writeable = False
         object.__setattr__(self, "samples", states)
-        super().__post_init__()
+        return states
+
+    @property
+    def initial(self) -> Array:
+        return _orbit_states(self.propagators[:1], self.start.matrix)[0]
+
+    @property
+    def final(self) -> Array:
+        return _orbit_states(self.propagators[-1:], self.start.matrix)[0]
+
+
+def _orbit_states(u: Array, rho0: Array) -> Array:
+    """The states U_k rho_0 U_k^dag of a propagator stack (N, n, n), made
+    Hermitian: the one state formula of UnitaryOrbit."""
+    states = linalg.matmul_stack(linalg.matmul_stack(u, rho0), np.conj(np.swapaxes(u, -1, -2)))
+    return 0.5 * (states + np.conj(np.swapaxes(states, -1, -2)))
+
+
+def _check_finite(*stacks: Array) -> None:
+    """Raise NonFinite, naming the first sample, unless the stacks (N, ...) are finite."""
+    if not all(np.isfinite(s).all() for s in stacks):
+        finite = np.logical_and.reduce([np.isfinite(s).reshape(len(s), -1).all(axis=1) for s in stacks])
+        raise NonFinite(f"sample {int(np.argmin(finite))} has non-finite entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +149,7 @@ class ProbabilityPath:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != self.grid.n or v.shape[1] != len(self.m):
             raise ValueError(f"values shape {v.shape} does not match grid/m")
-        if not np.isfinite(v).all():
-            raise NonFinite(f"sample {int(np.argmin(np.isfinite(v).all(axis=1)))} has non-finite entries")
+        _check_finite(v)
         if np.any(v <= 0.0):
             raise NonPositiveEigenvalue("eigenvalue path touches zero")
         # boundary points of the simplex (ties) are admitted

@@ -152,8 +152,9 @@ class SpeedLimitReport:
 
 
 def _check_run(rho_curve: OperatorCurve, sched: HamiltonianSchedule) -> None:
-    """The state curve and the schedule share sample shapes and interval."""
-    if rho_curve.samples.shape != sched.samples.shape:
+    """The state curve and the schedule share sample shapes and interval; an
+    orbit forms only its first state for this."""
+    if (rho_curve.grid.n, *rho_curve.initial.shape) != sched.samples.shape:
         raise DimMismatch("state curve and schedule have different shapes")
     if abs(rho_curve.grid.tau - sched.grid.tau) > tolerances.INTERVAL_TOL * sched.grid.tau:
         raise GridMismatch("state curve and schedule cover different intervals")

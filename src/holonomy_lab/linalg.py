@@ -12,7 +12,8 @@ stack times one fixed matrix on its right is one GEMM over the stack's
 rows, and two stacks whose product block has at most 9 entries are
 multiplied entry by entry, each entry a j-ordered sum of products of
 (N,)-vectors (batched matmul spends about 0.3 us per matrix on such blocks
-whatever their size); larger pairs of stacks go to matmul. Per-sample
+whatever their size); larger pairs of stacks go to matmul, save a right
+stack that is one matrix broadcast with stride 0, which takes the GEMM. Per-sample
 squared Frobenius norms of a stack go through stack_sq_norms.
 
 Hermiticity is checked where a matrix enters: by as_hermitian for one matrix,
@@ -67,14 +68,20 @@ _SMALL_BLOCK = 3
 def matmul_stack(a: Array, b: Array) -> Array:
     """a @ b for stacks of matrices (ndim >= 2, batch axes broadcast), with
     matmul's shape and dtype. A stack times one matrix on its right is one
-    GEMM, the stack's rows times it, a.reshape(-1, k) @ b; a matrix on the
-    left is taken as a stack. Two stacks whose (n, m) product has n m <=
-    _SMALL_BLOCK**2 entries take each entry as a sum over the batch,
+    GEMM, the stack's rows times it, a.reshape(-1, k) @ b. Two stacks whose
+    (n, m) product has n m <= _SMALL_BLOCK**2 entries take each entry as a
+    sum over the batch,
     out[..., i, l] = sum_j a[..., i, j] b[..., j, l] in j order: n m k
-    products of (N,)-vectors, where batched matmul pays a fixed cost per matrix."""
+    products of (N,)-vectors, where batched matmul pays a fixed cost per
+    matrix. On a larger block, a right factor of more than one matrix whose
+    batch strides are all 0 (one matrix broadcast over a's batch) is taken
+    as that matrix, for the GEMM. A matrix on the left is taken as a stack."""
     a, b = np.asarray(a), np.asarray(b)
     n, k = a.shape[-2:]
     m = b.shape[-1]
+    if (n * m > _SMALL_BLOCK**2 and math.prod(b.shape[:-2]) > 1 and not any(b.strides[:-2])
+            and np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) == a.shape[:-2]):
+        b = b[(0,) * (b.ndim - 2)]  # one matrix broadcast over a's batch
     if k == b.shape[-2] and b.ndim == 2:
         return (a.reshape(math.prod(a.shape[:-1]), k) @ b).reshape(a.shape[:-1] + (m,))
     if not 0 < k == b.shape[-2] or n * m > _SMALL_BLOCK**2:

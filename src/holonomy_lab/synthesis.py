@@ -191,7 +191,10 @@ class SaturationReport:
     """Measured deviations of a synthesized plan from its guarantees.
 
     max_h_in = tau max|H_in|_F, dh_deviation = tau max|Delta H - iHB / tau|,
-    bound_gap = |1 - (iHB / Delta E) / tau|: the speed-limit time against tau."""
+    bound_gap = |1 - (iHB / Delta E) / tau|: the speed-limit time against tau,
+    integration_defect = max|rho_0 W - W rho_0|_F with W = U^dag P, U the
+    re-integrated propagators and P the plan's: the distance between the
+    re-integrated and the planned states."""
 
     holonomy_error: float
     length: float
@@ -205,22 +208,32 @@ class SaturationReport:
     integration_defect: float
 
 
+def _integration_defect(rho: DensityOperator, schedule: dynamics.HamiltonianSchedule, planned: Array) -> float:
+    """max_k |rho_0 W_k - W_k rho_0|_F with W_k = U_k^dag P_k, U the propagators
+    evolve re-integrates from the schedule and P the planned ones; the
+    re-integrated run is freed on return, before the lift."""
+    w = linalg.matmul_stack(np.conj(np.swapaxes(dynamics.evolve(rho, schedule)[0].samples, -1, -2)), planned)
+    return float(np.sqrt(np.max(linalg.stack_sq_norms(
+        linalg.matmul_stack(rho.matrix, w) - linalg.matmul_stack(w, rho.matrix)))))
+
+
 def verify_saturation(plan: SaturatingPlan) -> SaturationReport:
     """Run the plan end to end and check every saturation guarantee.
 
     Re-integrates the schedule with the generic propagator and checks it
-    reproduces the loop trajectory, then lifts the trajectory and asserts:
-    the holonomy hits the target, the length equals the bound, the drive
-    stays state-coherent with constant energy uncertainty ihb/tau (both
-    tested times tau), tau * Delta E equals the length, and the speed-limit
-    time iHB / Delta E equals tau relative to tau, with Delta E and the
-    bound from dynamics.speed_bound. Raises SaturationFailed naming the
-    first violated assertion, and speed_bound's OutOfRange.
+    reproduces the loop trajectory, on propagators and forming no state
+    stack: max|rho_0 W_k - W_k rho_0|_F with W_k = U_k^dag P_k is max|U_k
+    rho_0 U_k^dag - P_k rho_0 P_k^dag|_F, as the Frobenius norm is unitarily
+    invariant. Then it lifts the trajectory and asserts: the holonomy hits
+    the target, the length equals the bound, the drive stays state-coherent
+    with constant energy uncertainty ihb/tau (both tested times tau), tau *
+    Delta E equals the length, and the speed-limit time iHB / Delta E equals
+    tau relative to tau, with Delta E and the bound from dynamics.speed_bound.
+    Raises SaturationFailed naming the first violated assertion, and
+    speed_bound's OutOfRange.
     """
     rho_curve = plan.exact_states()
-    # one expression, so the re-integrated U and state curves are freed before the lift
-    integration_defect = float(np.sqrt(np.max(linalg.stack_sq_norms(
-        dynamics.evolve(plan.rho, plan.schedule)[1].samples - rho_curve.samples))))
+    integration_defect = _integration_defect(plan.rho, plan.schedule, rho_curve.propagators)
     if integration_defect > tolerances.SAT_INTEGRATION_TOL:
         raise SaturationFailed(f"schedule fails to regenerate the trajectory by {integration_defect:.3e}")
 

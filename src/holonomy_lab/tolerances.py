@@ -50,7 +50,7 @@ AXIS_TILT_TOL = 1e-18  # n_1^2 + n_2^2 at or below this leaves the qubit station
 
 # synthesis
 ORTHONORMAL_TOL = 1e-8  # the plane pair of a pure loop is orthonormal
-SAT_INTEGRATION_TOL = 1e-5  # re-integrated schedule against the planned trajectory
+SAT_INTEGRATION_TOL = 1e-5  # max|rho0 W - W rho0|_F, W = U^dag P: re-integrated against planned propagators
 SAT_HOLONOMY_TOL = 1e-6  # realized holonomy against the target
 SAT_LENGTH_TOL = 1e-5  # curve length against the isoholonomic bound
 SAT_HIN_TOL = 1e-9  # incoherent mass of the drive, times tau

@@ -73,14 +73,15 @@ class TestHermiticityOnce:
         dynamics.speed_limit(curve, sched, w0)
         assert herm_checks == [201]
 
-    def test_verify_saturation(self, herm_checks, monkeypatch):
+    def test_verify_saturation(self, herm_checks):
+        # verify_saturation reads the propagators of the plan's orbit, so its
+        # analysis, closed_loop and iso_report, takes the plan's trajectory as
+        # a plain curve here
         plan = saturating_plan()
-        exact_states = synthesis.SaturatingPlan.exact_states
-        monkeypatch.setattr(synthesis.SaturatingPlan, "exact_states", lambda self: plain_curve(exact_states(self)))
+        curve = plain_curve(plan.exact_states())
         herm_checks.clear()
-        synthesis.verify_saturation(plan)
-        # the state curve's one check; the generator of the closed-form
-        # trajectory is a single matrix
+        invariants.iso_report(bundle.closed_loop(curve, plan.w))
+        # the state curve's one check
         assert [n for n in herm_checks if n > 1] == [plan.schedule.grid.n]
 
 

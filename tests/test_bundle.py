@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from holonomy_lab import bundle, cli, curves, dynamics, invariants, linalg, serialize, spectra
-from holonomy_lab.curves import OperatorCurve, TimeGrid
+from holonomy_lab.curves import OperatorCurve
 from holonomy_lab.errors import (
     DegeneracyMismatch,
     EndpointMismatch,

@@ -4,7 +4,7 @@ ends in SaturationFailed or ContractViolation (exit 2), naming its size."""
 import numpy as np
 import pytest
 
-from holonomy_lab import bundle, cli, dynamics, synthesis
+from holonomy_lab import bundle, cli, dynamics, serialize, synthesis
 from holonomy_lab.errors import SaturationFailed
 from qutil import saturating_plan
 
@@ -19,6 +19,28 @@ def test_incoherent_drive_is_caught():
                                       loops=plan.loops, generator=plan.generator, schedule=shifted)
     with pytest.raises(SaturationFailed, match=r"drive has incoherent mass 2\.000e-09"):
         synthesis.verify_saturation(broken)
+
+
+def scaled_plan():
+    # a schedule 1e-4 too strong turns the re-integrated run off the trajectory
+    plan = saturating_plan()
+    scaled = dynamics.HamiltonianSchedule(grid=plan.schedule.grid, samples=(1.0 + 1e-4) * plan.schedule.samples)
+    return synthesis.SaturatingPlan(rho=plan.rho, w=plan.w, target=plan.target, tau=plan.tau,
+                                    loops=plan.loops, generator=plan.generator, schedule=scaled)
+
+
+def test_scaled_schedule_fails_to_regenerate_the_trajectory(tmp_path, monkeypatch, capsys):
+    message = "schedule fails to regenerate the trajectory by 1.435e-04"
+    broken = scaled_plan()
+    with pytest.raises(SaturationFailed, match=message):
+        synthesis.verify_saturation(broken)
+    state, target = tmp_path / "s.json", tmp_path / "u.json"
+    serialize.write_json(state, serialize.state_to_json(np.diag([0.7, 0.3]).astype(complex)))
+    serialize.write_json(target, serialize.unitary_to_json(broken.target))
+    monkeypatch.setattr(synthesis, "synthesize", lambda *args, **kwargs: broken)
+    assert cli.main(["synthesize", str(state), str(target), "--tau", "1.0", "--ambient-dim", "4",
+                     "--out", str(tmp_path / "plan")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_scaled_lift_breaks_the_speed_identity(monkeypatch, capsys):

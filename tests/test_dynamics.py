@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from holonomy_lab import bundle, dynamics, invariants, linalg, spectra, synthesis
-from holonomy_lab.curves import OperatorCurve, TimeGrid, UnitaryOrbit
+from holonomy_lab import bundle, dynamics, linalg, spectra, synthesis
+from holonomy_lab.curves import TimeGrid, UnitaryOrbit
 from holonomy_lab.dynamics import SIGMA1, SIGMA3, HamiltonianSchedule
 from holonomy_lab.errors import DimMismatch, InvalidP, NonHermitian, NotClosed, StationaryAxis
 from qutil import (

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holonomy_lab import bundle, curves, dynamics, invariants, spectra
+from holonomy_lab import bundle, dynamics, invariants, spectra
 from holonomy_lab.curves import OperatorCurve, TimeGrid
 from holonomy_lab.errors import (
     BoundViolated,

@@ -549,9 +549,10 @@ def unused_imports(path):
 
 
 def test_no_unused_imports():
-    # the package's __init__ imports to re-export
-    offenders = {path.name: found for path in sorted(SRC.glob("*.py"))
-                 if path.stem != "__init__" and (found := unused_imports(path))}
+    # the package's __init__ imports to re-export; the tests are held to the same rule
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    offenders = {str(path.relative_to(path.parent.parent)): found
+                 for path in paths + sorted((REPO / "tests").glob("*.py")) if (found := unused_imports(path))}
     assert offenders == {}
 
 

@@ -31,6 +31,29 @@ def check_matmul(a: np.ndarray, b: np.ndarray) -> None:
     assert np.all(np.abs(got - want) <= 1e-14 * np.matmul(np.abs(a), np.abs(b)))
 
 
+def matmul_ndims(monkeypatch) -> list:
+    """Operand ndims of every matmul linalg makes from now on: the arrays it
+    coerces become views that report each matmul they enter."""
+    calls = []
+
+    class Seen(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            inputs = [x.view(np.ndarray) if isinstance(x, Seen) else x for x in inputs]
+            if ufunc is np.matmul:
+                calls.append(tuple(x.ndim for x in inputs))
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def asarray(self, x, *args, **kwargs):
+            return np.asarray(x, *args, **kwargs).view(Seen)
+
+    monkeypatch.setattr(linalg, "np", Numpy())
+    return calls
+
+
 class TestMatmulStack:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_matmul_on_every_shape(self, rng, n):
@@ -52,6 +75,13 @@ class TestMatmulStack:
         check_matmul(random_stack(rng, (5, 7, n, 3)), random_stack(rng, (3, n + 1)))
         check_matmul(random_stack(rng, (n + 1, 3)), random_stack(rng, (5, 7, 3, n)))
         check_matmul(random_stack(rng, (n, n + 2)), random_stack(rng, (30, n + 2, 1)))
+        # one matrix broadcast over a batch, as large as the other side's or smaller
+        fixed = random_stack(rng, (n, n))
+        check_matmul(random_stack(rng, (30, n, n)), np.broadcast_to(fixed, (30, n, n)))
+        check_matmul(random_stack(rng, (5, 7, 2, n)), np.broadcast_to(fixed, (7, n, n)))
+        check_matmul(random_stack(rng, (5, 1, 2, n)), np.broadcast_to(fixed, (7, n, n)))
+        check_matmul(fixed, np.broadcast_to(fixed, (30, n, n)))
+        check_matmul(np.broadcast_to(fixed, (30, n, n)), np.broadcast_to(fixed, (30, n, n)))
         # empty, single and wider batches, and batch axes that broadcast
         # against each other between two stacks
         for batch in (0, 1, 64):
@@ -81,7 +111,7 @@ class TestMatmulStack:
         check_matmul(cplx, fixed.real)
         check_matmul(fixed.real.T, cplx)
 
-    def test_path_follows_the_matrix_shape(self, rng):
+    def test_path_follows_the_matrix_shape(self, rng, monkeypatch):
         # two stacks whose (n, m) product has at most 9 entries take the
         # entry-wise sum in j order, bit for bit, whatever k; above 9, matmul
         for n in range(1, 10):
@@ -102,6 +132,18 @@ class TestMatmulStack:
             a, b = random_stack(rng, (n, n)), random_stack(rng, (20, n, 3))
             want = a @ b if 3 * n > 9 else sum(a[:, j, None] * b[:, None, j, :] for j in range(n))
             assert np.array_equal(linalg.matmul_stack(a, b), want)
+        # a right factor broadcast over the batch with stride 0 is its one
+        # matrix above 9 entries: the GEMM, bit for bit, and no batched matmul;
+        # up to 9 entries it is summed entry by entry as a stack
+        for n in (2, 4, 6):
+            a, b = random_stack(rng, (20, 3, n)), np.broadcast_to(random_stack(rng, (n, n)), (20, n, n))
+            calls = matmul_ndims(monkeypatch)
+            got = linalg.matmul_stack(a, b)
+            monkeypatch.undo()
+            if 3 * n > 9:
+                assert calls == [(2, 2)] and np.array_equal(got, a @ b)
+            else:
+                assert calls == [] and np.array_equal(got, sum(a[:, :, j, None] * b[:, None, j, :] for j in range(n)))
 
     def test_inner_dimension_mismatch_raises(self, rng):
         for a_shape, b_shape in (((5, 2, 2), (5, 3, 2)), ((5, 2, 2), (3, 2)), ((2, 3), (5, 2, 2))):

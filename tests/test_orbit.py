@@ -11,7 +11,7 @@ import pytest
 
 from holonomy_lab import bundle, curves, dynamics, invariants, linalg, serialize, spectra, synthesis
 from holonomy_lab.curves import OperatorCurve, UnitaryOrbit
-from holonomy_lab.errors import MultiplicityChange
+from holonomy_lab.errors import MultiplicityChange, NonFinite
 from qutil import plain_curve, qubit_axis, rand_gauge, rand_state, stack_sizes
 
 TWO_PI = 2.0 * np.pi
@@ -155,3 +155,50 @@ class TestLength:
         invariants.check_isoholonomic(orbit, w0)
         with pytest.raises(AssertionError, match="finite differences taken"):
             invariants.check_isoholonomic(plain_curve(orbit), w0)
+
+
+class TestStatesOnRead:
+    """An orbit forms its state stack on the first read of .samples; its first
+    and last states, its closure defect and every analysis of a unitary run
+    form one state at a time."""
+
+    def test_samples_are_the_hermitian_states(self, rng):
+        orbit = plan_run(rng, *PLANS["m12-6"])[0]
+        states = orbit.propagators @ orbit.start.matrix @ np.conj(np.swapaxes(orbit.propagators, -1, -2))
+        assert np.array_equal(orbit.samples, 0.5 * (states + np.conj(np.swapaxes(states, -1, -2))))
+        assert orbit.samples is orbit.samples  # formed once; TestIntegrity checks it read-only
+        assert np.array_equal(orbit.initial, orbit.samples[0]) and np.array_equal(orbit.final, orbit.samples[-1])
+
+    def test_runs_form_no_state_stack(self, rng, monkeypatch):
+        sizes = []
+        orbit_states = curves._orbit_states
+
+        def spy(u, rho0):
+            sizes.append(len(u))
+            return orbit_states(u, rho0)
+
+        monkeypatch.setattr(curves, "_orbit_states", spy)
+        rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
+        sched = dynamics.HamiltonianSchedule.constant(dynamics.qubit_hamiltonian(qubit_axis(0.6), TWO_PI), 1.0, 401)
+        _, orbit = dynamics.evolve(rho0, sched)
+        w0 = bundle.canonical_amplitude(rho0)
+        dynamics.speed_limit(orbit, sched, w0)
+        invariants.check_isoholonomic(orbit, w0)
+        assert sizes and set(sizes) == {1}
+        rho = rand_state(rng, (0.5, 0.25), (1, 2), 6)
+        plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis), tau=1.0,
+                                    ambient_dim=6)
+        sizes.clear()
+        synthesis.verify_saturation(plan)
+        assert sizes and set(sizes) == {1}
+        orbit.samples
+        assert sizes[-1] == orbit.grid.n
+
+    @pytest.mark.parametrize("field", ["propagators", "hamiltonians"])
+    def test_non_finite_sample_is_named(self, field):
+        rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
+        stacks = {"propagators": np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2)).copy(),
+                  "hamiltonians": np.zeros((5, 2, 2), dtype=complex)}
+        stacks[field][3, 1, 0] = np.nan
+        with pytest.raises(NonFinite, match="^sample 3 has non-finite entries$"):
+            UnitaryOrbit(grid=curves.TimeGrid(tau=1.0, n=5), start=rho0, **stacks)

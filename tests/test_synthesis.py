@@ -334,8 +334,12 @@ class TestScheduleProducts:
     def test_orbit_and_its_path_make_one(self, rng, products):
         plan = sweep_plan(rng, *SWEEP_PLANS[2], n_samples=201)
         products.clear()
-        bundle.decompose_path(plan.exact_states())
-        # U rho0 and U F0 fold into one GEMM each; only (U rho0) U^dag pairs two stacks
+        orbit = plan.exact_states()
+        bundle.decompose_path(orbit)
+        # U F0 folds into one GEMM, and the path forms no state
+        assert stack_by_stack(products) == []
+        orbit.samples
+        # the states, on their first read: U rho0 is one GEMM, (U rho0) U^dag pairs two stacks
         assert stack_by_stack(products) == [((201, 6, 6), (201, 6, 6))]
 
     @pytest.mark.parametrize("p, m, dim, fracs", SWEEP_PLANS, ids=SWEEP_IDS)
