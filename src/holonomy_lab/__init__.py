@@ -48,7 +48,6 @@ from .synthesis import (
     PureLoopSpec,
     SaturatingPlan,
     SaturationReport,
-    choose_planes,
     embedded_state,
     synthesize,
     verify_saturation,

@@ -296,7 +296,7 @@ def decompose_path(curve: OperatorCurve) -> SpectralPath:
 
 def _transport_steps(spath: SpectralPath, heads: list[Array]):
     """Per block (lo, hi, head, steps): the block frame at sample k is
-    F_k[:, lo:hi] steps[k-1] ... steps[0] head, with head from _start_heads
+    F_k[:, lo:hi] steps[k-1] ... steps[0] head, with head from check_lift_start
     and steps[k] the inverse polar factor of F_k^dag F_{k+1}, so consecutive
     overlaps are Hermitian positive."""
     for j, ((lo, hi), head) in enumerate(zip(spath.blocks, heads)):
@@ -319,12 +319,14 @@ def _transport_frames(spath: SpectralPath, heads: list[Array]) -> Array:
     return out
 
 
-def _start_heads(w0: Amplitude, spath: SpectralPath, rho0: Array) -> list[Array]:
-    """Per block j the unitary polar(F_j^dag S_j), with F_j the block frame
+def check_lift_start(w0: Amplitude, spath: SpectralPath, rho0: Array) -> list[Array]:
+    """Check w0 as a lift start over rho0, the first state of spath, and return
+    per block j the unitary head polar(F_j^dag S_j), with F_j the block frame
     spath.frames[0] holds for rho0 and S_j = W0_j q_j^{-1/2} the unit frame of
-    w0 (q_j its block values), once w0 is checked as a lift start over rho0:
-    DegeneracyMismatch for another m or another dimension, EndpointMismatch
-    off rho0."""
+    w0 (q_j its block values). F_j head_j are the frames on rho0's own
+    eigenspaces that every lift and plan from w0 starts on, whatever part of
+    W0 W0^dag lies off rho0 within PROJECTION_TOL. Raises DegeneracyMismatch
+    for another m or another dimension, EndpointMismatch off rho0."""
     if w0.basis.m != spath.m:
         raise DegeneracyMismatch(f"amplitude basis m={w0.basis.m}, curve has m={spath.m}")
     if w0.w.shape[0] != rho0.shape[0]:
@@ -336,25 +338,16 @@ def _start_heads(w0: Amplitude, spath: SpectralPath, rho0: Array) -> list[Array]
     return [linalg.polar_unitary(spath.frames[0, :, lo:hi].conj().T @ units[:, lo:hi]) for lo, hi in spath.blocks]
 
 
-def check_lift_start(w0: Amplitude, spath: SpectralPath, rho0: Array) -> Array:
-    """The (n, r) support frames F_j polar(F_j^dag S_j) of a lift start w0 over
-    rho0, the first state of spath (see _start_heads): the frames on rho0's own
-    eigenspaces that every lift and plan from w0 starts on, whatever part of
-    W0 W0^dag lies off rho0 within PROJECTION_TOL."""
-    frame0, heads = spath.frames[0], _start_heads(w0, spath, rho0)
-    return np.concatenate([frame0[:, lo:hi] @ head for (lo, hi), head in zip(spath.blocks, heads)], axis=1)
-
-
 def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
     """Discrete horizontal lift of a state curve starting at the amplitude w0.
 
     The lift projects back onto the curve and its consecutive block frame
     overlaps are Hermitian positive (the discrete horizontality condition).
-    Sample 0 is w0 itself; the transport starts from the frames
-    check_lift_start gives, on the first state's own eigenspaces.
+    Sample 0 is w0 itself; the transport starts from the frames F_j head_j
+    on the first state's own eigenspaces, with the heads check_lift_start gives.
     """
     spath = decompose_path(rho_curve)
-    frames_t = _transport_frames(spath, _start_heads(w0, spath, rho_curve.initial))
+    frames_t = _transport_frames(spath, check_lift_start(w0, spath, rho_curve.initial))
     # amplitude samples: sqrt(p_{j;t}) on block j applied to the frames
     samples = frames_t * np.sqrt(spath.values[:, None, : spath.rank])
     samples[0] = w0.w
@@ -364,7 +357,7 @@ def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
 def lift_endpoint(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
     """W_tau = horizontal_lift(rho_curve, w0).samples[-1], from the step products alone."""
     frame = np.empty((spath.frames.shape[1], spath.rank), dtype=np.complex128)
-    for lo, hi, head, steps in _transport_steps(spath, _start_heads(w0, spath, rho_curve.initial)):
+    for lo, hi, head, steps in _transport_steps(spath, check_lift_start(w0, spath, rho_curve.initial)):
         frame[:, lo:hi] = spath.frames[-1, :, lo:hi] @ linalg.total_product(steps, head)
     return frame * np.sqrt(spath.values[-1, : spath.rank])
 
@@ -384,7 +377,7 @@ def transported_frame(rho_curve: OperatorCurve, frames0) -> Array:
     if frames0.shape != shape:
         raise DegeneracyMismatch(f"frames have shape {frames0.shape}, expected {shape}")
     w0 = Amplitude(w=frames0 * np.sqrt(spath.values[0, : spath.rank]), basis=EigenprojectorBasis(spath.m))
-    return _transport_frames(spath, _start_heads(w0, spath, rho_curve.initial))
+    return _transport_frames(spath, check_lift_start(w0, spath, rho_curve.initial))
 
 
 @dataclass(frozen=True, eq=False)

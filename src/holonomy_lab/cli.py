@@ -206,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="bound-saturating plan for a target holonomy")
     p.add_argument("state")
     p.add_argument("target")
-    p.add_argument("--tau", type=_number(float, lambda v: v > 0.0, "must be positive"), required=True)
+    p.add_argument("--tau", type=_number(float, lambda v: 0.0 < v < np.inf, "must be positive and finite"),
+                   required=True)
     p.add_argument("--ambient-dim", type=_number(int, lambda v: v >= 2, "dimension must be at least 2"), required=True)
     p.add_argument("--n", type=_SAMPLE_COUNT, default=synthesis.PLAN_SAMPLES)
     common(p)

@@ -98,11 +98,16 @@ def ihb_isospectral(p, phases: PhaseSpectrum) -> float:
 
 
 def ihb_constrained(alpha, phases: PhaseSpectrum) -> float:
-    """Spectrally constrained bound sqrt(sum_ja alpha_j theta_ja (2pi - theta_ja))."""
+    """Spectrally constrained bound sqrt(sum_ja alpha_j theta_ja (2pi - theta_ja));
+    OutOfRange if the sum overflows."""
     alpha = np.asarray(alpha, dtype=float)
     if not np.all(np.isfinite(alpha)) or np.any(alpha < 0.0):
         raise ShapeMismatch(f"spectral bounds must be finite and nonnegative, got {alpha.tolist()}")
-    return _weighted_bound(alpha, phases)
+    with np.errstate(over="ignore"):  # a weighted sum past 1e308 is inf, rejected below
+        bound = _weighted_bound(alpha, phases)
+    if not np.isfinite(bound):
+        raise OutOfRange(f"spectral bounds {alpha.tolist()} overflow the constrained bound")
+    return bound
 
 
 def wilson_loop(g: bundle.GaugeElement) -> complex:

@@ -59,8 +59,11 @@ class EigenprojectorBasis:
     def __post_init__(self):
         try:
             m = np.asarray(self.m, dtype=float)
+            flags = np.asarray(self.m, dtype=object).ravel()
         except (TypeError, ValueError):
             raise LengthMismatch(f"degeneracies m must be numbers, got {self.m}") from None
+        if any(isinstance(x, (bool, np.bool_)) for x in flags):  # True is no multiplicity of 1
+            raise LengthMismatch(f"degeneracies m must be numbers, got {self.m}")
         if m.ndim != 1 or m.size == 0 or not np.all(np.isfinite(m) & (m >= 1.0) & (m == np.round(m))):
             raise LengthMismatch(f"degeneracies must be positive integers, got {self.m}")
         object.__setattr__(self, "m", tuple(int(x) for x in m))
@@ -77,11 +80,6 @@ class EigenprojectorBasis:
             out.append((start, start + mj))
             start += mj
         return out
-
-    @property
-    def labels(self) -> list[tuple[int, int]]:
-        """(j, a) label of each basis index, blocks and slots 1-based."""
-        return [(j + 1, a + 1) for j, mj in enumerate(self.m) for a in range(mj)]
 
     def lambda_mat(self, j: int) -> Array:
         """Projector onto block j (0-based) as a dim_k x dim_k matrix."""
@@ -162,11 +160,6 @@ class DensityOperator:
     @property
     def kernel(self) -> Array:
         return self.full_frame[:, self.rank :]
-
-    def projector(self, j: int) -> Array:
-        """Orthogonal projector onto the eigenspace of p_j (0-based)."""
-        f = self.frames[j]
-        return f @ f.conj().T
 
 
 def spectral_decompose(rho) -> DensityOperator:

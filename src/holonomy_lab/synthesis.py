@@ -50,8 +50,8 @@ class PureLoopSpec:
     def __post_init__(self):
         if not 0.0 <= self.theta < TWO_PI:
             raise OutOfRange(f"theta {self.theta!r} outside [0, 2pi)")
-        if not self.tau > 0.0:
-            raise OutOfRange(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < np.inf:
+            raise OutOfRange(f"tau must be positive and finite, got {self.tau}")
         psi = np.asarray(self.psi, dtype=np.complex128).reshape(-1)
         phi = np.asarray(self.phi, dtype=np.complex128).reshape(-1)
         for name, v in (("psi", psi), ("phi", phi)):
@@ -95,24 +95,6 @@ class PureLoopSpec:
         return self.a_plus * np.outer(e_plus, e_plus.conj()) + self.a_minus * np.outer(e_minus, e_minus.conj())
 
 
-def choose_planes(rho: DensityOperator, w: bundle.Amplitude, ambient_dim: int) -> list[tuple[Array, Array]]:
-    """Mutually orthogonal planes, one per auxiliary slot.
-
-    Plane q is spanned by the slot vector psi_q, column q of the support
-    frames on rho's eigenspaces that check_lift_start returns for w, and
-    column q of rho's kernel.
-    Raises DimensionTooSmall unless ambient_dim is rho's dimension and at
-    least twice its rank, then check_lift_start's errors.
-    """
-    if ambient_dim != rho.dim:
-        raise DimensionTooSmall(f"state lives in dim {rho.dim}, ambient_dim says {ambient_dim}")
-    r = rho.rank
-    if ambient_dim < 2 * r:
-        raise DimensionTooSmall(f"need ambient dim >= {2 * r} to fit {r} planes, got {ambient_dim}")
-    support = bundle.check_lift_start(w, bundle.SpectralPath.of_state(rho), rho.matrix)
-    return [(support[:, q], rho.kernel[:, q]) for q in range(r)]
-
-
 def _flow(generator: Array, ts: Array) -> tuple[Array, Array]:
     """Eigenframe V (n, n) of the generator and the phases r (N, n), with
     r[k] = exp(-i t_k lambda), so that exp(-i t_k generator) = V diag(r[k]) V^dag."""
@@ -153,22 +135,27 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
     """Assemble a closed evolution at rho with holonomy target at w whose
     length equals the isoholonomic bound.
 
-    The amplitude is re-expressed in an eigenbasis of the target, each
-    eigenslot is given an optimal pure loop in its own plane, and the drive
-    is the coherent part at rho (split_hamiltonian) of the summed loop
-    generator, carried along its flow. Raises OutOfRange for a tau that
-    takes the squared speed of a non-trivial loop out of the normal floats.
+    Slot q of the target's eigenbasis s gets an optimal pure loop in the
+    plane of psi_q and column q of rho's kernel, psi = concat_j(F_j head_j) s
+    from one bundle.check_lift_start (polar(M s) = polar(M) s for a
+    block-unitary s), so the loops move rho and not W W^dag. The drive is the
+    coherent part at rho (split_hamiltonian) of the summed loop generator,
+    carried along its flow. Raises check_lift_start's errors, DimensionTooSmall
+    unless ambient_dim is rho's dimension and at least twice its rank, then
+    OutOfRange for a tau not positive and finite or one that takes the
+    squared speed of a non-trivial loop out of the normal floats.
     """
     if tuple(target.basis.m) != tuple(rho.m):
         raise DegeneracyMismatch(f"target basis m={target.basis.m}, state has m={rho.m}")
-    bundle.check_lift_start(w, bundle.SpectralPath.of_state(rho), rho.matrix)
+    heads = bundle.check_lift_start(w, bundle.SpectralPath.of_state(rho), rho.matrix)
+    if ambient_dim != rho.dim:
+        raise DimensionTooSmall(f"state lives in dim {rho.dim}, ambient_dim says {ambient_dim}")
+    if ambient_dim < 2 * rho.rank:
+        raise DimensionTooSmall(f"need ambient dim >= {2 * rho.rank} to fit {rho.rank} planes, got {ambient_dim}")
     thetas, s = invariants.blockwise_eigenbasis(target)
-    w_adapted = bundle.Amplitude(w=w.w @ s, basis=w.basis)
-    planes = choose_planes(rho, w_adapted, ambient_dim)
-    loops = tuple(
-        PureLoopSpec(theta=float(thetas[q]), tau=float(tau), psi=psi, phi=phi)
-        for q, (psi, phi) in enumerate(planes)
-    )
+    slots = np.concatenate([f @ head for f, head in zip(rho.frames, heads)], axis=1) @ s
+    loops = tuple(PureLoopSpec(theta=float(thetas[q]), tau=float(tau), psi=slots[:, q], phi=rho.kernel[:, q])
+                  for q in range(rho.rank))
     if any(loop.speed > np.sqrt(np.finfo(float).max) for loop in loops):  # a float's square raises past max
         raise OutOfRange(f"tau = {tau:.3e} overflows the plan's squared loop speeds above {np.finfo(float).max:.3e}")
     if any(loop.theta and loop.speed**2 < np.finfo(float).tiny for loop in loops):
@@ -210,11 +197,14 @@ class SaturationReport:
 
 def _integration_defect(rho: DensityOperator, schedule: dynamics.HamiltonianSchedule, planned: Array) -> float:
     """max_k |rho_0 W_k - W_k rho_0|_F with W_k = U_k^dag P_k, U the propagators
-    evolve re-integrates from the schedule and P the planned ones; the
+    evolve re-integrates from the schedule and P the planned ones, taken in
+    rho_0's eigenframe F: max_k |(lambda_i - lambda_j) X_ij|_F with
+    X = (U_k F)^dag (P_k F), two GEMMs and one batched product. The
     re-integrated run is freed on return, before the lift."""
-    w = linalg.matmul_stack(np.conj(np.swapaxes(dynamics.evolve(rho, schedule)[0].samples, -1, -2)), planned)
-    return float(np.sqrt(np.max(linalg.stack_sq_norms(
-        linalg.matmul_stack(rho.matrix, w) - linalg.matmul_stack(w, rho.matrix)))))
+    frame, lam = rho.full_frame, bundle.SpectralPath.of_state(rho).values[0]
+    uf = linalg.matmul_stack(dynamics.evolve(rho, schedule)[0].samples, frame)
+    x = linalg.matmul_stack(np.conj(np.swapaxes(uf, -1, -2)), linalg.matmul_stack(planned, frame))
+    return float(np.sqrt(np.max(linalg.stack_sq_norms(x * (lam[:, None] - lam[None, :])))))
 
 
 def verify_saturation(plan: SaturatingPlan) -> SaturationReport:

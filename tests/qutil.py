@@ -35,6 +35,12 @@ def rand_state(rng, p, m, dim: int) -> spectra.DensityOperator:
     return spectra.spectral_decompose(v @ np.diag(diag).astype(complex) @ v.conj().T)
 
 
+def projector(rho: spectra.DensityOperator, j: int) -> np.ndarray:
+    """Orthogonal projector onto the eigenspace of p_j (0-based)."""
+    f = rho.frames[j]
+    return f @ f.conj().T
+
+
 def rand_gauge(rng, basis: spectra.EigenprojectorBasis) -> bundle.GaugeElement:
     u = np.zeros((basis.dim_k, basis.dim_k), dtype=complex)
     for lo, hi in basis.blocks:

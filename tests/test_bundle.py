@@ -17,6 +17,7 @@ from qutil import (
     lift_connection_residuals,
     polar_transport_reference,
     precessing_qubit_curve,
+    projector,
     pure_curve,
     rand_gauge,
     rand_hermitian,
@@ -190,7 +191,7 @@ class TestMetricOnStates:
         # moving only the eigenvalues: g equals sum_j m_j pdot_j^2 / p_j / 4
         rho = rand_state(rng, (0.5, 0.25), (1, 2), 5)
         pdot = np.array([0.2, -0.1])  # zero-sum against m = (1, 2)
-        rdot = pdot[0] * rho.projector(0) + pdot[1] * rho.projector(1)
+        rdot = pdot[0] * projector(rho, 0) + pdot[1] * projector(rho, 1)
         g = speed_sq(rho, rdot)
         expected = 0.25 * (pdot[0] ** 2 / 0.5 + 2 * pdot[1] ** 2 / 0.25)
         assert abs(g - expected) <= 1e-12
@@ -198,7 +199,7 @@ class TestMetricOnStates:
     def test_mixed_directions_are_orthogonal(self, rng):
         # eigenvalue motion is g-orthogonal to unitary (frame) motion
         rho = rand_state(rng, (0.5, 0.25), (1, 2), 5)
-        pdot_dir = 0.2 * rho.projector(0) - 0.1 * rho.projector(1)
+        pdot_dir = 0.2 * projector(rho, 0) - 0.1 * projector(rho, 1)
         h = rand_hermitian(rng, 5)
         _, h_co = dynamics.split_hamiltonian(h, rho)
         unitary_dir = -1j * (h_co @ rho.matrix - rho.matrix @ h_co)
@@ -513,7 +514,7 @@ class TestTransportedFrame:
         for k, t in enumerate(ts):
             u = (hw * np.exp(-1j * t * hv)) @ hw.conj().T
             samples[k] = u @ rho0.matrix @ u.conj().T
-            projs[k] = u @ rho0.projector(0) @ u.conj().T
+            projs[k] = u @ projector(rho0, 0) @ u.conj().T
         c = OperatorCurve.from_samples(tau, samples)
         frames = bundle.transported_frame(c, [f.copy() for f in rho0.frames])
 
@@ -522,7 +523,7 @@ class TestTransportedFrame:
             # spectral path of projectors is analytic; use exact derivative
             t = k_float * c.grid.dt
             u = (hw * np.exp(-1j * t * hv)) @ hw.conj().T
-            p = u @ rho0.projector(0) @ u.conj().T
+            p = u @ projector(rho0, 0) @ u.conj().T
             return -1j * (h @ p - p @ h), p
 
         psi = rho0.frames[0].copy()

@@ -176,6 +176,15 @@ class TestCheck:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    def test_alpha_whose_bound_overflows_exits_one(self, tmp_path, capsys):
+        # alpha_j theta (2pi - theta) passes 1e308; the overflow used to warn
+        # (an error under this suite's filter) before the region check exited 1
+        path = write_curve(tmp_path / "c.json", precessing_qubit_curve(0.6, TWO_PI, 0.7, 401))
+        assert cli.main(["check", path, "--alpha", "1e308,1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: spectral bounds [1e+308, 1e+308] overflow the constrained bound\n"
+
     def test_explicit_amplitude_file(self, tmp_path, capsys):
         from holonomy_lab import bundle, spectra
         from qutil import rand_gauge
@@ -211,6 +220,21 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "degeneracies must be positive integers, got [1.2, 1.7]" in captured.err
+
+    def test_boolean_amplitude_m_exits_one(self, tmp_path, capsys):
+        # JSON true used to read as a multiplicity of 1
+        from holonomy_lab import bundle
+
+        curve = precessing_qubit_curve(0.6, TWO_PI, 0.7, 101)
+        cpath = write_curve(tmp_path / "c.json", curve)
+        data = serialize.amplitude_to_json(bundle.canonical_amplitude(spectra.spectral_decompose(curve.samples[0])))
+        data["basis"]["m"] = [True, True]
+        apath = tmp_path / "w.json"
+        serialize.write_json(apath, data)
+        assert cli.main(["check", cpath, "--amplitude", str(apath)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: degeneracies m must be numbers, got [True, True]\n"
 
     def test_object_amplitude_m_exits_one(self, tmp_path, capsys):
         # float({}) raises TypeError, which used to escape as a traceback
@@ -339,6 +363,19 @@ class TestSynthesize:
         serialize.write_json(tpath, target)
         assert cli.main(["synthesize", state, str(tpath), "--tau", "1.0",
                          "--ambient-dim", "3", "--out", str(tmp_path / "plan")]) == 1
+
+    @pytest.mark.parametrize("phases", [(0.0, 0.0), (1.6 * np.pi, 0.4 * np.pi)], ids=["identity", "qubit"])
+    def test_infinite_tau_exits_one(self, tmp_path, capsys, phases):
+        # inf used to warn in the flow (identity) or read as an underflow (qubit)
+        state = write_state(tmp_path / "s.json", np.diag([0.7, 0.3]).astype(complex))
+        target = {"matrix": serialize.matrix_to_json(np.diag(np.exp(1j * np.array(phases)))), "basis": {"m": [1, 1]}}
+        tpath = tmp_path / "u.json"
+        serialize.write_json(tpath, target)
+        assert cli.main(["synthesize", state, str(tpath), "--tau", "inf", "--ambient-dim", "4",
+                         "--n", "101", "--out", str(tmp_path / "plan")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --tau: must be positive and finite, got inf" in captured.err
 
     def test_tau_that_underflows_the_squared_loop_speeds_exits_one(self, tmp_path, capsys):
         # a loop of phase 1e-3 over tau = 1e300 has speed 7.9e-302, whose square is 0
@@ -491,8 +528,8 @@ class TestUsageErrors:
 
     # --jobs and --ambient-dim have their own tests above
     @pytest.mark.parametrize("command, flag, value, message", [
-        (["synthesize", "s.json", "u.json", "--ambient-dim", "4"], "--tau", "0", "must be positive"),
-        (["synthesize", "s.json", "u.json", "--ambient-dim", "4"], "--tau", "nan", "must be positive"),
+        (["synthesize", "s.json", "u.json", "--ambient-dim", "4"], "--tau", "0", "must be positive and finite"),
+        (["synthesize", "s.json", "u.json", "--ambient-dim", "4"], "--tau", "nan", "must be positive and finite"),
         (["synthesize", "s.json", "u.json", "--tau", "1", "--ambient-dim", "4"], "--n", "1",
          "need at least 2 samples"),
         (["qubit-demo", "--n3", "0.5"], "--n", "-4", "need at least 2 samples"),

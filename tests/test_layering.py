@@ -6,9 +6,10 @@ hermitian_eig is called only by spectral_decompose and a plan's flow, the
 unitary integrator takes its midpoint steps from one builder, only the
 two unitary runs build a UnitaryOrbit, only bundle tells an orbit from a
 plain curve, per-sample norms of a stack go through one kernel, the exit-2
-raise sites are pinned, every public name has a caller and every tolerance
-a reader, no module imports a name it does not read, and numpy is the only
-third-party package the library imports."""
+raise sites are pinned, every public name and every public method or
+property of a public class has a caller and every tolerance a reader, no
+module imports a name it does not read, and numpy is the only third-party
+package the library imports."""
 
 import ast
 import re
@@ -489,7 +490,8 @@ def names_read(nodes):
 def uncalled_names(paths, callers):
     """module.name of every public top-level def or class in paths that no
     other top-level statement of its file, no other file in paths and no
-    file in callers reads."""
+    file in callers reads, and module.Class.name of every public method or
+    property of a public class that nothing but its own definition reads."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")).body for path in paths}
     outside = names_read(node for path in callers for node in ast.parse(path.read_text(encoding="utf-8")).body)
     found = []
@@ -501,6 +503,13 @@ def uncalled_names(paths, callers):
             own = names_read(node for node in body if node is not definition)
             if not definition.name.startswith("_") and definition.name not in others | own:
                 found.append(f"{path.stem}.{definition.name}")
+            if not isinstance(definition, ast.ClassDef) or definition.name.startswith("_"):
+                continue
+            for member in definition.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not member.name.startswith("_")
+                        and member.name not in others | own | names_read(
+                            node for node in definition.body if node is not member)):
+                    found.append(f"{path.stem}.{definition.name}.{member.name}")
     return found
 
 
@@ -515,7 +524,7 @@ def test_every_public_name_has_a_caller():
     # suite; the package's re-exports and a name's own tests do not count
     modules = sorted(path for path in SRC.glob("*.py") if path.stem != "__init__")
     callers = sorted((REPO / "bench").glob("*.py")) + [REPO / "tests" / "test_acceptance.py"]
-    assert {name.split(".")[1] for name in uncalled_names(modules, callers)} == set(KEEP)
+    assert {name.split(".", 1)[1] for name in uncalled_names(modules, callers)} == set(KEEP)
     assert unread_tolerances(SRC / "tolerances.py", [path for path in modules if path.stem != "tolerances"]) == []
 
 
@@ -532,6 +541,23 @@ def test_guard_sees_an_uncalled_name(tmp_path):
     bench.write_text("import lib as hl\n\nhl.from_bench()\n", encoding="utf-8")
     assert uncalled_names([lib, user], [bench]) == ["lib.recursive", "lib.uncalled", "lib.Unused"]
     assert unread_tolerances(lib, [user]) == ["EDGE_TOL"]
+
+
+def test_guard_sees_an_uncalled_method(tmp_path):
+    lib, bench = tmp_path / "lib.py", tmp_path / "bench.py"
+    lib.write_text("class Basis:\n    m: tuple\n\n"
+                   "    def __post_init__(self):\n        pass\n\n"
+                   "    @property\n    def blocks(self):\n        return self.m\n\n"
+                   "    @property\n    def labels(self):\n        return self.blocks\n\n"
+                   "    def helper(self):\n        return self.blocks\n\n"
+                   "    def used(self):\n        return self.helper()\n\n"
+                   "    def from_bench(self):\n        pass\n\n"
+                   "    def recursive(self):\n        return self.recursive()\n\n"
+                   "    def _private(self):\n        pass\n\n\n"
+                   "class _Hidden:\n    def unread(self):\n        pass\n\n\n"
+                   "def build():\n    return Basis(m=()).used(), _Hidden()\n", encoding="utf-8")
+    bench.write_text("import lib as hl\n\nhl.build()\nhl.Basis(m=()).from_bench()\n", encoding="utf-8")
+    assert uncalled_names([lib], [bench]) == ["lib.Basis.labels", "lib.Basis.recursive"]
 
 
 def unused_imports(path):

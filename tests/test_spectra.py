@@ -8,7 +8,7 @@ from holonomy_lab.errors import (
     NotDescending,
     NotNormalized,
 )
-from qutil import rand_unitary
+from qutil import projector, rand_unitary
 
 
 class TestValidate:
@@ -73,8 +73,8 @@ class TestSpectralDecompose:
             assert np.allclose(rotated.p, ref.p, atol=1e-12)
             assert rotated.m == ref.m
             for j in range(len(ref.m)):
-                expected = u @ ref.projector(j) @ u.conj().T
-                assert np.linalg.norm(rotated.projector(j) - expected) <= 1e-10
+                expected = u @ projector(ref, j) @ u.conj().T
+                assert np.linalg.norm(projector(rotated, j) - expected) <= 1e-10
 
     def test_rejects_non_states(self):
         with pytest.raises(NotAState):
@@ -143,7 +143,9 @@ class TestEigenprojectorBasis:
         basis = spectra.EigenprojectorBasis(m=(1, 2))
         assert basis.dim_k == 3
         assert basis.blocks == [(0, 1), (1, 3)]
-        assert basis.labels == [(1, 1), (2, 1), (2, 2)]
+        # the (j, a) label of each basis index, blocks and slots 1-based
+        assert [(j + 1, a - lo + 1) for j, (lo, hi) in enumerate(basis.blocks) for a in range(lo, hi)] == [
+            (1, 1), (2, 1), (2, 2)]
 
     def test_lambda_projectors(self):
         basis = spectra.EigenprojectorBasis(m=(1, 2))

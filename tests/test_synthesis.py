@@ -71,24 +71,29 @@ class TestOptimalPureLoop:
 
 
 class TestChoosePlanes:
+    """synthesize gives slot q the plane of its slot vector psi_q, from one
+    lift-start check, and column q of rho's kernel."""
+
+    @staticmethod
+    def plane_vectors(plan):
+        return np.stack([v for loop in plan.loops for v in (loop.psi, loop.phi)], axis=1)
+
     def test_rank_one_in_dim_two(self, rng):
         psi = rand_unitary(rng, 2)[:, :1]
         rho = spectra.spectral_decompose(psi @ psi.conj().T)
-        w = bundle.canonical_amplitude(rho)
-        planes = synthesis.choose_planes(rho, w, 2)
-        assert len(planes) == 1
-        a, b = planes[0]
-        assert abs(np.vdot(a, b)) <= 1e-12
+        plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis),
+                                    tau=1.0, ambient_dim=2, n_samples=11)
+        assert len(plan.loops) == 1
+        vecs = self.plane_vectors(plan)
+        assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(2)) <= 1e-12
 
     def test_rank_two_in_dim_four(self, rng):
         rho = rand_state(rng, (0.7, 0.3), (1, 1), 4)
-        w = bundle.canonical_amplitude(rho)
-        planes = synthesis.choose_planes(rho, w, 4)
-        assert len(planes) == 2
-        vecs = [v for pair in planes for v in pair]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert abs(np.vdot(vecs[i], vecs[j])) <= 1e-12
+        plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis),
+                                    tau=1.0, ambient_dim=4, n_samples=11)
+        assert len(plan.loops) == 2
+        vecs = self.plane_vectors(plan)
+        assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(4)) <= 1e-12
 
     def test_partners_are_kernel_columns(self, rng):
         # dim 5, rank 2: plane q pairs slot q with column q of rho's kernel
@@ -102,9 +107,19 @@ class TestChoosePlanes:
 
     def test_dim_too_small(self, rng):
         rho = rand_state(rng, (0.7, 0.3), (1, 1), 3)
-        w = bundle.canonical_amplitude(rho)
-        with pytest.raises(DimensionTooSmall):
-            synthesis.choose_planes(rho, w, 3)
+        w, target = bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis)
+        with pytest.raises(DimensionTooSmall, match=r"need ambient dim >= 4 to fit 2 planes, got 3"):
+            synthesis.synthesize(rho, w, target, tau=1.0, ambient_dim=3)
+        with pytest.raises(DimensionTooSmall, match=r"state lives in dim 3, ambient_dim says 4"):
+            synthesis.synthesize(rho, w, target, tau=1.0, ambient_dim=4)
+
+    def test_one_lift_start_check_per_plan(self, rng, monkeypatch):
+        rho = rand_state(rng, (0.5, 0.25), (1, 2), 6)
+        calls, check = [], bundle.check_lift_start
+        monkeypatch.setattr(bundle, "check_lift_start", lambda *args: calls.append(args) or check(*args))
+        synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis),
+                             tau=1.0, ambient_dim=6, n_samples=11)
+        assert len(calls) == 1
 
 
 class TestSynthesize:
@@ -219,9 +234,10 @@ class TestSynthesize:
         with pytest.raises(DimensionTooSmall):
             synthesis.synthesize(rho, w, target, tau=1.0, ambient_dim=3)
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
     def test_non_positive_tau_rejected(self, tau):
-        # the pure-loop specs check tau where it enters the plan
+        # the pure-loop specs check tau where it enters the plan, before
+        # an infinite one can reach the flow's time grid
         rho = synthesis.embedded_state(np.diag([0.7, 0.3]).astype(complex), 4)
         target = bundle.GaugeElement(u=np.eye(2), basis=rho.basis)
         with pytest.raises(OutOfRange, match="tau must be positive"):
