@@ -194,10 +194,18 @@ def state_speeds_sq(b: Array, spath: "SpectralPath") -> Array:
 def curve_speeds_sq(curve: OperatorCurve, spath: "SpectralPath") -> Array:
     """Squared metric speeds along a curve decomposed as spath: the exact lifts of
     -i[H, rho] for a UnitaryOrbit (state_speeds_sq), of finite-difference tangents
-    at LENGTH_TANGENT_TOL otherwise. Raises OutOfRange when a squared speed, or
-    the squared norm of a finite-difference tangent, overflows."""
+    at LENGTH_TANGENT_TOL otherwise. An orbit whose Hamiltonians all equal the
+    first bitwise (the test dynamics._steps takes) conserves its speed, since its
+    propagators commute with H, so sample 0 of spath is lifted alone and its speed
+    broadcast. Raises OutOfRange when a squared speed, or the squared norm of a
+    finite-difference tangent, overflows."""
     if isinstance(curve, UnitaryOrbit):
-        sq = state_speeds_sq(spath.in_eigenframe(curve.hamiltonians), spath)
+        h = curve.hamiltonians
+        if np.all(h == h[0]):
+            first = SpectralPath(means=spath.means[:1], frames=spath.frames[:1], m=spath.m)
+            sq = np.repeat(state_speeds_sq(first.in_eigenframe(h[:1]), first), len(h))
+        else:
+            sq = state_speeds_sq(spath.in_eigenframe(h), spath)
     else:
         rdots = grid_derivative(curve.samples, curve.grid.dt)
         sq = linalg.stack_sq_norms(rdots)  # finite, or lift_tangents cannot test the tangents

@@ -145,6 +145,8 @@ def cmd_qubit_demo(args) -> int:
     ]
     for row in rows:
         row["abs_err"] = abs(row["analytic"] - row["numeric"])
+    for row in rows[:2]:  # phases: the distance on the circle
+        row["abs_err"] = min(row["abs_err"] % (2.0 * np.pi), -row["abs_err"] % (2.0 * np.pi))
     payload = {"n3": args.n3, "omega": args.omega, "p0": args.p0, "n": args.n,
                "tau": ref.tau, "rows": rows}
     if args.csv:

@@ -83,7 +83,9 @@ class OperatorCurve:
 class UnitaryOrbit(OperatorCurve):
     """State curve rho_k = U_k rho_0 U_k^dag of a unitary run, built from its
     propagators and Hamiltonians (N, n, n) and its start rho_0, so its samples,
-    eigenframes U_k F_0 and tangents -i[H_k, rho_k] cannot disagree. The
+    eigenframes U_k F_0 and tangents -i[H_k, rho_k] cannot disagree; under
+    Hamiltonians all equal bitwise the tangents keep one speed, which
+    bundle.curve_speeds_sq lifts at sample 0 alone. The
     propagators and Hamiltonians must be finite (NonFinite names the first bad
     sample). The samples are formed, Hermitian, on their first read; initial,
     final and closure_defect form only the first and last state. All three

@@ -150,7 +150,8 @@ def check_isoholonomic(rho_curve: OperatorCurve, w0: bundle.Amplitude, alpha=Non
 def iso_report(loop: bundle.ClosedLoop, alpha=None) -> IsoReport:
     """Evaluate the isoholonomic inequalities on an analysed closed curve.
 
-    The length integrates bundle.curve_speeds_sq. For constant-spectrum curves
+    The length integrates bundle.curve_speeds_sq, one lifted speed for an
+    orbit under a constant Hamiltonian. For constant-spectrum curves
     the fixed-spectrum bound applies; with alpha the constrained and strong
     inequalities are evaluated too. Negative slack beyond SLACK_TOL raises
     BoundViolated, which signals a numerical-method bug rather than physics.

@@ -86,6 +86,12 @@ def plain_curve(curve) -> OperatorCurve:
     return OperatorCurve(grid=curve.grid, samples=np.array(curve.samples))
 
 
+def per_sample_speeds_sq(orbit, spath: bundle.SpectralPath) -> np.ndarray:
+    """Oracle for bundle.curve_speeds_sq on a unitary orbit: the lift of
+    -i[H_k, rho_k] at every sample of its path, whatever its Hamiltonians."""
+    return bundle.state_speeds_sq(spath.in_eigenframe(orbit.hamiltonians), spath)
+
+
 def stack_sizes(monkeypatch, name: str) -> list:
     """Sizes of the stacks linalg.<name> sees from now on."""
     sizes = []

@@ -485,6 +485,14 @@ class TestQubitDemo:
         assert cli.main(["qubit-demo", "--n3", "nan", "--n", "11"]) == 1
         assert "axis" in capsys.readouterr().err
 
+    def test_phase_error_is_the_distance_on_the_circle(self, capsys):
+        # analytic theta_0 sits 3.1e-10 below 2 pi and the numeric phase at 0;
+        # the plain difference gave abs_err 6.283 with exit 0
+        assert cli.main(["qubit-demo", "--n3", "0.9999999999", "--n", "2001"]) == 0
+        rows = {row["quantity"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+        assert rows["theta_0"]["analytic"] > 6.28 and rows["theta_0"]["numeric"] < 0.01
+        assert rows["theta_0"]["abs_err"] <= 1e-9 and rows["theta_1"]["abs_err"] <= 1e-9
+
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "demo.csv"
         assert cli.main(["qubit-demo", "--n3", "0.3", "--n", "401", "--csv",

@@ -4,9 +4,9 @@ ends in SaturationFailed or ContractViolation (exit 2), naming its size."""
 import numpy as np
 import pytest
 
-from holonomy_lab import bundle, cli, dynamics, serialize, synthesis
-from holonomy_lab.errors import SaturationFailed
-from qutil import saturating_plan
+from holonomy_lab import bundle, cli, dynamics, invariants, serialize, spectra, synthesis
+from holonomy_lab.errors import BoundViolated, SaturationFailed
+from qutil import qubit_axis, saturating_plan
 
 
 def test_incoherent_drive_is_caught():
@@ -49,3 +49,30 @@ def test_scaled_lift_breaks_the_speed_identity(monkeypatch, capsys):
     monkeypatch.setattr(bundle, "lift_tangents", lambda *args: (1.0 + 1e-3) * lift_tangents(*args))
     assert cli.main(["qubit-demo", "--n3", "0.6"]) == 2
     assert "speed identity violated by 2.001e-03" in capsys.readouterr().err
+
+
+def short_speeds(monkeypatch):
+    # squared speeds 1e-3 short make lengths 5.0e-4 short of the bound, on the
+    # one-sample route of a constant drive as on the per-sample one
+    state_speeds_sq = bundle.state_speeds_sq
+    monkeypatch.setattr(bundle, "state_speeds_sq", lambda *args: (1.0 - 1e-3) * state_speeds_sq(*args))
+
+
+def test_short_orbit_speeds_undershoot_the_bound(monkeypatch):
+    ref = dynamics.qubit_reference(qubit_axis(0.6), 2.0 * np.pi, 0.7)
+    rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
+    _, orbit = dynamics.evolve(rho0, dynamics.HamiltonianSchedule.constant(ref.hamiltonian, ref.tau, 2001))
+    short_speeds(monkeypatch)
+    with pytest.raises(BoundViolated, match="length undershoots the bound by 1.256e-03"):
+        invariants.check_isoholonomic(orbit, bundle.canonical_amplitude(rho0))
+
+
+def test_short_plan_speeds_exit_two(tmp_path, monkeypatch, capsys):
+    plan = saturating_plan()
+    state, target = tmp_path / "s.json", tmp_path / "u.json"
+    serialize.write_json(state, serialize.state_to_json(np.diag([0.7, 0.3]).astype(complex)))
+    serialize.write_json(target, serialize.unitary_to_json(plan.target))
+    short_speeds(monkeypatch)
+    assert cli.main(["synthesize", str(state), str(target), "--tau", "1.0", "--ambient-dim", "4",
+                     "--out", str(tmp_path / "plan")]) == 2
+    assert "length undershoots the bound by 1.257e-03" in capsys.readouterr().err

@@ -11,8 +11,8 @@ import pytest
 
 from holonomy_lab import bundle, curves, dynamics, invariants, linalg, serialize, spectra, synthesis
 from holonomy_lab.curves import OperatorCurve, UnitaryOrbit
-from holonomy_lab.errors import MultiplicityChange, NonFinite
-from qutil import plain_curve, qubit_axis, rand_gauge, rand_state, stack_sizes
+from holonomy_lab.errors import MultiplicityChange, NonFinite, OutOfRange
+from qutil import per_sample_speeds_sq, plain_curve, qubit_axis, rand_gauge, rand_state, stack_sizes
 
 TWO_PI = 2.0 * np.pi
 
@@ -155,6 +155,82 @@ class TestLength:
         invariants.check_isoholonomic(orbit, w0)
         with pytest.raises(AssertionError, match="finite differences taken"):
             invariants.check_isoholonomic(plain_curve(orbit), w0)
+
+
+def qubit_orbit(n3, nsamp, omega=TWO_PI):
+    ref = dynamics.qubit_reference(qubit_axis(n3), omega, 0.7)
+    rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
+    _, orbit = dynamics.evolve(rho0, dynamics.HamiltonianSchedule.constant(ref.hamiltonian, ref.tau, nsamp))
+    return orbit, ref
+
+
+def lift_sizes(monkeypatch) -> list:
+    """Sample counts of the tangent stacks bundle.lift_tangents sees from now on."""
+    sizes = []
+    lift_tangents = bundle.lift_tangents
+
+    def spy(spath, tangents, tangent_tol):
+        sizes.append(len(tangents))
+        return lift_tangents(spath, tangents, tangent_tol)
+
+    monkeypatch.setattr(bundle, "lift_tangents", spy)
+    return sizes
+
+
+class TestConstantDrive:
+    """An orbit whose Hamiltonians all equal the first bitwise moves at one
+    speed, since its propagators commute with H: its speeds lift sample 0
+    alone and equal the lift at every sample. Any other orbit lifts every
+    sample."""
+
+    @staticmethod
+    def assert_speeds_match(orbit, exact):
+        spath = bundle.decompose_path(orbit)
+        sq, ref = bundle.curve_speeds_sq(orbit, spath), per_sample_speeds_sq(orbit, spath)
+        assert sq.shape == ref.shape and np.all(np.abs(sq - ref) <= 1e-12 * ref)
+        assert abs(invariants.curve_length_energy(orbit)[0] - exact) <= 1e-12
+
+    @pytest.mark.parametrize("nsamp", [3, 5, 201, 4001])
+    @pytest.mark.parametrize("n3", [0.1, 0.5, 0.9])
+    def test_qubit_speeds_are_the_per_sample_lift(self, n3, nsamp):
+        orbit, ref = qubit_orbit(n3, nsamp)
+        self.assert_speeds_match(orbit, ref.length)
+
+    @pytest.mark.parametrize("case", sorted(PLANS))
+    def test_plan_speeds_are_the_per_sample_lift(self, case, rng):
+        orbit, _, _, ihb = plan_run(rng, *PLANS[case])
+        self.assert_speeds_match(orbit, ihb)
+
+    def test_constant_drive_lifts_one_sample(self, rng, monkeypatch):
+        orbit, _, w0 = qubit_run(nsamp=4001)
+        rho = rand_state(rng, (0.5, 0.25), (1, 2), 6)
+        plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis), tau=1.0,
+                                    ambient_dim=6)
+        sizes = lift_sizes(monkeypatch)
+        invariants.check_isoholonomic(orbit, w0)
+        assert sizes == [1]
+        synthesis.verify_saturation(plan)
+        assert sizes == [1, 1]
+
+    def test_varying_drive_lifts_every_sample(self, rng, monkeypatch):
+        rho = rand_state(rng, (0.5, 0.25), (1, 2), 6)
+        plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis), tau=1.0,
+                                    ambient_dim=6)
+        _, synthesized = dynamics.evolve(plan.rho, plan.schedule)
+        # one diagonal entry of one sample one ulp off: no longer constant bitwise
+        orbit, sched, _ = qubit_run()
+        samples = np.array(sched.samples)
+        samples[200, 0, 0] = np.nextafter(samples[200, 0, 0].real, np.inf)
+        _, nudged = dynamics.evolve(orbit.start, dynamics.HamiltonianSchedule(grid=sched.grid, samples=samples))
+        sizes = lift_sizes(monkeypatch)
+        for curve in (synthesized, nudged):
+            invariants.curve_length_energy(curve)
+        assert sizes == [synthesized.grid.n, nudged.grid.n]
+
+    def test_overflowing_speed_is_out_of_range(self):
+        orbit, _ = qubit_orbit(0.5, 11, omega=1e155)
+        with pytest.raises(OutOfRange, match=r"^tau = 6\.283e-155 overflows the curve's squared speeds$"):
+            invariants.check_isoholonomic(orbit, bundle.canonical_amplitude(orbit.start))
 
 
 class TestStatesOnRead:
