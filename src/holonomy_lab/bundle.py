@@ -257,8 +257,17 @@ class SpectralPath:
         return EigenprojectorBasis(self.m).blocks
 
     def in_eigenframe(self, ops: Array) -> Array:
-        """F^dag ops F per sample: operators (N, n, n) in eigenframe coordinates."""
-        return linalg.matmul_stack(linalg.matmul_stack(np.conj(np.swapaxes(self.frames, -1, -2)), ops), self.frames)
+        """F^dag ops F per sample: operators (N, n, n), one per sample of the
+        path, in eigenframe coordinates, a long path per linalg.sample_blocks block."""
+        fs, blocks = self.frames, linalg.sample_blocks(len(self.frames), self.frames.shape[-1])
+        out = None if len(blocks) == 1 else np.empty(fs.shape, np.result_type(ops, fs))
+        for block in blocks:
+            b = linalg.matmul_stack(linalg.matmul_stack(np.conj(np.swapaxes(fs[block], -1, -2)), ops[block]),
+                                    fs[block])
+            if out is None:
+                return b
+            out[block] = b
+        return out
 
     def block_means(self) -> Array:
         """(N, l) per-sample block eigenvalues."""

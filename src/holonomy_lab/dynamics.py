@@ -50,10 +50,11 @@ def _steps(hs: Array, dt: float) -> Array:
     """The (N - 1, n, n) midpoint steps exp(-i dt (H_k + H_{k+1})/2) of a checked
     Hermitian stack (N, n, n): the step builder of evolve, the one unitary
     integrator. A constant stack takes one exponential, broadcast; the
-    midpoint of equal samples is that sample."""
+    midpoint of equal samples is that sample. The sums H_k + H_{k+1} go in
+    with the step dt / 2, the same product, as both halvings are exact."""
     if np.all(hs == hs[0]):
         return np.broadcast_to(linalg.propagator_step_stack(hs[:1], dt), (len(hs) - 1, *hs.shape[1:]))
-    return linalg.propagator_step_stack(0.5 * (hs[:-1] + hs[1:]), dt)
+    return linalg.propagator_step_stack(hs[:-1] + hs[1:], 0.5 * dt)
 
 
 def evolve(rho0: DensityOperator, sched: HamiltonianSchedule) -> tuple[OperatorCurve, UnitaryOrbit]:

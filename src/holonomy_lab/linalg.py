@@ -12,9 +12,13 @@ stack times one fixed matrix on its right is one GEMM over the stack's
 rows, and two stacks whose product block has at most 9 entries are
 multiplied entry by entry, each entry a j-ordered sum of products of
 (N,)-vectors (batched matmul spends about 0.3 us per matrix on such blocks
-whatever their size); larger pairs of stacks go to matmul, save a right
-stack that is one matrix broadcast with stride 0, which takes the GEMM. Per-sample
+whatever their size); larger pairs of stacks go to matmul. Per-sample
 squared Frobenius norms of a stack go through stack_sq_norms.
+
+Per-sample kernels on long stacks (propagator steps, the Hermiticity check,
+eigenframe rotations, synthesis) loop over sample_blocks of about
+_BLOCK_BYTES into one output, so their temporaries are reused instead of
+faulted in afresh; a stack that fits one block runs unblocked.
 
 Hermiticity is checked where a matrix enters: by as_hermitian for one matrix,
 by check_hermitian_stack for a stack. The stack kernels trust their callers.
@@ -73,15 +77,11 @@ def matmul_stack(a: Array, b: Array) -> Array:
     sum over the batch,
     out[..., i, l] = sum_j a[..., i, j] b[..., j, l] in j order: n m k
     products of (N,)-vectors, where batched matmul pays a fixed cost per
-    matrix. On a larger block, a right factor of more than one matrix whose
-    batch strides are all 0 (one matrix broadcast over a's batch) is taken
-    as that matrix, for the GEMM. A matrix on the left is taken as a stack."""
+    matrix. A matrix on the left, or one broadcast over a batch, is taken
+    as a stack."""
     a, b = np.asarray(a), np.asarray(b)
     n, k = a.shape[-2:]
     m = b.shape[-1]
-    if (n * m > _SMALL_BLOCK**2 and math.prod(b.shape[:-2]) > 1 and not any(b.strides[:-2])
-            and np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) == a.shape[:-2]):
-        b = b[(0,) * (b.ndim - 2)]  # one matrix broadcast over a's batch
     if k == b.shape[-2] and b.ndim == 2:
         return (a.reshape(math.prod(a.shape[:-1]), k) @ b).reshape(a.shape[:-1] + (m,))
     if not 0 < k == b.shape[-2] or n * m > _SMALL_BLOCK**2:
@@ -151,9 +151,11 @@ def unitary_eig(u: Array) -> tuple[Array, Array]:
 def check_hermitian_stack(ms: Array, tol: float = tolerances.HERM_TOL) -> None:
     """Raise NonHermitian, naming the worst sample, if any matrix of the
     stack (N, n, n) deviates from Hermitian by more than tol (relative)."""
+    dev, scale = np.empty(len(ms)), np.empty(len(ms))
     with np.errstate(over="ignore", invalid="ignore"):  # entries near 1e308 give norms of inf
-        dev = np.sqrt(stack_sq_norms(ms - np.conj(np.swapaxes(ms, -1, -2))))
-        scale = np.maximum(1.0, np.sqrt(stack_sq_norms(ms)))
+        for block in sample_blocks(len(ms), ms.shape[-1]):
+            dev[block] = np.sqrt(stack_sq_norms(ms[block] - np.conj(np.swapaxes(ms[block], -1, -2))))
+            scale[block] = np.maximum(1.0, np.sqrt(stack_sq_norms(ms[block])))
         for k in np.flatnonzero(np.isposinf(scale)):  # the same relative test on m / max|m_ij|, in range
             m = ms[k] / np.max(np.abs(ms[k]))
             dev[k], scale[k] = np.linalg.norm(m - m.conj().T), np.linalg.norm(m)
@@ -300,6 +302,8 @@ def propagator_step_stack(hs: Array, dt: float) -> Array:
     1-norm in the stack; at 1-norm 1e-3 that is degree 6, s = 0 and 3
     batched matmuls. s is capped by STEP_UNITARITY_TOL, so above a 1-norm
     of _MAX_STEP_NORM (about 4.6e5), or non-finite, the stack raises ValueError.
+    The plan is the whole stack's; powers, Horner sum and squarings run per
+    sample block.
     """
     hs = np.asarray(hs, dtype=np.complex128)
     with np.errstate(over="ignore"):  # a column sum past 1e308 is inf, rejected below
@@ -309,23 +313,40 @@ def propagator_step_stack(hs: Array, dt: float) -> Array:
                          f"admissible value is {_MAX_STEP_NORM:.3e}, where the steps stay unitary to "
                          f"{tolerances.STEP_UNITARITY_TOL:.0e}")
     degree, width, squarings = _taylor_plan(norm)
-    a = (-1j * dt * 0.5**squarings) * hs
-    powers = [a]  # A^1 .. A^q
-    for _ in range(1, width):
-        powers.append(matmul_stack(powers[-1], a))
     coef = [1.0 / math.factorial(k) for k in range(degree + 1)]
     diag = np.arange(hs.shape[-1])
-    # Horner in A^q over the blocks sum_i coef[j q + i] A^i, top block first
-    u = coef[degree] * powers[-1]
-    for j in reversed(range(degree // width)):
-        for i in range(1, width):
-            u += coef[j * width + i] * powers[i - 1]
-        u[:, diag, diag] += coef[j * width]
-        if j:
-            u = matmul_stack(u, powers[-1])
-    for _ in range(squarings):
-        u = matmul_stack(u, u)
-    return u
+    blocks = sample_blocks(len(hs), hs.shape[-1])
+    out = None if len(blocks) == 1 else np.empty(hs.shape, np.complex128)
+    for block in blocks:
+        a = (-1j * dt * 0.5**squarings) * hs[block]
+        powers = [a]  # A^1 .. A^q
+        for _ in range(1, width):
+            powers.append(matmul_stack(powers[-1], a))
+        # Horner in A^q over the blocks sum_i coef[j q + i] A^i, top block first
+        u = coef[degree] * powers[-1]
+        for j in reversed(range(degree // width)):
+            for i in range(1, width):
+                u += coef[j * width + i] * powers[i - 1]
+            u[:, diag, diag] += coef[j * width]
+            if j:
+                u = matmul_stack(u, powers[-1])
+        for _ in range(squarings):
+            u = matmul_stack(u, u)
+        if out is None:
+            return u
+        out[block] = u
+    return out
+
+
+# sample_blocks' block size: (4001, 6, 6) makes 5 blocks; (4001, 2, 2) and (2001, 4, 4) fit one
+_BLOCK_BYTES = 2**19
+
+
+def sample_blocks(n_samples: int, n: int) -> list[slice]:
+    """Slices cutting a stack of n_samples complex (n, n) matrices into blocks of
+    at most _BLOCK_BYTES (a sample at least), the last ragged; an empty stack gets one."""
+    size = max(1, _BLOCK_BYTES // max(16 * n * n, 1))
+    return [slice(lo, min(lo + size, n_samples)) for lo in range(0, max(n_samples, 1), size)]
 
 
 # ordered_products cuts the steps into chunks of this many at every level of its scan

@@ -140,10 +140,11 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
     from one bundle.check_lift_start (polar(M s) = polar(M) s for a
     block-unitary s), so the loops move rho and not W W^dag. The drive is the
     coherent part at rho (split_hamiltonian) of the summed loop generator,
-    carried along its flow. Raises check_lift_start's errors, DimensionTooSmall
-    unless ambient_dim is rho's dimension and at least twice its rank, then
-    OutOfRange for a tau not positive and finite or one that takes the
-    squared speed of a non-trivial loop out of the normal floats.
+    carried along its flow one linalg.sample_blocks block at a time. Raises
+    check_lift_start's errors, DimensionTooSmall unless ambient_dim is rho's
+    dimension and at least twice its rank, then OutOfRange for a tau not
+    positive and finite or one that takes the squared speed of a non-trivial
+    loop out of the normal floats.
     """
     if tuple(target.basis.m) != tuple(rho.m):
         raise DegeneracyMismatch(f"target basis m={target.basis.m}, state has m={rho.m}")
@@ -163,11 +164,19 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
     generator = sum(loop.generator for loop in loops)
     coherent0 = dynamics.split_hamiltonian(generator, rho)[1]
     # conjugate the t=0 coherent part along the generator's flow in its eigenbasis, P_k C0 P_k^dag
-    # = V ((V^dag C0 V) o r_k r_k^*) V^dag, with V X as (X^T V^T)^T: a fixed right factor for both GEMMs
+    # = V ((V^dag C0 V) o r_k r_k^*) V^dag, with V X as (X^T V^T)^T: a fixed right factor for both
+    # GEMMs of each sample block
     v, rot = _flow(generator, np.linspace(0.0, tau, n_samples))
-    phased = (v.conj().T @ coherent0 @ v) * (rot[:, :, None] * rot[:, None, :].conj())
-    hs = np.swapaxes(linalg.matmul_stack(np.swapaxes(linalg.matmul_stack(phased, v.conj().T), -1, -2), v.T), -1, -2)
-    hs = 0.5 * (hs + np.conj(np.swapaxes(hs, -1, -2)))
+    c0, blocks = v.conj().T @ coherent0 @ v, linalg.sample_blocks(n_samples, ambient_dim)
+    hs = None if len(blocks) == 1 else np.empty((n_samples, ambient_dim, ambient_dim), np.complex128)
+    for block in blocks:
+        phased = c0 * (rot[block, :, None] * rot[block, None, :].conj())
+        h = np.swapaxes(linalg.matmul_stack(np.swapaxes(linalg.matmul_stack(phased, v.conj().T), -1, -2), v.T), -1, -2)
+        h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+        if hs is None:
+            hs = h
+        else:
+            hs[block] = h
     schedule = dynamics.HamiltonianSchedule(grid=TimeGrid(tau=float(tau), n=n_samples), samples=hs)
     return SaturatingPlan(rho=rho, w=w, target=target, tau=float(tau), loops=loops,
                           generator=generator, schedule=schedule)
@@ -199,12 +208,16 @@ def _integration_defect(rho: DensityOperator, schedule: dynamics.HamiltonianSche
     """max_k |rho_0 W_k - W_k rho_0|_F with W_k = U_k^dag P_k, U the propagators
     evolve re-integrates from the schedule and P the planned ones, taken in
     rho_0's eigenframe F: max_k |(lambda_i - lambda_j) X_ij|_F with
-    X = (U_k F)^dag (P_k F), two GEMMs and one batched product. The
-    re-integrated run is freed on return, before the lift."""
+    X = (U_k F)^dag (P_k F): one GEMM U F, then the GEMM P F and one batched
+    product per linalg.sample_blocks block, the max taken over the blocks.
+    The re-integrated run is freed once U F is formed, before the lift."""
     frame, lam = rho.full_frame, bundle.SpectralPath.of_state(rho).values[0]
     uf = linalg.matmul_stack(dynamics.evolve(rho, schedule)[0].samples, frame)
-    x = linalg.matmul_stack(np.conj(np.swapaxes(uf, -1, -2)), linalg.matmul_stack(planned, frame))
-    return float(np.sqrt(np.max(linalg.stack_sq_norms(x * (lam[:, None] - lam[None, :])))))
+    worst = []
+    for block in linalg.sample_blocks(len(uf), len(frame)):
+        x = linalg.matmul_stack(np.conj(np.swapaxes(uf[block], -1, -2)), linalg.matmul_stack(planned[block], frame))
+        worst.append(np.max(linalg.stack_sq_norms(x * (lam[:, None] - lam[None, :]))))
+    return float(np.sqrt(np.max(worst)))
 
 
 def verify_saturation(plan: SaturatingPlan) -> SaturationReport:

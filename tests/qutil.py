@@ -3,6 +3,8 @@ closed-form qubit curves, and small independent oracles."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from holonomy_lab import bundle, linalg, spectra, synthesis
@@ -103,6 +105,23 @@ def stack_sizes(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(linalg, name, spy)
     return sizes
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc counts above its reading at the start while
+    fn() runs. numpy reports its data buffers to tracemalloc, so the figure
+    counts every array fn makes and does not depend on the allocator."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def great_circle_section(nsamp: int, s0: float = 0.0, s1: float = np.pi, phase=None) -> np.ndarray:

@@ -658,3 +658,20 @@ class TestAuxiliaryBasisIndependence:
         for j in range(2):
             lam = v.conj().T @ w0.basis.lambda_mat(j) @ v
             assert np.linalg.norm(gamma_primed @ lam - lam @ gamma_primed) <= 1e-6
+
+
+class TestInEigenframeBlocks:
+    """A long path is rotated into its eigenframes per linalg.sample_blocks
+    block, bit for bit as in one block."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_blocks_match_one_block(self, rng, monkeypatch, n):
+        for nsamp in (0, 1, 7, 8, 50):
+            frames = np.array([rand_unitary(rng, n) for _ in range(nsamp)]).reshape(nsamp, n, n)
+            spath = bundle.SpectralPath(means=np.ones((nsamp, 1)), frames=frames, m=(1,))
+            ops = np.array([rand_hermitian(rng, n) for _ in range(nsamp)]).reshape(nsamp, n, n)
+            want = spath.in_eigenframe(ops)
+            monkeypatch.setattr(linalg, "_BLOCK_BYTES", 16 * n * n * 7)
+            got = spath.in_eigenframe(ops)
+            monkeypatch.undo()
+            assert np.array_equal(got, want)

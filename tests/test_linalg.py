@@ -5,7 +5,7 @@ import pytest
 
 from holonomy_lab import linalg, tolerances
 from holonomy_lab.errors import NoConvergence, NonHermitian, RankDeficient, Singular
-from qutil import eigh_propagators, rand_unitary, sequential_products
+from qutil import eigh_propagators, rand_unitary, sequential_products, stack_sizes, traced_peak
 
 SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 TWO_PI = 2.0 * np.pi
@@ -132,16 +132,16 @@ class TestMatmulStack:
             a, b = random_stack(rng, (n, n)), random_stack(rng, (20, n, 3))
             want = a @ b if 3 * n > 9 else sum(a[:, j, None] * b[:, None, j, :] for j in range(n))
             assert np.array_equal(linalg.matmul_stack(a, b), want)
-        # a right factor broadcast over the batch with stride 0 is its one
-        # matrix above 9 entries: the GEMM, bit for bit, and no batched matmul;
-        # up to 9 entries it is summed entry by entry as a stack
+        # a right factor broadcast over the batch with stride 0 is multiplied
+        # as a stack: one batched matmul above 9 entries, bit for bit a @ b,
+        # and up to 9 entries the entry-wise sum
         for n in (2, 4, 6):
             a, b = random_stack(rng, (20, 3, n)), np.broadcast_to(random_stack(rng, (n, n)), (20, n, n))
             calls = matmul_ndims(monkeypatch)
             got = linalg.matmul_stack(a, b)
             monkeypatch.undo()
             if 3 * n > 9:
-                assert calls == [(2, 2)] and np.array_equal(got, a @ b)
+                assert calls == [(3, 3)] and np.array_equal(got, a @ b)
             else:
                 assert calls == [] and np.array_equal(got, sum(a[:, :, j, None] * b[:, None, j, :] for j in range(n)))
 
@@ -369,6 +369,80 @@ class TestPropagatorStep:
             linalg.check_hermitian_stack(np.stack([np.eye(2), m, np.diag([1e308, -1e308])]))
         with pytest.raises(NonHermitian, match=r"^Hermiticity deviation"):
             linalg.as_hermitian(m)
+
+
+def small_blocks(monkeypatch, n: int, size: int) -> None:
+    """From now on, cut stacks of (n, n) matrices into blocks of size samples."""
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 16 * n * n * size)
+
+
+class TestSampleBlocks:
+    """Stack kernels work through a long stack in blocks of about
+    _BLOCK_BYTES, and every sample comes out bit for bit as from one block."""
+
+    def test_slices(self):
+        for nsamp, n in ((4001, 2), (2001, 4), (2048, 4), (1, 6), (0, 6)):
+            assert linalg.sample_blocks(nsamp, n) == [slice(0, nsamp)]
+        assert linalg.sample_blocks(2049, 4) == [slice(0, 2048), slice(2048, 2049)]
+        # 910 samples of 576 bytes per block, the last ragged
+        assert linalg.sample_blocks(4001, 6) == [slice(lo, min(lo + 910, 4001)) for lo in range(0, 4001, 910)]
+        assert linalg.sample_blocks(3, 1000) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_propagator_steps(self, rng, monkeypatch, n):
+        for nstep in (0, 1, 7, 8, 50):
+            hs = hermitian_stack(rng, nstep, n)
+            hs[-1:] *= 40.0  # the largest 1-norm, which fixes the plan, sits in the last block
+            want = linalg.propagator_step_stack(hs, 0.05)
+            small_blocks(monkeypatch, n, 7)
+            got = linalg.propagator_step_stack(hs, 0.05)
+            monkeypatch.undo()
+            assert np.array_equal(got, want)
+
+    def test_oversized_step_in_the_last_block_raises_before_any_block(self, rng, monkeypatch):
+        hs = hermitian_stack(rng, 30, 4)
+        hs[-1] *= 1e7
+        small_blocks(monkeypatch, 4, 8)
+        sizes = stack_sizes(monkeypatch, "matmul_stack")
+        with pytest.raises(ValueError, match="too large for a finite Taylor plan"):
+            linalg.propagator_step_stack(hs, 0.1)
+        assert sizes == []
+
+    def test_hermiticity_check(self, rng, monkeypatch):
+        hs = hermitian_stack(rng, 50, 3)
+        for k, size in ((17, 1e-3), (33, 3e-3), (49, 2e-3)):
+            hs[k, 0, 2] += size
+        messages = []
+        for block in (None, 7, 1):
+            if block:
+                small_blocks(monkeypatch, 3, block)
+            with pytest.raises(NonHermitian) as err:
+                linalg.check_hermitian_stack(hs)
+            messages.append(str(err.value))
+            linalg.check_hermitian_stack(hermitian_stack(rng, 50, 3))
+            linalg.check_hermitian_stack(np.empty((0, 3, 3)))
+        assert messages[0].startswith("sample 33: ") and messages == messages[:1] * 3
+
+    def test_non_hermitian_sample_named_in_the_third_block(self, rng, monkeypatch):
+        small_blocks(monkeypatch, 2, 4)
+        hs = hermitian_stack(rng, 14, 2)
+        bad = hs.copy()
+        bad[9, 0, 1] += 0.5
+        with pytest.raises(NonHermitian, match=r"^sample 9: Hermiticity deviation"):
+            linalg.check_hermitian_stack(bad)
+        # entries near 1e308 overflow the norms; the rescue names the global sample
+        huge = hs.copy()
+        huge[1], huge[8] = np.diag([1e308, -1e308]), np.array([[1e308, 1e307], [1e307, -1e308]])
+        linalg.check_hermitian_stack(huge)
+        huge[10] = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        with pytest.raises(NonHermitian, match=r"^sample 10: Hermiticity deviation"):
+            linalg.check_hermitian_stack(huge)
+
+    def test_propagator_steps_traced_peak(self, rng):
+        # the input, the steps and about one block of temporaries; with the
+        # powers and Horner sums of the whole stack the peak was 6.0 stacks
+        hs = hermitian_stack(rng, 4000, 6)
+        assert traced_peak(lambda: linalg.propagator_step_stack(hs.copy(), 1e-3)) < 3.5 * hs.nbytes
 
 
 def unitary_steps(rng, nstep: int, n: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from holonomy_lab.errors import (
     OutOfRange,
     SaturationFailed,
 )
-from qutil import rand_gauge, rand_state, rand_unitary
+from qutil import rand_gauge, rand_state, rand_unitary, traced_peak
 
 TWO_PI = 2.0 * np.pi
 
@@ -367,6 +367,33 @@ class TestScheduleProducts:
         props = (v * np.exp(-1j * plan.schedule.grid.times[:, None, None] * lam)) @ v.conj().T
         want = props @ coupling @ np.conj(np.swapaxes(props, -1, -2))
         assert np.max(np.abs(plan.schedule.samples - want)) <= 1e-13
+
+
+class TestSampleBlocks:
+    """synthesize assembles the drive, and verify_saturation checks the
+    re-integration, per linalg.sample_blocks block of the schedule."""
+
+    @pytest.mark.parametrize("p, m, dim, fracs", SWEEP_PLANS, ids=SWEEP_IDS)
+    def test_blocks_match_one_block(self, monkeypatch, p, m, dim, fracs):
+        # 13 samples a block, the last of them holding 2, 6 and 10 samples
+        for n_samples in (2, 201, synthesis.PLAN_SAMPLES):
+            want = sweep_plan(np.random.default_rng(5), p, m, dim, fracs, n_samples=n_samples)
+            monkeypatch.setattr(linalg, "_BLOCK_BYTES", 16 * dim * dim * 13)
+            got = sweep_plan(np.random.default_rng(5), p, m, dim, fracs, n_samples=n_samples)
+            monkeypatch.undo()
+            assert np.array_equal(got.schedule.samples, want.schedule.samples)
+        # every field of the report, the integration defect's max over the blocks included
+        want_report = synthesis.verify_saturation(want)
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 16 * dim * dim * 13)
+        assert synthesis.verify_saturation(want) == want_report
+
+    def test_traced_peaks(self, rng):
+        # the dim-6 plan at PLAN_SAMPLES, in schedule stacks: over the whole
+        # stack at once synthesize peaked at 4.2 and verify_saturation at 7.0
+        stack = 16 * 36 * synthesis.PLAN_SAMPLES
+        assert traced_peak(lambda: sweep_plan(rng, *SWEEP_PLANS[2])) < 2.75 * stack
+        plan = sweep_plan(rng, *SWEEP_PLANS[2])
+        assert traced_peak(lambda: synthesis.verify_saturation(plan)) < 5.5 * stack
 
 
 class TestSaturationGuard:
