@@ -7,7 +7,8 @@ squared speeds of state curves they give, discrete horizontal lifts by
 polar-aligned eigenframe transport, and holonomies of closed curves.
 
 Transport steps are inverse polar factors of consecutive eigenframe overlaps:
-a lift scans them, a holonomy reduces them to the endpoint's total product.
+a lift scans them, a holonomy reduces them to the endpoint's total product,
+or to a power of the first step on an orbit under a constant drive.
 """
 
 from __future__ import annotations
@@ -193,19 +194,13 @@ def state_speeds_sq(b: Array, spath: "SpectralPath") -> Array:
 
 def curve_speeds_sq(curve: OperatorCurve, spath: "SpectralPath") -> Array:
     """Squared metric speeds along a curve decomposed as spath: the exact lifts of
-    -i[H, rho] for a UnitaryOrbit (state_speeds_sq), of finite-difference tangents
-    at LENGTH_TANGENT_TOL otherwise. An orbit whose Hamiltonians all equal the
-    first bitwise (the test dynamics._steps takes) conserves its speed, since its
-    propagators commute with H, so sample 0 of spath is lifted alone and its speed
-    broadcast. Raises OutOfRange when a squared speed, or the squared norm of a
-    finite-difference tangent, overflows."""
+    -i[H, rho] for a UnitaryOrbit (state_speeds_sq, on the samples
+    drive_in_eigenframe keeps), of finite-difference tangents at
+    LENGTH_TANGENT_TOL otherwise. Raises OutOfRange when a squared speed, or the
+    squared norm of a finite-difference tangent, overflows."""
     if isinstance(curve, UnitaryOrbit):
-        h = curve.hamiltonians
-        if np.all(h == h[0]):
-            first = SpectralPath(means=spath.means[:1], frames=spath.frames[:1], m=spath.m)
-            sq = np.repeat(state_speeds_sq(first.in_eigenframe(h[:1]), first), len(h))
-        else:
-            sq = state_speeds_sq(spath.in_eigenframe(h), spath)
+        path, b = drive_in_eigenframe(curve, spath, curve.hamiltonians)
+        sq = np.broadcast_to(state_speeds_sq(b, path), len(spath.frames))
     else:
         rdots = grid_derivative(curve.samples, curve.grid.dt)
         sq = linalg.stack_sq_norms(rdots)  # finite, or lift_tangents cannot test the tangents
@@ -214,6 +209,22 @@ def curve_speeds_sq(curve: OperatorCurve, spath: "SpectralPath") -> Array:
     if not np.all(np.isfinite(sq)):
         raise OutOfRange(f"tau = {curve.grid.tau:.3e} overflows the curve's squared speeds")
     return sq
+
+
+def _constant_drive(curve: OperatorCurve) -> bool:
+    return isinstance(curve, UnitaryOrbit) and curve.constant_drive
+
+
+def drive_in_eigenframe(curve: OperatorCurve, spath: "SpectralPath", hs: Array) -> tuple["SpectralPath", Array]:
+    """(path, B): B = F^dag H F of the Hamiltonians hs (N, n, n) along the curve
+    decomposed as spath, on the samples of path that carry every sample. That is
+    sample 0 alone when the curve is a UnitaryOrbit under a constant drive
+    (UnitaryOrbit.constant_drive) and hs are its Hamiltonians bitwise: its
+    propagators commute with H, so F_k^dag H F_k = F_0^dag H F_0 and the
+    variances and the speed are conserved. It is spath whole otherwise."""
+    if _constant_drive(curve) and (hs is curve.hamiltonians or np.array_equal(hs, curve.hamiltonians)):
+        spath, hs = spath.first(1), hs[:1]
+    return spath, spath.in_eigenframe(hs)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +266,10 @@ class SpectralPath:
     @property
     def blocks(self) -> list[tuple[int, int]]:
         return EigenprojectorBasis(self.m).blocks
+
+    def first(self, count: int) -> "SpectralPath":
+        """The path of the first count samples."""
+        return SpectralPath(means=self.means[:count], frames=self.frames[:count], m=self.m)
 
     def in_eigenframe(self, ops: Array) -> Array:
         """F^dag ops F per sample: operators (N, n, n), one per sample of the
@@ -372,10 +387,20 @@ def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
 
 
 def lift_endpoint(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
-    """W_tau = horizontal_lift(rho_curve, w0).samples[-1], from the step products alone."""
+    """W_tau = horizontal_lift(rho_curve, w0).samples[-1], from the step products
+    alone. On a UnitaryOrbit under a constant drive every overlap F_k^dag F_{k+1}
+    is the first (UnitaryOrbit.constant_drive), so each block forms that one
+    overlap and raises its step to the power N - 1: repeated squaring
+    (np.linalg.matrix_power), a scalar power for a 1x1 block."""
+    heads = check_lift_start(w0, spath, rho_curve.initial)
+    constant, power = _constant_drive(rho_curve), len(spath.frames) - 1
     frame = np.empty((spath.frames.shape[1], spath.rank), dtype=np.complex128)
-    for lo, hi, head, steps in _transport_steps(spath, check_lift_start(w0, spath, rho_curve.initial)):
-        frame[:, lo:hi] = spath.frames[-1, :, lo:hi] @ linalg.total_product(steps, head)
+    for lo, hi, head, steps in _transport_steps(spath.first(2) if constant else spath, heads):
+        if constant:
+            total = (steps[0] ** power if hi - lo == 1 else np.linalg.matrix_power(steps[0], power)) @ head
+        else:
+            total = linalg.total_product(steps, head)
+        frame[:, lo:hi] = spath.frames[-1, :, lo:hi] @ total
     return frame * np.sqrt(spath.values[-1, : spath.rank])
 
 

@@ -241,6 +241,9 @@ def main(argv=None) -> int:
     except (HolonomyLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a run too large for this machine is an input error, not a traceback
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

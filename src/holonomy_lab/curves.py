@@ -8,6 +8,7 @@ length and kinetic energy of eigenvalue paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,9 +84,7 @@ class OperatorCurve:
 class UnitaryOrbit(OperatorCurve):
     """State curve rho_k = U_k rho_0 U_k^dag of a unitary run, built from its
     propagators and Hamiltonians (N, n, n) and its start rho_0, so its samples,
-    eigenframes U_k F_0 and tangents -i[H_k, rho_k] cannot disagree; under
-    Hamiltonians all equal bitwise the tangents keep one speed, which
-    bundle.curve_speeds_sq lifts at sample 0 alone. The
+    eigenframes U_k F_0 and tangents -i[H_k, rho_k] cannot disagree. The
     propagators and Hamiltonians must be finite (NonFinite names the first bad
     sample). The samples are formed, Hermitian, on their first read; initial,
     final and closure_defect form only the first and last state. All three
@@ -116,6 +115,14 @@ class UnitaryOrbit(OperatorCurve):
         object.__setattr__(self, "samples", states)
         return states
 
+    @cached_property
+    def constant_drive(self) -> bool:
+        """Whether the Hamiltonians all equal the first (constant_stack), decided
+        on the first read. Both orbit producers make propagators that commute with
+        such an H, so F_k^dag H F_k, the speed and every transport overlap
+        F_k^dag F_{k+1} are the same at every sample."""
+        return constant_stack(self.hamiltonians)
+
     @property
     def initial(self) -> Array:
         return _orbit_states(self.propagators[:1], self.start.matrix)[0]
@@ -123,6 +130,12 @@ class UnitaryOrbit(OperatorCurve):
     @property
     def final(self) -> Array:
         return _orbit_states(self.propagators[-1:], self.start.matrix)[0]
+
+
+def constant_stack(ms: Array) -> bool:
+    """True when every matrix of the stack (N, n, n) equals the first bitwise:
+    the one test, with no tolerance, of a time-independent Hamiltonian."""
+    return bool(np.all(ms == ms[0]))
 
 
 def _orbit_states(u: Array, rho0: Array) -> Array:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bundle, invariants, linalg, tolerances
-from .curves import OperatorCurve, TimeGrid, UnitaryOrbit, trapezoid
+from .curves import OperatorCurve, TimeGrid, UnitaryOrbit, constant_stack, trapezoid
 from .errors import (
     ContractViolation,
     DimMismatch,
@@ -49,10 +49,11 @@ class HamiltonianSchedule(OperatorCurve):
 def _steps(hs: Array, dt: float) -> Array:
     """The (N - 1, n, n) midpoint steps exp(-i dt (H_k + H_{k+1})/2) of a checked
     Hermitian stack (N, n, n): the step builder of evolve, the one unitary
-    integrator. A constant stack takes one exponential, broadcast; the
-    midpoint of equal samples is that sample. The sums H_k + H_{k+1} go in
-    with the step dt / 2, the same product, as both halvings are exact."""
-    if np.all(hs == hs[0]):
+    integrator. A constant stack (curves.constant_stack) takes one exponential,
+    broadcast; the midpoint of equal samples is that sample. The sums
+    H_k + H_{k+1} go in with the step dt / 2, the same product, as both
+    halvings are exact."""
+    if constant_stack(hs):
         return np.broadcast_to(linalg.propagator_step_stack(hs[:1], dt), (len(hs) - 1, *hs.shape[1:]))
     return linalg.propagator_step_stack(hs[:-1] + hs[1:], 0.5 * dt)
 
@@ -138,7 +139,8 @@ def _uncertainty_path(states: Array, hs: Array, spath: bundle.SpectralPath) -> t
 
 @dataclass(frozen=True, eq=False)
 class SpeedLimitReport:
-    """Cyclic speed-limit accounting for one closed unitary run."""
+    """Cyclic speed-limit accounting for one closed unitary run; dh, dh_co
+    and dh_in are read-only (N,) arrays."""
 
     tau: float
     delta_e: float
@@ -172,27 +174,31 @@ def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule) -> SpeedLi
     Verifies the identity between the squared state speed and the coherent
     variance, which cross-checks lift_tangents against variance_split, then
     reports the holonomy-based lower bound of speed_bound on the return
-    time and its margin.
+    time and its margin, which may fall below zero by MARGIN_TOL times tau.
+    Both are taken on the samples bundle.drive_in_eigenframe keeps: sample 0
+    alone for an orbit under a constant drive checked against its own
+    Hamiltonians, whose dh, dh_co and dh_in then repeat one value over the
+    grid.
     """
     rho_curve, spath, hol = loop.curve, loop.path, loop.holonomy
     _check_run(rho_curve, sched)
     phases = invariants.eigenphases(hol)
     ihb = invariants.ihb_isospectral(spath.block_means()[0], phases)
 
-    b = spath.in_eigenframe(sched.samples)
-    dh2, dco2, din2 = variance_split(b, spath)
-    dh = np.sqrt(dh2)
+    path, b = bundle.drive_in_eigenframe(rho_curve, spath, sched.samples)
+    dh2, dco2, din2 = variance_split(b, path)
+    dh, dh_co, dh_in = (np.broadcast_to(np.sqrt(v), rho_curve.grid.n) for v in (dh2, dco2, din2))
     delta_e, bound = speed_bound(dh, rho_curve.grid, ihb)
-    dev = np.abs(bundle.state_speeds_sq(b, spath) - dco2) / np.maximum(1.0, dco2)
+    dev = np.abs(bundle.state_speeds_sq(b, path) - dco2) / np.maximum(1.0, dco2)
     if np.any(dev > tolerances.SPEED_IDENTITY_TOL):
         raise ContractViolation(f"speed identity violated by {np.max(dev):.3e}")
 
     margin = rho_curve.grid.tau - bound
-    if margin < -tolerances.MARGIN_TOL:
+    if margin < -tolerances.MARGIN_TOL * rho_curve.grid.tau:
         raise ContractViolation(f"speed-limit margin {margin:.3e} is negative")
     return SpeedLimitReport(
         tau=rho_curve.grid.tau, delta_e=delta_e, ihb=ihb, bound=bound, margin=margin,
-        dh=dh, dh_co=np.sqrt(dco2), dh_in=np.sqrt(din2), holonomy=hol, phases=phases,
+        dh=dh, dh_co=dh_co, dh_in=dh_in, holonomy=hol, phases=phases,
     )
 
 

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from holonomy_lab import cli, dynamics, serialize, spectra
+from holonomy_lab import cli, dynamics, serialize, spectra, synthesis
 from qutil import precessing_qubit_curve, qubit_axis
 
 TWO_PI = 2.0 * np.pi
@@ -438,6 +438,28 @@ class TestSynthesize:
         report = json.loads(capsys.readouterr().out)
         assert report["iHB"] == 0.0 and report["L"] == 0.0 and report["bound_gap"] == 0.0
         assert report["holonomy_error"] <= 1e-12
+
+
+    @pytest.mark.parametrize("message, line", [
+        ("", "error: out of memory"),
+        ("Unable to allocate 576. GiB for an array with shape (1000000000, 6, 6) and data type complex128",
+         "error: out of memory: Unable to allocate 576. GiB for an array with shape (1000000000, 6, 6) "
+         "and data type complex128"),
+    ], ids=["bare", "numpy"])
+    def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch, message, line):
+        # the flow is where a plan first allocates (N, n) phases; it raises here, allocating nothing
+        def flow(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(synthesis, "_flow", flow)
+        state = write_state(tmp_path / "s.json", np.diag([0.7, 0.3]).astype(complex))
+        tpath = tmp_path / "u.json"
+        serialize.write_json(tpath, {"matrix": serialize.matrix_to_json(np.eye(2, dtype=complex)),
+                                     "basis": {"m": [1, 1]}})
+        assert cli.main(["synthesize", state, str(tpath), "--tau", "1.0", "--ambient-dim", "4",
+                         "--out", str(tmp_path / "plan")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == line + "\n"
 
 
 class TestQubitDemo:

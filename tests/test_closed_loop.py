@@ -9,14 +9,14 @@ import pytest
 from holonomy_lab import bundle, cli, dynamics, invariants, linalg, spectra, synthesis
 from holonomy_lab.curves import TimeGrid
 from holonomy_lab.errors import GridMismatch
-from qutil import qubit_axis, saturating_plan, wobble_loop
+from qutil import plain_curve, qubit_axis, rand_gauge, rand_state, saturating_plan, stack_sizes, wobble_loop
 
 TWO_PI = 2.0 * np.pi
 
 
-def qubit_run(nsamp=401, p0=0.7):
+def qubit_run(nsamp=401, p0=0.7, n3=0.6):
     rho0 = spectra.spectral_decompose(np.diag([p0, 1.0 - p0]).astype(complex))
-    h = dynamics.qubit_hamiltonian(qubit_axis(0.6), TWO_PI)
+    h = dynamics.qubit_hamiltonian(qubit_axis(n3), TWO_PI)
     sched = dynamics.HamiltonianSchedule.constant(h, 1.0, nsamp)
     _, states = dynamics.evolve(rho0, sched)
     return states, sched, bundle.canonical_amplitude(rho0)
@@ -46,7 +46,8 @@ def calls(monkeypatch):
 
 
 def rotations_of(calls, ops):
-    return sum(seen is ops for seen in calls["in_eigenframe"])
+    """Sample counts of the rotated stacks taken from ops."""
+    return [len(seen) for seen in calls["in_eigenframe"] if np.shares_memory(seen, ops)]
 
 
 class TestOncePerCall:
@@ -64,7 +65,8 @@ class TestOncePerCall:
         states, sched, w0 = qubit_run()
         dynamics.speed_limit(states, sched, w0)
         assert calls["decompose_path"] == 1
-        assert rotations_of(calls, sched.samples) == 1
+        # the orbit's own constant drive: one schedule sample carries every sample
+        assert rotations_of(calls, sched.samples) == [1]
         assert calls["incoherent_part_path"] == 0
 
     def test_qubit_demo(self, calls, capsys):
@@ -85,7 +87,7 @@ class TestOncePerCall:
         calls.update(decompose_path=0, incoherent_part_path=0, in_eigenframe=[])
         synthesis.verify_saturation(plan)
         assert calls["decompose_path"] == 1
-        assert rotations_of(calls, plan.schedule.samples) == 1
+        assert rotations_of(calls, plan.schedule.samples) == [plan.schedule.grid.n]
         assert calls["incoherent_part_path"] == 0
 
 
@@ -161,3 +163,93 @@ class TestEndpointReduction:
         # the spies see the lift, which still scans every block
         bundle.horizontal_lift(curve, w0)
         assert scans == [(800, 1, 1), (800, 2, 2)]
+
+
+def plan_orbit(rng, nsamp, p=(0.5, 0.25), m=(1, 2), dim=6):
+    """A synthesized plan's exact_states orbit (its generator broadcast), with
+    the plan; m = (1, 2) gives a 2x2 transport block."""
+    rho = rand_state(rng, p, m, dim)
+    plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis), tau=1.0,
+                                ambient_dim=dim, n_samples=nsamp)
+    return plan.exact_states(), plan
+
+
+def nudged_qubit_run(nsamp=401):
+    """The qubit run of a schedule with one diagonal entry of one sample one
+    ulp off: no longer constant bitwise, so every sample takes its own route."""
+    states, sched, w0 = qubit_run(nsamp)
+    samples = np.array(sched.samples)
+    samples[nsamp // 2, 0, 0] = np.nextafter(samples[nsamp // 2, 0, 0].real, np.inf)
+    nudged = dynamics.HamiltonianSchedule(grid=sched.grid, samples=samples)
+    return dynamics.evolve(states.start, nudged)[1], nudged, w0
+
+
+class TestConstantDrive:
+    """An orbit whose Hamiltonians all equal the first bitwise forms one
+    transport overlap per block and raises its step to the power N - 1, and
+    its speed-limit report rotates one schedule sample when the schedule is
+    its own drive; every other run works sample by sample."""
+
+    @pytest.mark.parametrize("nsamp", [2, 3, 4, 5, 4001])
+    @pytest.mark.parametrize("case", ["qubit", "plan-m12"])
+    def test_power_endpoint_is_the_scanned_endpoint(self, rng, case, nsamp):
+        # even and odd exponents N - 1 and the smallest powers: an exponent one off moves the endpoint by a step
+        if case == "qubit":
+            orbit, _, w0 = qubit_run(nsamp, n3=0.3)
+        else:
+            orbit, plan = plan_orbit(rng, nsamp)
+            w0 = plan.w
+        assert orbit.constant_drive
+        end = bundle.lift_endpoint(orbit, bundle.decompose_path(orbit), w0)
+        assert np.max(np.abs(end - bundle.horizontal_lift(orbit, w0).samples[-1])) <= 1e-12
+
+    def test_constant_drive_forms_one_overlap_per_block(self, rng, monkeypatch):
+        orbit, sched, w0 = qubit_run(4001)
+        _, plan = plan_orbit(rng, 4001)
+        polar_sizes = stack_sizes(monkeypatch, "polar_unitary_stack")
+        products = stack_sizes(monkeypatch, "total_product")
+        dynamics.speed_limit(orbit, sched, w0)
+        invariants.check_isoholonomic(orbit, w0)
+        synthesis.verify_saturation(plan)
+        # the lift-start heads, one step per block and the holonomy's re-unitarization
+        assert polar_sizes and set(polar_sizes) == {1}
+        assert products == []
+
+    def test_varying_drive_works_per_sample(self, monkeypatch, calls):
+        orbit, sched, w0 = nudged_qubit_run()
+        assert not orbit.constant_drive
+        polar_sizes = stack_sizes(monkeypatch, "polar_unitary_stack")
+        report = dynamics.speed_limit(orbit, sched, w0)
+        assert rotations_of(calls, sched.samples) == [sched.grid.n]
+        assert sched.grid.n - 1 in polar_sizes
+        constant = dynamics.speed_limit(*qubit_run())
+        assert np.max(np.abs(report.dh - constant.dh)) <= 1e-12
+
+    def test_other_schedule_works_per_sample(self, rng, calls):
+        # an energy offset moves no state: a valid schedule for the orbit, but not its own drive
+        orbit, sched, w0 = qubit_run()
+        shifted = dynamics.HamiltonianSchedule(grid=sched.grid, samples=sched.samples + 0.5 * np.eye(2))
+        own, other = dynamics.speed_limit(orbit, sched, w0), dynamics.speed_limit(orbit, shifted, w0)
+        assert rotations_of(calls, sched.samples) == [1] and rotations_of(calls, shifted.samples) == [sched.grid.n]
+        assert abs(other.bound - own.bound) <= 1e-12
+        # a drive s_k rho_k that commutes with each state adds a varying incoherent part: every
+        # sample counts, as on the plain curve of the same states
+        bump = np.sin(TWO_PI * sched.grid.times)[:, None, None] * orbit.samples
+        varying = dynamics.HamiltonianSchedule(grid=sched.grid, samples=sched.samples + bump)
+        report, plain = dynamics.speed_limit(orbit, varying, w0), dynamics.speed_limit(plain_curve(orbit), varying, w0)
+        assert np.ptp(report.dh_in) > 0.1 and np.max(np.abs(report.dh - plain.dh)) <= 1e-12
+        assert abs(report.bound - plain.bound) <= 1e-12
+        # a plan's orbit is driven by its generator, its schedule is the coherent drive
+        orbit, plan = plan_orbit(rng, 401)
+        assert orbit.constant_drive
+        dynamics.speed_limit(orbit, plan.schedule, plan.w)
+        assert rotations_of(calls, plan.schedule.samples) == [plan.schedule.grid.n]
+
+    def test_one_sample_report_matches_the_per_sample_report(self):
+        orbit, sched, w0 = qubit_run(4001)
+        one = dynamics.speed_limit(orbit, sched, w0)
+        every = dynamics.speed_limit(plain_curve(orbit), sched, w0)
+        for a, b in ((one.dh, every.dh), (one.dh_co, every.dh_co), (one.dh_in, every.dh_in)):
+            assert a.shape == b.shape == (4001,)
+            assert np.max(np.abs(a - b)) <= 1e-12
+        assert abs(one.delta_e - every.delta_e) <= 1e-12 and abs(one.margin - every.margin) <= 1e-12

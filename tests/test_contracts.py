@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from holonomy_lab import bundle, cli, dynamics, invariants, serialize, spectra, synthesis
-from holonomy_lab.errors import BoundViolated, SaturationFailed
+from holonomy_lab.errors import BoundViolated, ContractViolation, SaturationFailed
 from qutil import qubit_axis, saturating_plan
 
 
@@ -76,3 +76,22 @@ def test_short_plan_speeds_exit_two(tmp_path, monkeypatch, capsys):
     assert cli.main(["synthesize", str(state), str(target), "--tau", "1.0", "--ambient-dim", "4",
                      "--out", str(tmp_path / "plan")]) == 2
     assert "length undershoots the bound by 1.257e-03" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tau, power", [(1.0, "04"), (1e-4, "08"), (1e-6, "10")])
+@pytest.mark.parametrize("route", ["one-sample", "per-sample"])
+def test_inflated_bound_breaks_the_margin_at_every_tau(monkeypatch, route, tau, power):
+    # a bound 1e-3 too high puts the saturating plan's speed-limit time 1e-3 tau past tau, so
+    # the margin test scales with tau: an absolute MARGIN_TOL passes it below tau = 1e-3
+    rho = synthesis.embedded_state(np.diag([0.7, 0.3]).astype(complex), 4)
+    target = bundle.GaugeElement(u=np.diag(np.exp(1j * np.array([1.6, 0.4]) * np.pi)), basis=rho.basis)
+    plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), target, tau=tau, ambient_dim=4)
+    orbit = plan.exact_states()
+    # the orbit's own generator (one-sample route) or the plan's coherent drive (per-sample route)
+    sched = (dynamics.HamiltonianSchedule.constant(plan.generator, tau, orbit.grid.n) if route == "one-sample"
+             else plan.schedule)
+    assert 0.0 <= dynamics.speed_limit(orbit, sched, plan.w).margin <= 1e-7 * tau  # the transport's O(dt^2)
+    ihb_isospectral = invariants.ihb_isospectral
+    monkeypatch.setattr(invariants, "ihb_isospectral", lambda *args: (1.0 + 1e-3) * ihb_isospectral(*args))
+    with pytest.raises(ContractViolation, match=rf"^speed-limit margin -9\.999e-{power} is negative$"):
+        dynamics.speed_limit(orbit, sched, plan.w)

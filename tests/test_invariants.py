@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from holonomy_lab import bundle, dynamics, invariants, spectra
-from holonomy_lab.curves import OperatorCurve, TimeGrid
+from holonomy_lab.curves import OperatorCurve, ProbabilityPath, TimeGrid, fisher_rao
 from holonomy_lab.errors import (
     BoundViolated,
     NotClosed,
@@ -327,6 +327,31 @@ class TestCheckIsoholonomic:
             report = invariants.check_isoholonomic(c, w0, alpha=alpha)
             assert report.strong_slack is not None
             assert report.strong_slack >= -1e-6
+
+    @pytest.mark.parametrize("p, m, dim", [((0.6, 0.4), (1, 1), 3), ((0.5, 0.25), (1, 2), 4)], ids=["m11", "m12"])
+    def test_strong_slack_is_its_terms(self, rng, p, m, dim):
+        # each term on its own: L from curve_length_energy, L_FR from fisher_rao of the block means,
+        # IHB_alpha from ihb_constrained of the holonomy's phases
+        c, rho0 = wobble_loop(rng, p, m, dim, nsamp=801)
+        w0 = bundle.canonical_amplitude(rho0)
+        means = bundle.decompose_path(c).block_means()
+        alpha = 0.8 * means.min(axis=0)
+        report = invariants.check_isoholonomic(c, w0, alpha=alpha)
+        length = invariants.curve_length_energy(c)[0]
+        fr_length = fisher_rao(ProbabilityPath(grid=c.grid, values=means, m=m))[0]
+        ihb_alpha = invariants.ihb_constrained(alpha, invariants.eigenphases(bundle.holonomy(c, w0)))
+        assert fr_length > 1e-3 and ihb_alpha > 0.1
+        assert abs(report.strong_slack - (length**2 - fr_length**2 - ihb_alpha**2)) <= 1e-12
+
+    def test_means_that_dip_below_alpha_mid_way_are_out_of_range(self, rng):
+        # the block means breathe about their start values, so alpha just below the start
+        # holds at samples 0 and N - 1 and fails in between
+        c, rho0 = wobble_loop(rng, (0.6, 0.4), (1, 1), 3, nsamp=801)
+        means = bundle.decompose_path(c).block_means()
+        alpha = means[0] - 1e-6
+        assert np.all(means[[0, -1]] >= alpha) and np.any(means < alpha - 1e-4)
+        with pytest.raises(OutOfRange, match="curve leaves the spectrally bounded region"):
+            invariants.check_isoholonomic(c, bundle.canonical_amplitude(rho0), alpha=alpha)
 
     def test_two_degenerate_blocks(self, rng):
         # rank-5 state with blocks (1, 2, 2) in dim 6

@@ -3,13 +3,13 @@ underscore names, every threshold lives in the tolerance table, numpy's
 decompositions and solves are called only in linalg, the stack kernels
 that trust their input are called only where that input was checked,
 hermitian_eig is called only by spectral_decompose and a plan's flow, the
-unitary integrator takes its midpoint steps from one builder, only the
-two unitary runs build a UnitaryOrbit, only bundle tells an orbit from a
-plain curve, per-sample norms of a stack go through one kernel, the exit-2
-raise sites are pinned, every public name and every public method or
-property of a public class has a caller and every tolerance a reader, no
-module imports a name it does not read, and numpy is the only third-party
-package the library imports."""
+unitary integrator takes its midpoint steps from one builder, a constant
+drive is decided in one function, only the two unitary runs build a
+UnitaryOrbit, only bundle tells an orbit from a plain curve, per-sample
+norms of a stack go through one kernel, the exit-2 raise sites are pinned,
+every public name and every public method or property of a public class
+has a caller and every tolerance a reader, no module imports a name it does
+not read, and numpy is the only third-party package the library imports."""
 
 import ast
 import re
@@ -276,6 +276,37 @@ def test_guard_sees_a_midpoint(tmp_path):
                      "def flipped(s):\n    return s.x[1:] + s.x[:-1]\n\n\n"
                      "def shifted(h):\n    return h[:-1] + h[2:], h[1:] - h[:-1]\n", encoding="utf-8")
     assert midpoint_sums(probe) == {"lift", "flipped"}
+
+
+def first_sample_comparisons(path):
+    """Enclosing function of every comparison x == x[0] (either order) of a
+    stack with its first sample in one file."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Compare) and re.fullmatch(r"(.+) == \1\[0\]|(.+)\[0\] == \2", ast.unparse(node)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_constant_drive_decided_in_one_place():
+    # the bitwise test of a time-independent Hamiltonian lives in curves.constant_stack alone
+    found = {(path.stem, where) for path in SRC.glob("*.py") for where in first_sample_comparisons(path)}
+    assert found == {("curves", "constant_stack")}
+
+
+def test_guard_sees_a_first_sample_comparison(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n\n\ndef steps(hs):\n    return np.all(hs == hs[0])\n\n\n"
+                     "def speeds(c):\n    return (c.h[0] == c.h).all()\n\n\n"
+                     "def other(h, g):\n    return h == g[0], h[0] == h[1]\n", encoding="utf-8")
+    assert first_sample_comparisons(probe) == {"steps", "speeds"}
 
 
 # per-sample norms of a stack come from linalg.stack_sq_norms alone; these
