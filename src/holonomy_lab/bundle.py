@@ -222,7 +222,8 @@ def drive_in_eigenframe(curve: OperatorCurve, spath: "SpectralPath", hs: Array) 
     (UnitaryOrbit.constant_drive) and hs are its Hamiltonians bitwise: its
     propagators commute with H, so F_k^dag H F_k = F_0^dag H F_0 and the
     variances and the speed are conserved. It is spath whole otherwise."""
-    if _constant_drive(curve) and (hs is curve.hamiltonians or np.array_equal(hs, curve.hamiltonians)):
+    if _constant_drive(curve) and hs.shape == curve.hamiltonians.shape and (
+            hs is curve.hamiltonians or np.all(linalg.stored_samples(hs) == linalg.stored_samples(curve.hamiltonians))):
         spath, hs = spath.first(1), hs[:1]
     return spath, spath.in_eigenframe(hs)
 

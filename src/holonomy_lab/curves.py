@@ -133,8 +133,10 @@ class UnitaryOrbit(OperatorCurve):
 
 
 def constant_stack(ms: Array) -> bool:
-    """True when every matrix of the stack (N, n, n) equals the first bitwise:
-    the one test, with no tolerance, of a time-independent Hamiltonian."""
+    """True when every matrix of the stack (N, n, n) equals the first bitwise
+    (read at linalg.stored_samples): the one test, with no tolerance, of a
+    time-independent Hamiltonian."""
+    ms = linalg.stored_samples(ms)
     return bool(np.all(ms == ms[0]))
 
 
@@ -146,10 +148,11 @@ def _orbit_states(u: Array, rho0: Array) -> Array:
 
 
 def _check_finite(*stacks: Array) -> None:
-    """Raise NonFinite, naming the first sample, unless the stacks (N, ...) are finite."""
+    """Raise NonFinite, naming the first sample, unless the stacks (N, ...) are finite (at linalg.stored_samples)."""
+    stacks = [linalg.stored_samples(s) for s in stacks]
     if not all(np.isfinite(s).all() for s in stacks):
-        finite = np.logical_and.reduce([np.isfinite(s).reshape(len(s), -1).all(axis=1) for s in stacks])
-        raise NonFinite(f"sample {int(np.argmin(finite))} has non-finite entries")
+        finite = [np.isfinite(s).reshape(len(s), -1).all(axis=1) for s in stacks]
+        raise NonFinite(f"sample {min(int(np.argmin(f)) for f in finite if not f.all())} has non-finite entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,8 +231,10 @@ def fisher_rao(path: ProbabilityPath) -> tuple[float, float]:
     is sum_j m_j pdot_j^2 / p_j / 4; the length carries a 1/2 prefactor and
     the energy a 1/8 prefactor. Derivatives are finite differences and the
     quadrature is the composite trapezoid rule. ProbabilityPath has checked
-    that every p_j is positive.
+    that every p_j is positive; values that never change (constant_stack) give 0.
     """
+    if constant_stack(path.values):
+        return 0.0, 0.0
     p = path.values
     pdot = grid_derivative(p, path.grid.dt)
     mvec = np.asarray(path.m, dtype=float)

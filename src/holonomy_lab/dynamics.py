@@ -42,8 +42,9 @@ class HamiltonianSchedule(OperatorCurve):
 
     @classmethod
     def constant(cls, h: Array, tau: float, n: int) -> "HamiltonianSchedule":
+        """The read-only schedule of h broadcast over n samples (stride 0), checked at sample 0."""
         h = linalg.as_cmat(h)
-        return cls(grid=TimeGrid(tau=tau, n=n), samples=np.broadcast_to(h, (n, *h.shape)).copy())
+        return cls(grid=TimeGrid(tau=tau, n=n), samples=np.broadcast_to(h, (n, *h.shape)))
 
 
 def _steps(hs: Array, dt: float) -> Array:

@@ -22,6 +22,8 @@ faulted in afresh; a stack that fits one block runs unblocked.
 
 Hermiticity is checked where a matrix enters: by as_hermitian for one matrix,
 by check_hermitian_stack for a stack. The stack kernels trust their callers.
+A stack whose sample axis has stride 0 (np.broadcast_to) holds one matrix: the
+checks and comparisons of a stack read its stored_samples, there sample 0.
 
 Propagator steps exp(-i dt H) take no eigendecomposition: they scale and
 square a truncated Taylor series evaluated in Paterson-Stockmeyer form,
@@ -148,9 +150,15 @@ def unitary_eig(u: Array) -> tuple[Array, Array]:
     return np.where(phases < math.tau, phases, 0.0), q  # mod rounds a tiny negative angle up to 2pi
 
 
+def stored_samples(ms: Array) -> Array:
+    """The samples a stack (N, ...) stores: ms[:1] when its sample axis has stride 0, else ms."""
+    return ms[:1] if ms.strides[0] == 0 else ms
+
+
 def check_hermitian_stack(ms: Array, tol: float = tolerances.HERM_TOL) -> None:
     """Raise NonHermitian, naming the worst sample, if any matrix of the
     stack (N, n, n) deviates from Hermitian by more than tol (relative)."""
+    n_samples, ms = len(ms), stored_samples(ms)
     dev, scale = np.empty(len(ms)), np.empty(len(ms))
     with np.errstate(over="ignore", invalid="ignore"):  # entries near 1e308 give norms of inf
         for block in sample_blocks(len(ms), ms.shape[-1]):
@@ -161,7 +169,7 @@ def check_hermitian_stack(ms: Array, tol: float = tolerances.HERM_TOL) -> None:
             dev[k], scale[k] = np.linalg.norm(m - m.conj().T), np.linalg.norm(m)
     if np.any(dev > tol * scale):
         k = int(np.argmax(dev / scale))
-        where = f"sample {k}: " if len(ms) > 1 else ""
+        where = f"sample {k}: " if n_samples > 1 else ""
         raise NonHermitian(f"{where}Hermiticity deviation {dev[k]:.3e} exceeds {tol:.3e}")
 
 

@@ -21,6 +21,37 @@ def test_incoherent_drive_is_caught():
         synthesis.verify_saturation(broken)
 
 
+def second_half_plan(plant):
+    """The saturating plan driven by plant(samples, bump), bump = sin^2(2 pi t / tau) on the
+    second half of the grid and 0 before it: 0 at both ends and at the middle, 1 at 3 tau / 4."""
+    plan = saturating_plan()
+    t = plan.schedule.grid.times / plan.tau
+    bump = np.where(t >= 0.5, np.sin(2.0 * np.pi * t) ** 2, 0.0)
+    planted = dynamics.HamiltonianSchedule(grid=plan.schedule.grid, samples=plant(plan.schedule.samples, bump))
+    return synthesis.SaturatingPlan(rho=plan.rho, w=plan.w, target=plan.target, tau=plan.tau,
+                                    loops=plan.loops, generator=plan.generator, schedule=planted)
+
+
+@pytest.mark.parametrize("plant, message", [
+    (lambda hs, bump: hs + 1e-9 * bump[:, None, None] * np.eye(4), "drive has incoherent mass 2.000e-09"),
+    (lambda hs, bump: (1.0 + 2e-6 * bump)[:, None, None] * hs, "energy uncertainty varies by 5.027e-06"),
+], ids=["incoherent_drive", "dh_ripple"])
+def test_second_half_defects_exit_two(tmp_path, monkeypatch, capsys, plant, message):
+    # unlike the uniform defects above, these touch neither end of the run: a check
+    # that reads its first or its last sample alone would pass them. An incoherent
+    # eps I moves no state; the 2e-6 ripple moves them by less than SAT_INTEGRATION_TOL
+    broken = second_half_plan(plant)
+    with pytest.raises(SaturationFailed, match=message):
+        synthesis.verify_saturation(broken)
+    state, target = tmp_path / "s.json", tmp_path / "u.json"
+    serialize.write_json(state, serialize.state_to_json(np.diag([0.7, 0.3]).astype(complex)))
+    serialize.write_json(target, serialize.unitary_to_json(broken.target))
+    monkeypatch.setattr(synthesis, "synthesize", lambda *args, **kwargs: broken)
+    assert cli.main(["synthesize", str(state), str(target), "--tau", "1.0", "--ambient-dim", "4",
+                     "--out", str(tmp_path / "plan")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def scaled_plan():
     # a schedule 1e-4 too strong turns the re-integrated run off the trajectory
     plan = saturating_plan()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holonomy_lab import curves, invariants
+from holonomy_lab import bundle, curves, invariants
 from holonomy_lab.curves import OperatorCurve, ProbabilityPath, TimeGrid
 from holonomy_lab.errors import (
     EndpointMismatch,
@@ -9,7 +9,7 @@ from holonomy_lab.errors import (
     NonFinite,
     NonPositiveEigenvalue,
 )
-from qutil import great_circle_section, precessing_qubit_curve, pure_curve
+from qutil import great_circle_section, precessing_qubit_curve, pure_curve, wobble_loop
 
 
 def constant_curve(mat, tau, nsamp):
@@ -40,6 +40,11 @@ class TestOperatorCurve:
         with pytest.raises(NonFinite, match="sample 50"):
             OperatorCurve.from_samples(1.0, samples)
 
+    def test_broadcast_nan_names_sample_0(self):
+        # a stack broadcast over its samples holds one matrix: it is checked at sample 0, by name
+        bad = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(NonFinite, match="^sample 0 "):
+            OperatorCurve.from_samples(1.0, np.broadcast_to(bad, (101, 2, 2)))
 
 class TestConcatenate:
     def test_pole_to_pole_halves(self):
@@ -86,12 +91,50 @@ class TestReverse:
         assert np.array_equal(curves.reverse(c).samples, c.samples)
 
 
+def derivative_shapes(monkeypatch) -> list:
+    """Shapes of the stacks curves.grid_derivative differentiates from now on."""
+    seen, grid_derivative = [], curves.grid_derivative
+
+    def spy(samples, dt):
+        seen.append(np.shape(samples))
+        return grid_derivative(samples, dt)
+
+    monkeypatch.setattr(curves, "grid_derivative", spy)
+    return seen
+
+
 class TestFisherRao:
     def test_constant_spectrum(self):
         path = ProbabilityPath(grid=TimeGrid(tau=1.0, n=51),
                                values=np.tile([0.7, 0.3], (51, 1)), m=(1, 1))
         length, energy = curves.fisher_rao(path)
         assert abs(length) <= 1e-12 and abs(energy) <= 1e-12
+
+    def test_broadcast_means_are_exactly_still(self, monkeypatch):
+        # an orbit's block means are one row broadcast over the grid: length and energy are
+        # exactly 0, and no derivative is taken
+        seen = derivative_shapes(monkeypatch)
+        path = ProbabilityPath(grid=TimeGrid(tau=1.0, n=4001), values=np.broadcast_to([0.7, 0.3], (4001, 2)), m=(1, 1))
+        assert curves.fisher_rao(path) == (0.0, 0.0)
+        assert seen == []
+
+    def test_moving_means_are_differentiated(self, rng, monkeypatch):
+        # a wobble loop's means breathe: check_isoholonomic's fisher_rao differentiates them
+        curve, rho0 = wobble_loop(rng, (0.5, 0.25), (1, 2), 4, 801)
+        seen = derivative_shapes(monkeypatch)
+        report = invariants.check_isoholonomic(curve, bundle.canonical_amplitude(rho0))
+        assert (801, 2) in seen
+        assert report.fr_length > 0.0
+
+    def test_closed_breathing_path_has_its_length(self):
+        # ends bitwise equal, interior moving: p rises from 0.6 to 0.7 and back, and
+        # L_FR = (1/2) 2 int dp / sqrt(p (1 - p)) = arcsin(0.4) - arcsin(0.2)
+        t = np.linspace(0.0, 1.0, 2001)
+        p = 0.6 + 0.1 * np.sin(np.pi * t) ** 2
+        path = ProbabilityPath(grid=TimeGrid(tau=1.0, n=2001), values=np.stack([p, 1.0 - p], axis=1), m=(1, 1))
+        assert np.array_equal(path.values[0], path.values[-1])
+        length, _ = curves.fisher_rao(path)
+        assert abs(length - (np.arcsin(0.4) - np.arcsin(0.2))) <= 1e-6
 
     def test_geodesic_length(self):
         # pull back to the sphere: y_j = sqrt(p_j) traces a great-circle arc

@@ -13,6 +13,7 @@ from qutil import (
     rand_hermitian,
     rand_state,
     rand_unitary,
+    traced_peak,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -68,6 +69,14 @@ class TestEvolve:
     def test_schedule_requires_hermitian_samples(self):
         with pytest.raises(NonHermitian, match="sample 0"):
             HamiltonianSchedule.constant(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, 5)
+
+    def test_constant_schedule_is_one_read_only_sample(self):
+        # h broadcast over the grid: no copy (6.4 MB at N = 1e5) and one sample checked
+        h = dynamics.qubit_hamiltonian(qubit_axis(0.6), TWO_PI)
+        assert traced_peak(lambda: HamiltonianSchedule.constant(h, 1.0, 10**5)) < 64 * 1024
+        sched = HamiltonianSchedule.constant(h, 1.0, 10**5)
+        assert not sched.samples.flags.writeable
+        assert np.array_equal(sched.samples[-1], h)
 
 
 class TestSplitHamiltonian:

@@ -4,7 +4,8 @@ decompositions and solves are called only in linalg, the stack kernels
 that trust their input are called only where that input was checked,
 hermitian_eig is called only by spectral_decompose and a plan's flow, the
 unitary integrator takes its midpoint steps from one builder, a constant
-drive is decided in one function, only the two unitary runs build a
+drive is decided in one function, a broadcast stack (sample stride 0) is
+told from a full one in one function, only the two unitary runs build a
 UnitaryOrbit, only bundle tells an orbit from a plain curve, per-sample
 norms of a stack go through one kernel, the exit-2 raise sites are pinned,
 every public name and every public method or property of a public class
@@ -307,6 +308,36 @@ def test_guard_sees_a_first_sample_comparison(tmp_path):
                      "def speeds(c):\n    return (c.h[0] == c.h).all()\n\n\n"
                      "def other(h, g):\n    return h == g[0], h[0] == h[1]\n", encoding="utf-8")
     assert first_sample_comparisons(probe) == {"steps", "speeds"}
+
+
+def stride_reads(path):
+    """Enclosing function of every read of an array's strides in one file."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "strides":
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_broadcast_rule_in_one_place():
+    # a stack with sample-axis stride 0 is read at sample 0: linalg.stored_samples alone tests it
+    found = {(path.stem, where) for path in SRC.glob("*.py") for where in stride_reads(path)}
+    assert found == {("linalg", "stored_samples")}
+
+
+def test_guard_sees_a_stride_read(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def check(ms):\n    return ms[:1] if ms.strides[0] == 0 else ms\n\n\n"
+                     "def other(ms):\n    return not any(ms.strides[:-2])\n\n\n"
+                     "def shape(ms):\n    return ms.shape[0] == 0\n", encoding="utf-8")
+    assert stride_reads(probe) == {"check", "other"}
 
 
 # per-sample norms of a stack come from linalg.stack_sq_norms alone; these

@@ -362,6 +362,28 @@ class TestPropagatorStep:
         with pytest.raises(NonHermitian, match=r"^sample 4: Hermiticity deviation"):
             linalg.check_hermitian_stack(hs)
 
+    def test_broadcast_stack_names_sample_0(self):
+        # a stack broadcast over its samples (stride 0) holds one matrix, checked once; its error
+        # still names the sample, as a stack's does
+        m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(NonHermitian, match=r"^sample 0: Hermiticity deviation 1\.414e\+00 exceeds"):
+            linalg.check_hermitian_stack(np.broadcast_to(m, (4001, 2, 2)))
+        linalg.check_hermitian_stack(np.broadcast_to(SIGMA3, (4001, 2, 2)))
+
+    @pytest.mark.parametrize("degree, width, theta", linalg._TAYLOR, ids=[f"m{row[0]}" for row in linalg._TAYLOR])
+    def test_each_degree_meets_exp_at_its_theta_edge(self, degree, width, theta):
+        # at 1-norm theta_m the plan is degree m with no squaring, whose truncation has backward
+        # error below u = 2^-53 (Higham's table); so the step meets exp, taken in extended precision,
+        # to the rounding u e^theta of the sum of its terms' sizes. A diagonal H keeps the matrix
+        # products exact off the diagonal. Degree m - 1 misses by the dropped term theta^m / m!,
+        # more than that rounding at every degree up to 20
+        assert linalg._taylor_plan(theta) == (degree, width, 0)
+        d = np.array([1.0, -0.25])
+        u = linalg.propagator_step_stack(np.diag(d).astype(complex)[None], theta)[0]
+        assert u[0, 1] == u[1, 0] == 0.0
+        err = np.abs(np.diag(u).astype(np.clongdouble) - np.exp(-1j * theta * d.astype(np.longdouble)))
+        assert np.max(err) <= 2.0**-53 * np.exp(theta)
+
     def test_non_hermitian_with_an_overflowing_norm(self):
         # |m - m^dag| and |m| are both inf; the sample is tested again scaled by its largest entry
         m = np.array([[0.0, 1e308], [-1e308, 0.0]])
@@ -374,6 +396,15 @@ class TestPropagatorStep:
 def small_blocks(monkeypatch, n: int, size: int) -> None:
     """From now on, cut stacks of (n, n) matrices into blocks of size samples."""
     monkeypatch.setattr(linalg, "_BLOCK_BYTES", 16 * n * n * size)
+
+
+class TestStoredSamples:
+    def test_a_broadcast_stores_one_sample(self, rng):
+        m = rand_unitary(rng, 3)
+        stored = linalg.stored_samples(np.broadcast_to(m, (4001, 3, 3)))
+        assert stored.shape == (1, 3, 3) and np.shares_memory(stored, m)
+        full = np.stack([m] * 5)
+        assert linalg.stored_samples(full) is full
 
 
 class TestSampleBlocks:
@@ -623,6 +654,38 @@ class TestPolarUnitaryStack:
         ms[17] *= 3.0
         linalg.polar_unitary_stack(ms, tolerances.OVERLAP_TOL)
         assert calls[1:] == [(1, 3, 3)]
+
+    def test_certificate_edge_pins_the_route(self, rng, monkeypatch):
+        # |I - M^dag M|_F just inside 1/2, all of it on one singular value (0.707, the slowest):
+        # Newton-Schulz in at most 6 steps and no SVD; just outside: the SVD and no step. One
+        # product forms the Gram matrix, each step takes two, the SVD route one more
+        products, svds = [], []
+        matmul_stack, svd = linalg.matmul_stack, np.linalg.svd
+        monkeypatch.setattr(linalg, "matmul_stack", lambda a, b: products.append(1) or matmul_stack(a, b))
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: svds.append(np.shape(a)) or svd(a, *args, **kw))
+        n = 3
+        for edge, svd_calls in ((0.5 * (1 - 1e-9), []), (0.5 * (1 + 1e-9), [(1, n, n)])):
+            del products[:], svds[:]
+            m = (unitary_steps(rng, 1, n) * np.sqrt(1.0 - np.array([edge, 0.0, 0.0]))) @ unitary_steps(rng, 1, n)
+            got = linalg.polar_unitary_stack(m, tolerances.OVERLAP_TOL)
+            assert svds == svd_calls
+            steps = (len(products) - 1 - len(svd_calls)) // 2
+            assert (steps == 0) if svd_calls else (3 <= steps <= 6)
+            assert np.max(np.abs(got - svd_polar(m))) <= 1e-13
+
+    @pytest.mark.parametrize("tol", [0.3, 0.49])
+    def test_singular_threshold_holds_up_to_one_half(self, rng, tol):
+        # the certificate keeps every sample it passes above sigma 0.70, so any tol below 1/2
+        # is decided by the SVD: sigma_min just under tol is named, just over it is factored
+        n, bad = 3, 20
+        ms = near_unitary(rng, 50, n)
+        for scale, raises in ((1 - 1e-6, True), (1 + 1e-6, False)):
+            ms[bad] = monomial(rng, n) @ np.diag([1.0, 1.0, tol * scale]) @ monomial(rng, n)
+            if raises:
+                with pytest.raises(Singular, match=rf"^sample {bad}: smallest singular value"):
+                    linalg.polar_unitary_stack(ms, tol)
+            else:
+                assert np.max(np.abs(linalg.polar_unitary_stack(ms, tol) - svd_polar(ms))) <= 1e-12
 
     def test_tol_must_sit_below_the_certificate(self):
         with pytest.raises(ValueError):

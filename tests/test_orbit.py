@@ -278,3 +278,14 @@ class TestStatesOnRead:
         stacks[field][3, 1, 0] = np.nan
         with pytest.raises(NonFinite, match="^sample 3 has non-finite entries$"):
             UnitaryOrbit(grid=curves.TimeGrid(tau=1.0, n=5), start=rho0, **stacks)
+
+    def test_broadcast_hamiltonians_are_checked_at_sample_0(self):
+        # Hamiltonians broadcast over the grid hold one matrix, named at sample 0; the full
+        # propagator stack beside them is still read whole
+        rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
+        props = np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2)).copy()
+        props[3, 1, 0] = np.nan
+        for h, first in ((np.zeros((2, 2)), 3), (np.diag([np.nan, 0.0]), 0)):
+            with pytest.raises(NonFinite, match=f"^sample {first} has non-finite entries$"):
+                UnitaryOrbit(grid=curves.TimeGrid(tau=1.0, n=5), start=rho0, propagators=props,
+                             hamiltonians=np.broadcast_to(h.astype(complex), (5, 2, 2)))
