@@ -212,18 +212,20 @@ def curve_speeds_sq(curve: OperatorCurve, spath: "SpectralPath") -> Array:
 
 
 def _constant_drive(curve: OperatorCurve) -> bool:
-    return isinstance(curve, UnitaryOrbit) and curve.constant_drive
+    """Whether the curve is a UnitaryOrbit whose Hamiltonians store one sample. Both orbit
+    producers make propagators that commute with such an H, so F_k^dag H F_k, the speed
+    and every transport overlap F_k^dag F_{k+1} are the same at every sample."""
+    return isinstance(curve, UnitaryOrbit) and len(linalg.stored_samples(curve.hamiltonians)) == 1
 
 
 def drive_in_eigenframe(curve: OperatorCurve, spath: "SpectralPath", hs: Array) -> tuple["SpectralPath", Array]:
     """(path, B): B = F^dag H F of the Hamiltonians hs (N, n, n) along the curve
     decomposed as spath, on the samples of path that carry every sample. That is
     sample 0 alone when the curve is a UnitaryOrbit under a constant drive
-    (UnitaryOrbit.constant_drive) and hs are its Hamiltonians bitwise: its
-    propagators commute with H, so F_k^dag H F_k = F_0^dag H F_0 and the
-    variances and the speed are conserved. It is spath whole otherwise."""
-    if _constant_drive(curve) and hs.shape == curve.hamiltonians.shape and (
-            hs is curve.hamiltonians or np.all(linalg.stored_samples(hs) == linalg.stored_samples(curve.hamiltonians))):
+    (_constant_drive) and hs are a broadcast of that drive: F_k^dag H F_k =
+    F_0^dag H F_0, so the variances and the speed are conserved. It is spath
+    whole otherwise."""
+    if _constant_drive(curve) and np.array_equal(linalg.stored_samples(hs), curve.hamiltonians[:1]):
         spath, hs = spath.first(1), hs[:1]
     return spath, spath.in_eigenframe(hs)
 
@@ -390,7 +392,7 @@ def horizontal_lift(rho_curve: OperatorCurve, w0: Amplitude) -> OperatorCurve:
 def lift_endpoint(rho_curve: OperatorCurve, spath: SpectralPath, w0: Amplitude) -> Array:
     """W_tau = horizontal_lift(rho_curve, w0).samples[-1], from the step products
     alone. On a UnitaryOrbit under a constant drive every overlap F_k^dag F_{k+1}
-    is the first (UnitaryOrbit.constant_drive), so each block forms that one
+    is the first (_constant_drive), so each block forms that one
     overlap and raises its step to the power N - 1: repeated squaring
     (np.linalg.matrix_power), a scalar power for a 1x1 block."""
     heads = check_lift_start(w0, spath, rho_curve.initial)

@@ -86,9 +86,9 @@ class UnitaryOrbit(OperatorCurve):
     propagators and Hamiltonians (N, n, n) and its start rho_0, so its samples,
     eigenframes U_k F_0 and tangents -i[H_k, rho_k] cannot disagree. The
     propagators and Hamiltonians must be finite (NonFinite names the first bad
-    sample). The samples are formed, Hermitian, on their first read; initial,
-    final and closure_defect form only the first and last state. All three
-    stacks are read-only."""
+    sample). The samples are formed, Hermitian, on their first read; initial
+    and final form only the first and last state, once each. All five arrays
+    are read-only."""
 
     samples: Array = field(init=False)
     propagators: Array
@@ -110,41 +110,25 @@ class UnitaryOrbit(OperatorCurve):
         # reached only while the instance has no such attribute: samples before its first read
         if name != "samples":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        states = _orbit_states(self.propagators, self.start.matrix)
-        states.flags.writeable = False
-        object.__setattr__(self, "samples", states)
-        return states
+        object.__setattr__(self, "samples", _orbit_states(self.propagators, self.start.matrix))
+        return self.samples
 
     @cached_property
-    def constant_drive(self) -> bool:
-        """Whether the Hamiltonians all equal the first (constant_stack), decided
-        on the first read. Both orbit producers make propagators that commute with
-        such an H, so F_k^dag H F_k, the speed and every transport overlap
-        F_k^dag F_{k+1} are the same at every sample."""
-        return constant_stack(self.hamiltonians)
-
-    @property
     def initial(self) -> Array:
         return _orbit_states(self.propagators[:1], self.start.matrix)[0]
 
-    @property
+    @cached_property
     def final(self) -> Array:
         return _orbit_states(self.propagators[-1:], self.start.matrix)[0]
 
 
-def constant_stack(ms: Array) -> bool:
-    """True when every matrix of the stack (N, n, n) equals the first bitwise
-    (read at linalg.stored_samples): the one test, with no tolerance, of a
-    time-independent Hamiltonian."""
-    ms = linalg.stored_samples(ms)
-    return bool(np.all(ms == ms[0]))
-
-
 def _orbit_states(u: Array, rho0: Array) -> Array:
-    """The states U_k rho_0 U_k^dag of a propagator stack (N, n, n), made
-    Hermitian: the one state formula of UnitaryOrbit."""
+    """The read-only states U_k rho_0 U_k^dag of a propagator stack (N, n, n),
+    made Hermitian: the one state formula of UnitaryOrbit."""
     states = linalg.matmul_stack(linalg.matmul_stack(u, rho0), np.conj(np.swapaxes(u, -1, -2)))
-    return 0.5 * (states + np.conj(np.swapaxes(states, -1, -2)))
+    states = 0.5 * (states + np.conj(np.swapaxes(states, -1, -2)))
+    states.flags.writeable = False
+    return states
 
 
 def _check_finite(*stacks: Array) -> None:
@@ -157,16 +141,18 @@ def _check_finite(*stacks: Array) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityPath:
-    """Finite per-block eigenvalue samples p_{j;t} with fixed multiplicities m."""
+    """Finite per-block eigenvalue samples p_{j;t} with fixed multiplicities m,
+    validated at linalg.stored_samples."""
 
     grid: TimeGrid
     values: Array
     m: tuple[int, ...]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != self.grid.n or v.shape[1] != len(self.m):
-            raise ValueError(f"values shape {v.shape} does not match grid/m")
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 2 or values.shape[0] != self.grid.n or values.shape[1] != len(self.m):
+            raise ValueError(f"values shape {values.shape} does not match grid/m")
+        v = linalg.stored_samples(values)
         _check_finite(v)
         if np.any(v <= 0.0):
             raise NonPositiveEigenvalue("eigenvalue path touches zero")
@@ -176,7 +162,7 @@ class ProbabilityPath:
         totals = v @ np.asarray(self.m, dtype=float)
         if np.any(np.abs(totals - 1.0) > tolerances.PATH_NORM_TOL):
             raise NotNormalized("eigenvalue path is not normalized")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", values)
 
 
 def grid_derivative(samples: Array, dt: float) -> Array:
@@ -231,9 +217,9 @@ def fisher_rao(path: ProbabilityPath) -> tuple[float, float]:
     is sum_j m_j pdot_j^2 / p_j / 4; the length carries a 1/2 prefactor and
     the energy a 1/8 prefactor. Derivatives are finite differences and the
     quadrature is the composite trapezoid rule. ProbabilityPath has checked
-    that every p_j is positive; values that never change (constant_stack) give 0.
+    that every p_j is positive; values broadcast over the grid (one stored sample) give 0.
     """
-    if constant_stack(path.values):
+    if len(linalg.stored_samples(path.values)) == 1:
         return 0.0, 0.0
     p = path.values
     pdot = grid_derivative(p, path.grid.dt)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bundle, invariants, linalg, tolerances
-from .curves import OperatorCurve, TimeGrid, UnitaryOrbit, constant_stack, trapezoid
+from .curves import OperatorCurve, TimeGrid, UnitaryOrbit, trapezoid
 from .errors import (
     ContractViolation,
     DimMismatch,
@@ -34,10 +34,14 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSchedule(OperatorCurve):
-    """Operator curve whose samples are Hermitian (hbar = 1)."""
+    """Operator curve whose samples are Hermitian (hbar = 1). Samples that all equal the first
+    bitwise (a time-independent H) are stored as a read-only broadcast of a copy of sample 0."""
 
     def __post_init__(self):
         super().__post_init__()
+        s = linalg.stored_samples(self.samples)
+        if np.all(s == s[0]):
+            object.__setattr__(self, "samples", np.broadcast_to(s[0].copy(), self.samples.shape))
         linalg.check_hermitian_stack(self.samples)
 
     @classmethod
@@ -50,11 +54,11 @@ class HamiltonianSchedule(OperatorCurve):
 def _steps(hs: Array, dt: float) -> Array:
     """The (N - 1, n, n) midpoint steps exp(-i dt (H_k + H_{k+1})/2) of a checked
     Hermitian stack (N, n, n): the step builder of evolve, the one unitary
-    integrator. A constant stack (curves.constant_stack) takes one exponential,
+    integrator. A broadcast stack (one stored sample) takes one exponential,
     broadcast; the midpoint of equal samples is that sample. The sums
     H_k + H_{k+1} go in with the step dt / 2, the same product, as both
     halvings are exact."""
-    if constant_stack(hs):
+    if len(linalg.stored_samples(hs)) == 1:
         return np.broadcast_to(linalg.propagator_step_stack(hs[:1], dt), (len(hs) - 1, *hs.shape[1:]))
     return linalg.propagator_step_stack(hs[:-1] + hs[1:], 0.5 * dt)
 
@@ -173,7 +177,8 @@ def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule) -> SpeedLi
     """Speed-limit report for an analysed closed unitary evolution.
 
     Verifies the identity between the squared state speed and the coherent
-    variance, which cross-checks lift_tangents against variance_split, then
+    variance, relative to the run's largest coherent variance (so in no unit
+    of time), which cross-checks lift_tangents against variance_split, then
     reports the holonomy-based lower bound of speed_bound on the return
     time and its margin, which may fall below zero by MARGIN_TOL times tau.
     Both are taken on the samples bundle.drive_in_eigenframe keeps: sample 0
@@ -190,7 +195,7 @@ def speed_report(loop: bundle.ClosedLoop, sched: HamiltonianSchedule) -> SpeedLi
     dh2, dco2, din2 = variance_split(b, path)
     dh, dh_co, dh_in = (np.broadcast_to(np.sqrt(v), rho_curve.grid.n) for v in (dh2, dco2, din2))
     delta_e, bound = speed_bound(dh, rho_curve.grid, ihb)
-    dev = np.abs(bundle.state_speeds_sq(b, path) - dco2) / np.maximum(1.0, dco2)
+    dev = np.abs(bundle.state_speeds_sq(b, path) - dco2) / (np.max(dco2) or 1.0)
     if np.any(dev > tolerances.SPEED_IDENTITY_TOL):
         raise ContractViolation(f"speed identity violated by {np.max(dev):.3e}")
 

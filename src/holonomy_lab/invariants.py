@@ -160,7 +160,8 @@ def iso_report(loop: bundle.ClosedLoop, alpha=None) -> IsoReport:
     phases = eigenphases(hol)
 
     means = spath.block_means()
-    constant = bool(np.max(np.abs(means - means[0])) <= tolerances.CONST_SPECTRUM_TOL)
+    stored = linalg.stored_samples(means)
+    constant = bool(np.max(np.abs(stored - means[0])) <= tolerances.CONST_SPECTRUM_TOL)
 
     length, energy = _path_length_energy(rho_curve, spath)
     fr_length, _ = fisher_rao(ProbabilityPath(grid=rho_curve.grid, values=means, m=spath.m))
@@ -169,7 +170,7 @@ def iso_report(loop: bundle.ClosedLoop, alpha=None) -> IsoReport:
     if alpha is not None:
         alpha = np.asarray(alpha, dtype=float)
         ihb_alpha = ihb_constrained(alpha, phases)  # checks one finite bound per block
-        if np.any(means < alpha[None, :] - tolerances.REGION_TOL):
+        if np.any(stored < alpha[None, :] - tolerances.REGION_TOL):
             raise OutOfRange("curve leaves the spectrally bounded region")
     ihb = ihb_isospectral(means[0], phases) if constant else (ihb_alpha if ihb_alpha is not None else 0.0)
 

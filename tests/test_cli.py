@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from holonomy_lab import cli, dynamics, serialize, spectra, synthesis
-from qutil import precessing_qubit_curve, qubit_axis
+from holonomy_lab import bundle, cli, dynamics, serialize, spectra, synthesis
+from qutil import precessing_qubit_curve, qubit_axis, stack_sizes
 
 TWO_PI = 2.0 * np.pi
 
@@ -275,6 +275,22 @@ class TestEvolve:
         assert cli.main(["evolve", state, sched, "--out", str(out)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert abs(report["bound"] - 0.8240856434303292) <= 1e-6
+
+    def test_constant_schedule_file_is_one_sample(self, tmp_path, capsys, monkeypatch):
+        # a bitwise-constant schedule read from JSON is stored as a broadcast when it is built,
+        # so evolve takes one step and the report one rotation and one overlap per block, as
+        # for HamiltonianSchedule.constant, whose report it equals bit for bit
+        h = dynamics.qubit_hamiltonian(qubit_axis(0.6), TWO_PI)
+        sched, out = write_schedule(tmp_path / "h.json", h, 1.0, 2001), str(tmp_path / "c.json")
+        assert serialize.schedule_from_json(serialize.read_json(sched)).samples.strides[0] == 0
+        state = write_state(tmp_path / "s.json", np.diag([0.7, 0.3]).astype(complex))
+        steps, polar = (stack_sizes(monkeypatch, name) for name in ("propagator_step_stack", "polar_unitary_stack"))
+        assert cli.main(["evolve", state, sched, "--out", out]) == 0
+        assert steps == [1] and set(polar) == {1}
+        rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
+        constant = dynamics.HamiltonianSchedule.constant(h, 1.0, 2001)
+        report = dynamics.speed_limit(dynamics.evolve(rho0, constant)[1], constant, bundle.canonical_amplitude(rho0))
+        assert json.loads(capsys.readouterr().out) == {**serialize.speed_report_to_json(report), "curve_file": out}
 
     def test_non_hermitian_exits_one(self, tmp_path):
         state = write_state(tmp_path / "s.json", np.diag([0.7, 0.3]).astype(complex))

@@ -199,7 +199,7 @@ class TestConstantDrive:
         else:
             orbit, plan = plan_orbit(rng, nsamp)
             w0 = plan.w
-        assert orbit.constant_drive
+        assert bundle._constant_drive(orbit)
         end = bundle.lift_endpoint(orbit, bundle.decompose_path(orbit), w0)
         assert np.max(np.abs(end - bundle.horizontal_lift(orbit, w0).samples[-1])) <= 1e-12
 
@@ -217,13 +217,21 @@ class TestConstantDrive:
 
     def test_varying_drive_works_per_sample(self, monkeypatch, calls):
         orbit, sched, w0 = nudged_qubit_run()
-        assert not orbit.constant_drive
+        assert not bundle._constant_drive(orbit)
         polar_sizes = stack_sizes(monkeypatch, "polar_unitary_stack")
         report = dynamics.speed_limit(orbit, sched, w0)
         assert rotations_of(calls, sched.samples) == [sched.grid.n]
         assert sched.grid.n - 1 in polar_sizes
         constant = dynamics.speed_limit(*qubit_run())
         assert np.max(np.abs(report.dh - constant.dh)) <= 1e-12
+
+    def test_varying_orbit_against_its_first_drive_works_per_sample(self, calls):
+        # a constant schedule equal to the first of a varying orbit's Hamiltonians: the two
+        # stored samples agree, but the orbit's propagators need not commute with that H
+        orbit, nudged, w0 = nudged_qubit_run()
+        first = dynamics.HamiltonianSchedule.constant(nudged.samples[0], nudged.grid.tau, nudged.grid.n)
+        dynamics.speed_limit(orbit, first, w0)
+        assert rotations_of(calls, first.samples) == [nudged.grid.n]
 
     def test_other_schedule_works_per_sample(self, rng, calls):
         # an energy offset moves no state: a valid schedule for the orbit, but not its own drive
@@ -241,7 +249,7 @@ class TestConstantDrive:
         assert abs(report.bound - plain.bound) <= 1e-12
         # a plan's orbit is driven by its generator, its schedule is the coherent drive
         orbit, plan = plan_orbit(rng, 401)
-        assert orbit.constant_drive
+        assert bundle._constant_drive(orbit)
         dynamics.speed_limit(orbit, plan.schedule, plan.w)
         assert rotations_of(calls, plan.schedule.samples) == [plan.schedule.grid.n]
 

@@ -82,6 +82,18 @@ def test_scaled_lift_breaks_the_speed_identity(monkeypatch, capsys):
     assert "speed identity violated by 2.001e-03" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("omega", [2e-6 * np.pi, 2e-3 * np.pi, 2e3 * np.pi])
+def test_speed_identity_holds_in_any_unit_of_time(monkeypatch, capsys, omega):
+    # the identity is relative to the run's largest coherent variance, which scales as omega^2:
+    # a sound run passes and the same 1e-3 longer lifts fail by the same amount at every omega
+    args = ["qubit-demo", "--n3", "0.6", "--omega", repr(omega)]
+    assert cli.main(args) == 0
+    lift_tangents = bundle.lift_tangents
+    monkeypatch.setattr(bundle, "lift_tangents", lambda *args: (1.0 + 1e-3) * lift_tangents(*args))
+    assert cli.main(args) == 2
+    assert "speed identity violated by 2.001e-03" in capsys.readouterr().err
+
+
 def short_speeds(monkeypatch):
     # squared speeds 1e-3 short make lengths 5.0e-4 short of the bound, on the
     # one-sample route of a constant drive as on the per-sample one

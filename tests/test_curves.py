@@ -6,10 +6,11 @@ from holonomy_lab.curves import OperatorCurve, ProbabilityPath, TimeGrid
 from holonomy_lab.errors import (
     EndpointMismatch,
     GridMismatch,
+    HolonomyLabError,
     NonFinite,
     NonPositiveEigenvalue,
 )
-from qutil import great_circle_section, precessing_qubit_curve, pure_curve, wobble_loop
+from qutil import great_circle_section, precessing_qubit_curve, pure_curve, traced_peak, wobble_loop
 
 
 def constant_curve(mat, tau, nsamp):
@@ -117,6 +118,20 @@ class TestFisherRao:
         path = ProbabilityPath(grid=TimeGrid(tau=1.0, n=4001), values=np.broadcast_to([0.7, 0.3], (4001, 2)), m=(1, 1))
         assert curves.fisher_rao(path) == (0.0, 0.0)
         assert seen == []
+
+    def test_broadcast_values_are_validated_at_sample_0(self):
+        # one row broadcast over 10^5 samples is validated once (an (N, l) check would take
+        # about 2.4 MB of temporaries); a bad row raises what its full copy raises
+        grid = TimeGrid(tau=1.0, n=10**5)
+        values = np.broadcast_to([0.7, 0.3], (10**5, 2))
+        assert traced_peak(lambda: ProbabilityPath(grid=grid, values=values, m=(1, 1))) < 64 * 1024
+        for row in ([0.7, 0.0], [0.3, 0.7], [0.7, 0.4], [np.nan, 0.3]):
+            raised = []
+            for values in (np.broadcast_to(row, (10**5, 2)), np.tile(row, (10**5, 1))):
+                with pytest.raises(HolonomyLabError) as info:
+                    ProbabilityPath(grid=grid, values=values, m=(1, 1))
+                raised.append((type(info.value), str(info.value)))
+            assert raised[0] == raised[1]
 
     def test_moving_means_are_differentiated(self, rng, monkeypatch):
         # a wobble loop's means breathe: check_isoholonomic's fisher_rao differentiates them

@@ -78,6 +78,17 @@ class TestEvolve:
         assert not sched.samples.flags.writeable
         assert np.array_equal(sched.samples[-1], h)
 
+    def test_constant_samples_are_stored_once(self):
+        # a full stack whose samples equal the first bitwise is stored as a broadcast of a copy
+        # of sample 0, so the stack it came from can be freed; one ulp off, it is kept whole
+        h = dynamics.qubit_hamiltonian(qubit_axis(0.6), TWO_PI)
+        full = np.array(np.broadcast_to(h, (101, 2, 2)))
+        sched = HamiltonianSchedule(grid=TimeGrid(tau=1.0, n=101), samples=full)
+        assert sched.samples.strides[0] == 0 and not sched.samples.flags.writeable
+        assert not np.shares_memory(sched.samples, full) and np.array_equal(sched.samples, full)
+        full[50, 0, 0] = np.nextafter(full[50, 0, 0].real, np.inf)
+        assert HamiltonianSchedule(grid=TimeGrid(tau=1.0, n=101), samples=full).samples.strides[0] != 0
+
 
 class TestSplitHamiltonian:
     def test_commuting_is_fully_incoherent(self):

@@ -4,7 +4,8 @@ decompositions and solves are called only in linalg, the stack kernels
 that trust their input are called only where that input was checked,
 hermitian_eig is called only by spectral_decompose and a plan's flow, the
 unitary integrator takes its midpoint steps from one builder, a constant
-drive is decided in one function, a broadcast stack (sample stride 0) is
+drive is decided where a schedule is built (and stored as a broadcast
+from then on), a broadcast stack (sample stride 0) is
 told from a full one in one function, only the two unitary runs build a
 UnitaryOrbit, only bundle tells an orbit from a plain curve, per-sample
 norms of a stack go through one kernel, the exit-2 raise sites are pinned,
@@ -297,9 +298,9 @@ def first_sample_comparisons(path):
 
 
 def test_constant_drive_decided_in_one_place():
-    # the bitwise test of a time-independent Hamiltonian lives in curves.constant_stack alone
+    # the bitwise test of a time-independent Hamiltonian lives where a schedule is built alone
     found = {(path.stem, where) for path in SRC.glob("*.py") for where in first_sample_comparisons(path)}
-    assert found == {("curves", "constant_stack")}
+    assert found == {("dynamics", "__post_init__")}
 
 
 def test_guard_sees_a_first_sample_comparison(tmp_path):

@@ -270,6 +270,21 @@ class TestStatesOnRead:
         orbit.samples
         assert sizes[-1] == orbit.grid.n
 
+    def test_first_and_last_states_are_formed_once(self, monkeypatch):
+        # closure_defect, _check_run and the lift start of both reports read them: 7 formations
+        # without the cache
+        sizes = []
+        orbit_states = curves._orbit_states
+        monkeypatch.setattr(curves, "_orbit_states", lambda u, rho0: sizes.append(len(u)) or orbit_states(u, rho0))
+        rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
+        sched = dynamics.HamiltonianSchedule.constant(dynamics.qubit_hamiltonian(qubit_axis(0.6), TWO_PI), 1.0, 401)
+        _, orbit = dynamics.evolve(rho0, sched)
+        w0 = bundle.canonical_amplitude(rho0)
+        dynamics.speed_limit(orbit, sched, w0)
+        invariants.check_isoholonomic(orbit, w0)
+        assert sizes == [1, 1]
+        assert not orbit.initial.flags.writeable and not orbit.final.flags.writeable
+
     @pytest.mark.parametrize("field", ["propagators", "hamiltonians"])
     def test_non_finite_sample_is_named(self, field):
         rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
