@@ -301,7 +301,7 @@ def decompose_path(curve: OperatorCurve) -> SpectralPath:
     start's values once. Any other curve is eigendecomposed sample by sample
     after its samples are checked Hermitian at CURVE_HERM_TOL, the curve's
     one such check. Raises MultiplicityChange whenever the rank changes, the
-    clustering changes, or an inter-block gap dips below 10x GAP_TOL.
+    clustering changes, or an inter-block gap dips below BLOCK_GAP_TOL.
     """
     if isinstance(curve, UnitaryOrbit):
         start = SpectralPath.of_state(curve.start)
@@ -322,7 +322,7 @@ def decompose_path(curve: OperatorCurve) -> SpectralPath:
     for lo, hi in blocks:
         if hi - lo > 1 and np.any(vals[:, lo : hi - 1] - vals[:, lo + 1 : hi] > tolerances.GAP_TOL):
             raise MultiplicityChange("eigenvalue block splits along the curve")
-        if hi < r and np.any(vals[:, hi - 1] - vals[:, hi] < 10.0 * tolerances.GAP_TOL):
+        if hi < r and np.any(vals[:, hi - 1] - vals[:, hi] < tolerances.BLOCK_GAP_TOL):
             raise MultiplicityChange("inter-block gap closes along the curve")
     means = np.stack([np.mean(vals[:, lo:hi], axis=1) for lo, hi in blocks], axis=1)
     return SpectralPath(means=np.broadcast_to(means, (len(frames), len(blocks))), frames=frames,

@@ -245,14 +245,14 @@ def qubit_reference(n, omega: float, p0: float) -> QubitReference:
     """Analytic record for the precessing mixed qubit over one period.
 
     The axis must be a finite unit vector not parallel to (0, 0, 1) and omega
-    finite and positive; p0 needs 1 - p0 > ZERO_TOL and 2p0 - 1 >= 10 GAP_TOL.
+    finite and positive; p0 needs 1 - p0 > ZERO_TOL and 2p0 - 1 >= BLOCK_GAP_TOL.
     """
     n = np.asarray(n, dtype=float)
     if n.shape != (3,) or not np.all(np.isfinite(n)) or abs(float(np.linalg.norm(n)) - 1.0) > tolerances.AXIS_NORM_TOL:
         raise StationaryAxis(f"axis must be a finite unit 3-vector, got {n.tolist()}")
     if n[0] ** 2 + n[1] ** 2 <= tolerances.AXIS_TILT_TOL:
         raise StationaryAxis("axis parallel to (0, 0, 1) leaves the state stationary")
-    if not (1.0 - p0 > tolerances.ZERO_TOL and 2.0 * p0 - 1.0 >= 10.0 * tolerances.GAP_TOL):
+    if not (1.0 - p0 > tolerances.ZERO_TOL and 2.0 * p0 - 1.0 >= tolerances.BLOCK_GAP_TOL):
         raise InvalidP(f"p0 must give rank 2 (1 - p0 > ZERO_TOL) and two blocks (2 p0 - 1 >= 10 GAP_TOL), got {p0}")
     if not (omega > 0.0 and np.isfinite(omega)):
         raise InvalidP(f"omega must be finite and positive, got {omega}")

@@ -18,7 +18,7 @@ squared Frobenius norms of a stack go through stack_sq_norms.
 Per-sample kernels on long stacks (propagator steps, the Hermiticity check,
 eigenframe rotations, synthesis) loop over sample_blocks of about
 _BLOCK_BYTES into one output, so their temporaries are reused instead of
-faulted in afresh; a stack that fits one block runs unblocked.
+faulted in afresh; SpectralPath.in_eigenframe alone returns one block uncopied.
 
 Hermiticity is checked where a matrix enters: by as_hermitian for one matrix,
 by check_hermitian_stack for a stack. The stack kernels trust their callers.
@@ -323,9 +323,8 @@ def propagator_step_stack(hs: Array, dt: float) -> Array:
     degree, width, squarings = _taylor_plan(norm)
     coef = [1.0 / math.factorial(k) for k in range(degree + 1)]
     diag = np.arange(hs.shape[-1])
-    blocks = sample_blocks(len(hs), hs.shape[-1])
-    out = None if len(blocks) == 1 else np.empty(hs.shape, np.complex128)
-    for block in blocks:
+    out = np.empty(hs.shape, np.complex128)
+    for block in sample_blocks(len(hs), hs.shape[-1]):
         a = (-1j * dt * 0.5**squarings) * hs[block]
         powers = [a]  # A^1 .. A^q
         for _ in range(1, width):
@@ -340,8 +339,6 @@ def propagator_step_stack(hs: Array, dt: float) -> Array:
                 u = matmul_stack(u, powers[-1])
         for _ in range(squarings):
             u = matmul_stack(u, u)
-        if out is None:
-            return u
         out[block] = u
     return out
 

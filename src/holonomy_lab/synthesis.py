@@ -167,16 +167,11 @@ def synthesize(rho: DensityOperator, w: bundle.Amplitude, target: bundle.GaugeEl
     # = V ((V^dag C0 V) o r_k r_k^*) V^dag, with V X as (X^T V^T)^T: a fixed right factor for both
     # GEMMs of each sample block
     v, rot = _flow(generator, np.linspace(0.0, tau, n_samples))
-    c0, blocks = v.conj().T @ coherent0 @ v, linalg.sample_blocks(n_samples, ambient_dim)
-    hs = None if len(blocks) == 1 else np.empty((n_samples, ambient_dim, ambient_dim), np.complex128)
-    for block in blocks:
+    c0, hs = v.conj().T @ coherent0 @ v, np.empty((n_samples, ambient_dim, ambient_dim), np.complex128)
+    for block in linalg.sample_blocks(n_samples, ambient_dim):
         phased = c0 * (rot[block, :, None] * rot[block, None, :].conj())
         h = np.swapaxes(linalg.matmul_stack(np.swapaxes(linalg.matmul_stack(phased, v.conj().T), -1, -2), v.T), -1, -2)
-        h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
-        if hs is None:
-            hs = h
-        else:
-            hs[block] = h
+        hs[block] = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
     schedule = dynamics.HamiltonianSchedule(grid=TimeGrid(tau=float(tau), n=n_samples), samples=hs)
     return SaturatingPlan(rho=rho, w=w, target=target, tau=float(tau), loops=loops,
                           generator=generator, schedule=schedule)

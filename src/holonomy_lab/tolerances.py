@@ -13,6 +13,7 @@ HERM_TOL = 1e-10  # Hermiticity of a single matrix or a schedule where it enters
 STEP_UNITARITY_TOL = 1e-9  # max|U^dag U - I| that the squarings of a propagator step may reach; caps them
 CURVE_HERM_TOL = 1e-8  # Hermiticity of the samples of a state curve where it is decomposed, relative
 GAP_TOL = 1e-9  # eigenvalues closer than this share a degenerate block
+BLOCK_GAP_TOL = 10 * GAP_TOL  # least inter-block gap along a curve, so the clustering cannot flicker between samples
 ZERO_TOL = 1e-10  # eigenvalues at or below this belong to the kernel
 SINGULAR_TOL = 1e-12  # smallest singular value / Gram eigenvalue of an invertible map
 STATE_TOL = 1e-10  # unit trace and positivity of a density matrix (HERM_TOL checks its Hermiticity)

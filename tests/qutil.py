@@ -50,11 +50,11 @@ def rand_gauge(rng, basis: spectra.EigenprojectorBasis) -> bundle.GaugeElement:
     return bundle.GaugeElement(u=u, basis=basis)
 
 
-def saturating_plan():
+def saturating_plan(tau: float = 1.0):
     """The plan for diag(e^{1.6 pi i}, e^{0.4 pi i}) at diag(0.7, 0.3) in dim 4."""
     rho = synthesis.embedded_state(np.diag([0.7, 0.3]).astype(complex), 4)
     target = bundle.GaugeElement(u=np.diag(np.exp(1j * np.array([1.6 * np.pi, 0.4 * np.pi]))), basis=rho.basis)
-    return synthesis.synthesize(rho, bundle.canonical_amplitude(rho), target, tau=1.0, ambient_dim=4)
+    return synthesis.synthesize(rho, bundle.canonical_amplitude(rho), target, tau=tau, ambient_dim=4)
 
 
 def qubit_axis(n3: float) -> np.ndarray:

@@ -349,6 +349,12 @@ class TestHolonomy:
         g = bundle.holonomy(constant_curve(rho.matrix), w0)
         assert np.linalg.norm(g.u - np.eye(2)) <= 1e-10
 
+    def test_zero_rank_start_aborts(self):
+        # a closed curve of zero matrices has no positive eigenvalue to lift
+        w0 = bundle.canonical_amplitude(mixed_qubit_state())
+        with pytest.raises(MultiplicityChange, match="^initial sample has zero rank$"):
+            bundle.holonomy(OperatorCurve.from_samples(1.0, np.zeros((5, 2, 2))), w0)
+
     def test_fixed_frame_spectrum_loop_is_trivial(self, rng):
         # only the eigenvalues move; the holonomy stays at the identity
         v = rand_unitary(rng, 3)

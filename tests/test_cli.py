@@ -82,6 +82,26 @@ class TestCheck:
         path = write_curve(tmp_path / "c.json", open_c)
         assert cli.main(["check", str(path)]) == 1
 
+    @pytest.mark.parametrize("values, message", [
+        (lambda s: (0.7 + 0.3 * s, 0.3 - 0.3 * s), "rank drops along the curve"),
+        (lambda s: (1.0 - 0.3 * s, 0.3 * s), "rank grows along the curve"),
+        (lambda s: (0.4 + 0.05 * s, 0.4 - 0.05 * s, 0.2 + 0.0 * s), "eigenvalue block splits along the curve"),
+    ], ids=["rank_drops", "rank_grows", "block_splits"])
+    def test_changing_block_structure_exits_one(self, tmp_path, capsys, values, message):
+        # closed diagonal loops whose eigenvalues, s = sin^2(pi t), reach 0, leave 0 or part mid-way
+        s = np.sin(np.pi * np.linspace(0.0, 1.0, 101)) ** 2
+        samples = np.stack([np.diag(v) for v in np.stack(values(s), axis=1)]).astype(complex)
+        from holonomy_lab.curves import OperatorCurve
+        path = write_curve(tmp_path / "c.json", OperatorCurve.from_samples(1.0, samples))
+        assert cli.main(["check", path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_two_sample_constant_curve_has_no_length(self, tmp_path, capsys):
+        # two samples are too few for a central difference: the one difference quotient is 0
+        path = write_curve(tmp_path / "c.json", constant_state_curve(nsamp=2))
+        assert cli.main(["check", path]) == 0
+        assert json.loads(capsys.readouterr().out)["L"] == 0.0
+
     def test_batch_with_jobs(self, tmp_path, capsys):
         p1 = write_curve(tmp_path / "c1.json", precessing_qubit_curve(0.2, TWO_PI, 0.7, 401))
         p2 = write_curve(tmp_path / "c2.json", precessing_qubit_curve(0.6, TWO_PI, 0.7, 401))

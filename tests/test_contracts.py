@@ -1,12 +1,25 @@
 """The numerical contracts fire: a fault planted behind a checked guarantee
 ends in SaturationFailed or ContractViolation (exit 2), naming its size."""
 
+import json
+
 import numpy as np
 import pytest
 
 from holonomy_lab import bundle, cli, dynamics, invariants, serialize, spectra, synthesis
 from holonomy_lab.errors import BoundViolated, ContractViolation, SaturationFailed
-from qutil import qubit_axis, saturating_plan
+from qutil import qubit_axis, saturating_plan, wobble_loop
+
+
+def synthesize_exits_two(tmp_path, monkeypatch, capsys, plan, message):
+    """The synthesize command, handed plan in place of its own, exits 2 with message."""
+    state, target = tmp_path / "s.json", tmp_path / "u.json"
+    serialize.write_json(state, serialize.state_to_json(np.diag([0.7, 0.3]).astype(complex)))
+    serialize.write_json(target, serialize.unitary_to_json(plan.target))
+    monkeypatch.setattr(synthesis, "synthesize", lambda *args, **kwargs: plan)
+    assert cli.main(["synthesize", str(state), str(target), "--tau", repr(plan.tau), "--ambient-dim", "4",
+                     "--out", str(tmp_path / "plan")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_incoherent_drive_is_caught():
@@ -43,13 +56,7 @@ def test_second_half_defects_exit_two(tmp_path, monkeypatch, capsys, plant, mess
     broken = second_half_plan(plant)
     with pytest.raises(SaturationFailed, match=message):
         synthesis.verify_saturation(broken)
-    state, target = tmp_path / "s.json", tmp_path / "u.json"
-    serialize.write_json(state, serialize.state_to_json(np.diag([0.7, 0.3]).astype(complex)))
-    serialize.write_json(target, serialize.unitary_to_json(broken.target))
-    monkeypatch.setattr(synthesis, "synthesize", lambda *args, **kwargs: broken)
-    assert cli.main(["synthesize", str(state), str(target), "--tau", "1.0", "--ambient-dim", "4",
-                     "--out", str(tmp_path / "plan")]) == 2
-    assert message in capsys.readouterr().err
+    synthesize_exits_two(tmp_path, monkeypatch, capsys, broken, message)
 
 
 def scaled_plan():
@@ -65,13 +72,48 @@ def test_scaled_schedule_fails_to_regenerate_the_trajectory(tmp_path, monkeypatc
     broken = scaled_plan()
     with pytest.raises(SaturationFailed, match=message):
         synthesis.verify_saturation(broken)
-    state, target = tmp_path / "s.json", tmp_path / "u.json"
-    serialize.write_json(state, serialize.state_to_json(np.diag([0.7, 0.3]).astype(complex)))
-    serialize.write_json(target, serialize.unitary_to_json(broken.target))
-    monkeypatch.setattr(synthesis, "synthesize", lambda *args, **kwargs: broken)
-    assert cli.main(["synthesize", str(state), str(target), "--tau", "1.0", "--ambient-dim", "4",
-                     "--out", str(tmp_path / "plan")]) == 2
-    assert message in capsys.readouterr().err
+    synthesize_exits_two(tmp_path, monkeypatch, capsys, broken, message)
+
+
+def planted(monkeypatch, module, name, defect):
+    """Replace module.name by the function whose result is defect(module.name's result)."""
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: defect(fn(*args)))
+
+
+@pytest.mark.parametrize("tau", [1.0, 1e-3, 1e3])
+@pytest.mark.parametrize("plant, message", [
+    (lambda mp: planted(mp, bundle, "curve_speeds_sq", lambda sq: (1.0 + 2e-4) * sq),
+     "length differs from the bound by 2.513e-04"),
+    (lambda mp: planted(mp, dynamics, "speed_bound", lambda eb: ((1.0 + 1e-4) * eb[0], eb[1])),
+     "tau Delta E misses the length by 2.513e-04"),
+    (lambda mp: planted(mp, dynamics, "speed_bound", lambda eb: (eb[0], (1.0 + 1e-4) * eb[1])),
+     "speed limit not saturated, gap 1.000e-04"),
+], ids=["length", "energy", "bound_gap"])
+def test_planted_length_and_energy_defects_exit_two(tmp_path, monkeypatch, capsys, plant, message, tau):
+    # each defect sits in the method and reaches its own check first, at every tau: squared
+    # speeds 2e-4 long make the length L = 0.8 pi 1e-4 longer than iHB, a Delta E 1e-4 high
+    # makes tau Delta E as much longer than L while Delta H (the drive's check) is untouched,
+    # and a bound 1e-4 high puts the speed-limit time 1e-4 tau past tau
+    plan = saturating_plan(tau)
+    plant(monkeypatch)
+    with pytest.raises(SaturationFailed, match=message):
+        synthesis.verify_saturation(plan)
+    synthesize_exits_two(tmp_path, monkeypatch, capsys, plan, message)
+
+
+def test_inflated_fisher_rao_length_breaks_the_strong_inequality(tmp_path, monkeypatch, capsys, rng):
+    # alpha just below the block means keeps the loop in range; L_FR 1e3 times longer, plus 10,
+    # outgrows L^2 - IHB_alpha^2 while the weak inequality, which has no L_FR, still holds
+    curve, _ = wobble_loop(rng, (0.5, 0.25), (1, 2), 4, nsamp=401)
+    path = tmp_path / "c.json"
+    serialize.write_json(path, serialize.curve_to_json(curve))
+    alpha = ",".join(map(repr, (bundle.decompose_path(curve).block_means().min(axis=0) - 1e-6).tolist()))
+    assert cli.main(["check", str(path), "--alpha", alpha]) == 0
+    assert json.loads(capsys.readouterr().out)["strong_slack"] > 30.0
+    planted(monkeypatch, invariants, "fisher_rao", lambda le: (1e3 * le[0] + 10.0, le[1]))
+    assert cli.main(["check", str(path), "--alpha", alpha]) == 2
+    assert "strong inequality violated by 2.463e+03" in capsys.readouterr().err
 
 
 def test_scaled_lift_breaks_the_speed_identity(monkeypatch, capsys):

@@ -6,7 +6,8 @@ hermitian_eig is called only by spectral_decompose and a plan's flow, the
 unitary integrator takes its midpoint steps from one builder, a constant
 drive is decided where a schedule is built (and stored as a broadcast
 from then on), a broadcast stack (sample stride 0) is
-told from a full one in one function, only the two unitary runs build a
+told from a full one in one function, only in_eigenframe returns a stack
+that fits one sample block uncopied, only the two unitary runs build a
 UnitaryOrbit, only bundle tells an orbit from a plain curve, per-sample
 norms of a stack go through one kernel, the exit-2 raise sites are pinned,
 every public name and every public method or property of a public class
@@ -339,6 +340,42 @@ def test_guard_sees_a_stride_read(tmp_path):
                      "def other(ms):\n    return not any(ms.strides[:-2])\n\n\n"
                      "def shape(ms):\n    return ms.shape[0] == 0\n", encoding="utf-8")
     assert stride_reads(probe) == {"check", "other"}
+
+
+def one_block_returns(path):
+    """Enclosing function of every one-block output, None if len(x) == 1 else
+    ..., in one file: the kernel returns a stack that fits one sample block
+    without copying it into the output."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.IfExp) and re.fullmatch(r"None if len\(.+\) == 1 else .+", ast.unparse(node)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_one_block_return_only_where_a_workload_pays():
+    # the other block kernels write every stack through their loop; in_eigenframe keeps the
+    # uncopied return because varying_loops loses time without it (README, sample blocks)
+    found = {(path.stem, where) for path in SRC.glob("*.py") for where in one_block_returns(path)}
+    assert found == {("bundle", "in_eigenframe")}
+
+
+def test_guard_sees_a_one_block_return(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n\n\ndef steps(hs, blocks):\n"
+                     "    out = None if len(blocks) == 1 else np.empty(hs.shape)\n    return out\n\n\n"
+                     "def drive(n, parts):\n    return None if len(parts[0]) == 1 else np.empty(n)\n\n\n"
+                     "def other(hs, blocks):\n"
+                     "    return None if len(blocks) == 2 else hs, hs if len(blocks) == 1 else None\n",
+                     encoding="utf-8")
+    assert one_block_returns(probe) == {"steps", "drive"}
 
 
 # per-sample norms of a stack come from linalg.stack_sq_norms alone; these
