@@ -277,14 +277,11 @@ class SpectralPath:
     def in_eigenframe(self, ops: Array) -> Array:
         """F^dag ops F per sample: operators (N, n, n), one per sample of the
         path, in eigenframe coordinates, a long path per linalg.sample_blocks block."""
-        fs, blocks = self.frames, linalg.sample_blocks(len(self.frames), self.frames.shape[-1])
-        out = None if len(blocks) == 1 else np.empty(fs.shape, np.result_type(ops, fs))
-        for block in blocks:
-            b = linalg.matmul_stack(linalg.matmul_stack(np.conj(np.swapaxes(fs[block], -1, -2)), ops[block]),
-                                    fs[block])
-            if out is None:
-                return b
-            out[block] = b
+        fs = self.frames
+        out = np.empty(fs.shape, np.result_type(ops, fs))
+        for block in linalg.sample_blocks(len(fs), fs.shape[-1]):
+            out[block] = linalg.matmul_stack(linalg.matmul_stack(np.conj(np.swapaxes(fs[block], -1, -2)), ops[block]),
+                                             fs[block])
         return out
 
     def block_means(self) -> Array:

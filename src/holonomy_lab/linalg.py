@@ -18,7 +18,7 @@ squared Frobenius norms of a stack go through stack_sq_norms.
 Per-sample kernels on long stacks (propagator steps, the Hermiticity check,
 eigenframe rotations, synthesis) loop over sample_blocks of about
 _BLOCK_BYTES into one output, so their temporaries are reused instead of
-faulted in afresh; SpectralPath.in_eigenframe alone returns one block uncopied.
+faulted in afresh; a stack that fits one block is copied into its output too.
 
 Hermiticity is checked where a matrix enters: by as_hermitian for one matrix,
 by check_hermitian_stack for a stack. The stack kernels trust their callers.

@@ -6,8 +6,8 @@ hermitian_eig is called only by spectral_decompose and a plan's flow, the
 unitary integrator takes its midpoint steps from one builder, a constant
 drive is decided where a schedule is built (and stored as a broadcast
 from then on), a broadcast stack (sample stride 0) is
-told from a full one in one function, only in_eigenframe returns a stack
-that fits one sample block uncopied, only the two unitary runs build a
+told from a full one in one function, every loop over sample blocks takes
+one route for every block, only the two unitary runs build a
 UnitaryOrbit, only bundle tells an orbit from a plain curve, per-sample
 norms of a stack go through one kernel, the exit-2 raise sites are pinned,
 every public name and every public method or property of a public class
@@ -342,40 +342,63 @@ def test_guard_sees_a_stride_read(tmp_path):
     assert stride_reads(probe) == {"check", "other"}
 
 
-def one_block_returns(path):
-    """Enclosing function of every one-block output, None if len(x) == 1 else
-    ..., in one file: the kernel returns a stack that fits one sample block
-    without copying it into the output."""
+def per_block_routes(node):
+    """Return, break, if and conditional-expression nodes under node, outside
+    the loops nested in it, where only a Return leaves the block loop."""
+    if isinstance(node, (ast.Return, ast.Break, ast.If, ast.IfExp)):
+        yield node
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.For, ast.While)):
+            yield from (inner for inner in ast.walk(child) if isinstance(inner, ast.Return))
+        else:
+            yield from per_block_routes(child)
+
+
+def branching_block_loops(path):
+    """Enclosing function of every loop over sample_blocks, in one file, whose
+    body returns, breaks or branches per block: a block that can take another
+    route than the rest, as a stack that fits one block returned uncopied."""
     found = set()
 
-    def visit(node, where):
+    def visit(node, where, blocks):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.IfExp) and re.fullmatch(r"None if len\(.+\) == 1 else .+", ast.unparse(node)):
+            # names bound to the blocks (or alongside them) in one assignment
+            where, blocks = node.name, {name.id for bind in ast.walk(node) if isinstance(bind, ast.Assign)
+                                        and "sample_blocks(" in ast.unparse(bind.value)
+                                        for target in bind.targets for name in ast.walk(target)
+                                        if isinstance(name, ast.Name)}
+        loop = isinstance(node, ast.For) and ast.unparse(node.iter)
+        if (loop and ("sample_blocks(" in loop or loop in blocks)
+                and any(per_block_routes(ast.Module(body=node.body, type_ignores=[])))):
             found.add(where)
         for child in ast.iter_child_nodes(node):
-            visit(child, where)
+            visit(child, where, blocks)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>", set())
     return found
 
 
-def test_one_block_return_only_where_a_workload_pays():
-    # the other block kernels write every stack through their loop; in_eigenframe keeps the
-    # uncopied return because varying_loops loses time without it (README, sample blocks)
-    found = {(path.stem, where) for path in SRC.glob("*.py") for where in one_block_returns(path)}
-    assert found == {("bundle", "in_eigenframe")}
+def test_every_sample_block_takes_one_route():
+    # each block kernel writes every block, a one-block stack too, through the same loop body
+    found = {(path.stem, where) for path in SRC.glob("*.py") for where in branching_block_loops(path)}
+    assert found == set()
 
 
-def test_guard_sees_a_one_block_return(tmp_path):
+def test_guard_sees_a_branching_block_loop(tmp_path):
     probe = tmp_path / "probe.py"
-    probe.write_text("import numpy as np\n\n\ndef steps(hs, blocks):\n"
-                     "    out = None if len(blocks) == 1 else np.empty(hs.shape)\n    return out\n\n\n"
-                     "def drive(n, parts):\n    return None if len(parts[0]) == 1 else np.empty(n)\n\n\n"
-                     "def other(hs, blocks):\n"
-                     "    return None if len(blocks) == 2 else hs, hs if len(blocks) == 1 else None\n",
+    probe.write_text("def steps(hs, blocks, out):\n    for block in sample_blocks(len(hs), 2):\n"
+                     "        if out is None:\n            return hs[block]\n        out[block] = hs[block]\n\n\n"
+                     "def drive(hs, out):\n    parts = linalg.sample_blocks(len(hs), 2)\n    for block in parts:\n"
+                     "        out = hs if len(parts) == 1 else out\n\n\n"
+                     "def rotate(hs, out):\n    for block in linalg.sample_blocks(len(hs), 2):\n"
+                     "        out[block] = hs[block]\n    if out is None:\n        return hs\n\n\n"
+                     "def leave(hs):\n    for block in sample_blocks(len(hs), 2):\n        while hs:\n"
+                     "            return hs[block]\n\n\n"
+                     "def other(hs, out):\n    for block in sample_blocks(len(hs), 2):\n        for k in range(2):\n"
+                     "            out[block] = hs[block] if k else out[block]\n    for k in range(len(hs)):\n"
+                     "        if k:\n            return hs\n",
                      encoding="utf-8")
-    assert one_block_returns(probe) == {"steps", "drive"}
+    assert branching_block_loops(probe) == {"steps", "drive", "leave"}
 
 
 # per-sample norms of a stack come from linalg.stack_sq_norms alone; these
