@@ -23,7 +23,8 @@ faulted in afresh; a stack that fits one block is copied into its output too.
 Hermiticity is checked where a matrix enters: by as_hermitian for one matrix,
 by check_hermitian_stack for a stack. The stack kernels trust their callers.
 A stack whose sample axis has stride 0 (np.broadcast_to) holds one matrix: the
-checks and comparisons of a stack read its stored_samples, there sample 0.
+checks and comparisons of a stack read its stored_samples, there sample 0, and
+the scan of a broadcast step stack forms one chunk's products.
 
 Propagator steps exp(-i dt H) take no eigendecomposition: they scale and
 square a truncated Taylor series evaluated in Paterson-Stockmeyer form,
@@ -31,11 +32,13 @@ with the degree and the number of squarings fixed by the largest 1-norm of
 dt H in the stack. Running products of a step stack take a recursive
 blocked scan: chunks of 16 steps advance together, the chunk totals are
 scanned the same way, and each level costs about 16 Python-level products,
-so N steps take about 16 log_16 N of them. Polar factors take Newton-Schulz
-matmuls where a Frobenius certificate bounds the singular values near 1, and
-an SVD elsewhere. Stacks of 1x1 matrices are scalars: their polar factor is
-the phase z/|z|, their eigenphase the angle of z, and their product a
-product of numbers.
+so N steps take about 16 log_16 N of them. One step broadcast (a constant
+schedule's) gives every chunk the same powers of it: they are formed once,
+15 single-matrix products, and broadcast over the chunks. Polar factors
+take Newton-Schulz matmuls where a Frobenius certificate bounds the singular
+values near 1, and an SVD elsewhere. Stacks of 1x1 matrices are scalars:
+their polar factor is the phase z/|z|, their eigenphase the angle of z, and
+their product a product of numbers.
 """
 
 from __future__ import annotations
@@ -368,6 +371,10 @@ def ordered_products(steps: Array, init: Array | None = None) -> Array:
     the chunk totals are scanned the same way from init, and one product
     applies each chunk's head to its rows. That is W Python-level products
     per level over about log_W N levels (47 at N = 4000) instead of N.
+    A stack that stores one step (stored_samples; a broadcast) forms the
+    powers of that step inside one chunk, W - 1 single-matrix products, and
+    broadcasts them over the chunks; its chunk totals are a broadcast too,
+    so every level does the same. The steps are never written to.
     """
     steps = np.asarray(steps, dtype=np.complex128)
     init = np.eye(steps.shape[-1], dtype=np.complex128) if init is None else np.asarray(init, dtype=np.complex128)
@@ -383,13 +390,22 @@ def _scan(steps: Array, init: Array) -> Array:
         return out
     width = min(nstep, _SCAN_WIDTH)
     nchunk = -(-nstep // width)
-    # the last chunk is padded with identities; row j of a chunk ends up
-    # holding steps[j] @ ... @ steps[0] of that chunk
-    run = np.empty((nchunk * width, n, n), dtype=np.complex128)
-    run[:nstep], run[nstep:] = steps, np.eye(n)
-    run = run.reshape(nchunk, width, n, n)
-    for j in range(1, width):
-        run[:, j] = matmul_stack(run[:, j], run[:, j - 1])
+    # row j of a chunk ends up holding steps[j] @ ... @ steps[0] of that chunk
+    if len(stored_samples(steps)) == 1:
+        # one step broadcast: every chunk holds its powers, formed once and broadcast
+        # (the last chunk's rows past nstep are powers, cut below, not identity pads)
+        one = np.empty((width, n, n), dtype=np.complex128)
+        one[0] = steps[0]
+        for j in range(1, width):
+            one[j] = matmul_stack(steps[0], one[j - 1])
+        run = np.broadcast_to(one, (nchunk, width, n, n))
+    else:
+        # the last chunk is padded with identities
+        run = np.empty((nchunk * width, n, n), dtype=np.complex128)
+        run[:nstep], run[nstep:] = steps, np.eye(n)
+        run = run.reshape(nchunk, width, n, n)
+        for j in range(1, width):
+            run[:, j] = matmul_stack(run[:, j], run[:, j - 1])
     # chunk i's head is the product of the totals of chunks 0 .. i - 1 with init
     heads = _scan(run[:-1, -1], init)
     # chunk i's rows times its head: one (width n, n) @ (n, c) product per chunk

@@ -13,6 +13,7 @@ from qutil import (
     rand_hermitian,
     rand_state,
     rand_unitary,
+    sequential_products,
     traced_peak,
 )
 
@@ -59,6 +60,21 @@ class TestEvolve:
         spath = bundle.decompose_path(states)
         means = spath.block_means()
         assert np.max(np.abs(means - np.array(rho0.p)[None, :])) <= 1e-9
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_constant_schedule_propagators_are_powers_of_one_step(self, rng, n):
+        # a constant schedule's propagators are scanned from its one broadcast step: the powers
+        # of that step, and as unitary as the scan of a full copy of the steps
+        h = rand_hermitian(rng, n, TWO_PI)
+        sched = HamiltonianSchedule.constant(h, 1.0, 4001)
+        props = dynamics.evolve(rand_state(rng, (1.0,), (1,), n), sched)[0].samples
+        steps = np.broadcast_to(linalg.propagator_step_stack(h[None], sched.grid.dt), (4000, n, n))
+        assert np.max(np.abs(props - sequential_products(steps))) <= 1e-12
+
+        def unitarity(us):
+            return np.max(np.abs(np.conj(np.swapaxes(us, -1, -2)) @ us - np.eye(n)))
+
+        assert unitarity(props) <= 2.0 * unitarity(linalg.ordered_products(np.array(steps)))
 
     def test_dim_mismatch(self):
         rho0 = mixed_qubit()

@@ -5,14 +5,15 @@ that trust their input are called only where that input was checked,
 hermitian_eig is called only by spectral_decompose and a plan's flow, the
 unitary integrator takes its midpoint steps from one builder, a constant
 drive is decided where a schedule is built (and stored as a broadcast
-from then on), a broadcast stack (sample stride 0) is
-told from a full one in one function, every loop over sample blocks takes
-one route for every block, only the two unitary runs build a
-UnitaryOrbit, only bundle tells an orbit from a plain curve, per-sample
-norms of a stack go through one kernel, the exit-2 raise sites are pinned,
-every public name and every public method or property of a public class
-has a caller and every tolerance a reader, no module imports a name it does
-not read, and numpy is the only third-party package the library imports."""
+from then on), a broadcast stack (sample stride 0) is told from a full
+one in one function and routed on in four pinned ones, every loop over
+sample blocks takes one route for every block, only the two unitary runs
+build a UnitaryOrbit, only bundle tells an orbit from a plain curve,
+per-sample norms of a stack go through one kernel, the exit-2 raise
+sites are pinned, every public name and every public method or property
+of a public class has a caller and every tolerance a reader, no module
+imports a name it does not read, and numpy is the only third-party
+package the library imports."""
 
 import ast
 import re
@@ -340,6 +341,43 @@ def test_guard_sees_a_stride_read(tmp_path):
                      "def other(ms):\n    return not any(ms.strides[:-2])\n\n\n"
                      "def shape(ms):\n    return ms.shape[0] == 0\n", encoding="utf-8")
     assert stride_reads(probe) == {"check", "other"}
+
+
+def one_sample_routes(path):
+    """Enclosing function of every comparison of len(stored_samples(...)) in
+    one file: a route taken when a stack stores one sample (a broadcast)."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Call) and ast.unparse(side.func) == "len"
+                and "stored_samples(" in ast.unparse(side) for side in [node.left, *node.comparators]):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_one_sample_routes_are_pinned():
+    # the kernels that take a one-stored-sample stack at that sample: the step builder, the
+    # constant-drive test, the Fisher-Rao length and the ordered-product scan
+    found = {(path.stem, where) for path in SRC.glob("*.py") for where in one_sample_routes(path)}
+    assert found == {("dynamics", "_steps"), ("bundle", "_constant_drive"), ("curves", "fisher_rao"),
+                     ("linalg", "_scan")}
+
+
+def test_guard_sees_a_one_sample_route(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def steps(hs):\n    if len(stored_samples(hs)) == 1:\n        return hs[:1]\n\n\n"
+                     "def drive(c):\n    return 1 == len(linalg.stored_samples(c.h))\n\n\n"
+                     "def scan(hs):\n    return hs if len(linalg.stored_samples(hs)) > 1 else hs[0]\n\n\n"
+                     "def other(hs):\n    n = len(stored_samples(hs))\n    return len(hs) == 1, n\n",
+                     encoding="utf-8")
+    assert one_sample_routes(probe) == {"steps", "drive", "scan"}
 
 
 def per_block_routes(node):

@@ -484,19 +484,58 @@ def unitary_steps(rng, nstep: int, n: int) -> np.ndarray:
 W = linalg._SCAN_WIDTH
 
 
+# W - 1, W, W + 1, W^2, W^2 + 1 and W^3 + 1 steps sit at the scan's recursion boundaries
+SCAN_LENGTHS = [0, 1, 2, W - 1, W, W + 1, W**2, W**2 + 1, 4000, W**3 + 1]
+
+
+def product_shapes(monkeypatch) -> list:
+    """Shapes of the left factor of every matmul_stack call linalg makes from now on."""
+    calls = []
+    product = linalg.matmul_stack
+
+    def spy(a, b):
+        calls.append(np.shape(a))
+        return product(a, b)
+
+    monkeypatch.setattr(linalg, "matmul_stack", spy)
+    return calls
+
+
+def scan_init(rng, n: int, rect: bool):
+    """(init, columns): None and n, or n // 2 (at least 1) orthonormal columns."""
+    cols = max(n // 2, 1) if rect else n
+    return (rand_unitary(rng, n)[:, :cols] if rect else None), cols
+
+
 class TestOrderedProducts:
-    # W - 1, W, W + 1, W^2, W^2 + 1 and W^3 + 1 steps sit at the scan's recursion boundaries
-    @pytest.mark.parametrize("nstep", [0, 1, 2, W - 1, W, W + 1, W**2, W**2 + 1, 4000, W**3 + 1])
+    @pytest.mark.parametrize("nstep", SCAN_LENGTHS)
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     @pytest.mark.parametrize("rect", [False, True], ids=["identity", "rectangular"])
     def test_matches_sequential_loop(self, rng, nstep, n, rect):
         steps = unitary_steps(rng, nstep, n)
-        cols = max(n // 2, 1) if rect else n
-        init = rand_unitary(rng, n)[:, :cols] if rect else None
+        init, cols = scan_init(rng, n, rect)
         got = linalg.ordered_products(steps, init)
         want = sequential_products(steps, init)
         assert got.shape == want.shape == (nstep + 1, n, cols)
         assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("nstep", SCAN_LENGTHS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("rect", [False, True], ids=["identity", "rectangular"])
+    def test_broadcast_steps_match_sequential_loop(self, rng, nstep, n, rect):
+        # one step broadcast (a constant schedule) is scanned as one chunk's powers: the same
+        # products as the loop and as the scan of a full copy, its last chunk cut short included.
+        # Powers of one unitary round the same way at every step, so their error grows as
+        # nstep eps (at most 0.2 nstep eps over 60 draws, the scan of a full copy's included)
+        step = unitary_steps(rng, 1, n)
+        kept, steps = step.copy(), np.broadcast_to(step, (nstep, n, n))
+        init, cols = scan_init(rng, n, rect)
+        got = linalg.ordered_products(steps, init)
+        tol = max(1e-13, 0.5 * nstep * EPS)
+        assert got.shape == (nstep + 1, n, cols)
+        assert np.max(np.abs(got - sequential_products(steps, init))) <= tol
+        assert np.max(np.abs(got - linalg.ordered_products(np.array(steps), init))) <= tol
+        assert not steps.flags.writeable and np.array_equal(step, kept)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_read_only_broadcast_steps(self, rng, n):
@@ -510,19 +549,24 @@ class TestOrderedProducts:
     def test_products_grow_by_one_level(self, rng, monkeypatch):
         # N = 4000 and N = 64000 are three and four levels of W-wide chunks:
         # W products more (47 and 63), where a two-level scan of sqrt(N)-wide chunks takes 63 and 252
-        calls = []
-        product = linalg.matmul_stack
-
-        def spy(a, b):
-            calls.append(np.shape(a))
-            return product(a, b)
-
-        monkeypatch.setattr(linalg, "matmul_stack", spy)
-        counts = []
+        calls, counts = product_shapes(monkeypatch), []
         for nstep in (4000, 64000):
             calls.clear()
             linalg.ordered_products(unitary_steps(rng, nstep, 2))
             counts.append(len(calls))
+        assert counts[1] - counts[0] <= W + 1
+
+    def test_broadcast_chunk_is_formed_once(self, rng, monkeypatch):
+        # a broadcast stack's in-chunk products are W - 1 single-matrix products per level: the only
+        # stacked ones are the head products, (chunks, W n, n) rows times heads, one per level
+        calls, counts = product_shapes(monkeypatch), []
+        step = unitary_steps(rng, 1, 2)
+        for nstep in (4000, 64000):
+            calls.clear()
+            linalg.ordered_products(np.broadcast_to(step, (nstep, 2, 2)))
+            counts.append(len(calls))
+            stacked = [shape for shape in calls if np.prod(shape[:-2]) > 1]
+            assert stacked and all(shape[-2:] == (W * 2, 2) for shape in stacked)
         assert counts[1] - counts[0] <= W + 1
 
 
