@@ -94,16 +94,16 @@ def per_sample_speeds_sq(orbit, spath: bundle.SpectralPath) -> np.ndarray:
     return bundle.state_speeds_sq(spath.in_eigenframe(orbit.hamiltonians), spath)
 
 
-def stack_sizes(monkeypatch, name: str) -> list:
-    """Sizes of the stacks linalg.<name> sees from now on."""
+def stack_sizes(monkeypatch, name: str, module=linalg) -> list:
+    """Sizes of the stacks module.<name>, a linalg kernel by default, sees from now on."""
     sizes = []
-    original = getattr(linalg, name)
+    original = getattr(module, name)
 
     def spy(ms, *args, **kwargs):
         sizes.append(len(ms))
         return original(ms, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return sizes
 
 
@@ -190,6 +190,20 @@ def eigh_propagators(hs, dt: float) -> np.ndarray:
     stack of Hermitian matrices, through the spectral decomposition."""
     vals, frames = np.linalg.eigh(hs)
     return (frames * np.exp(-1j * dt * vals)[:, None, :]) @ np.conj(np.swapaxes(frames, -1, -2))
+
+
+def plan_propagators(plan) -> np.ndarray:
+    """Closed-form propagators U(t_k) = exp(-i G t_k) exp(-i (H_0 - G) t_k) of a plan's
+    schedule H(t) = P(t) H_0 P(t)^dag, P(t) = exp(-i G t) with G the plan's generator:
+    V = P^dag U obeys V' = -i (H_0 - G) V. H_0 is read from the schedule, so the form is
+    exact for a schedule rescaled from the plan's too. Two eigendecompositions."""
+    ts, g = plan.schedule.grid.times, plan.generator
+
+    def flow(h):
+        vals, frame = np.linalg.eigh(h)
+        return (frame * np.exp(-1j * ts[:, None] * vals)[:, None, :]) @ frame.conj().T
+
+    return flow(g) @ flow(plan.schedule.samples[0] - g)
 
 
 def sequential_products(steps, init=None) -> np.ndarray:

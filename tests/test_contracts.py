@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from holonomy_lab import bundle, cli, dynamics, invariants, serialize, spectra, synthesis
+from holonomy_lab import bundle, cli, dynamics, invariants, linalg, serialize, spectra, synthesis
 from holonomy_lab.errors import BoundViolated, ContractViolation, SaturationFailed
-from qutil import qubit_axis, saturating_plan, wobble_loop
+from qutil import plan_propagators, qubit_axis, saturating_plan, wobble_loop
 
 
 def synthesize_exits_two(tmp_path, monkeypatch, capsys, plan, message):
@@ -73,6 +73,18 @@ def test_scaled_schedule_fails_to_regenerate_the_trajectory(tmp_path, monkeypatc
     with pytest.raises(SaturationFailed, match=message):
         synthesis.verify_saturation(broken)
     synthesize_exits_two(tmp_path, monkeypatch, capsys, broken, message)
+    # the defect is the plant's: the closed form of the scaled schedule has the reported defect,
+    # up to the integrator's own error (max|U - U_exact| of evolve on the unscaled plan)
+    planned = broken.exact_states().propagators
+    reported = synthesis._integration_defect(broken.rho, broken.schedule, planned)
+
+    def states(props):
+        return props @ broken.rho.matrix @ np.conj(np.swapaxes(props, -1, -2))
+
+    exact = np.sqrt(np.max(linalg.stack_sq_norms(states(plan_propagators(broken)) - states(planned))))
+    plan = saturating_plan()
+    own = np.max(np.abs(dynamics.evolve(plan.rho, plan.schedule)[0].samples - plan_propagators(plan)))
+    assert abs(reported - exact) <= own
 
 
 def planted(monkeypatch, module, name, defect):

@@ -1,21 +1,24 @@
-"""Layering guards: no module of the library reads another module's
-underscore names, every threshold lives in the tolerance table, numpy's
-decompositions and solves are called only in linalg, the stack kernels
-that trust their input are called only where that input was checked,
-hermitian_eig is called only by spectral_decompose and a plan's flow, the
-unitary integrator takes its midpoint steps from one builder, a constant
-drive is decided where a schedule is built (and stored as a broadcast
-from then on), a broadcast stack (sample stride 0) is told from a full
-one in one function and routed on in four pinned ones, every loop over
-sample blocks takes one route for every block, only the two unitary runs
-build a UnitaryOrbit, only bundle tells an orbit from a plain curve,
-per-sample norms of a stack go through one kernel, the exit-2 raise
-sites are pinned, every public name and every public method or property
-of a public class has a caller and every tolerance a reader, no module
-imports a name it does not read, and numpy is the only third-party
-package the library imports."""
+"""Layering guards: rules of the library's layout that no run of it can see.
+Each source file is parsed once. Each guard that reads the sources has a
+probe beside it that plants a breach in a temporary file and shows it is seen.
+
+- No module reads another module's underscore names.
+- Every threshold lives in the tolerance table; six kernels take a tolerance, as its docstring says.
+- numpy's decompositions and solves are called only in linalg.
+- The stack kernels that trust their input are called only where that input was checked.
+- hermitian_eig is called only by spectral_decompose and a plan's flow.
+- Only linalg.stored_samples reads strides: it alone tells a broadcast stack from a full one.
+- The one-stored-sample routes are the four that test_orbit.py::test_constant_is_a_layout runs.
+- Every loop over sample blocks takes one route for every block.
+- Per-sample norms of a stack go through linalg.stack_sq_norms.
+- Only the two unitary runs build a UnitaryOrbit, and only bundle tells an orbit from a plain curve.
+- The exit-2 raise sites are pinned.
+- Every public name, method and property has a caller, and every tolerance a reader.
+- No module imports a name it does not read.
+- numpy is the only third-party package the library imports or depends on."""
 
 import ast
+import functools
 import re
 import subprocess
 import sys
@@ -31,10 +34,40 @@ MODULES = {path.stem for path in SRC.glob("*.py")}
 REPO = Path(__file__).resolve().parent.parent
 
 
+@functools.cache
+def parsed(path):
+    """The syntax tree of one file, parsed once per run."""
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def by_function(path, classes=False):
+    """(enclosing function, node) of every node of one file; module-level nodes
+    count under "<module>". With classes, a class qualifies the names inside it."""
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or classes and isinstance(node, ast.ClassDef):
+            where = f"{where}.{node.name}" if classes and where != "<module>" else node.name
+        yield where, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+
+    return visit(parsed(path), "<module>")
+
+
+def name_of(node):
+    """The name a node spells, f for both f and m.f; None for other nodes."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def in_src(finder):
+    """(module, where) of everything finder(path) finds in the library's files."""
+    return {(path.stem, where) for path in SRC.glob("*.py") for where in finder(path)}
+
+
 def foreign_private_reads(path):
     """(line, text) of every read of <sibling module>._name in one file."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(parsed(path)):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in MODULES - {path.stem}
                 and node.attr.startswith("_") and not node.attr.startswith("__")):
@@ -72,7 +105,7 @@ TOLERANCE_PARAMETERS = {
 def tolerance_definitions(path):
     """Names ending in _TOL that one file assigns at module level."""
     found = []
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for node in parsed(path).body:
         targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
         found.extend(t.id for t in targets if isinstance(t, ast.Name) and t.id.endswith("_TOL"))
     return found
@@ -81,7 +114,7 @@ def tolerance_definitions(path):
 def tolerance_parameters(path):
     """(module, function, parameter) of every parameter named tol, *_tol or strict."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(parsed(path)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = node.args
             found.update((path.stem, node.name, a.arg) for a in args.posonlyargs + args.args + args.kwonlyargs
@@ -93,7 +126,7 @@ def test_tolerances_are_defined_only_in_the_table():
     offenders = {path.name: names for path in sorted(SRC.glob("*.py"))
                  if path.stem != "tolerances" and (names := tolerance_definitions(path))}
     assert offenders == {}
-    table = ast.parse((SRC / "tolerances.py").read_text(encoding="utf-8"))
+    table = parsed(SRC / "tolerances.py")
     assert not [n for n in ast.walk(table) if isinstance(n, (ast.Import, ast.ImportFrom))]
 
 
@@ -109,7 +142,7 @@ NUMBER_WORDS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "
 def docstring_kernels(path):
     """(count word, {(module, function)}) of the kernels a tolerance-table
     docstring lists as module.function after "Only <count> kernel parameters"."""
-    doc = " ".join(ast.get_docstring(ast.parse(path.read_text(encoding="utf-8"))).split())
+    doc = " ".join(ast.get_docstring(parsed(path)).split())
     count, names = re.search(r"Only (\w+) kernel parameters (.*?)\.(?:\s|$)", doc).groups()
     return count, {pair for pair in re.findall(r"\b(\w+)\.(\w+)\b", names) if pair[0] in MODULES}
 
@@ -145,7 +178,7 @@ def numpy_decompositions(path):
     """(line, name) of every numpy.linalg decomposition or solve one file calls
     or imports by name."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(parsed(path)):
         if (isinstance(node, ast.Attribute) and node.attr in DECOMPOSITIONS
                 and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
                 and isinstance(node.value.value, ast.Name) and node.value.value.id in ("np", "numpy")):
@@ -179,23 +212,13 @@ TRUSTED_CALLERS = {("linalg", "hermitian_eig"), ("linalg", "unitary_eig"), ("bun
 
 
 def trusting_kernel_uses(path):
-    """(enclosing function, kernel) of every reference to a trusting kernel
-    in one file; module-level references count under "<module>"."""
+    """(enclosing function, kernel) of every reference to a trusting kernel in one file."""
     found = set()
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Name) and node.id in TRUSTING_KERNELS:
-            found.add((where, node.id))
-        elif isinstance(node, ast.Attribute) and node.attr in TRUSTING_KERNELS:
-            found.add((where, node.attr))
-        elif isinstance(node, ast.ImportFrom):
+    for where, node in by_function(path):
+        if isinstance(node, ast.ImportFrom):
             found.update((where, alias.name) for alias in node.names if alias.name in TRUSTING_KERNELS)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+        elif name_of(node) in TRUSTING_KERNELS:
+            found.add((where, name_of(node)))
     return found
 
 
@@ -219,26 +242,13 @@ EIG_CALLERS = {("spectra", "spectral_decompose"), ("synthesis", "_flow")}
 
 
 def hermitian_eig_calls(path):
-    """Enclosing function of every call of hermitian_eig in one file;
-    module-level calls count under "<module>"."""
-    found = set()
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Call) and "hermitian_eig" in (getattr(node.func, "id", None),
-                                                               getattr(node.func, "attr", None)):
-            found.add(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    return found
+    """Enclosing function of every call of hermitian_eig in one file."""
+    return {where for where, node in by_function(path)
+            if isinstance(node, ast.Call) and name_of(node.func) == "hermitian_eig"}
 
 
 def test_hermitian_eig_only_where_pinned():
-    callers = {(path.stem, where) for path in SRC.glob("*.py") for where in hermitian_eig_calls(path)}
-    assert callers == EIG_CALLERS
+    assert in_src(hermitian_eig_calls) == EIG_CALLERS
 
 
 def test_guard_sees_a_hermitian_eig_call(tmp_path):
@@ -250,89 +260,14 @@ def test_guard_sees_a_hermitian_eig_call(tmp_path):
     assert hermitian_eig_calls(probe) == {"complement", "<module>"}
 
 
-def midpoint_sums(path):
-    """Enclosing function of every sum x[:-1] + x[1:] (either order) of
-    neighbouring samples in one file."""
-    found = set()
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and (
-                re.fullmatch(r"(.+)\[:-1\] \+ \1\[1:\]|(.+)\[1:\] \+ \2\[:-1\]", ast.unparse(node))):
-            found.add(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    return found
-
-
-def test_dynamics_steps_from_one_builder():
-    # the midpoint rule of the unitary integrator lives in _steps alone, as
-    # does its call of propagator_step_stack (TRUSTED_CALLERS)
-    assert midpoint_sums(SRC / "dynamics.py") == {"_steps"}
-
-
-def test_guard_sees_a_midpoint(tmp_path):
-    probe = tmp_path / "probe.py"
-    probe.write_text("def lift(h):\n    return 0.5 * (h[:-1] + h[1:])\n\n\n"
-                     "def flipped(s):\n    return s.x[1:] + s.x[:-1]\n\n\n"
-                     "def shifted(h):\n    return h[:-1] + h[2:], h[1:] - h[:-1]\n", encoding="utf-8")
-    assert midpoint_sums(probe) == {"lift", "flipped"}
-
-
-def first_sample_comparisons(path):
-    """Enclosing function of every comparison x == x[0] (either order) of a
-    stack with its first sample in one file."""
-    found = set()
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Compare) and re.fullmatch(r"(.+) == \1\[0\]|(.+)\[0\] == \2", ast.unparse(node)):
-            found.add(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    return found
-
-
-def test_constant_drive_decided_in_one_place():
-    # the bitwise test of a time-independent Hamiltonian lives where a schedule is built alone
-    found = {(path.stem, where) for path in SRC.glob("*.py") for where in first_sample_comparisons(path)}
-    assert found == {("dynamics", "__post_init__")}
-
-
-def test_guard_sees_a_first_sample_comparison(tmp_path):
-    probe = tmp_path / "probe.py"
-    probe.write_text("import numpy as np\n\n\ndef steps(hs):\n    return np.all(hs == hs[0])\n\n\n"
-                     "def speeds(c):\n    return (c.h[0] == c.h).all()\n\n\n"
-                     "def other(h, g):\n    return h == g[0], h[0] == h[1]\n", encoding="utf-8")
-    assert first_sample_comparisons(probe) == {"steps", "speeds"}
-
-
 def stride_reads(path):
     """Enclosing function of every read of an array's strides in one file."""
-    found = set()
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Attribute) and node.attr == "strides":
-            found.add(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    return found
+    return {where for where, node in by_function(path) if isinstance(node, ast.Attribute) and node.attr == "strides"}
 
 
 def test_broadcast_rule_in_one_place():
     # a stack with sample-axis stride 0 is read at sample 0: linalg.stored_samples alone tests it
-    found = {(path.stem, where) for path in SRC.glob("*.py") for where in stride_reads(path)}
-    assert found == {("linalg", "stored_samples")}
+    assert in_src(stride_reads) == {("linalg", "stored_samples")}
 
 
 def test_guard_sees_a_stride_read(tmp_path):
@@ -346,28 +281,17 @@ def test_guard_sees_a_stride_read(tmp_path):
 def one_sample_routes(path):
     """Enclosing function of every comparison of len(stored_samples(...)) in
     one file: a route taken when a stack stores one sample (a broadcast)."""
-    found = set()
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Compare) and any(
-                isinstance(side, ast.Call) and ast.unparse(side.func) == "len"
-                and "stored_samples(" in ast.unparse(side) for side in [node.left, *node.comparators]):
-            found.add(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    return found
+    return {where for where, node in by_function(path) if isinstance(node, ast.Compare) and any(
+        isinstance(side, ast.Call) and ast.unparse(side.func) == "len" and "stored_samples(" in ast.unparse(side)
+        for side in [node.left, *node.comparators])}
 
 
 def test_one_sample_routes_are_pinned():
-    # the kernels that take a one-stored-sample stack at that sample: the step builder, the
-    # constant-drive test, the Fisher-Rao length and the ordered-product scan
-    found = {(path.stem, where) for path in SRC.glob("*.py") for where in one_sample_routes(path)}
-    assert found == {("dynamics", "_steps"), ("bundle", "_constant_drive"), ("curves", "fisher_rao"),
-                     ("linalg", "_scan")}
+    # the step builder, the constant-drive test, the Fisher-Rao length and the ordered-product
+    # scan: each has a case in test_orbit.py::test_constant_is_a_layout, which runs it on a
+    # broadcast and on a full copy; a fifth route joins that test
+    assert in_src(one_sample_routes) == {("dynamics", "_steps"), ("bundle", "_constant_drive"),
+                                         ("curves", "fisher_rao"), ("linalg", "_scan")}
 
 
 def test_guard_sees_a_one_sample_route(tmp_path):
@@ -396,30 +320,18 @@ def branching_block_loops(path):
     """Enclosing function of every loop over sample_blocks, in one file, whose
     body returns, breaks or branches per block: a block that can take another
     route than the rest, as a stack that fits one block returned uncopied."""
-    found = set()
-
-    def visit(node, where, blocks):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # names bound to the blocks (or alongside them) in one assignment
-            where, blocks = node.name, {name.id for bind in ast.walk(node) if isinstance(bind, ast.Assign)
-                                        and "sample_blocks(" in ast.unparse(bind.value)
-                                        for target in bind.targets for name in ast.walk(target)
-                                        if isinstance(name, ast.Name)}
-        loop = isinstance(node, ast.For) and ast.unparse(node.iter)
-        if (loop and ("sample_blocks(" in loop or loop in blocks)
-                and any(per_block_routes(ast.Module(body=node.body, type_ignores=[])))):
-            found.add(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where, blocks)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>", set())
-    return found
+    # names bound to the blocks (or alongside them) in one assignment
+    blocks = {name.id for bind in ast.walk(parsed(path)) if isinstance(bind, ast.Assign)
+              and "sample_blocks(" in ast.unparse(bind.value)
+              for target in bind.targets for name in ast.walk(target) if isinstance(name, ast.Name)}
+    return {where for where, node in by_function(path) if isinstance(node, ast.For)
+            and ("sample_blocks(" in (loop := ast.unparse(node.iter)) or loop in blocks)
+            and any(per_block_routes(ast.Module(body=node.body, type_ignores=[])))}
 
 
 def test_every_sample_block_takes_one_route():
     # each block kernel writes every block, a one-block stack too, through the same loop body
-    found = {(path.stem, where) for path in SRC.glob("*.py") for where in branching_block_loops(path)}
-    assert found == set()
+    assert in_src(branching_block_loops) == set()
 
 
 def test_guard_sees_a_branching_block_loop(tmp_path):
@@ -448,7 +360,7 @@ def two_axis_reductions(path):
     """(line, function) of every np.sum, x.sum or np.linalg.norm call in one
     file whose axis, by keyword or by position, is a pair of axes."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(parsed(path)):
         if not isinstance(node, ast.Call):
             continue
         name = ast.unparse(node.func)
@@ -486,25 +398,13 @@ ORBIT_BUILDERS = {("dynamics", "evolve"), ("synthesis", "SaturatingPlan.exact_st
 
 def orbit_constructions(path):
     """Enclosing function, qualified by its class, of every call of
-    UnitaryOrbit in one file; module-level calls count under "<module>"."""
-    found = set()
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            where = node.name if where == "<module>" else f"{where}.{node.name}"
-        if isinstance(node, ast.Call) and "UnitaryOrbit" in (getattr(node.func, "id", None),
-                                                              getattr(node.func, "attr", None)):
-            found.add(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    return found
+    UnitaryOrbit in one file."""
+    return {where for where, node in by_function(path, classes=True)
+            if isinstance(node, ast.Call) and name_of(node.func) == "UnitaryOrbit"}
 
 
 def test_only_unitary_runs_build_orbits():
-    builders = {(path.stem, where) for path in SRC.glob("*.py") for where in orbit_constructions(path)}
-    assert builders == ORBIT_BUILDERS
+    assert in_src(orbit_constructions) == ORBIT_BUILDERS
 
 
 def test_guard_sees_an_orbit_construction(tmp_path):
@@ -528,7 +428,7 @@ CURVE_ROUTE_NAMES = {"UnitaryOrbit", "grid_derivative"}
 def orbit_tests(path):
     """Line of every isinstance call in one file whose class argument names
     UnitaryOrbit."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    return sorted(node.lineno for node in ast.walk(parsed(path))
                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
                   and len(node.args) == 2 and "UnitaryOrbit" in ast.unparse(node.args[1]))
 
@@ -537,7 +437,7 @@ def curve_route_reads(path):
     """(line, name) of every import or attribute read of UnitaryOrbit or
     grid_derivative in one file."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(parsed(path)):
         if isinstance(node, ast.ImportFrom):
             found.extend((node.lineno, alias.name) for alias in node.names if alias.name in CURVE_ROUTE_NAMES)
         elif isinstance(node, ast.Attribute) and node.attr in CURVE_ROUTE_NAMES:
@@ -573,30 +473,17 @@ EXIT_TWO_RAISES = {("dynamics", "speed_report"): 2, ("invariants", "iso_report")
 def contract_classes(path):
     """ContractViolation and the classes an errors module derives from it."""
     names = {"ContractViolation"}
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.ClassDef) and any(getattr(b, "id", getattr(b, "attr", None)) in names
-                                                  for b in node.bases):
+    for node in parsed(path).body:
+        if isinstance(node, ast.ClassDef) and any(name_of(b) in names for b in node.bases):
             names.add(node.name)
     return names
 
 
 def contract_raises(path, contracts):
     """Count of raise statements of a contract class per (module, enclosing
-    function) in one file; module-level raises count under "<module>"."""
-    found = Counter()
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if getattr(exc, "id", getattr(exc, "attr", None)) in contracts:
-                found[(path.stem, where)] += 1
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    return found
+    function) in one file."""
+    return Counter((path.stem, where) for where, node in by_function(path)
+                   if isinstance(node, ast.Raise) and name_of(getattr(node.exc, "func", node.exc)) in contracts)
 
 
 def test_exit_two_raises_are_pinned():
@@ -653,8 +540,8 @@ def uncalled_names(paths, callers):
     other top-level statement of its file, no other file in paths and no
     file in callers reads, and module.Class.name of every public method or
     property of a public class that nothing but its own definition reads."""
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")).body for path in paths}
-    outside = names_read(node for path in callers for node in ast.parse(path.read_text(encoding="utf-8")).body)
+    trees = {path: parsed(path).body for path in paths}
+    outside = names_read(node for path in callers for node in parsed(path).body)
     found = []
     for path, body in trees.items():
         others = outside | names_read(node for other, nodes in trees.items() if other != path for node in nodes)
@@ -676,7 +563,7 @@ def uncalled_names(paths, callers):
 
 def unread_tolerances(table, paths):
     """The names a tolerance table assigns that no file in paths reads."""
-    read = names_read(node for path in paths for node in ast.parse(path.read_text(encoding="utf-8")).body)
+    read = names_read(node for path in paths for node in parsed(path).body)
     return [name for name in tolerance_definitions(table) if name not in read]
 
 
@@ -724,7 +611,7 @@ def test_guard_sees_an_uncalled_method(tmp_path):
 def unused_imports(path):
     """(line, name) of every name a module-level import of one file binds and
     the file never reads; from __future__ imports are not names."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = parsed(path)
     bound = []
     for node in tree.body:
         if isinstance(node, ast.Import):
@@ -754,7 +641,7 @@ def test_guard_sees_an_unused_import(tmp_path):
 def scipy_imports(path):
     """Line numbers of every import of scipy or a scipy submodule in one file."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(parsed(path)):
         if isinstance(node, ast.Import):
             found.extend(node.lineno for alias in node.names if alias.name.split(".")[0] == "scipy")
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "scipy":
@@ -784,6 +671,6 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    pyproject = REPO / "pyproject.toml"
     deps = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in deps] == ["numpy"]

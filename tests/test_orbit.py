@@ -148,7 +148,7 @@ class TestLength:
     def test_orbit_never_differentiates_its_samples(self, monkeypatch):
         orbit, _, w0 = qubit_run()
 
-        def refuse(samples, dt):
+        def refuse(*args, **kwargs):
             raise AssertionError("finite differences taken")
 
         monkeypatch.setattr(bundle, "grid_derivative", refuse)
@@ -178,10 +178,10 @@ def lift_sizes(monkeypatch) -> list:
 
 
 class TestConstantDrive:
-    """An orbit whose Hamiltonians all equal the first bitwise moves at one
-    speed, since its propagators commute with H: its speeds lift sample 0
-    alone and equal the lift at every sample. Any other orbit lifts every
-    sample."""
+    """An orbit whose Hamiltonians store one sample (a constant schedule's
+    broadcast) moves at one speed, since its propagators commute with H: its
+    speeds lift sample 0 alone and equal the lift at every sample. Any other
+    orbit lifts every sample."""
 
     @staticmethod
     def assert_speeds_match(orbit, exact):
@@ -231,6 +231,55 @@ class TestConstantDrive:
         orbit, _ = qubit_orbit(0.5, 11, omega=1e155)
         with pytest.raises(OutOfRange, match=r"^tau = 6\.283e-155 overflows the curve's squared speeds$"):
             invariants.check_isoholonomic(orbit, bundle.canonical_amplitude(orbit.start))
+
+
+# the four one-stored-sample routes: each runs on layout(stack), a broadcast stack of LAYOUT_N
+# samples (steps, for the scan) or a full copy of it, and returns its output and what its spies saw
+LAYOUT_N = 4001
+
+
+def drive_steps(layout, monkeypatch):
+    sched = qubit_run(nsamp=LAYOUT_N)[1]
+    sizes = stack_sizes(monkeypatch, "propagator_step_stack")
+    return dynamics._steps(layout(sched.samples), sched.grid.dt), [sizes]
+
+
+def drive_lift(layout, monkeypatch):
+    # bundle._constant_drive: the lifted speeds and lift_endpoint's power of one step
+    orbit, _, w0 = qubit_run(nsamp=LAYOUT_N)
+    orbit = UnitaryOrbit(grid=orbit.grid, propagators=orbit.propagators, start=orbit.start,
+                         hamiltonians=layout(orbit.hamiltonians))
+    spies = [lift_sizes(monkeypatch), stack_sizes(monkeypatch, "total_product")]
+    report = invariants.check_isoholonomic(orbit, w0)
+    return np.append(report.holonomy.u, report.length), spies
+
+
+def eigenvalue_length(layout, monkeypatch):
+    grid, values = curves.TimeGrid(tau=1.0, n=LAYOUT_N), np.broadcast_to([0.7, 0.3], (LAYOUT_N, 2))
+    sizes = stack_sizes(monkeypatch, "grid_derivative", curves)
+    return np.array(curves.fisher_rao(curves.ProbabilityPath(grid=grid, values=layout(values), m=(1, 1)))), [sizes]
+
+
+def step_products(layout, monkeypatch):
+    # the scan's products of one broadcast step count that step's rows
+    steps = dynamics._steps(qubit_run(nsamp=LAYOUT_N)[1].samples, 1.0 / (LAYOUT_N - 1))
+    sizes = stack_sizes(monkeypatch, "matmul_stack")
+    return linalg.ordered_products(layout(steps)), [sizes]
+
+
+@pytest.mark.parametrize("route", [drive_steps, drive_lift, eigenvalue_length, step_products],
+                         ids=["dynamics._steps", "bundle._constant_drive", "curves.fisher_rao", "linalg._scan"])
+def test_constant_is_a_layout(route, monkeypatch):
+    """A constant is decided once, where a schedule is built, and stored as a
+    broadcast (stride 0): each route takes its one-sample path on the broadcast
+    alone, and a full copy equal value for value works on every sample, to the
+    same numbers."""
+    one, one_sizes = route(lambda stack: stack, monkeypatch)
+    monkeypatch.undo()
+    every, every_sizes = route(np.array, monkeypatch)
+    for broadcast, full in zip(one_sizes, every_sizes):
+        assert sum(broadcast) < LAYOUT_N - 1 <= sum(full)
+    assert one.shape == every.shape and np.max(np.abs(one - every)) <= 1e-12
 
 
 class TestStatesOnRead:
