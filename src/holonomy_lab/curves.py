@@ -167,7 +167,9 @@ class ProbabilityPath:
 
 def grid_derivative(samples: Array, dt: float) -> Array:
     """d/dt along axis 0: central differences inside (five-point stencil
-    where available), second-order one-sided differences at the endpoints."""
+    where available), second-order one-sided differences at the endpoints.
+    Each stencil sums weighted differences of samples, so a constant stack
+    differentiates to exactly 0."""
     s = np.asarray(samples)
     if s.shape[0] < 3:
         d = np.empty_like(s)
@@ -177,9 +179,9 @@ def grid_derivative(samples: Array, dt: float) -> Array:
     # central differences next to the ends (all of the interior for N <= 4),
     # the five-point stencil between them
     d[[1, -2]] = (s[[2, -1]] - s[[0, -3]]) / (2.0 * dt)
-    d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) / (12.0 * dt)
-    d[0] = (-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * dt)
-    d[-1] = (3.0 * s[-1] - 4.0 * s[-2] + s[-3]) / (2.0 * dt)
+    d[2:-2] = ((s[:-4] - s[4:]) + 8.0 * (s[3:-1] - s[1:-3])) / (12.0 * dt)
+    d[0] = (4.0 * (s[1] - s[0]) - (s[2] - s[0])) / (2.0 * dt)
+    d[-1] = (4.0 * (s[-1] - s[-2]) - (s[-1] - s[-3])) / (2.0 * dt)
     return d
 
 

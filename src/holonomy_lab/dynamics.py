@@ -130,7 +130,9 @@ def variance_split(b: Array, spath: bundle.SpectralPath) -> tuple[Array, Array, 
     lam, diag = spath.values, np.arange(b.shape[-1])
     centred = b[:, diag, diag] - np.einsum("ki,ki->k", lam, b[:, diag, diag].real)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # a square past 1e308 is inf; speed_bound rejects it
-        weighted = lam[:, :, None] * (b.real**2 + b.imag**2)
+        weighted = np.square(b.real)
+        weighted += np.square(b.imag)
+        weighted *= lam[:, :, None]
         weighted[:, diag, diag] = lam * (centred.real**2 + centred.imag**2)
         flat, mask = weighted.reshape(len(b), -1), spath.block_mask.ravel()  # a GEMV per mask: np.sum is slower
         din2, dco2 = flat @ mask.astype(float), flat @ (~mask).astype(float)

@@ -32,7 +32,9 @@ with the degree and the number of squarings fixed by the largest 1-norm of
 dt H in the stack. Running products of a step stack take a recursive
 blocked scan: chunks of 16 steps advance together, the chunk totals are
 scanned the same way, and each level costs about 16 Python-level products,
-so N steps take about 16 log_16 N of them. One step broadcast (a constant
+so N steps take about 16 log_16 N of them. The chunks are read from the
+steps in place, not from a padded copy, and the heads' products are
+written into the output (matmul_stack's out). One step broadcast (a constant
 schedule's) gives every chunk the same powers of it: they are formed once,
 15 single-matrix products, and broadcast over the chunks. Polar factors
 take Newton-Schulz matmuls where a Frobenius certificate bounds the singular
@@ -74,7 +76,7 @@ def frob(m: Array) -> float:
 _SMALL_BLOCK = 3
 
 
-def matmul_stack(a: Array, b: Array) -> Array:
+def matmul_stack(a: Array, b: Array, out: Array | None = None) -> Array:
     """a @ b for stacks of matrices (ndim >= 2, batch axes broadcast), with
     matmul's shape and dtype. A stack times one matrix on its right is one
     GEMM, the stack's rows times it, a.reshape(-1, k) @ b. Two stacks whose
@@ -83,15 +85,21 @@ def matmul_stack(a: Array, b: Array) -> Array:
     out[..., i, l] = sum_j a[..., i, j] b[..., j, l] in j order: n m k
     products of (N,)-vectors, where batched matmul pays a fixed cost per
     matrix. A matrix on the left, or one broadcast over a batch, is taken
-    as a stack."""
+    as a stack. An out of that shape and dtype, if given, receives the
+    product, with the same bits, and no other stack is allocated for it; a
+    stack times one matrix needs an out whose rows reshape without a copy,
+    and raises ValueError on another."""
     a, b = np.asarray(a), np.asarray(b)
     n, k = a.shape[-2:]
     m = b.shape[-1]
     if k == b.shape[-2] and b.ndim == 2:
-        return (a.reshape(math.prod(a.shape[:-1]), k) @ b).reshape(a.shape[:-1] + (m,))
+        rows = math.prod(a.shape[:-1])
+        flat = None if out is None else out.reshape(rows, m, copy=False)  # a copy would drop the product
+        return np.matmul(a.reshape(rows, k), b, out=flat).reshape(a.shape[:-1] + (m,))
     if not 0 < k == b.shape[-2] or n * m > _SMALL_BLOCK**2:
-        return a @ b
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (n, m), np.result_type(a, b))
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (n, m), np.result_type(a, b))
     for i in range(n):
         for l in range(m):
             entry = a[..., i, 0] * b[..., 0, l]
@@ -371,10 +379,15 @@ def ordered_products(steps: Array, init: Array | None = None) -> Array:
     the chunk totals are scanned the same way from init, and one product
     applies each chunk's head to its rows. That is W Python-level products
     per level over about log_W N levels (47 at N = 4000) instead of N.
-    A stack that stores one step (stored_samples; a broadcast) forms the
-    powers of that step inside one chunk, W - 1 single-matrix products, and
-    broadcasts them over the chunks; its chunk totals are a broadcast too,
-    so every level does the same. The steps are never written to.
+    The in-chunk products are formed from the steps as they lie, with no
+    padded copy: rows of the last chunk past N repeat its last product.
+    The head products are written straight into the output, so the scan
+    holds its output and one stack of in-chunk products (about 2.06
+    outputs at N = 4000). A stack that stores one step (stored_samples; a
+    broadcast) forms the powers of that step inside one chunk, W - 1
+    single-matrix products, and broadcasts them over the chunks; its chunk
+    totals are a broadcast too, so every level does the same. The steps
+    are never written to.
     """
     steps = np.asarray(steps, dtype=np.complex128)
     init = np.eye(steps.shape[-1], dtype=np.complex128) if init is None else np.asarray(init, dtype=np.complex128)
@@ -384,33 +397,34 @@ def ordered_products(steps: Array, init: Array | None = None) -> Array:
 def _scan(steps: Array, init: Array) -> Array:
     """ordered_products on coerced arguments; recurses on the chunk totals."""
     nstep, n, _ = steps.shape
-    out = np.empty((nstep + 1, n, init.shape[1]), dtype=np.complex128)
-    out[0] = init
     if nstep == 0:
-        return out
+        return init[None].copy()
     width = min(nstep, _SCAN_WIDTH)
     nchunk = -(-nstep // width)
-    # row j of a chunk ends up holding steps[j] @ ... @ steps[0] of that chunk
+    # row j of a chunk ends up holding steps[j] @ ... @ steps[0] of that chunk; in the
+    # last chunk, rows past nstep repeat its last product, and the output cuts them
     if len(stored_samples(steps)) == 1:
         # one step broadcast: every chunk holds its powers, formed once and broadcast
-        # (the last chunk's rows past nstep are powers, cut below, not identity pads)
         one = np.empty((width, n, n), dtype=np.complex128)
         one[0] = steps[0]
         for j in range(1, width):
             one[j] = matmul_stack(steps[0], one[j - 1])
         run = np.broadcast_to(one, (nchunk, width, n, n))
     else:
-        # the last chunk is padded with identities
-        run = np.empty((nchunk * width, n, n), dtype=np.complex128)
-        run[:nstep], run[nstep:] = steps, np.eye(n)
-        run = run.reshape(nchunk, width, n, n)
+        run = np.empty((nchunk, width, n, n), dtype=np.complex128)
+        run[:, 0] = steps[::width]
         for j in range(1, width):
-            run[:, j] = matmul_stack(run[:, j], run[:, j - 1])
+            col = steps[j::width]  # step j of each chunk that has one
+            run[:len(col), j] = matmul_stack(col, run[:len(col), j - 1])
+            run[len(col):, j] = run[len(col):, j - 1]
     # chunk i's head is the product of the totals of chunks 0 .. i - 1 with init
     heads = _scan(run[:-1, -1], init)
-    # chunk i's rows times its head: one (width n, n) @ (n, c) product per chunk
-    out[1:] = matmul_stack(run.reshape(nchunk, width * n, n), heads).reshape(nchunk * width, n, init.shape[1])[:nstep]
-    return out
+    # chunk i's rows times its head: one (width n, n) @ (n, c) product per chunk, written
+    # straight into an output of whole chunks
+    out = np.empty((nchunk * width + 1, n, init.shape[1]), dtype=np.complex128)
+    out[0] = init
+    matmul_stack(run.reshape(nchunk, width * n, n), heads, out=out[1:].reshape(nchunk, width * n, init.shape[1]))
+    return out[:nstep + 1]
 
 
 def total_product(steps: Array, init: Array) -> Array:

@@ -126,7 +126,10 @@ class SaturatingPlan:
         the generator as its Hamiltonians (stride 0), which closes to machine
         precision and whose path decompose_path reads without eigendecomposing."""
         v, rot = _flow(self.generator, self.schedule.grid.times)
-        return UnitaryOrbit(grid=self.schedule.grid, propagators=linalg.matmul_stack(v * rot[:, None, :], v.conj().T),
+        props, vh = np.empty(self.schedule.samples.shape, np.complex128), v.conj().T
+        for block in linalg.sample_blocks(len(props), len(v)):
+            linalg.matmul_stack(v * rot[block, None, :], vh, out=props[block])
+        return UnitaryOrbit(grid=self.schedule.grid, propagators=props,
                             start=self.rho, hamiltonians=np.broadcast_to(self.generator, self.schedule.samples.shape))
 
 
@@ -203,14 +206,14 @@ def _integration_defect(rho: DensityOperator, schedule: dynamics.HamiltonianSche
     """max_k |rho_0 W_k - W_k rho_0|_F with W_k = U_k^dag P_k, U the propagators
     evolve re-integrates from the schedule and P the planned ones, taken in
     rho_0's eigenframe F: max_k |(lambda_i - lambda_j) X_ij|_F with
-    X = (U_k F)^dag (P_k F): one GEMM U F, then the GEMM P F and one batched
-    product per linalg.sample_blocks block, the max taken over the blocks.
-    The re-integrated run is freed once U F is formed, before the lift."""
+    X = (U_k F)^dag (P_k F): the GEMMs U F and P F and one batched product
+    per linalg.sample_blocks block, the max taken over the blocks."""
     frame, lam = rho.full_frame, bundle.SpectralPath.of_state(rho).values[0]
-    uf = linalg.matmul_stack(dynamics.evolve(rho, schedule)[0].samples, frame)
+    props = dynamics.evolve(rho, schedule)[0].samples
     worst = []
-    for block in linalg.sample_blocks(len(uf), len(frame)):
-        x = linalg.matmul_stack(np.conj(np.swapaxes(uf[block], -1, -2)), linalg.matmul_stack(planned[block], frame))
+    for block in linalg.sample_blocks(len(props), len(frame)):
+        uf = linalg.matmul_stack(props[block], frame)
+        x = linalg.matmul_stack(np.conj(np.swapaxes(uf, -1, -2)), linalg.matmul_stack(planned[block], frame))
         worst.append(np.max(linalg.stack_sq_norms(x * (lam[:, None] - lam[None, :]))))
     return float(np.sqrt(np.max(worst)))
 

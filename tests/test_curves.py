@@ -119,6 +119,12 @@ class TestFisherRao:
         assert curves.fisher_rao(path) == (0.0, 0.0)
         assert seen == []
 
+    def test_full_stored_constant_is_exactly_still(self):
+        # the five-point stencil pairs its differences, so a constant stored in full
+        # differentiates to exactly 0, as its broadcast does without differentiating
+        path = ProbabilityPath(grid=TimeGrid(tau=1.0, n=4001), values=np.tile([0.7, 0.3], (4001, 1)), m=(1, 1))
+        assert curves.fisher_rao(path) == (0.0, 0.0)
+
     def test_broadcast_values_are_validated_at_sample_0(self):
         # one row broadcast over 10^5 samples is validated once (an (N, l) check would take
         # about 2.4 MB of temporaries); a bad row raises what its full copy raises
@@ -209,9 +215,9 @@ def full_interior_derivative(s: np.ndarray, dt: float) -> np.ndarray:
     d = np.empty_like(s)
     d[1:-1] = (s[2:] - s[:-2]) / (2.0 * dt)
     if len(s) >= 5:
-        d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) / (12.0 * dt)
-    d[0] = (-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * dt)
-    d[-1] = (3.0 * s[-1] - 4.0 * s[-2] + s[-3]) / (2.0 * dt)
+        d[2:-2] = ((s[:-4] - s[4:]) + 8.0 * (s[3:-1] - s[1:-3])) / (12.0 * dt)
+    d[0] = (4.0 * (s[1] - s[0]) - (s[2] - s[0])) / (2.0 * dt)
+    d[-1] = (4.0 * (s[-1] - s[-2]) - (s[-1] - s[-3])) / (2.0 * dt)
     return d
 
 

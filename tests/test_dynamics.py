@@ -6,6 +6,8 @@ from holonomy_lab.curves import TimeGrid, UnitaryOrbit
 from holonomy_lab.dynamics import SIGMA1, SIGMA3, HamiltonianSchedule
 from holonomy_lab.errors import DimMismatch, InvalidP, NonHermitian, NotClosed, StationaryAxis
 from qutil import (
+    eigh_propagators,
+    plan_propagators,
     precessing_qubit_curve,
     qubit_axis,
     qubit_propagators,
@@ -364,6 +366,36 @@ class TestStepBuilder:
             for dt in (1e-3, 0.1, 2.0):
                 want = linalg.propagator_step_stack(0.5 * (hs[:-1] + hs[1:]), dt)
                 assert np.array_equal(dynamics._steps(hs, dt), want)
+
+
+def dim6_plan(rng, n_samples: int) -> synthesis.SaturatingPlan:
+    rho = rand_state(rng, (0.5, 0.25), (1, 2), 6)
+    return synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis),
+                                tau=1.0, ambient_dim=6, n_samples=n_samples)
+
+
+class TestTimeVaryingEvolve:
+    """evolve on synthesized schedules, whose samples all differ, against
+    references that share no kernel with it."""
+
+    @pytest.mark.parametrize("n_samples", [2, 3])
+    def test_shortest_runs_are_the_midpoint_steps_in_order(self, rng, n_samples):
+        # one and two steps of a schedule stored whole: the scan's one-chunk paths of width 1 and 2
+        plan = dim6_plan(rng, n_samples)
+        hs, dt = plan.schedule.samples, plan.schedule.grid.dt
+        assert hs.strides[0] != 0
+        props = dynamics.evolve(plan.rho, plan.schedule)[0].samples
+        assert props.shape == (n_samples, 6, 6)
+        assert np.max(np.abs(props - sequential_products(eigh_propagators(0.5 * (hs[:-1] + hs[1:]), dt)))) <= 1e-13
+
+    def test_second_order_against_the_closed_form(self):
+        # the plan's exact propagators (qutil.plan_propagators): each halving of dt quarters
+        # the error, from 9.0e-5 at N = 201 to 3.5e-7 at N = 3201
+        errors = []
+        for n_samples in (201, 401, 801, 1601, 3201):
+            plan = dim6_plan(np.random.default_rng(9), n_samples)
+            errors.append(np.max(np.abs(dynamics.evolve(plan.rho, plan.schedule)[0].samples - plan_propagators(plan))))
+        assert np.all(np.abs(np.array(errors[:-1]) / errors[1:] - 4.0) <= 0.1)
 
 
 class TestQubitReference:

@@ -145,6 +145,20 @@ class TestMatmulStack:
             else:
                 assert calls == [] and np.array_equal(got, sum(a[:, :, j, None] * b[:, None, j, :] for j in range(n)))
 
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_out_receives_the_same_bits(self, rng, n):
+        # each route (one matrix on the right, entry by entry, matmul) writes its product into
+        # out, bit for bit; rows that would reshape only through a copy raise, not drop it
+        for a, b in ((random_stack(rng, (20, 3, n)), random_stack(rng, (n, n))),
+                     (random_stack(rng, (20, 3, n)), random_stack(rng, (20, n, 3))),
+                     (random_stack(rng, (20, 4, n)), random_stack(rng, (20, n, 4)))):
+            want = linalg.matmul_stack(a, b)
+            out = np.empty_like(want)
+            assert np.shares_memory(linalg.matmul_stack(a, b, out=out), out) and np.array_equal(out, want)
+        a, b = random_stack(rng, (20, 3, n)), random_stack(rng, (n, n))
+        with pytest.raises(ValueError):
+            linalg.matmul_stack(a, b, out=np.empty((20, 4, n), complex)[:, :3])
+
     def test_inner_dimension_mismatch_raises(self, rng):
         for a_shape, b_shape in (((5, 2, 2), (5, 3, 2)), ((5, 2, 2), (3, 2)), ((2, 3), (5, 2, 2))):
             with pytest.raises(ValueError):
@@ -493,9 +507,9 @@ def product_shapes(monkeypatch) -> list:
     calls = []
     product = linalg.matmul_stack
 
-    def spy(a, b):
+    def spy(a, b, **kwargs):
         calls.append(np.shape(a))
-        return product(a, b)
+        return product(a, b, **kwargs)
 
     monkeypatch.setattr(linalg, "matmul_stack", spy)
     return calls
@@ -545,6 +559,36 @@ class TestOrderedProducts:
         got = linalg.ordered_products(steps, init)
         assert np.max(np.abs(got - sequential_products(steps, init))) <= 1e-13
         assert not steps.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_traced_peak(self, rng, n):
+        # the output and one stack of in-chunk products (2.06 outputs); a padded copy of the
+        # steps and the head products formed apart from the output made it 3.06
+        steps = unitary_steps(rng, 4000, n)
+        assert traced_peak(lambda: linalg.ordered_products(steps)) < 2.25 * 16 * n * n * 4001
+
+    @pytest.mark.parametrize("nstep", [W + 1, 4001])
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_reads_only_what_it_wrote(self, rng, monkeypatch, nstep, n):
+        # the last chunk's rows past nstep are cut from the output, but they go through the
+        # head product: they must repeat the chunk's last product, not hold what np.empty left
+        steps, empty, finite = unitary_steps(rng, nstep, n), np.empty, []
+
+        def poisoned(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype.kind in "fc":
+                out.fill(np.nan)
+            return out
+
+        product = linalg.matmul_stack
+        monkeypatch.setattr(np, "empty", poisoned)
+        monkeypatch.setattr(linalg, "matmul_stack",
+                            lambda a, b, **kw: finite.append(np.isfinite(a).all() and np.isfinite(b).all())
+                            or product(a, b, **kw))
+        got = linalg.ordered_products(steps)
+        monkeypatch.undo()
+        assert finite and all(finite)
+        assert np.max(np.abs(got - sequential_products(steps))) <= 1e-13
 
     def test_products_grow_by_one_level(self, rng, monkeypatch):
         # N = 4000 and N = 64000 are three and four levels of W-wide chunks:
@@ -705,7 +749,7 @@ class TestPolarUnitaryStack:
         # product forms the Gram matrix, each step takes two, the SVD route one more
         products, svds = [], []
         matmul_stack, svd = linalg.matmul_stack, np.linalg.svd
-        monkeypatch.setattr(linalg, "matmul_stack", lambda a, b: products.append(1) or matmul_stack(a, b))
+        monkeypatch.setattr(linalg, "matmul_stack", lambda a, b, **kw: products.append(1) or matmul_stack(a, b, **kw))
         monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: svds.append(np.shape(a)) or svd(a, *args, **kw))
         n = 3
         for edge, svd_calls in ((0.5 * (1 - 1e-9), []), (0.5 * (1 + 1e-9), [(1, n, n)])):

@@ -37,6 +37,7 @@ WOBBLE_N = (5, 11, 21, 51, 101, 201)
 WOBBLE_RUNS = 30
 WOBBLE_SPECS = (((0.7, 0.3), (1, 1), 2), ((0.4, 0.2), (2, 1), 3), ((0.5, 0.25), (1, 2), 4))
 SATURATION_N = (11, 51, 201, 1001, 2001)
+PLAN_EVOLVE_N = (11, 51, 201, 1001, 4001)
 PLAN_SPECS = (((0.7, 0.3), (1, 1), 4), ((0.5, 0.25), (1, 2), 6), ((0.4, 0.2), (2, 1), 6),
               ((1.0,), (1,), 2), ((0.5, 0.5), (2,), 4), ((0.6, 0.4), (1, 1), 5))
 
@@ -99,16 +100,21 @@ def wobble_rows() -> dict:
     return rows
 
 
+def census_plans(n: int):
+    """(rho, target, dim) for each of PLAN_SPECS in turn, drawn from the seed [7, n]."""
+    rng = np.random.default_rng([7, n])
+    for p, m, dim in PLAN_SPECS:
+        rho = rand_state(rng, p, m, dim)
+        yield rho, rand_gauge(rng, rho.basis), dim
+
+
 def saturation_rows() -> dict:
     """synthesize then verify_saturation on six plans (random targets, dim 2
     to 6) at coarse to moderate N."""
     rows = {}
     for n in SATURATION_N:
-        rng = np.random.default_rng([7, n])
         row = ""
-        for p, m, dim in PLAN_SPECS:
-            rho = rand_state(rng, p, m, dim)
-            target = rand_gauge(rng, rho.basis)
+        for rho, target, dim in census_plans(n):
 
             def run():
                 plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), target, tau=1.0,
@@ -117,6 +123,24 @@ def saturation_rows() -> dict:
 
             row += outcome(run)
         rows[f"synthesize verify N={n}"] = row
+    return rows
+
+
+def plan_evolve_rows() -> dict:
+    """The same six plans, their schedules run through evolve, and each orbit
+    through check_isoholonomic and speed_limit: the only rows where the
+    integrator steps a time-varying drive, so its error shows as NotClosed."""
+    rows = {}
+    for n in PLAN_EVOLVE_N:
+        check, limit = "", ""
+        for rho, target, dim in census_plans(n):
+            w0 = bundle.canonical_amplitude(rho)
+            plan = synthesis.synthesize(rho, w0, target, tau=1.0, ambient_dim=dim, n_samples=n)
+            _, states = dynamics.evolve(rho, plan.schedule)
+            check += outcome(lambda: invariants.check_isoholonomic(states, w0))
+            limit += outcome(lambda: dynamics.speed_limit(states, plan.schedule, w0))
+        rows[f"plan evolve check N={n}"] = check
+        rows[f"plan evolve speed_limit N={n}"] = limit
     return rows
 
 
@@ -136,7 +160,7 @@ def cli_chain_row(tmp_path) -> str:
 
 
 def census(tmp_path) -> dict:
-    rows = {**qubit_rows(), **wobble_rows(), **saturation_rows()}
+    rows = {**qubit_rows(), **wobble_rows(), **saturation_rows(), **plan_evolve_rows()}
     rows["cli synthesize evolve check"] = cli_chain_row(tmp_path)
     rows["spectra.validate m=(1.2, 1.7)"] = outcome(lambda: spectra.validate([0.6, 0.4], [1.2, 1.7]))
     return rows
@@ -172,6 +196,16 @@ EXPECTED = {
     "synthesize verify N=201": "SSSSSS",
     "synthesize verify N=1001": "SSSSSS",
     "synthesize verify N=2001": "S.S.SS",
+    "plan evolve check N=11": "cccccc",
+    "plan evolve speed_limit N=11": "cccccc",
+    "plan evolve check N=51": "cccccc",
+    "plan evolve speed_limit N=51": "cccccc",
+    "plan evolve check N=201": "cccccc",
+    "plan evolve speed_limit N=201": "cccccc",
+    "plan evolve check N=1001": "cccccc",
+    "plan evolve speed_limit N=1001": "cccccc",
+    "plan evolve check N=4001": "c.cccc",
+    "plan evolve speed_limit N=4001": "c.cccc",
     "cli synthesize evolve check": "0 1 1",
     "spectra.validate m=(1.2, 1.7)": "l",
 }
