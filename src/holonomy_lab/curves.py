@@ -113,6 +113,15 @@ class UnitaryOrbit(OperatorCurve):
         object.__setattr__(self, "samples", _orbit_states(self.propagators, self.start.matrix))
         return self.samples
 
+    @property
+    def propagator_curve(self) -> OperatorCurve:
+        """The propagators as an OperatorCurve on the orbit's grid: the same
+        read-only stack, which the orbit checked finite, is not checked again."""
+        curve = object.__new__(OperatorCurve)
+        object.__setattr__(curve, "grid", self.grid)
+        object.__setattr__(curve, "samples", self.propagators)
+        return curve
+
     @cached_property
     def initial(self) -> Array:
         return _orbit_states(self.propagators[:1], self.start.matrix)[0]

@@ -70,7 +70,8 @@ def evolve(rho0: DensityOperator, sched: HamiltonianSchedule) -> tuple[OperatorC
     interpolation between samples), which are exact for constant schedules.
     The state curve is the UnitaryOrbit of rho0 under the propagators and
     the schedule's samples, whose spectral path decompose_path reads without
-    eigendecomposing; the U curve holds the same read-only propagators.
+    eigendecomposing; the U curve is its propagator_curve, the same read-only
+    propagators. Each stack is checked finite once, by the orbit.
     """
     n = rho0.dim
     if sched.samples.shape[1:] != (n, n):
@@ -78,7 +79,7 @@ def evolve(rho0: DensityOperator, sched: HamiltonianSchedule) -> tuple[OperatorC
     # the schedule checked its samples when it was built
     props = linalg.ordered_products(_steps(sched.samples, sched.grid.dt))
     states = UnitaryOrbit(grid=sched.grid, propagators=props, start=rho0, hamiltonians=sched.samples)
-    return OperatorCurve(grid=sched.grid, samples=states.propagators), states
+    return states.propagator_curve, states
 
 
 def split_hamiltonian(h: Array, rho: DensityOperator) -> tuple[Array, Array]:

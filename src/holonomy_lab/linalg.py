@@ -7,12 +7,15 @@ products of step stacks, and the Moore-Penrose pseudoinverse. All matrices
 are plain complex ndarrays.
 
 Every product of two stacks, or of a stack and one matrix, goes through
-matmul_stack. numpy's batched matmul makes one BLAS call per matrix, so a
-stack times one fixed matrix on its right is one GEMM over the stack's
-rows, and two stacks whose product block has at most 9 entries are
-multiplied entry by entry, each entry a j-ordered sum of products of
-(N,)-vectors (batched matmul spends about 0.3 us per matrix on such blocks
-whatever their size); larger pairs of stacks go to matmul. Per-sample
+matmul_stack. numpy's batched matmul makes one BLAS call per matrix, so it
+takes three routes: a stack times one fixed matrix on its right is one GEMM
+over the stack's rows; two stacks whose product block has at most 9 entries
+are multiplied entry by entry, each entry a j-ordered sum of products of
+(N,)-vectors (complex batched matmul spends about 0.3 us per matrix on such
+blocks whatever their size); and complex blocks of up to 49 entries are one
+float64 batched matmul of a's float view and an expansion of b (the 1m
+method), whose GEMM calls cost a third as much. Larger pairs of stacks go to
+matmul; a single-matrix product stays a plain @. Per-sample
 squared Frobenius norms of a stack go through stack_sq_norms.
 
 Per-sample kernels on long stacks (propagator steps, the Hermiticity check,
@@ -72,23 +75,39 @@ def frob(m: Array) -> float:
 # matmul_stack sums a product of two stacks entry by entry when its block has
 # at most _SMALL_BLOCK**2 entries: n m k vector products then beat batched
 # matmul's fixed cost per matrix, (4001, 2, 2) and (4000, 2, 6) @ (4000, 6, 2)
-# included; a 4 x 4 block or larger goes to matmul
+# included. A complex block of up to _REAL_GEMM_BLOCK**2 entries is one float64
+# batched matmul (1m), whose GEMM costs a third of the complex one per matrix:
+# with b's expansion, (2001, 4, 4) takes 0.29 ms, not 0.60, (4001, 6, 6) 1.0, not
+# 1.5, and (4000, 7, 7) 1.4, not 1.9; at 8 x 8 the two tie, and larger blocks go
+# to complex matmul (best of 11, one BLAS thread)
 _SMALL_BLOCK = 3
+_REAL_GEMM_BLOCK = 7
 
 
 def matmul_stack(a: Array, b: Array, out: Array | None = None) -> Array:
     """a @ b for stacks of matrices (ndim >= 2, batch axes broadcast), with
-    matmul's shape and dtype. A stack times one matrix on its right is one
-    GEMM, the stack's rows times it, a.reshape(-1, k) @ b. Two stacks whose
-    (n, m) product has n m <= _SMALL_BLOCK**2 entries take each entry as a
-    sum over the batch,
-    out[..., i, l] = sum_j a[..., i, j] b[..., j, l] in j order: n m k
-    products of (N,)-vectors, where batched matmul pays a fixed cost per
-    matrix. A matrix on the left, or one broadcast over a batch, is taken
-    as a stack. An out of that shape and dtype, if given, receives the
-    product, with the same bits, and no other stack is allocated for it; a
-    stack times one matrix needs an out whose rows reshape without a copy,
-    and raises ValueError on another."""
+    matmul's shape and dtype. Three routes, picked by the shapes:
+
+    - a stack times one matrix on its right is one GEMM, the stack's rows
+      times it, a.reshape(-1, k) @ b;
+    - two stacks whose (n, m) product has n m <= _SMALL_BLOCK**2 entries take
+      each entry as a sum over the batch,
+      out[..., i, l] = sum_j a[..., i, j] b[..., j, l] in j order: n m k
+      products of (N,)-vectors, where batched matmul pays a fixed cost per matrix;
+    - a complex product of up to _REAL_GEMM_BLOCK**2 entries is one float64
+      batched matmul (Van Zee's 1m method, SIAM J. Sci. Comput. 42, 2020):
+      the float64 view of a, (n, 2k) with re and im interleaved, times b
+      expanded to (2k, 2m) floats, whose row pair j holds b_j and i b_j, is
+      the float64 view of a @ b. b is expanded per batch slice, at most
+      _BLOCK_BYTES / 2 of floats each, into one reused buffer; the slices of
+      an a whose rows have no float64 view are copied into another.
+
+    Other products go to matmul. A matrix on the left, or one broadcast over
+    a batch, is taken as a stack. An out of that shape and dtype, if given,
+    receives the product, with the same bits, and no other stack is
+    allocated for it; the first route needs an out whose rows reshape
+    without a copy, the third one whose rows have a float64 view, and each
+    raises ValueError on another."""
     a, b = np.asarray(a), np.asarray(b)
     n, k = a.shape[-2:]
     m = b.shape[-1]
@@ -96,10 +115,32 @@ def matmul_stack(a: Array, b: Array, out: Array | None = None) -> Array:
         rows = math.prod(a.shape[:-1])
         flat = None if out is None else out.reshape(rows, m, copy=False)  # a copy would drop the product
         return np.matmul(a.reshape(rows, k), b, out=flat).reshape(a.shape[:-1] + (m,))
-    if not 0 < k == b.shape[-2] or n * m > _SMALL_BLOCK**2:
+    if not 0 < k == b.shape[-2] or n * m > _REAL_GEMM_BLOCK**2 or (
+            n * m > _SMALL_BLOCK**2 and np.result_type(a, b) != np.complex128):
         return np.matmul(a, b, out=out)
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     if out is None:
-        out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (n, m), np.result_type(a, b))
+        out = np.empty(batch + (n, m), np.result_type(a, b))
+    if n * m > _SMALL_BLOCK**2:
+        step = max(1, _BLOCK_BYTES // (64 * k * m * (math.prod(batch[1:]) or 1)))
+        slices = (min(step, batch[0]),) + batch[1:]
+        a, copied = np.asarray(a, np.complex128), None
+        try:
+            a = a.view(np.float64)
+        except ValueError:  # the entries of a row are not adjacent: each slice is copied so they are
+            copied = np.empty(slices + (n, k), np.complex128)
+        a, b, of = np.broadcast_to(a, batch + a.shape[-2:]), np.broadcast_to(b, batch + (k, m)), out.view(np.float64)
+        expanded = np.empty(slices + (k, 2, m), np.complex128)
+        for lo in range(0, batch[0], step):
+            part, bb = slice(lo, lo + step), expanded[:batch[0] - lo]
+            bb[..., 0, :] = b[part]
+            np.multiply(b[part], 1j, out=bb[..., 1, :])
+            rows = a[part]
+            if copied is not None:
+                copied[:len(bb)] = rows
+                rows = copied[:len(bb)].view(np.float64)
+            np.matmul(rows, bb.view(np.float64).reshape(bb.shape[:-3] + (2 * k, 2 * m)), out=of[part])
+        return out
     for i in range(n):
         for l in range(m):
             entry = a[..., i, 0] * b[..., 0, l]

@@ -218,6 +218,16 @@ def sequential_products(steps, init=None) -> np.ndarray:
     return out
 
 
+def real_gemm_product(a, b) -> np.ndarray:
+    """a @ b of complex stacks the way the 1m method forms it, built apart from
+    linalg: the float64 view of a, (n, 2k), times the (2k, 2m) floats whose row
+    pair j holds b_j and i b_j, read back as complex."""
+    a, b = np.ascontiguousarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    k, m = b.shape[-2:]
+    pairs = np.ascontiguousarray(np.stack([b, 1j * b], axis=-2))  # (..., k, 2, m)
+    return (a.view(float) @ pairs.view(float).reshape(pairs.shape[:-3] + (2 * k, 2 * m))).view(complex)
+
+
 def polar_transport_reference(samples, blocks, frames0) -> np.ndarray:
     """Step-by-step discrete parallel transport of eigenframes.
 

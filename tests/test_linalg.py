@@ -5,7 +5,8 @@ import pytest
 
 from holonomy_lab import linalg, tolerances
 from holonomy_lab.errors import NoConvergence, NonHermitian, RankDeficient, Singular
-from qutil import eigh_propagators, rand_unitary, sequential_products, stack_sizes, traced_peak
+from qutil import (eigh_propagators, rand_unitary, real_gemm_product, sequential_products, stack_sizes,
+                   traced_peak)
 
 SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 TWO_PI = 2.0 * np.pi
@@ -31,24 +32,17 @@ def check_matmul(a: np.ndarray, b: np.ndarray) -> None:
     assert np.all(np.abs(got - want) <= 1e-14 * np.matmul(np.abs(a), np.abs(b)))
 
 
-def matmul_ndims(monkeypatch) -> list:
-    """Operand ndims of every matmul linalg makes from now on: the arrays it
-    coerces become views that report each matmul they enter."""
+def matmul_operands(monkeypatch) -> list:
+    """(dtype name, ndim) of both operands of every np.matmul call linalg makes from now on."""
     calls = []
-
-    class Seen(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            inputs = [x.view(np.ndarray) if isinstance(x, Seen) else x for x in inputs]
-            if ufunc is np.matmul:
-                calls.append(tuple(x.ndim for x in inputs))
-            return getattr(ufunc, method)(*inputs, **kwargs)
 
     class Numpy:
         def __getattr__(self, name):
             return getattr(np, name)
 
-        def asarray(self, x, *args, **kwargs):
-            return np.asarray(x, *args, **kwargs).view(Seen)
+        def matmul(self, *args, **kwargs):
+            calls.append(tuple((x.dtype.name, x.ndim) for x in args[:2]))
+            return np.matmul(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "np", Numpy())
     return calls
@@ -113,35 +107,39 @@ class TestMatmulStack:
 
     def test_path_follows_the_matrix_shape(self, rng, monkeypatch):
         # two stacks whose (n, m) product has at most 9 entries take the
-        # entry-wise sum in j order, bit for bit, whatever k; above 9, matmul
+        # entry-wise sum in j order, bit for bit, whatever k; from 10 to 49
+        # complex entries the 1m product, bit for bit; above 49, matmul
         for n in range(1, 10):
             for m in range(1, 9 // n + 1):
                 for k in (1, 2, 3, 6):
                     a, b = random_stack(rng, (20, n, k)), random_stack(rng, (20, k, m))
                     want = sum(a[:, :, j, None] * b[:, None, j, :] for j in range(k))
                     assert np.array_equal(linalg.matmul_stack(a, b), want)
-        for n, k, m in ((4, 2, 3), (2, 6, 5), (10, 1, 1), (4, 4, 4)):
+        for n, k, m in ((4, 2, 3), (2, 6, 5), (10, 1, 1), (4, 4, 4), (7, 3, 7)):
+            a, b = random_stack(rng, (20, n, k)), random_stack(rng, (20, k, m))
+            assert np.array_equal(linalg.matmul_stack(a, b), real_gemm_product(a, b))
+        for n, k, m in ((10, 1, 5), (8, 8, 8)):
             a, b = random_stack(rng, (20, n, k)), random_stack(rng, (20, k, m))
             assert np.array_equal(linalg.matmul_stack(a, b), a @ b)
         # a stack times one matrix on the right is the single GEMM over the
         # stack's rows, whatever the block size; one matrix on the left meets
-        # the stack as a stack would: entry by entry up to 9 entries, else matmul
+        # the stack as a stack would: entry by entry up to 9 entries, else 1m
         for n in (2, 6):
             a, b = random_stack(rng, (20, 3, n)), random_stack(rng, (n, n))
             assert np.array_equal(linalg.matmul_stack(a, b), (a.reshape(60, n) @ b).reshape(20, 3, n))
             a, b = random_stack(rng, (n, n)), random_stack(rng, (20, n, 3))
-            want = a @ b if 3 * n > 9 else sum(a[:, j, None] * b[:, None, j, :] for j in range(n))
+            want = real_gemm_product(a, b) if 3 * n > 9 else sum(a[:, j, None] * b[:, None, j, :] for j in range(n))
             assert np.array_equal(linalg.matmul_stack(a, b), want)
         # a right factor broadcast over the batch with stride 0 is multiplied
-        # as a stack: one batched matmul above 9 entries, bit for bit a @ b,
-        # and up to 9 entries the entry-wise sum
+        # as a stack: above 9 entries one float64 batched matmul, bit for bit
+        # the 1m product, and up to 9 entries the entry-wise sum
         for n in (2, 4, 6):
             a, b = random_stack(rng, (20, 3, n)), np.broadcast_to(random_stack(rng, (n, n)), (20, n, n))
-            calls = matmul_ndims(monkeypatch)
+            calls = matmul_operands(monkeypatch)
             got = linalg.matmul_stack(a, b)
             monkeypatch.undo()
             if 3 * n > 9:
-                assert calls == [(3, 3)] and np.array_equal(got, a @ b)
+                assert calls == [(("float64", 3), ("float64", 3))] and np.array_equal(got, real_gemm_product(a, b))
             else:
                 assert calls == [] and np.array_equal(got, sum(a[:, :, j, None] * b[:, None, j, :] for j in range(n)))
 
@@ -169,6 +167,92 @@ class TestMatmulStack:
                                        ((2, 0), (4, 0, 3), (4, 2, 3))):
             got = linalg.matmul_stack(np.empty(a_shape), np.empty(b_shape))
             assert got.shape == want and not np.any(got)
+
+
+def check_real_gemm(a, b) -> None:
+    """matmul_stack against np.matmul to within 4 k eps |a| |b| per entry, with
+    matmul's shape and dtype."""
+    got, want = linalg.matmul_stack(a, b), np.matmul(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.all(np.abs(got - want) <= 4 * a.shape[-1] * EPS * np.matmul(np.abs(a), np.abs(b)))
+
+
+class TestRealGemmRoute:
+    """The 1m route: complex products of 10 to 49 entries as one float64 batched matmul."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_shape_on_both_sides_of_both_thresholds(self, rng, n, monkeypatch):
+        # n, k, m from 1 to 8: entry-wise up to 9 entries, 1m up to 49, matmul above;
+        # complex operands reach np.matmul only as float64 views on the 1m route
+        for k in range(1, 9):
+            for m in range(1, 9):
+                a, b = random_stack(rng, (7, n, k)), random_stack(rng, (7, k, m))
+                calls = matmul_operands(monkeypatch)
+                check_real_gemm(a, b)
+                monkeypatch.undo()
+                kinds = {name for call in calls for name, _ in call}
+                if n * m <= 9:
+                    assert calls == []
+                elif n * m <= 49:
+                    assert calls and kinds == {"float64"}
+                else:
+                    assert kinds == {"complex128"}
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_broadcasts_views_and_dtypes(self, rng, n):
+        fixed, stack = random_stack(rng, (n, n)), random_stack(rng, (30, n, n))
+        # a 2-D left factor, and a right factor broadcast with stride 0
+        check_real_gemm(fixed, stack)
+        check_real_gemm(stack, np.broadcast_to(fixed, (30, n, n)))
+        check_real_gemm(random_stack(rng, (5, 7, n, n)), np.broadcast_to(fixed, (7, n, n)))
+        check_real_gemm(random_stack(rng, (5, 1, n, n)), random_stack(rng, (1, 6, n, n)))
+        check_real_gemm(random_stack(rng, (3, 0, n, n)), random_stack(rng, (3, 0, n, n)))
+        # conjugate-transposed and strided views; the scan's column of in-chunk products
+        check_real_gemm(np.conj(np.swapaxes(stack, -1, -2)), stack)
+        check_real_gemm(stack, np.conj(np.swapaxes(stack, -1, -2)))
+        check_real_gemm(stack[::-2, :, ::-1], stack[1::2, ::-1])
+        run = random_stack(rng, (9, 16, n, n))
+        check_real_gemm(stack[2:29:4], run[:7, 4])
+        check_real_gemm(run[:7, 4], run[:7, 3])
+        # mixed real and complex dtypes, and a frozen operand
+        real = random_stack(rng, (30, n, n), real=True)
+        check_real_gemm(real, stack)
+        check_real_gemm(stack, real)
+        check_real_gemm(fixed.real, stack)
+        frozen = stack.copy()
+        frozen.flags.writeable = False
+        check_real_gemm(frozen, frozen)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_same_bits_with_out_and_any_slice_size(self, rng, n, monkeypatch):
+        a, b = random_stack(rng, (40, n, n)), random_stack(rng, (40, n, n))
+        want = real_gemm_product(a, b)
+        assert np.array_equal(linalg.matmul_stack(a, b), want)
+        out = np.empty_like(want)
+        assert linalg.matmul_stack(a, b, out=out) is out and np.array_equal(out, want)
+        # out aliasing a: each slice reads a before it writes there
+        alias = a.copy()
+        assert linalg.matmul_stack(alias, b, out=alias) is alias and np.array_equal(alias, want)
+        # b expanded one sample at a time
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 1)
+        assert np.array_equal(linalg.matmul_stack(a, b), want)
+        alias = a.copy()
+        assert np.array_equal(linalg.matmul_stack(alias, b, out=alias), want)
+        fixed = random_stack(rng, (n, n))
+        assert np.array_equal(linalg.matmul_stack(fixed, b), real_gemm_product(fixed, b))
+        # an out whose rows have no float64 view raises rather than dropping the product
+        with pytest.raises(ValueError):
+            linalg.matmul_stack(a, b, out=np.empty((40, n, 2 * n), complex)[..., ::2])
+
+    @pytest.mark.parametrize("where", ["a", "b"])
+    def test_nan_stays_in_its_sample(self, rng, where):
+        a, b = random_stack(rng, (20, 6, 6)), random_stack(rng, (20, 6, 6))
+        clean = linalg.matmul_stack(a, b)
+        (a if where == "a" else b)[7, 2, 3] = np.nan
+        got = linalg.matmul_stack(a, b)
+        finite = np.isfinite(got).reshape(20, -1).all(axis=1)
+        assert np.flatnonzero(~finite).tolist() == [7]
+        assert np.array_equal(np.delete(got, 7, axis=0), np.delete(clean, 7, axis=0))
 
 
 class TestHermitianEig:

@@ -6,13 +6,16 @@ length comes from the exact tangents -i[H, rho], a plain curve's from finite
 differences. Every curve operation returns a plain curve, which takes the
 eigendecomposition route again."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from holonomy_lab import bundle, curves, dynamics, invariants, linalg, serialize, spectra, synthesis
 from holonomy_lab.curves import OperatorCurve, UnitaryOrbit
 from holonomy_lab.errors import MultiplicityChange, NonFinite, OutOfRange
-from qutil import per_sample_speeds_sq, plain_curve, qubit_axis, rand_gauge, rand_state, stack_sizes
+from qutil import (per_sample_speeds_sq, plain_curve, qubit_axis, rand_gauge, rand_state, real_gemm_product,
+                   stack_sizes)
 
 TWO_PI = 2.0 * np.pi
 
@@ -98,6 +101,33 @@ class TestIntegrity:
         assert props.flags.writeable and not orbit.propagators.flags.writeable
         assert hs.flags.writeable and not orbit.hamiltonians.flags.writeable
         assert np.array_equal(orbit.samples, np.broadcast_to(rho0.matrix, (5, 2, 2)))
+
+    @pytest.mark.parametrize("run", ["constant", "synthesized"])
+    def test_evolve_checks_each_stack_once(self, run, rng, monkeypatch):
+        # the orbit checks its propagators and Hamiltonians finite; the U curve shares the
+        # propagators and is not checked again
+        if run == "constant":
+            _, sched, _ = qubit_run()
+            rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
+        else:
+            rho = rand_state(rng, (0.5, 0.25), (1, 2), 6)
+            plan = synthesis.synthesize(rho, bundle.canonical_amplitude(rho), rand_gauge(rng, rho.basis), tau=1.0,
+                                        ambient_dim=6)
+            sched, rho0 = plan.schedule, plan.rho
+        passes, isfinite = Counter(), np.isfinite
+
+        def spy(x, *args, **kwargs):
+            x = np.asarray(x)
+            passes[x.__array_interface__["data"][0], x.shape] += 1
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        u_curve, orbit = dynamics.evolve(rho0, sched)
+        monkeypatch.undo()
+        stacks = [linalg.stored_samples(orbit.propagators), linalg.stored_samples(orbit.hamiltonians)]
+        assert passes == Counter((x.__array_interface__["data"][0], x.shape) for x in stacks)
+        assert type(u_curve) is OperatorCurve and u_curve.samples is orbit.propagators
+        assert u_curve.grid == sched.grid and not u_curve.samples.flags.writeable
 
     def test_hamiltonians_are_required_and_match_the_propagators(self):
         rho0 = spectra.spectral_decompose(np.diag([0.7, 0.3]).astype(complex))
@@ -293,7 +323,9 @@ class TestStatesOnRead:
 
     def test_samples_are_the_hermitian_states(self, rng):
         orbit = plan_run(rng, *PLANS["m12-6"])[0]
-        states = orbit.propagators @ orbit.start.matrix @ np.conj(np.swapaxes(orbit.propagators, -1, -2))
+        # U rho0 is one GEMM over U's rows; (U rho0) U^dag is a 6 x 6 complex block, the 1m product
+        u = orbit.propagators
+        states = real_gemm_product(u @ orbit.start.matrix, np.conj(np.swapaxes(u, -1, -2)))
         assert np.array_equal(orbit.samples, 0.5 * (states + np.conj(np.swapaxes(states, -1, -2))))
         assert orbit.samples is orbit.samples  # formed once; TestIntegrity checks it read-only
         assert np.array_equal(orbit.initial, orbit.samples[0]) and np.array_equal(orbit.final, orbit.samples[-1])
